@@ -34,8 +34,8 @@ Acceptance bars:
   can express it, and the committed report records which.
 
 ``BENCH_SHARD_QUICK=1`` shrinks the workload for CI smoke runs.
-Results are written to ``benchmarks/BENCH_shard.json`` (committed) and
-``benchmarks/results/`` like every other benchmark.
+Full runs write ``benchmarks/BENCH_shard.json`` (committed); every run
+writes ``benchmarks/results/`` like every other benchmark.
 """
 
 import json
@@ -113,12 +113,9 @@ def _fleet_worker(payload):
     service = PreferenceService(
         shard_address=address, backend="serial", max_workers=1
     )
-    batch = service.evaluate_many(queries, db)
+    batch = service.answer_many(queries, db)
     service.cache.close()
-    return (
-        [result.probability for result in batch.results],
-        batch.n_distinct_solves,
-    )
+    return batch.values, batch.n_distinct_solves
 
 
 def _run_fleet(address: str, slices: "list[list[str]]"):
@@ -142,14 +139,14 @@ def test_cache_shard(record_result, tmp_path):
     # Unsharded reference: the bit-identity anchor.
     plain = PreferenceService(backend="serial")
     started = time.perf_counter()
-    reference = plain.evaluate_many(queries, db)
+    reference = plain.answer_many(queries, db)
     serial_seconds = time.perf_counter() - started
     assert reference.n_distinct_solves == N_SESSIONS
 
     # Embedded shards: same process, sharded warm tier.
     embedded = PreferenceService(backend="serial", cache_shards=N_SHARDS)
-    embedded_batch = embedded.evaluate_many(queries, db)
-    assert embedded_batch.probabilities == reference.probabilities
+    embedded_batch = embedded.answer_many(queries, db)
+    assert embedded_batch.values == reference.values
     embedded.cache.close()
 
     # Attached fleet, disjoint slices, cold, with per-shard write-back.
@@ -157,7 +154,7 @@ def test_cache_shard(record_result, tmp_path):
     slices = [queries[index::N_FLEET] for index in range(N_FLEET)]
     expected = [
         p for chunk in slices for p in
-        (reference.probabilities[queries.index(q)] for q in chunk)
+        (reference.values[queries.index(q)] for q in chunk)
     ]
     with ShardCacheServer(n_shards=N_SHARDS, cache_db=stem) as server:
         fleet_probs, fleet_solves, fleet_seconds = _run_fleet(
@@ -181,7 +178,7 @@ def test_cache_shard(record_result, tmp_path):
         shared_probs, shared_solves, shared_seconds = _run_fleet(
             server.address, [list(queries)] * N_FLEET
         )
-    assert shared_probs == reference.probabilities * N_FLEET
+    assert shared_probs == reference.values * N_FLEET
     assert shared_solves == N_SESSIONS
 
     scaling = serial_seconds / max(fleet_seconds, 1e-12)
@@ -241,7 +238,8 @@ def test_cache_shard(record_result, tmp_path):
             ),
         },
     }
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not QUICK:
+        JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     record_result(
         ExperimentResult(

@@ -9,9 +9,9 @@ optimized strategies must return the same top-k sets as the full strategy
 and evaluate no more sessions exactly.
 """
 
+from repro.api import TopK, answer
 from repro.datasets.polls import polls_database
 from repro.evaluation.experiments import FIG8_QUERY, figure_8
-from repro.query.aggregates import most_probable_session
 from repro.query.parser import parse_query
 
 
@@ -34,8 +34,8 @@ def test_figure_8_topk(record_result, benchmark):
     db = polls_database(n_candidates=16, n_voters=40, seed=8)
     query = parse_query(FIG8_QUERY)
     benchmark.pedantic(
-        lambda: most_probable_session(
-            query, db, k=1, strategy="upper_bound", n_edges=1
+        lambda: answer(
+            TopK(query, k=1, strategy="upper_bound", n_edges=1), db
         ),
         rounds=3,
         iterations=1,

@@ -10,9 +10,9 @@ grouped solver-call count must stay bounded while the naive count grows
 linearly.
 """
 
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.evaluation.experiments import FIG15_QUERY, figure_15
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 
 
@@ -35,7 +35,7 @@ def test_figure_15_sessions(record_result, benchmark):
     db = crowdrank_database(n_workers=1000, n_movies=10, seed=15)
     query = parse_query(FIG15_QUERY)
     benchmark.pedantic(
-        lambda: evaluate(
+        lambda: answer(
             query, db, method="lifted", group_sessions=True,
             session_limit=1000,
         ),

@@ -5,11 +5,11 @@ DESIGN.md Section 9.  A 50-query CrowdRank-style workload (the batch
 templates cycled over overlapping genre/sex/duration parameters, so many
 queries compile to shared (model, union) solves) is served three ways:
 
-* **naive** — per-query ``evaluate(..., group_sessions=False)``: one solve
+* **naive** — per-query ``answer(..., group_sessions=False)``: one solve
   per satisfiable session, the pre-Section-6.4 baseline;
-* **unoptimized plan** — per-query ``evaluate(..., optimize=False)``: the
+* **unoptimized plan** — per-query ``answer(..., optimize=False)``: the
   plan executor without any optimizer pass, the equivalence reference;
-* **planned batch** — ``PreferenceService.evaluate_many`` over the whole
+* **planned batch** — ``PreferenceService.answer_many`` over the whole
   workload: one plan, canonical common-solve elimination across sessions
   and queries, LPT-ordered frontier.
 
@@ -25,8 +25,8 @@ Acceptance bars:
   stable).
 
 ``BENCH_PLANNER_QUICK=1`` shrinks the workload for CI smoke runs.
-Results are written to ``benchmarks/BENCH_planner.json`` (committed) and
-``benchmarks/results/`` like every other benchmark.
+Full runs write ``benchmarks/BENCH_planner.json`` (committed); every run
+writes ``benchmarks/results/`` like every other benchmark.
 """
 
 import json
@@ -35,10 +35,10 @@ import time
 from pathlib import Path
 
 from repro.__main__ import batch_queries
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.evaluation.experiments import ExperimentResult
 from repro.plan import build_plan, optimize_plan
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 from repro.service import PreferenceService
 
@@ -70,16 +70,18 @@ def test_query_planner(record_result):
     # --- naive baseline: one solve per satisfiable session ------------
     naive_started = time.perf_counter()
     naive_results = [
-        evaluate(query, db, group_sessions=False) for query in queries
+        answer(query, db, group_sessions=False) for query in queries
     ]
     naive_seconds = time.perf_counter() - naive_started
-    naive_solves = sum(result.n_solver_calls for result in naive_results)
+    naive_solves = sum(
+        result.stats["n_solver_calls"] for result in naive_results
+    )
 
     # --- unoptimized plan: the bit-identity reference ------------------
-    unoptimized = [evaluate(query, db, optimize=False) for query in queries]
+    unoptimized = [answer(query, db, optimize=False) for query in queries]
 
     # --- optimized per-query evaluation (optimizer on by default) ------
-    optimized = [evaluate(query, db) for query in queries]
+    optimized = [answer(query, db) for query in queries]
     for raw, planned in zip(unoptimized, optimized):
         assert planned.probability == raw.probability
         assert _signature(planned) == _signature(raw)
@@ -90,7 +92,7 @@ def test_query_planner(record_result):
     # --- planned batch: elimination across sessions AND queries --------
     service = PreferenceService()
     batch_started = time.perf_counter()
-    batch = service.evaluate_many(texts, db)
+    batch = service.answer_many(texts, db)
     batch_seconds = time.perf_counter() - batch_started
     for sequential, result in zip(optimized, batch):
         assert result.probability == sequential.probability
@@ -164,7 +166,8 @@ def test_query_planner(record_result):
             )
         },
     }
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not QUICK:
+        JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     record_result(
         ExperimentResult(

@@ -23,8 +23,8 @@ Acceptance bars:
 * ``/stats`` reports p50/p95/p99 latency and a coalesce ratio **> 1**.
 
 ``BENCH_SERVER_QUICK=1`` shrinks the workload for CI smoke runs.
-Results are written to ``benchmarks/BENCH_server.json`` (committed) and
-``benchmarks/results/`` like every other benchmark.
+Full runs write ``benchmarks/BENCH_server.json`` (committed); every run
+writes ``benchmarks/results/`` like every other benchmark.
 """
 
 import asyncio
@@ -197,7 +197,8 @@ def test_server_coalescing(record_result):
             "coalesced_seconds": coalesced_seconds,
         },
     }
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not QUICK:
+        JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     record_result(
         ExperimentResult(

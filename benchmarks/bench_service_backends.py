@@ -19,7 +19,7 @@ over the same file serves the same batch again — the restart must perform
 Acceptance bars:
 
 * every backend and the persistent warm restart return probabilities
-  bit-identical to sequential ``engine.evaluate``;
+  bit-identical to sequential ``repro.api.answer``;
 * the warm restart performs zero solves;
 * on a multi-core host (>= 2 usable CPUs, full mode) the process backend
   is >= 2x faster than serial.  The bar is *physically unmeasurable* on a
@@ -28,8 +28,8 @@ Acceptance bars:
   whether the bar was enforced.
 
 ``BENCH_BACKENDS_QUICK=1`` shrinks the workload for CI smoke runs.
-Results are written to ``benchmarks/BENCH_backends.json`` (committed) and
-``benchmarks/results/`` like every other benchmark.
+Full runs write ``benchmarks/BENCH_backends.json`` (committed); every run
+writes ``benchmarks/results/`` like every other benchmark.
 """
 
 import json
@@ -37,10 +37,10 @@ import os
 import time
 from pathlib import Path
 
+from repro.api import answer
 from repro.db.database import PPDatabase
 from repro.db.schema import ORelation, PRelation
 from repro.evaluation.experiments import ExperimentResult
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
@@ -105,7 +105,7 @@ def _serve(db, backend: str, workers: int, cache_db=None):
         backend=backend, max_workers=workers, cache_db=cache_db
     )
     started = time.perf_counter()
-    batch = service.evaluate_many([QUERY], db)
+    batch = service.answer_many([QUERY], db)
     return batch, time.perf_counter() - started
 
 
@@ -113,7 +113,7 @@ def test_service_backends(record_result, tmp_path):
     db = _database()
     n_cpus = _usable_cpus()
     workers = max(2, min(4, n_cpus))
-    reference = evaluate(parse_query(QUERY), db)
+    reference = answer(parse_query(QUERY), db)
 
     timings = {}
     for backend in ("serial", "thread", "process"):
@@ -166,7 +166,8 @@ def test_service_backends(record_result, tmp_path):
         },
         "equivalence": {"max_divergence_vs_engine": 0.0},
     }
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not QUICK:
+        JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     rows = [
         [name, N_SESSIONS, timings[name], timings["serial"] / max(timings[name], 1e-12)]

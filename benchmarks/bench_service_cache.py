@@ -17,9 +17,9 @@ run on the same workload.
 """
 
 from repro.__main__ import batch_queries
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.evaluation.experiments import ExperimentResult
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 from repro.service import PreferenceService
 
@@ -34,8 +34,8 @@ def test_service_cache_cold_vs_warm(record_result):
     queries = batch_queries(N_QUERIES)
     service = PreferenceService(method="lifted", max_workers=1)
 
-    cold = service.evaluate_many(queries, db)
-    warm = service.evaluate_many(queries, db)
+    cold = service.answer_many(queries, db)
+    warm = service.answer_many(queries, db)
 
     cold_throughput = len(queries) / cold.seconds
     warm_throughput = len(queries) / warm.seconds
@@ -64,6 +64,6 @@ def test_service_cache_cold_vs_warm(record_result):
     # Cache-served probabilities are identical (within 1e-12) to a
     # cache-disabled engine run of the same workload.
     for query, cold_result, warm_result in zip(queries, cold, warm):
-        reference = evaluate(parse_query(query), db, method="lifted")
+        reference = answer(parse_query(query), db, method="lifted")
         assert abs(cold_result.probability - reference.probability) <= 1e-12
         assert abs(warm_result.probability - reference.probability) <= 1e-12

@@ -28,8 +28,8 @@ Acceptance bars:
   session population the bar's denominator scales with).
 
 ``BENCH_STREAM_QUICK=1`` shrinks the workload for CI smoke runs.
-Results are written to ``benchmarks/BENCH_stream.json`` (committed) and
-``benchmarks/results/`` like every other benchmark.
+Full runs write ``benchmarks/BENCH_stream.json`` (committed); every run
+writes ``benchmarks/results/`` like every other benchmark.
 """
 
 import json
@@ -162,7 +162,8 @@ def test_streaming(record_result):
             "reason": None if enforce_ratio else "quick mode",
         },
     }
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not QUICK:
+        JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     record_result(
         ExperimentResult(

@@ -16,9 +16,9 @@ sampling, and the seeded estimates of the two paths diverge by at most
 (the equivalence assertions still hold; the throughput bar relaxes to 3x
 to stay robust on noisy shared runners).
 
-Results are written to ``benchmarks/BENCH_kernels.json`` (committed, so
-the perf trajectory is recorded) and to ``benchmarks/results/`` like every
-other benchmark.
+Full runs write ``benchmarks/BENCH_kernels.json`` (committed, so the
+perf trajectory is recorded); every run writes ``benchmarks/results/``
+like every other benchmark.
 """
 
 import json
@@ -194,7 +194,8 @@ def test_vectorized_kernel_throughput(record_result):
     }
 
     # --- record --------------------------------------------------------
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not QUICK:
+        JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
     result = ExperimentResult(
         experiment="vectorized_kernels",
         headers=["path", "scalar_samples_per_s", "vectorized_samples_per_s",

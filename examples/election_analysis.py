@@ -18,8 +18,9 @@ import time
 
 import numpy as np
 
+from repro.api import Count, TopK, answer
 from repro.datasets.polls import polls_database
-from repro.query import count_session, evaluate, most_probable_session, parse_query
+from repro.query import parse_query
 
 QUERY = "P(_, _; l; r), C(l, p, 'M', _, _, _), C(r, p, 'F', _, _, _)"
 
@@ -42,27 +43,27 @@ def main() -> None:
     for method in ("two_label", "bipartite", "general", "mis_amp_adaptive"):
         kwargs = {"rng": rng, "n_per_proposal": 150} if method.startswith("mis") else {}
         started = time.perf_counter()
-        result = evaluate(query, db, method=method, **kwargs)
+        result = answer(query, db, method=method, **kwargs)
         seconds = time.perf_counter() - started
         print(
             f"  {method:18s} P = {result.probability:.6f}  "
-            f"({seconds:6.2f}s, {result.n_solver_calls} solver calls, "
-            f"{result.n_groups} groups)"
+            f"({seconds:6.2f}s, {result.stats['n_solver_calls']} solver calls, "
+            f"{result.stats['n_groups']} groups)"
         )
     print()
 
     # ------------------------------------------------------------------
     # Count-Session: the expected number of supporting sessions.
     # ------------------------------------------------------------------
-    count = count_session(query, db)
+    count = answer(Count(query), db)
     print(
         f"count(Q) = {count.expectation:.2f} of "
         f"{len(count.per_session)} sessions expected to satisfy Q"
     )
-    weakest = sorted(count.per_session, key=lambda pair: pair[1])[:3]
+    weakest = sorted(count.per_session, key=lambda one: one.probability)[:3]
     print(
         "least supportive sessions:",
-        [(key[0], round(p, 3)) for key, p in weakest],
+        [(one.key[0], round(one.probability, 3)) for one in weakest],
     )
     print()
 
@@ -71,16 +72,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     for strategy, n_edges in (("naive", 1), ("upper_bound", 1), ("upper_bound", 2)):
         started = time.perf_counter()
-        top = most_probable_session(
-            query, db, k=3, strategy=strategy, n_edges=n_edges
+        top = answer(
+            TopK(query, k=3, strategy=strategy, n_edges=n_edges), db
         )
         seconds = time.perf_counter() - started
         label = strategy if strategy == "naive" else f"{strategy}[{n_edges}-edge]"
         print(
             f"top(Q, 3) via {label:22s}: {seconds:6.2f}s, "
-            f"{top.n_exact_evaluations} exact evaluations"
+            f"{top.stats['n_exact_evaluations']} exact evaluations"
         )
-        for key, probability in top.sessions:
+        for key, probability in top.ranking:
             print(f"     {key}: {probability:.5f}")
 
 

@@ -17,9 +17,10 @@ import time
 
 import numpy as np
 
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.datasets.movielens import movielens_database
-from repro.query import analyze, evaluate, parse_query
+from repro.query import analyze, parse_query
 
 MOVIELENS_QUERY = (
     "P(_; 2; 1), P(_; x; 1), P(_; x; y), "
@@ -46,14 +47,14 @@ def movielens_demo() -> None:
     )
     rng = np.random.default_rng(14)
     started = time.perf_counter()
-    result = evaluate(
+    result = answer(
         query, db, method="mis_amp_adaptive", rng=rng,
         n_per_proposal=60, max_proposals=7,
     )
     seconds = time.perf_counter() - started
     print(
         f"  Pr(Q) = {result.probability:.4f} over {result.n_sessions} users "
-        f"({seconds:.1f}s, {result.n_solver_calls} solver calls after grouping)"
+        f"({seconds:.1f}s, {result.stats['n_solver_calls']} solver calls after grouping)"
     )
     print()
 
@@ -70,7 +71,7 @@ def crowdrank_demo() -> None:
     )
     for grouped in (True, False):
         started = time.perf_counter()
-        result = evaluate(
+        result = answer(
             query, db, method="lifted", group_sessions=grouped,
             session_limit=2000,
         )
@@ -78,7 +79,7 @@ def crowdrank_demo() -> None:
         label = "grouped" if grouped else "naive  "
         print(
             f"  {label}: Pr(Q) = {result.probability:.6f}  "
-            f"({seconds:6.2f}s, {result.n_solver_calls} solver calls "
+            f"({seconds:6.2f}s, {result.stats['n_solver_calls']} solver calls "
             f"for {result.n_sessions} sessions)"
         )
     print()

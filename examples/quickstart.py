@@ -9,14 +9,9 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.api import Count, TopK, answer
 from repro.db.examples import polling_example
-from repro.query import (
-    analyze,
-    count_session,
-    evaluate,
-    most_probable_session,
-    parse_query,
-)
+from repro.query import analyze, parse_query
 
 
 def main() -> None:
@@ -32,7 +27,7 @@ def main() -> None:
     q0 = parse_query(
         "P('Ann', '5/5'; 'Trump'; 'Clinton'), P('Ann', '5/5'; 'Trump'; 'Rubio')"
     )
-    r0 = evaluate(q0, db)
+    r0 = answer(q0, db)
     print(f"Q0 (Ann: Trump above Clinton and Rubio) = {r0.probability:.4f}")
 
     # ------------------------------------------------------------------
@@ -44,7 +39,7 @@ def main() -> None:
     )
     analysis = analyze(q1, db)
     print(f"Q1 itemwise: {analysis.is_itemwise}")
-    r1 = evaluate(q1, db)
+    r1 = answer(q1, db)
     print(f"Q1 (female above male) = {r1.probability:.4f}")
 
     # ------------------------------------------------------------------
@@ -61,7 +56,7 @@ def main() -> None:
         f"Q2 itemwise: {analysis.is_itemwise}; "
         f"V+(Q2) = {sorted(v.name for v in analysis.groundable)}"
     )
-    r2 = evaluate(q2, db)
+    r2 = answer(q2, db)
     print(f"Q2 (D above R, same edu) = {r2.probability:.4f}")
     for session in r2.per_session:
         print(f"   session {session.key}: {session.probability:.4f}")
@@ -83,19 +78,19 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Aggregates: Count-Session and Most-Probable-Session (Section 3.2).
     # ------------------------------------------------------------------
-    count = count_session(q2, db)
+    count = answer(Count(q2), db)
     print(f"count(Q2) expectation = {count.expectation:.4f}")
-    top = most_probable_session(q2, db, k=2, strategy="upper_bound")
+    top = answer(TopK(q2, k=2, strategy="upper_bound"), db)
     print(
         "top(Q2, 2) =",
-        [(key, round(p, 4)) for key, p in top.sessions],
-        f"(exact evaluations: {top.n_exact_evaluations} of 3 sessions)",
+        [(key, round(p, 4)) for key, p in top.ranking],
+        f"(exact evaluations: {top.stats['n_exact_evaluations']} of 3 sessions)",
     )
 
     # ------------------------------------------------------------------
     # Approximate evaluation with MIS-AMP-adaptive (Section 5).
     # ------------------------------------------------------------------
-    approx = evaluate(
+    approx = answer(
         q2, db, method="mis_amp_adaptive",
         rng=np.random.default_rng(1), n_per_proposal=300,
     )

@@ -52,7 +52,7 @@ from repro.patterns import (
 from repro.rankings import PartialOrder, Ranking, SubRanking, kendall_tau
 from repro.rim import AMPSampler, Mallows, MallowsMixture, RIM
 from repro.service import PersistentSolverCache, SolverCache
-from repro.service.service import BatchResult, PreferenceService
+from repro.service.service import PreferenceService
 from repro.solvers import (
     SolverResult,
     bipartite_probability,
@@ -99,7 +99,6 @@ __all__ = [
     "SolverCache",
     "PersistentSolverCache",
     "PreferenceService",
-    "BatchResult",
     "solve",
     "exact_probability",
     "brute_force_probability",

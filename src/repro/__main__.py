@@ -144,7 +144,7 @@ def _check_method(method: str) -> bool:
 def run_batch(args) -> int:
     """Serve a repeated query batch through a PreferenceService."""
     from repro.datasets.crowdrank import crowdrank_database
-    from repro.query.engine import APPROXIMATE_METHODS
+    from repro.plan.methods import APPROXIMATE_METHODS
     from repro.service.service import PreferenceService
 
     if not _check_method(args.method):
@@ -186,16 +186,16 @@ def run_batch(args) -> int:
         rng = np.random.default_rng(args.seed)
     rows = []
     for pass_index in range(1, args.repeat + 1):
-        batch = service.evaluate_many(queries, db, rng=rng)
+        batch = service.answer_many(queries, db, rng=rng)
         rows.append(
             [
                 pass_index,
-                batch.n_queries,
+                batch.n_requests,
                 batch.n_sessions,
                 batch.n_distinct_solves,
                 batch.n_cache_hits,
                 batch.seconds,
-                batch.n_queries / batch.seconds if batch.seconds else 0.0,
+                batch.n_requests / batch.seconds if batch.seconds else 0.0,
             ]
         )
     tier = f", cache_db={args.cache_db}" if args.cache_db else ""
@@ -292,8 +292,8 @@ def run_query(args) -> int:
     import numpy as np
 
     from repro.api import answer, parse_request
+    from repro.plan.methods import APPROXIMATE_METHODS
     from repro.query.classify import UnsupportedQueryError
-    from repro.query.engine import APPROXIMATE_METHODS
 
     if not _check_method(args.method):
         return 2

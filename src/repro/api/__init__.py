@@ -25,11 +25,8 @@ Typical use::
     result.expectation            # E[count(Q)]
     result.methods                # the solvers that actually ran
 
-The historical entry points (:func:`repro.query.engine.evaluate`,
-:func:`repro.query.aggregates.count_session`,
-:func:`repro.query.aggregates.aggregate_session_attribute`,
-:func:`repro.query.aggregates.most_probable_session`) are deprecated thin
-wrappers over this module, bit-identical to their pre-redesign outputs.
+These are the only query entry points; :class:`~repro.service.service
+.PreferenceService` wraps the same two with a shared cache and backend.
 See DESIGN.md, "The unified query API".
 """
 

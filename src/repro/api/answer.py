@@ -4,12 +4,8 @@ One :class:`Answer` per request, whatever the kind: the scalar (or
 ranking) ``value``, the per-session breakdown, the *resolved* solver
 methods that actually ran (never the requested string — see
 ``requested_method`` for that), wall time, and cache/plan statistics.
-The historical result dataclasses (:class:`~repro.query.engine
-.QueryResult`, :class:`~repro.query.aggregates.CountResult`,
-:class:`~repro.query.aggregates.AttributeAggregateResult`,
-:class:`~repro.query.aggregates.TopKResult`) are kept as deprecated thin
-envelopes, bit-identical to their pre-redesign outputs; each answer
-carries its legacy twin, reachable via :meth:`Answer.to_legacy`.
+:class:`BatchAnswer` adds the batch-level counters of
+:func:`repro.api.evaluate.answer_many`.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.query.engine import SessionEvaluation
+from repro.query.engine import SessionEvaluation, SessionKey
 
 
 @dataclass
@@ -41,20 +37,13 @@ class Answer:
     requested_method: str = "auto"
     n_sessions: int = 0
     seconds: float = 0.0
-    stats: dict = field(default_factory=dict)
-    #: The deprecated pre-redesign result envelope, bit-identical to the
-    #: historical entry point of this kind.
-    legacy: Any = None
+    stats: dict[str, Any] = field(default_factory=dict)
     #: The database generation this answer was computed against (the
     #: monotonic counter of :class:`~repro.db.mutable.MutablePPDatabase`),
     #: or ``None`` for a static snapshot.  A reader holding a database at
     #: generation ``g`` can detect a stale answer by ``answer.generation
     #: != g`` — the staleness gauge the standing-query engine exports.
     generation: "int | None" = None
-
-    def to_legacy(self):
-        """The deprecated kind-specific result dataclass (bit-identical)."""
-        return self.legacy
 
     # ------------------------------------------------------------------
     # Kind-checked conveniences
@@ -71,21 +60,22 @@ class Answer:
     def probability(self) -> float:
         """The Boolean query probability (``probability`` answers only)."""
         self._expect_kind("probability")
-        return self.value
+        return float(self.value)
 
     @property
     def expectation(self) -> float:
         """The expected value (``count`` / ``aggregate`` answers only)."""
         self._expect_kind("count", "aggregate")
-        return self.value
+        return float(self.value)
 
     @property
-    def ranking(self) -> list:
+    def ranking(self) -> list[tuple[SessionKey, float]]:
         """The ranked ``(session_key, probability)`` list (``top_k``)."""
         self._expect_kind("top_k")
-        return self.value
+        ranking: list[tuple[SessionKey, float]] = self.value
+        return ranking
 
-    def session_probability(self, key) -> float:
+    def session_probability(self, key: SessionKey) -> float:
         for evaluation in self.per_session:
             if evaluation.key == key:
                 return evaluation.probability
@@ -96,7 +86,6 @@ class Answer:
 class BatchAnswer:
     """Per-request answers plus batch-level cache and timing metadata.
 
-    The mixed-kind sibling of :class:`~repro.service.service.BatchResult`:
     ``answers`` holds one :class:`Answer` per request, in request order;
     the batch counters report how much work mixed-kind common-solve
     elimination and the shared cache saved.
@@ -111,7 +100,7 @@ class BatchAnswer:
     #: Session groups served from the cross-query cache without solving.
     n_cache_hits: int
     seconds: float
-    cache_stats: dict = field(default_factory=dict)
+    cache_stats: dict[str, Any] = field(default_factory=dict)
     backend: str = ""
     #: Per-session solves the plan contained before optimization, and how
     #: many of them the optimizer's common-solve elimination merged away —
@@ -124,7 +113,7 @@ class BatchAnswer:
     generation: "int | None" = None
 
     @property
-    def values(self) -> list:
+    def values(self) -> list[Any]:
         return [answer.value for answer in self.answers]
 
     def __len__(self) -> int:

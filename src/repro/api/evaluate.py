@@ -9,44 +9,29 @@ the surviving frontier through the unchanged solver/cache stack, with the
 kind-specific terminal (count/expectation aggregation, upper-bound-pruned
 top-k, possible-world attribute draws) on top.
 
-:func:`answer` is the single-request entry point, the unified twin of the
-historical :func:`repro.query.engine.evaluate` /
-:func:`repro.query.aggregates.count_session` /
-:func:`repro.query.aggregates.aggregate_session_attribute` /
-:func:`repro.query.aggregates.most_probable_session`, which are now thin
-deprecated wrappers over it.  :func:`answer_many` is the batch entry point
-behind :meth:`repro.service.service.PreferenceService.evaluate_many` for
-mixed-kind request lists.
+:func:`answer` is the single-request entry point; :func:`answer_many` is
+the batch entry point (behind
+:meth:`repro.service.service.PreferenceService.answer_many`) for
+mixed-kind request lists.  :func:`assemble_answers` turns an executed
+plan's terminals into :class:`Answer` envelopes.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
 from repro.api.answer import Answer, BatchAnswer
 from repro.api.requests import QueryRequest, as_request
 from repro.plan.build import build_plan
-from repro.plan.execute import (
-    PlanExecution,
-    assemble_query_result,
-    classify_executed_items,
-    execute_plan,
-    fresh_solve_seconds,
-)
+from repro.plan.execute import PlanExecution, execute_plan
 from repro.plan.methods import APPROXIMATE_METHODS
-from repro.plan.nodes import (
-    AttributeAggregateNode,
-    CountSessionsNode,
-    QueryPlan,
-    TerminalNode,
-    TopKSessionsNode,
-)
+from repro.plan.nodes import QueryPlan, TerminalNode
 from repro.plan.passes import optimize_plan
-from repro.query.engine import SessionEvaluation
+from repro.query.engine import SessionEvaluation, aggregate_sessions
 from repro.service.cache import SolverCache
 from repro.service.executors import (
     ExecutionBackend,
@@ -80,11 +65,40 @@ def answer(
 ) -> Answer:
     """Evaluate one typed request (or query/text) through the plan pipeline.
 
-    Parameters mirror :func:`repro.query.engine.evaluate`; the request kind
-    decides the terminal node and the envelope.  The returned answer
-    carries its deprecated kind-specific legacy twin
-    (:meth:`Answer.to_legacy`), bit-identical to the pre-redesign entry
-    point of that kind.
+    The request kind decides the terminal node and the envelope.
+
+    Parameters
+    ----------
+    method:
+        An exact solver name (``"auto"``, ``"two_label"``, ``"bipartite"``,
+        ``"general"``, ``"lifted"``, ``"brute"``), an approximate one
+        (``"mis_amp_lite"``, ``"mis_amp_adaptive"``, ``"rejection"``), or
+        ``"auto-approx"`` — auto resolution with an opt-in MIS-AMP fallback
+        for solves whose estimated DP state count exceeds the
+        ``approx_budget`` solver option (requires ``rng`` when it
+        triggers); see :mod:`repro.plan.methods`.
+    group_sessions:
+        Solve each distinct (model, union) pair once (Section 6.4) — the
+        plan's common-solve elimination pass.
+    session_limit:
+        Evaluate only the first N selected sessions (for scalability
+        sweeps).
+    cache:
+        An optional :class:`~repro.service.cache.SolverCache` shared across
+        calls.  Session solves are then grouped by *canonical* key and
+        consulted/stored in the cache before dispatching.  Ignored for the
+        sampling methods (their results are rng-dependent) and when
+        ``group_sessions=False`` or ``optimize=False`` (the naive and
+        unoptimized baselines must re-solve every session).  Cross-query
+        hits are reported in ``stats["cache_hits"]``.
+    optimize:
+        Apply the optimizer pass pipeline (default).  ``False`` executes
+        the unoptimized plan — one solve per session, no reordering, and
+        no cache use — the reference the per-pass equivalence tests
+        compare against.
+    solver_options:
+        Forwarded to the chosen solver (e.g. ``n_proposals=10`` for
+        MIS-AMP-lite, ``time_budget=60`` for exact solvers).
     """
     result, _, _ = answer_with_plan(
         request,
@@ -123,8 +137,8 @@ def answer_with_plan(
     started = time.perf_counter()
     request = as_request(request)
     if request.kind == "top_k" and method in APPROXIMATE_METHODS:
-        # The historical top-k evaluated every session independently, so
-        # rng-driven solves must keep one draw stream per session —
+        # Top-k scores every session independently, so rng-driven
+        # solves keep one draw stream per session —
         # grouping would merge identical sessions and shift the stream.
         group_sessions = False
     # Canonical cache keys are computed by the optimizer's elimination
@@ -157,7 +171,6 @@ def answer_with_plan(
         plan, execution, batched=False, with_cache=use_cache
     )[0]
     result.seconds = time.perf_counter() - started
-    result.legacy.seconds = result.seconds
     result.generation = db_generation(db)
     return result, plan, execution
 
@@ -190,7 +203,7 @@ def answer_many(
     effective_backend = backend if backend is not None else default_backend
 
     if method in APPROXIMATE_METHODS:
-        if parallelism_requested(backend, effective_backend, max_workers):
+        if _parallelism_requested(backend, effective_backend, max_workers):
             warnings.warn(
                 f"approximate method {method!r} is rng-driven and runs "
                 "sequentially; the requested parallelism "
@@ -214,7 +227,7 @@ def answer_many(
             n_requests=len(answers),
             n_sessions=sum(one.n_sessions for one in answers),
             n_distinct_solves=sum(
-                one.stats.get("n_solver_calls", 0) for one in answers
+                one.stats["n_solver_calls"] for one in answers
             ),
             n_cache_hits=0,
             seconds=time.perf_counter() - started,
@@ -261,17 +274,15 @@ def answer_many(
     )
 
 
-def parallelism_requested(
+def _parallelism_requested(
     explicit_backend, effective_backend, max_workers: int | None
 ) -> bool:
     """Did the caller ask for parallelism an rng-driven batch must ignore?
 
-    The one predicate shared by :func:`answer_many` and
-    :meth:`repro.service.service.PreferenceService.evaluate_many`, so the
-    warning cannot depend on batch composition: an explicitly passed
-    non-serial backend, a process-configured default, or a >1 worker pool
-    all count; a defaulted thread backend alone does not (thread
-    parallelism over sequential solves is a performance no-op).
+    An explicitly passed non-serial backend, a process-configured default,
+    or a >1 worker pool all count; a defaulted thread backend alone does
+    not (thread parallelism over sequential solves is a performance
+    no-op).
     """
 
     def _is_serial(spec) -> bool:
@@ -286,7 +297,7 @@ def parallelism_requested(
 
 
 # ----------------------------------------------------------------------
-# Assembly: terminals -> answers (+ their deprecated legacy envelopes)
+# Assembly: terminals -> answers
 # ----------------------------------------------------------------------
 
 
@@ -296,223 +307,108 @@ def assemble_answers(
     batched: bool = False,
     with_cache: bool = False,
 ) -> list[Answer]:
-    """One :class:`Answer` per terminal, in request order.
+    """One :class:`Answer` per terminal, in request order."""
+    return [
+        _assemble(plan, execution, terminal, batched, with_cache)
+        for terminal in plan.aggregate_nodes()
+    ]
 
-    Each answer also carries the deprecated legacy envelope of its kind,
-    assembled through the same counters as the historical entry points so
-    probabilities, expectations, rankings, and solver attributions stay
-    bit-identical.
+
+def _assemble(
+    plan: QueryPlan,
+    execution: PlanExecution,
+    terminal: TerminalNode,
+    batched: bool,
+    with_cache: bool,
+) -> Answer:
+    """Fold a terminal's ``(session, solve_id)`` items once, then by kind.
+
+    Per request, ``n_solver_calls`` counts the solves executed fresh for
+    it, ``n_groups`` the distinct solve groups it references, and
+    ``cache_hits`` the groups served by the shared cache (plus
+    batch-shared solves in the batch path); in the batch path ``seconds``
+    is the measured wall time of the fresh solves the request consumed.
+    A top-k terminal folds only the sessions its adaptive frontier
+    evaluated: pruned solves never resolved.
     """
-    answers: list[Answer] = []
-    for terminal in plan.aggregate_nodes():
-        if isinstance(terminal, TopKSessionsNode):
-            answers.append(
-                _assemble_topk(plan, execution, terminal, batched)
+    request = plan.requests[terminal.query_index]
+    topk = execution.topk.get(terminal.node_id)
+    items = terminal.items if topk is None else topk.evaluated
+    per_session: list[SessionEvaluation] = []
+    groups: set[Hashable] = set()
+    fresh: set[int] = set()
+    served: set[int] = set()
+    for session_key, solve_id in items:
+        if solve_id is None:
+            per_session.append(
+                SessionEvaluation(session_key, 0.0, "unsatisfiable")
             )
-        elif isinstance(terminal, AttributeAggregateNode):
-            answers.append(
-                _assemble_attribute(
-                    plan, execution, terminal, batched, with_cache
-                )
-            )
-        elif isinstance(terminal, CountSessionsNode):
-            answers.append(
-                _assemble_count(plan, execution, terminal, batched, with_cache)
+            continue
+        probability, solver_name = execution.resolved[solve_id]
+        groups.add(plan.nodes[solve_id].group_key)
+        if solve_id in execution.fresh:
+            fresh.add(solve_id)
+        elif solve_id in execution.cache_served:
+            served.add(solve_id)
+        per_session.append(
+            SessionEvaluation(session_key, probability, solver_name)
+        )
+
+    if batched:
+        seconds = sum(
+            execution.seconds_by_solve.get(node_id, 0.0) for node_id in fresh
+        )
+    else:
+        seconds = execution.seconds
+
+    stats: dict[str, Any]
+    if topk is not None:
+        stats = {
+            "n_solver_calls": len(fresh),
+            "cache_hits": len(served),
+            "n_exact_evaluations": topk.n_exact,
+            "n_upper_bound_evaluations": topk.n_upper_bound,
+            "n_pruned": len(terminal.items) - topk.n_exact,
+            "upper_bound_seconds": topk.upper_bound_seconds,
+            "exact_seconds": topk.exact_seconds,
+        }
+        value: Any = topk.confirmed[: request.k]
+    else:
+        if batched:
+            stats = {"batched": True, "cache_hits": len(groups) - len(fresh)}
+        else:
+            stats = {"cache_hits": len(served)} if with_cache else {}
+        stats.update(n_solver_calls=len(fresh), n_groups=len(groups))
+        if request.kind == "count":
+            value = float(sum(one.probability for one in per_session))
+        elif request.kind == "aggregate":
+            outcome = execution.attribute[terminal.node_id]
+            value = outcome.expectation
+            stats.update(
+                probability_any=outcome.probability_any,
+                weighted_average=outcome.weighted_average,
+                n_worlds=request.n_worlds,
+                statistic=request.statistic,
             )
         else:
-            answers.append(
-                _assemble_probability(
-                    plan, execution, terminal, batched, with_cache
-                )
-            )
-    return answers
+            value = aggregate_sessions(per_session)
 
-
-def _resolved_methods(per_session: list[SessionEvaluation]) -> tuple[str, ...]:
-    """Distinct resolved solver names that actually ran, sorted."""
-    return tuple(
-        sorted(
-            {
-                evaluation.solver
-                for evaluation in per_session
-                if evaluation.solver and evaluation.solver != "unsatisfiable"
-            }
-        )
-    )
-
-
-def _base_answer(
-    plan: QueryPlan,
-    terminal: TerminalNode,
-    kind: str,
-    value,
-    per_session: list[SessionEvaluation],
-    seconds: float,
-    stats: dict,
-    legacy,
-) -> Answer:
     return Answer(
-        request=plan.requests[terminal.query_index],
-        kind=kind,
+        request=request,
+        kind=request.kind,
         value=value,
         per_session=per_session,
-        methods=_resolved_methods(per_session),
+        methods=tuple(
+            sorted(
+                {
+                    one.solver
+                    for one in per_session
+                    if one.solver and one.solver != "unsatisfiable"
+                }
+            )
+        ),
         requested_method=plan.method,
         n_sessions=len(terminal.items),
         seconds=seconds,
         stats=stats,
-        legacy=legacy,
-    )
-
-
-def _assemble_probability(
-    plan, execution, terminal, batched: bool, with_cache: bool
-) -> Answer:
-    result = assemble_query_result(
-        plan, execution, terminal, batched=batched, with_cache=with_cache
-    )
-    stats = dict(result.stats)
-    stats.update(
-        n_solver_calls=result.n_solver_calls, n_groups=result.n_groups
-    )
-    return _base_answer(
-        plan,
-        terminal,
-        "probability",
-        result.probability,
-        result.per_session,
-        result.seconds,
-        stats,
-        result,
-    )
-
-
-def _assemble_count(
-    plan, execution, terminal, batched: bool, with_cache: bool
-) -> Answer:
-    # Deferred: the aggregates module wraps back into this package.
-    from repro.query.aggregates import CountResult
-
-    result = assemble_query_result(
-        plan, execution, terminal, batched=batched, with_cache=with_cache
-    )
-    per_session = [
-        (evaluation.key, evaluation.probability)
-        for evaluation in result.per_session
-    ]
-    resolved = _resolved_methods(result.per_session)
-    legacy = CountResult(
-        expectation=float(sum(p for _, p in per_session)),
-        per_session=per_session,
-        seconds=result.seconds,
-        method=plan.method,
-        resolved_methods=resolved,
-    )
-    stats = dict(result.stats)
-    stats.update(
-        n_solver_calls=result.n_solver_calls, n_groups=result.n_groups
-    )
-    return _base_answer(
-        plan,
-        terminal,
-        "count",
-        legacy.expectation,
-        result.per_session,
-        result.seconds,
-        stats,
-        legacy,
-    )
-
-
-def _assemble_attribute(
-    plan, execution, terminal, batched: bool, with_cache: bool
-) -> Answer:
-    from repro.query.aggregates import AttributeAggregateResult
-
-    result = assemble_query_result(
-        plan, execution, terminal, batched=batched, with_cache=with_cache
-    )
-    outcome = execution.attribute[terminal.node_id]
-    per_session = [
-        (
-            evaluation.key,
-            evaluation.probability,
-            terminal.values[evaluation.key],
-        )
-        for evaluation in result.per_session
-    ]
-    legacy = AttributeAggregateResult(
-        expectation=outcome.expectation,
-        probability_any=outcome.probability_any,
-        weighted_average=outcome.weighted_average,
-        n_worlds=terminal.n_worlds,
-        per_session=per_session,
-        seconds=result.seconds,
-    )
-    stats = dict(result.stats)
-    stats.update(
-        n_solver_calls=result.n_solver_calls,
-        n_groups=result.n_groups,
-        probability_any=outcome.probability_any,
-        weighted_average=outcome.weighted_average,
-        n_worlds=terminal.n_worlds,
-        statistic=terminal.statistic,
-    )
-    return _base_answer(
-        plan,
-        terminal,
-        "aggregate",
-        outcome.expectation,
-        result.per_session,
-        result.seconds,
-        stats,
-        legacy,
-    )
-
-
-def _assemble_topk(plan, execution, terminal, batched: bool) -> Answer:
-    from repro.query.aggregates import TopKResult
-
-    outcome = execution.topk[terminal.node_id]
-    # Classify only the sessions the adaptive frontier actually evaluated;
-    # pruned solves never resolved and stay out of the breakdown.
-    per_session, _, fresh_ids, served_ids = classify_executed_items(
-        plan, execution, outcome.evaluated
-    )
-    if batched:
-        seconds = fresh_solve_seconds(execution, fresh_ids)
-    else:
-        seconds = execution.seconds
-    pruning = terminal.strategy == "upper_bound"
-    legacy = TopKResult(
-        sessions=outcome.confirmed[: terminal.k],
-        k=terminal.k,
-        strategy=terminal.strategy,
-        n_exact_evaluations=outcome.n_exact,
-        n_upper_bound_evaluations=outcome.n_upper_bound,
-        seconds=seconds,
-        upper_bound_seconds=outcome.upper_bound_seconds,
-        exact_seconds=outcome.exact_seconds,
-        stats=(
-            {"n_sessions": len(terminal.items), "n_edges": terminal.n_edges}
-            if pruning
-            else {}
-        ),
-    )
-    stats = {
-        "n_solver_calls": len(fresh_ids),
-        "cache_hits": len(served_ids),
-        "n_exact_evaluations": outcome.n_exact,
-        "n_upper_bound_evaluations": outcome.n_upper_bound,
-        "n_pruned": len(terminal.items) - outcome.n_exact,
-    }
-    return _base_answer(
-        plan,
-        terminal,
-        "top_k",
-        legacy.sessions,
-        per_session,
-        seconds,
-        stats,
-        legacy,
     )

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.api import answer
 from repro.approx.adaptive import mis_amp_adaptive
 from repro.approx.lite import LiteWorkspace, mis_amp_lite
 from repro.datasets.benchmarks import benchmark_a, benchmark_b, benchmark_c
@@ -23,7 +24,7 @@ from repro.kernels.predicates import subranking_predicate
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode
 from repro.query.compile import labeling_for_patterns
-from repro.query.engine import compile_session_work, evaluate, solve_session
+from repro.query.engine import compile_session_work, solve_session
 from repro.query.parser import parse_query
 from repro.rankings.subranking import SubRanking
 from repro.rim.mallows import Mallows
@@ -510,20 +511,21 @@ def figure_15(
     )
     query = parse_query(FIG15_QUERY)
     for count in session_counts:
-        grouped = evaluate(
+        grouped = answer(
             query, db, method="lifted", group_sessions=True,
             session_limit=count,
         )
         result.rows.append(
-            [count, "grouped", grouped.seconds, grouped.n_solver_calls]
+            [count, "grouped", grouped.seconds,
+             grouped.stats["n_solver_calls"]]
         )
         if count <= naive_limit:
-            naive = evaluate(
+            naive = answer(
                 query, db, method="lifted", group_sessions=False,
                 session_limit=count,
             )
             result.rows.append(
-                [count, "naive", naive.seconds, naive.n_solver_calls]
+                [count, "naive", naive.seconds, naive.stats["n_solver_calls"]]
             )
     return result
 

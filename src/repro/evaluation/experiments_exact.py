@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.api import TopK, answer
 from repro.approx.adaptive import mis_amp_adaptive
 from repro.datasets.benchmarks import benchmark_a, benchmark_c, benchmark_d
 from repro.datasets.polls import polls_database
 from repro.evaluation.harness import Timer, percentile, relative_error
 from repro.patterns.pattern import pattern_conjunction
-from repro.query.aggregates import most_probable_session
 from repro.query.compile import labeling_for_patterns
 from repro.query.engine import compile_session_work
 from repro.query.parser import parse_query
@@ -141,16 +141,21 @@ def figure_5(
 
     Paper scale: m = 15, 3 items per label, 33 unions; runtimes grow from
     ~10 s (size 1) to ~10^5 s (size 3).  The scaled version keeps the
-    exponential growth.
+    exponential growth.  ``mean_expansions`` is the solver's DP state
+    expansion count, the deterministic work measure behind the times.
     """
     result = ExperimentResult(
         experiment="figure_5",
-        headers=["conjunction_size", "mean_s", "max_s", "n_calls"],
+        headers=[
+            "conjunction_size", "mean_s", "max_s", "n_calls",
+            "mean_expansions",
+        ],
     )
     instances = benchmark_a(
         n_unions=n_unions, m=m, items_per_label=items_per_label, seed=seed
     )
     by_size: dict[int, list[float]] = {1: [], 2: [], 3: []}
+    expansions: dict[int, list[int]] = {1: [], 2: [], 3: []}
     import itertools
 
     for instance in instances:
@@ -159,13 +164,20 @@ def figure_5(
             for combo in itertools.combinations(patterns, size):
                 conjunction = pattern_conjunction(list(combo))
                 with Timer() as timer:
-                    lifted_probability(
+                    solved = lifted_probability(
                         instance.model, instance.labeling, conjunction
                     )
                 by_size[size].append(timer.seconds)
+                expansions[size].append(solved.stats["expansions"])
     for size, times in by_size.items():
         result.rows.append(
-            [size, sum(times) / len(times), max(times), len(times)]
+            [
+                size,
+                sum(times) / len(times),
+                max(times),
+                len(times),
+                sum(expansions[size]) / len(expansions[size]),
+            ]
         )
     return result
 
@@ -379,20 +391,20 @@ def figure_8(
         ],
     )
     for k in k_values:
-        naive = most_probable_session(query, db, k=k, strategy="naive")
+        naive = answer(TopK(query, k=k, strategy="naive"), db)
         result.rows.append(
-            [k, "full", naive.seconds, 0.0, naive.exact_seconds,
-             naive.n_exact_evaluations, True]
+            [k, "full", naive.seconds, 0.0, naive.stats["exact_seconds"],
+             naive.stats["n_exact_evaluations"], True]
         )
-        naive_probabilities = sorted((p for _, p in naive.sessions), reverse=True)
+        naive_probabilities = sorted((p for _, p in naive.value), reverse=True)
         for n_edges in (1, 2):
-            optimized = most_probable_session(
-                query, db, k=k, strategy="upper_bound", n_edges=n_edges
+            optimized = answer(
+                TopK(query, k=k, strategy="upper_bound", n_edges=n_edges), db
             )
             # Ties are broken arbitrarily, so agreement is on the top-k
             # probability multiset, not the session identities.
             optimized_probabilities = sorted(
-                (p for _, p in optimized.sessions), reverse=True
+                (p for _, p in optimized.value), reverse=True
             )
             agrees = all(
                 abs(a - b) < 1e-9
@@ -403,9 +415,9 @@ def figure_8(
                     k,
                     f"{n_edges}-edge",
                     optimized.seconds,
-                    optimized.upper_bound_seconds,
-                    optimized.exact_seconds,
-                    optimized.n_exact_evaluations,
+                    optimized.stats["upper_bound_seconds"],
+                    optimized.stats["exact_seconds"],
+                    optimized.stats["n_exact_evaluations"],
                     agrees,
                 ]
             )

@@ -1,22 +1,24 @@
 """The query planner: an explicit plan IR with cost-based optimization.
 
-Evaluation used to be a monolithic path inside :func:`repro.query.engine
-.evaluate`, with the serving layer re-deriving its own dedup and ordering.
-This package makes the plan explicit (the seam classic probabilistic-
-database engines optimize through — Dalvi & Suciu's safe plans, Li &
-Deshpande's consensus answers both rewrite plans, not evaluators):
+Every request kind is evaluated through an explicit plan
+(:func:`repro.api.answer` and :func:`repro.api.answer_many` build, optimize,
+and execute one).  The plan is the seam classic probabilistic-database
+engines optimize through — Dalvi & Suciu's safe plans, Li & Deshpande's
+consensus answers both rewrite plans, not evaluators:
 
 * :mod:`repro.plan.nodes` — the typed DAG
   (``SelectSessions -> GroundSessions -> CompileUnion -> Solve ->
   AggregateSessions``, plus ``CombineQueries`` for batches);
 * :mod:`repro.plan.build` — the logical builder, (queries, db) -> plan;
 * :mod:`repro.plan.methods` — the single method-resolution path (cost-based
-  ``"auto"``, budgeted ``"auto-approx"``);
+  ``"auto"``, budgeted ``"auto-approx"``) and the method-name constants;
+* :mod:`repro.plan.cost` — the DP state-count cost model and the
+  largest-first (LPT) schedule;
 * :mod:`repro.plan.passes` — the optimizer pipeline (union simplification,
   method resolution, cost annotation, common-solve elimination, LPT
   ordering);
 * :mod:`repro.plan.execute` — the executor running the frontier through
-  the unchanged solver/cache stack, bit-identical to the pre-plan engine;
+  the solver/cache stack, plus the adaptive top-k and attribute terminals;
 * :mod:`repro.plan.explain` — the ``explain()`` renderer behind
   ``python -m repro explain``.
 
@@ -36,8 +38,6 @@ from repro.plan.execute import (
     AttributeOutcome,
     PlanExecution,
     TopKOutcome,
-    assemble_query_result,
-    assemble_results,
     execute_plan,
     session_upper_bound,
 )
@@ -95,8 +95,6 @@ __all__ = [
     "TopKOutcome",
     "TopKSessionsNode",
     "annotate_costs",
-    "assemble_query_result",
-    "assemble_results",
     "build_plan",
     "session_upper_bound",
     "classic_choice",

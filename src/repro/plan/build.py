@@ -73,7 +73,7 @@ def build_plan(
     :class:`~repro.query.ast.ConjunctiveQuery`, request text (plain or
     prefixed — ``COUNT`` / ``TOPK k`` / ``AGG stat(R.col)``), or a typed
     request object.  The other parameters mirror
-    :func:`repro.query.engine.evaluate`; ``group_sessions=False`` marks the
+    :func:`repro.api.answer`; ``group_sessions=False`` marks the
     plan as non-groupable (the optimizer then skips common-solve
     elimination, reproducing the naive baseline).
     """
@@ -217,10 +217,10 @@ def _join_attribute_values(
 ) -> None:
     """Join ``relation.column`` for every selected session, at build time.
 
-    Mirrors the historical post-evaluation join of
-    ``aggregate_session_attribute`` — including its error on a session
-    with no attribute row — but runs before any solve, so a malformed
-    aggregate request fails fast.
+    The session's first key component is matched against the relation's
+    first column; a session with no attribute row raises ``KeyError``.
+    The join runs before any solve, so a malformed aggregate request fails
+    fast.
     """
     attribute_relation = plan.db.orelation(terminal.relation)
     column_index = attribute_relation.column_index(terminal.column)

@@ -11,7 +11,7 @@ The cost model estimates the *DP state count* a solve will visit, from the
 union statistics the exact solvers' complexity bounds are stated in
 (Section 4 of the paper): the number of items ``m``, the per-node matching
 item counts under the labeling, the union size ``z``, and the pattern class
-(two-label / bipartite / general) the dispatch would pick.  The estimates
+(two-label / bipartite / general) ``"auto"`` resolves to.  The estimates
 are heuristic — they rank solves, they do not predict wall time — and only
 their *relative order* is consumed (:func:`largest_first_order`).
 
@@ -28,7 +28,6 @@ from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern
 from repro.patterns.union import PatternUnion
 from repro.rim.mixture import MallowsMixture
-from repro.solvers.dispatch import choose_method
 
 #: Estimates are capped so degenerate inputs (a brute solve over 20 items)
 #: cannot overflow or distort comparisons; ordering only needs "huge".
@@ -101,15 +100,19 @@ def estimate_solve_states(
 
     Mixtures multiply by the component count (one solve per component).
     """
+    # Deferred: repro.plan.methods imports this module for its cost-based
+    # resolution.
+    from repro.plan.methods import APPROXIMATE_METHODS, classic_choice
+
     options = options or {}
     n_components = (
         len(model.components) if isinstance(model, MallowsMixture) else 1
     )
     m = model.m
     z = union.z
-    resolved = choose_method(union) if method == "auto" else method
+    resolved = classic_choice(union) if method == "auto" else method
 
-    if resolved in ("mis_amp_lite", "mis_amp_adaptive", "rejection"):
+    if resolved in APPROXIMATE_METHODS:
         states = float(
             options.get("n_samples")
             or options.get("n_per_proposal", 1000) * options.get("n_proposals", 10)

@@ -2,11 +2,9 @@
 
 Execution is deliberately thin — all the intelligence is in the plan.  The
 executor walks the surviving solve frontier in plan order, consults the
-shared :class:`~repro.service.cache.SolverCache` for cacheable nodes, runs
-what remains, and assembles per-query :class:`~repro.query.engine
-.QueryResult` objects through the engine's own aggregation
-(:func:`repro.query.engine.aggregate_sessions`) — which is what keeps plan
-execution bit-identical to the pre-plan evaluate path.
+shared :class:`~repro.service.cache.SolverCache` for cacheable nodes, and
+runs what remains; :func:`repro.api.evaluate.assemble_answers` then folds
+the resolved probabilities into one answer per request.
 
 Two modes:
 
@@ -52,15 +50,9 @@ from repro.plan.nodes import (
     AttributeAggregateNode,
     QueryPlan,
     SolveNode,
-    TerminalNode,
     TopKSessionsNode,
 )
-from repro.query.engine import (
-    QueryResult,
-    SessionEvaluation,
-    aggregate_sessions,
-    solve_session,
-)
+from repro.query.engine import solve_session
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
 from repro.service.executors import ExecutionBackend, make_solve_task
@@ -459,11 +451,14 @@ def _run_attribute(
 ) -> AttributeOutcome:
     """The Section-7 possible-world estimate over resolved probabilities.
 
-    Reproduces the historical ``aggregate_session_attribute`` computation
-    exactly — array shapes, clamping, and rng consumption included — so the
-    legacy envelope stays bit-identical.  Without a caller rng the draws
-    come from a fresh ``default_rng(0)`` per terminal, matching the old
-    per-call default.
+    The per-session probabilities ``Pr(Q | s_i)`` fully determine the
+    joint distribution of the satisfying set (sessions are independent),
+    so the expectation of the statistic over worlds with at least one
+    satisfying session is estimated from ``n_worlds`` Bernoulli draws; no
+    further ranking inference is needed.  The closed-form ratio estimate
+    ``sum p_i v_i / sum p_i`` is reported alongside as ``weighted_average``.
+    Without a caller rng the draws come from a fresh ``default_rng(0)`` per
+    terminal, so repeated answers agree.
     """
     probabilities = np.array(
         [
@@ -503,121 +498,3 @@ def _run_attribute(
         weighted_average=weighted_average,
     )
 
-
-# ----------------------------------------------------------------------
-# Assembly
-# ----------------------------------------------------------------------
-
-
-def classify_executed_items(
-    plan: QueryPlan,
-    execution: PlanExecution,
-    items,
-) -> tuple[list[SessionEvaluation], set, set[int], set[int]]:
-    """Fold ``(session_key, solve_id | None)`` pairs into result bookkeeping.
-
-    Returns ``(per_session, group_keys, fresh_ids, served_ids)`` — the one
-    classification both the Boolean assembly and the unified API's
-    per-kind assembly (:mod:`repro.api.evaluate`) share, so the counter
-    semantics cannot drift between kinds.  A solve id that was never
-    executed (pruned by a lazy top-k terminal) raises a descriptive error:
-    such plans must be assembled per kind, from the terminal outcomes.
-    """
-    per_session: list[SessionEvaluation] = []
-    group_keys: set[Hashable] = set()
-    fresh_ids: set[int] = set()
-    served_ids: set[int] = set()
-    for session_key, solve_id in items:
-        if solve_id is None:
-            per_session.append(
-                SessionEvaluation(session_key, 0.0, "unsatisfiable")
-            )
-            continue
-        resolved = execution.resolved.get(solve_id)
-        if resolved is None:
-            raise ValueError(
-                f"solve #{solve_id} was never executed — it was pruned by "
-                "an upper-bound top-k terminal; assemble such plans with "
-                "repro.api.assemble_answers, which reads the terminal "
-                "outcomes instead of the solve frontier"
-            )
-        probability, solver_name = resolved
-        group_keys.add(plan.nodes[solve_id].group_key)
-        if solve_id in execution.fresh:
-            fresh_ids.add(solve_id)
-        elif solve_id in execution.cache_served:
-            served_ids.add(solve_id)
-        per_session.append(
-            SessionEvaluation(session_key, probability, solver_name)
-        )
-    return per_session, group_keys, fresh_ids, served_ids
-
-
-def fresh_solve_seconds(execution: PlanExecution, fresh_ids) -> float:
-    """Wall time of the fresh solves a terminal consumed (batch path)."""
-    return sum(
-        execution.seconds_by_solve.get(node_id, 0.0) for node_id in fresh_ids
-    )
-
-
-def assemble_query_result(
-    plan: QueryPlan,
-    execution: PlanExecution,
-    terminal: TerminalNode,
-    batched: bool = False,
-    with_cache: bool = False,
-) -> QueryResult:
-    """One terminal's sessions folded into the engine's QueryResult shape.
-
-    The counters reproduce the pre-plan semantics exactly: per query,
-    ``n_solver_calls`` counts the solves executed fresh for it,
-    ``n_groups`` the distinct solve groups it references, and
-    ``stats["cache_hits"]`` the groups served by the shared cache (plus
-    batch-shared solves in the batch path); in the batch path ``seconds``
-    is the measured wall time of the fresh solves the query consumed.
-    """
-    per_session, group_keys, fresh_ids, served_ids = classify_executed_items(
-        plan, execution, terminal.items
-    )
-    if batched:
-        stats = {
-            "batched": True,
-            "cache_hits": len(group_keys) - len(fresh_ids),
-        }
-        seconds = fresh_solve_seconds(execution, fresh_ids)
-    else:
-        stats = {"cache_hits": len(served_ids)} if with_cache else {}
-        seconds = execution.seconds
-    return QueryResult(
-        probability=aggregate_sessions(per_session),
-        per_session=per_session,
-        n_sessions=len(per_session),
-        n_solver_calls=len(fresh_ids),
-        n_groups=len(group_keys),
-        grouped=True if batched else plan.group_sessions,
-        method=plan.method,
-        seconds=seconds,
-        stats=stats,
-    )
-
-
-def assemble_results(
-    plan: QueryPlan,
-    execution: PlanExecution,
-    batched: bool = False,
-    with_cache: bool = False,
-) -> list[QueryResult]:
-    """Per-query results via the engine's shared aggregation.
-
-    Boolean-plan assembly: every terminal folds into a
-    :class:`~repro.query.engine.QueryResult` (probability and count
-    terminals share the session shape).  The unified API assembles the
-    kind-specific envelopes on top — see
-    :func:`repro.api.evaluate.assemble_answers`.
-    """
-    return [
-        assemble_query_result(
-            plan, execution, terminal, batched=batched, with_cache=with_cache
-        )
-        for terminal in plan.aggregate_nodes()
-    ]

@@ -5,13 +5,12 @@ solver dispatch, the query engine, and the cache-key module — which meant a
 bug in any one of them could make an auto request and its explicit twin
 disagree on cache keys or solver attribution.  This module is now the one
 resolution point: the plan's method-resolution pass calls
-:func:`resolve_solve_method` per solve node, and the legacy entry points
-(:func:`repro.solvers.dispatch.resolve_method`,
-:mod:`repro.service.keys`) delegate here.
+:func:`resolve_solve_method` per solve node, and the solver dispatch and
+the cache keys (:mod:`repro.service.keys`) call :func:`classic_choice`.
 
 Resolution is *cost-based*: for ``"auto"`` the applicable exact solvers are
 ranked by the planner's DP state-count estimate
-(:func:`repro.service.planner.estimate_solve_states`), ties broken by the
+(:func:`repro.plan.cost.estimate_solve_states`), ties broken by the
 paper's specialization order (two-label < bipartite < general).  For the
 solver classes' cost formulas this selection provably coincides with the
 paper's structural dichotomy — the two-label and bipartite estimates share
@@ -35,6 +34,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.patterns.union import PatternUnion
+from repro.plan.cost import estimate_solve_states
 
 #: Methods whose solves draw from an rng.
 APPROXIMATE_METHODS = ("mis_amp_lite", "mis_amp_adaptive", "rejection")
@@ -76,10 +76,6 @@ def _candidate_costs(
     options: Mapping[str, Any] | None,
 ) -> dict[str, float]:
     """State-count estimates of the applicable exact auto candidates."""
-    # Deferred: service.planner imports the solver dispatch, which defers
-    # back into this module for resolution.
-    from repro.service.planner import estimate_solve_states
-
     candidates = []
     if union.is_two_label():
         candidates.append("two_label")
@@ -127,8 +123,7 @@ def resolve_solve_method(
     ``labeling`` and ``model`` available (the plan pass always provides
     them) ``"auto"`` resolves cost-based; without them it falls back to the
     structural dichotomy — the two agree by construction, so the cheap path
-    is safe for callers that only hold a union
-    (:mod:`repro.service.keys`, :func:`repro.solvers.dispatch.solve`).
+    is safe for callers that only hold a union.
     """
     if method == "auto":
         if labeling is None or model is None:
@@ -141,8 +136,6 @@ def resolve_solve_method(
             # Without a cost there is nothing to budget against; the plan
             # pass is the caller that decides the fallback.
             return exact
-        from repro.service.planner import estimate_solve_states
-
         if approx_budget is None:
             approx_budget = float(
                 (options or {}).get(APPROX_BUDGET_OPTION, DEFAULT_APPROX_BUDGET)

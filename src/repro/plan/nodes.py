@@ -37,9 +37,8 @@ share solver work.
 
 The IR deliberately reuses the engine's value types (models, labelings,
 :class:`~repro.patterns.union.PatternUnion`) rather than re-encoding them:
-a plan is a *schedule over existing work units*, and executing it through
-the unchanged solver/cache stack is what keeps results bit-identical to the
-pre-plan evaluate path.  See DESIGN.md, "The query planner".
+a plan is a *schedule over existing work units*, executed through the
+solver/cache stack.  See DESIGN.md, "The query planner".
 """
 
 from __future__ import annotations
@@ -255,7 +254,7 @@ class AttributeAggregateNode(TerminalNode):
 
 @dataclass
 class CombineQueriesNode(PlanNode):
-    """The batch root: per-query aggregates combined into one BatchResult."""
+    """The batch root: per-request terminals combined into one batch."""
 
     n_queries: int = 0
 

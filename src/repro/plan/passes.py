@@ -14,7 +14,7 @@ Five passes, applied in order by :func:`optimize_plan`:
    (provably the paper's dichotomy), budgeted MIS-AMP fallback for
    ``"auto-approx"``.
 3. :func:`annotate_costs` — annotate every solve node with the planner's
-   DP state-count estimate (:func:`repro.service.planner
+   DP state-count estimate (:func:`repro.plan.cost
    .estimate_solve_states`); consumed by the ordering pass, ``explain()``,
    and the LPT schedule of the execution backends.
 4. :func:`eliminate_common_solves` — merge solve nodes that are the same
@@ -44,6 +44,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.patterns.union import PatternUnion
+from repro.plan.cost import estimate_solve_states, largest_first_order
 from repro.plan.methods import (
     APPROXIMATE_METHODS,
     cost_based_choice,
@@ -51,7 +52,6 @@ from repro.plan.methods import (
 )
 from repro.plan.nodes import CompileUnionNode, QueryPlan
 from repro.service.keys import request_fingerprint, session_cache_key
-from repro.service.planner import estimate_solve_states, largest_first_order
 
 PlanPass = Callable[[QueryPlan], QueryPlan]
 

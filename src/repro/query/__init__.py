@@ -9,22 +9,15 @@ The pipeline:
 3. :mod:`repro.query.ground` — Algorithm 2: rewrite a non-itemwise CQ as a
    union of itemwise CQs by instantiating ``V+(Q)`` over active domains;
 4. :mod:`repro.query.compile` — itemwise CQ → label pattern + labeling;
-5. :mod:`repro.query.engine` — per-session inference, independent-session
-   aggregation, and the identical-request grouping of Section 6.4;
-6. :mod:`repro.query.aggregates` — Count-Session and Most-Probable-Session
-   (with the top-k upper-bound optimization of Section 3.2).
+5. :mod:`repro.query.engine` — the per-session primitives: session
+   compilation, per-session inference, independent-session aggregation.
 
-Since the unified query API, :func:`evaluate` and the aggregate functions
-are thin deprecated wrappers over :mod:`repro.api`: every query kind is a
-typed request evaluated through the plan pipeline (:mod:`repro.plan`),
-with these entry points kept bit-identical for compatibility.
+Evaluation is not here: every query kind (probability, ``count(Q)``,
+``top(Q, k)``, attribute aggregates) is a typed request answered by
+:func:`repro.api.answer` / :func:`repro.api.answer_many` through the plan
+pipeline (:mod:`repro.plan`), which is built from these pieces.
 """
 
-from repro.query.aggregates import (
-    aggregate_session_attribute,
-    count_session,
-    most_probable_session,
-)
 from repro.query.ast import (
     Comparison,
     ConjunctiveQuery,
@@ -35,7 +28,7 @@ from repro.query.ast import (
     WILDCARD,
 )
 from repro.query.classify import QueryAnalysis, UnsupportedQueryError, analyze
-from repro.query.engine import QueryResult, SessionEvaluation, evaluate
+from repro.query.engine import SessionEvaluation
 from repro.query.ground import decompose_query
 from repro.query.parser import QuerySyntaxError, parse_query
 
@@ -53,10 +46,5 @@ __all__ = [
     "QueryAnalysis",
     "UnsupportedQueryError",
     "decompose_query",
-    "evaluate",
-    "QueryResult",
     "SessionEvaluation",
-    "count_session",
-    "most_probable_session",
-    "aggregate_session_attribute",
 ]

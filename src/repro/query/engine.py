@@ -15,27 +15,20 @@ Evaluation of a Boolean CQ ``Q`` over a RIM-PPD ``D`` (Section 3.1):
    ``Pr(Q | D) = 1 - prod_i (1 - Pr(Q | s_i))``.
 
 Identical-request grouping (Section 6.4): many sessions share the same
-(model, pattern-union) pair; with ``group_sessions=True`` (default) each
-distinct pair is solved once.  Passing a
-:class:`~repro.service.cache.SolverCache` via ``cache=`` generalizes that
-dedup across queries: session solves are keyed canonically
-(:func:`repro.service.keys.session_cache_key`), so repeated workloads are
-served from the cache instead of re-solving — see
-:class:`repro.service.service.PreferenceService` for the batch layer on
-top.
+(model, pattern-union) pair, and each distinct pair is solved once.
 
-Since the planner refactor, :func:`evaluate` is a thin wrapper over the
-explicit query plan (:mod:`repro.plan`): build the plan DAG, run the
-optimizer passes (which subsume the grouping above), execute the surviving
-solve frontier.  The primitives this module keeps —
-:func:`compile_session_work`, :func:`solve_session`,
-:func:`aggregate_sessions` — are what the plan builder and executor are
-made of, and remain the public per-session API.
+Evaluation itself runs as an explicit query plan (:mod:`repro.plan`, driven
+by :func:`repro.api.answer`): build the plan DAG, run the optimizer passes
+(which perform the grouping above and its cross-query generalization over
+canonical cache keys), execute the surviving solve frontier.  This module
+holds the per-session primitives that plan is made of —
+:func:`compile_session_work`, :func:`solve_session`, and
+:func:`aggregate_sessions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 import numpy as np
@@ -52,13 +45,9 @@ from repro.query.compile import compile_itemwise
 from repro.query.ground import decompose_query
 from repro.rim.mixture import MallowsMixture
 from repro.rim.sampling import empirical_probability
-from repro.service.cache import SolverCache
 from repro.solvers.dispatch import solve as exact_solve
 
 SessionKey = tuple[Hashable, ...]
-
-#: Approximate methods accepted by :func:`evaluate`.
-APPROXIMATE_METHODS = ("mis_amp_lite", "mis_amp_adaptive", "rejection")
 
 
 @dataclass
@@ -78,27 +67,6 @@ class SessionEvaluation:
     key: SessionKey
     probability: float
     solver: str = ""
-
-
-@dataclass
-class QueryResult:
-    """The result of evaluating a Boolean CQ over a RIM-PPD."""
-
-    probability: float
-    per_session: list[SessionEvaluation]
-    n_sessions: int
-    n_solver_calls: int
-    n_groups: int
-    grouped: bool
-    method: str
-    seconds: float
-    stats: dict = field(default_factory=dict)
-
-    def session_probability(self, key: SessionKey) -> float:
-        for evaluation in self.per_session:
-            if evaluation.key == key:
-                return evaluation.probability
-        raise KeyError(f"no session {key!r} in the result")
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +241,9 @@ def _solve_single_model(
     rng: np.random.Generator | None,
     options: dict,
 ) -> tuple[float, str]:
+    # Deferred: the plan package imports this module at load time.
+    from repro.plan.methods import APPROXIMATE_METHODS
+
     if method in APPROXIMATE_METHODS and rng is None:
         raise ValueError(f"method {method!r} requires an rng")
     if method == "mis_amp_lite":
@@ -330,91 +301,18 @@ def solve_session(
 
 
 # ----------------------------------------------------------------------
-# Evaluation entry point
+# Aggregation
 # ----------------------------------------------------------------------
 
 
 def aggregate_sessions(per_session: list[SessionEvaluation]) -> float:
     """``Pr(Q | D) = 1 - prod_i (1 - Pr(Q | s_i))`` with per-session clamping.
 
-    The single aggregation used by both :func:`evaluate` and the batch
-    serving layer (:meth:`repro.service.service.PreferenceService`), so the
-    two paths cannot drift apart.
+    The value of every ``probability`` answer (:func:`repro.api.answer`),
+    single-request and batched alike.
     """
     complement = 1.0
     for evaluation in per_session:
         complement *= 1.0 - min(1.0, max(0.0, evaluation.probability))
     return 1.0 - complement
 
-
-def evaluate(
-    query: ConjunctiveQuery,
-    db: PPDatabase,
-    method: str = "auto",
-    rng: np.random.Generator | None = None,
-    group_sessions: bool = True,
-    session_limit: int | None = None,
-    cache: SolverCache | None = None,
-    optimize: bool = True,
-    **solver_options,
-) -> QueryResult:
-    """Evaluate a Boolean CQ: the probability it holds in a random world.
-
-    A thin deprecated wrapper over the unified query API
-    (:func:`repro.api.evaluate.answer` with a
-    :class:`~repro.api.requests.Probability` request): the query is
-    compiled into an explicit plan DAG, the optimizer passes resolve
-    solver methods, annotate costs, and merge identical solves, and the
-    executor runs the surviving frontier through the unchanged solver
-    stack — bit-identical to the historical monolithic path,
-    probabilities and solver attributions included.
-
-    Parameters
-    ----------
-    method:
-        An exact solver name (``"auto"``, ``"two_label"``, ``"bipartite"``,
-        ``"general"``, ``"lifted"``, ``"brute"``), an approximate one
-        (``"mis_amp_lite"``, ``"mis_amp_adaptive"``, ``"rejection"``), or
-        ``"auto-approx"`` — auto resolution with an opt-in MIS-AMP fallback
-        for solves whose estimated DP state count exceeds the
-        ``approx_budget`` solver option (requires ``rng`` when it
-        triggers); see :mod:`repro.plan.methods`.
-    group_sessions:
-        Solve each distinct (model, union) pair once (Section 6.4) — the
-        plan's common-solve elimination pass.
-    session_limit:
-        Evaluate only the first N selected sessions (for scalability
-        sweeps).
-    cache:
-        An optional :class:`~repro.service.cache.SolverCache` shared across
-        calls.  Session solves are then grouped by *canonical* key — so
-        equal-content models group even across distinct objects — and
-        consulted/stored in the cache before dispatching.  Ignored for the
-        sampling methods (their results are rng-dependent) and when
-        ``group_sessions=False`` (the naive baseline must re-solve every
-        session; a cache would silently reintroduce dedup).  The number of
-        cross-query hits is reported in ``QueryResult.stats["cache_hits"]``.
-    optimize:
-        Apply the optimizer pass pipeline (default).  ``False`` executes
-        the unoptimized plan — one solve per session, no reordering, and
-        no cache use (canonical keys are an optimizer product) — the
-        reference the per-pass equivalence tests compare against.
-    solver_options:
-        Forwarded to the chosen solver (e.g. ``n_proposals=10`` for
-        MIS-AMP-lite, ``time_budget=60`` for exact solvers).
-    """
-    # Deferred: the unified API builds on this module's primitives.
-    from repro.api.evaluate import answer
-    from repro.api.requests import Probability
-
-    return answer(
-        Probability(query),
-        db,
-        method=method,
-        rng=rng,
-        group_sessions=group_sessions,
-        session_limit=session_limit,
-        cache=cache,
-        optimize=optimize,
-        **solver_options,
-    ).to_legacy()

@@ -95,7 +95,7 @@ class ServerConfig:
 
         The server's configured backend/max_workers become the service
         defaults, so the approximate-route parallelism warning of
-        :func:`repro.api.evaluate.parallelism_requested` fires for
+        :func:`repro.api.evaluate.answer_many` fires for
         server-configured parallelism exactly as it does for directly
         constructed services.
         """

@@ -1,6 +1,6 @@
-"""The serving layer: cache keys, caches, executors, planning, batching.
+"""The serving layer: cache keys, caches, executors, batching.
 
-Six pieces (see DESIGN.md, "The service layer" and "Executors,
+Five pieces (see DESIGN.md, "The service layer" and "Executors,
 persistence, planning"):
 
 * :mod:`repro.service.keys` — canonical cache keys for (model, labeling,
@@ -8,7 +8,7 @@ persistence, planning"):
   model and pattern classes;
 * :mod:`repro.service.cache` — a thread-safe LRU :class:`SolverCache` with
   hit/miss/eviction statistics, consumed by the solver dispatch and the
-  query engine (``cache=`` parameter);
+  plan executor (the ``cache=`` parameter of :func:`repro.api.answer`);
 * :mod:`repro.service.persist` — the SQLite tier beneath the LRU
   (:class:`PersistentSolverCache`), making warm state survive restarts;
 * :mod:`repro.service.shard` — the sharded *shared* tier
@@ -18,16 +18,18 @@ persistence, planning"):
 * :mod:`repro.service.executors` — pluggable ``serial`` / ``thread`` /
   ``process`` execution backends over picklable ``SolveTask`` descriptors
   built from the canonical ``freeze()`` forms;
-* :mod:`repro.service.planner` — DP state-count estimates and the
-  largest-first (LPT) schedule of a batch's pending solves;
-* :mod:`repro.service.service` — the :class:`PreferenceService` batch API
-  (``evaluate_many``) that groups sessions across whole batches of queries
-  and runs the distinct solves on the configured backend.
+* :mod:`repro.service.service` — :class:`PreferenceService`, the unified
+  API (``answer`` / ``answer_many``) bound to one shared cache, which
+  groups sessions across whole batches of requests and runs the distinct
+  solves on the configured backend.
 
-``PreferenceService``/``BatchResult`` are re-exported lazily: the query
-engine imports :mod:`repro.service.keys` at load time, and an eager import
-of :mod:`repro.service.service` here would close an import cycle back into
-the engine.
+The solve cost model these batches are scheduled by lives with the
+planner, in :mod:`repro.plan.cost`.
+
+``PreferenceService`` is re-exported lazily: the solver dispatch imports
+:mod:`repro.service.keys` at load time, and an eager import of
+:mod:`repro.service.service` here would close an import cycle back into
+the solvers.
 """
 
 from repro.service.cache import CacheStats, SolverCache
@@ -77,15 +79,12 @@ __all__ = [
     "session_cache_key",
     "solve_cache_key",
     "PreferenceService",
-    "BatchResult",
 ]
-
-_LAZY = {"PreferenceService", "BatchResult"}
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.service import service as _service
+    if name == "PreferenceService":
+        from repro.service.service import PreferenceService
 
-        return getattr(_service, name)
+        return PreferenceService
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

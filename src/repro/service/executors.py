@@ -1,6 +1,6 @@
 """Pluggable execution backends for the serving layer's distinct solves.
 
-:meth:`PreferenceService.evaluate_many` reduces a batch of queries to a
+:meth:`PreferenceService.answer_many` reduces a batch of requests to a
 deduplicated work list of session solves.  This module is where that list
 actually runs.  Three backends share one contract:
 
@@ -167,7 +167,7 @@ class SolveTask:
     and reproduces the original solve bit-for-bit.  ``options`` must hold
     picklable values (the solver options already have to be ``repr``-stable
     for the cache key, which in practice means plain scalars).  ``cost`` is
-    the planner's state-count estimate (:mod:`repro.service.planner`),
+    the planner's state-count estimate (:mod:`repro.plan.cost`),
     carried along so schedulers need not re-derive it.
     """
 
@@ -347,8 +347,8 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Turn a backend spec (name, instance, or None) into a backend.
 
-    ``None`` defaults to ``thread`` (the historical behavior of
-    ``evaluate_many``); an instance passes through untouched, ignoring
+    ``None`` defaults to ``thread`` (the :class:`~repro.service.service
+    .PreferenceService` default); an instance passes through untouched, ignoring
     ``max_workers`` (the instance already owns its pool size).
     """
     if isinstance(backend, ExecutionBackend):

@@ -58,21 +58,6 @@ def _as_union(union_or_pattern) -> PatternUnion:
     )
 
 
-def _resolve_method(union: PatternUnion, method: str) -> str:
-    """Resolve ``"auto"`` so an auto request collides with its explicit twin.
-
-    Routed through the single plan-level resolution path
-    (:mod:`repro.plan.methods`), the same one the optimizer's
-    method-resolution pass and the solver dispatch use — auto and explicit
-    requests therefore cannot disagree on cache keys.
-    """
-    if method != "auto":
-        return method
-    from repro.plan.methods import resolve_solve_method  # deferred: import cycle
-
-    return resolve_solve_method(union, method)
-
-
 def _freeze_options(solver_options: Mapping[str, Any] | None) -> tuple:
     """Options as a sorted, hashable tuple (``repr`` handles unhashable values)."""
     if not solver_options:
@@ -94,10 +79,16 @@ def request_fingerprint(
     pass it back via the ``fingerprint`` parameter of the key functions.
     """
     union = _as_union(union_or_pattern)
+    if method == "auto":
+        # Resolved so an auto request collides with its explicit twin.
+        # Deferred: the plan package imports this module at load time.
+        from repro.plan.methods import classic_choice
+
+        method = classic_choice(union)
     return (
         labeling.freeze(union.all_labels),
         union.freeze(),
-        _resolve_method(union, method),
+        method,
         _freeze_options(solver_options),
     )
 
@@ -132,8 +123,8 @@ def session_cache_key(
 ) -> tuple:
     """The key of one engine-level session solve (the model may be a mixture).
 
-    Used by :func:`repro.query.engine.evaluate` and the
-    :class:`~repro.service.service.PreferenceService`; the cached value is a
+    Used by the plan optimizer's common-solve elimination
+    (:mod:`repro.plan.passes`) for every cached answer; the cached value is a
     ``(probability, solver_name)`` pair.  The tag keeps these entries
     disjoint from dispatch-level entries, whose values have a different
     type.

@@ -9,22 +9,26 @@ and generalizes the paper's within-query identical-request grouping
 * **across queries** — session solves are keyed canonically
   (:mod:`repro.service.keys`), so a (model, labeling, union) triple solved
   for one query is reused by every later query, in the same batch or not;
-* **across a batch** — :meth:`PreferenceService.evaluate_many` plans a
+* **across a batch** — :meth:`PreferenceService.answer_many` plans a
   whole batch as one query-plan DAG (:mod:`repro.plan`), lets the
   optimizer's common-solve elimination merge identical solves batch-wide,
   executes the surviving frontier on a configurable backend, and only then
-  assembles per-query results with cache/timing metadata;
+  assembles per-request answers with cache/timing metadata;
 * **across query kinds** — batches may mix the unified API's request
   kinds (:mod:`repro.api.requests`: Probability, Count, TopK, attribute
   Aggregate, as typed objects or prefixed text), and the elimination pass
   merges solves across kinds too — a Count and a Probability of the same
-  query cost one solve.  :meth:`PreferenceService.answer_many` is the
-  typed entry point; mixed batches return
-  :class:`~repro.api.answer.BatchAnswer` envelopes.
+  query cost one solve.
+
+:meth:`PreferenceService.answer` and :meth:`PreferenceService.answer_many`
+are :func:`repro.api.answer` and :func:`repro.api.answer_many` bound to the
+service's cache, method, backend, and solver options; they return the same
+:class:`~repro.api.answer.Answer` / :class:`~repro.api.answer.BatchAnswer`
+envelopes.
 
 Distinct solves are an explicit, schedulable plan rather than an accident
 of per-query iteration: the optimizer annotates every solve with the cost
-model's DP state-count estimate (:mod:`repro.service.planner`) and orders
+model's DP state-count estimate (:mod:`repro.plan.cost`) and orders
 the frontier largest-first, and a pluggable execution backend
 (:mod:`repro.service.executors`) runs it — ``serial``, ``thread``, or
 ``process``, the last shipping picklable ``SolveTask`` descriptors to a
@@ -38,65 +42,20 @@ DESIGN.md, "The service layer" and "Executors, persistence, planning".
 
 from __future__ import annotations
 
-import time
-import warnings
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.api.answer import Answer, BatchAnswer
 from repro.api.evaluate import answer as api_answer
 from repro.api.evaluate import answer_many as api_answer_many
-from repro.api.evaluate import parallelism_requested
-from repro.api.requests import Probability, QueryRequest, as_request
+from repro.api.requests import QueryRequest, as_request
 from repro.db.database import PPDatabase
-from repro.plan.build import build_plan
-from repro.plan.execute import assemble_results, execute_plan
-from repro.plan.passes import optimize_plan
 from repro.query.ast import ConjunctiveQuery
-from repro.query.engine import APPROXIMATE_METHODS, QueryResult, evaluate
 from repro.service.cache import SolverCache
-from repro.service.executors import ExecutionBackend, resolve_backend
+from repro.service.executors import ExecutionBackend
 from repro.service.persist import PersistentSolverCache
 from repro.service.shard import ShardedSolverCache
-
-
-@dataclass
-class BatchResult:
-    """Per-query results plus batch-level cache and timing metadata."""
-
-    results: list[QueryResult]
-    n_queries: int
-    n_sessions: int
-    #: Distinct solves actually executed for this batch (after batch-wide
-    #: dedup and cache lookups).
-    n_distinct_solves: int
-    #: Session groups served from the cross-query cache without solving.
-    n_cache_hits: int
-    seconds: float
-    #: Snapshot of the service cache counters after the batch.
-    cache_stats: dict[str, float] = field(default_factory=dict)
-    #: Name of the execution backend that ran the distinct solves.
-    backend: str = ""
-    #: Per-session solves the plan contained before optimization, and how
-    #: many the optimizer's common-solve elimination merged away (zero on
-    #: the sequential approximate route).
-    n_solves_planned: int = 0
-    n_solves_eliminated: int = 0
-
-    @property
-    def probabilities(self) -> list[float]:
-        return [result.probability for result in self.results]
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self) -> Iterator[QueryResult]:
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> QueryResult:
-        return self.results[index]
 
 
 class PreferenceService:
@@ -108,9 +67,9 @@ class PreferenceService:
         LRU capacity of the shared solver cache (ignored when an explicit
         ``cache`` is given).
     method:
-        Default solver method for :meth:`evaluate` / :meth:`evaluate_many`.
+        Default solver method for :meth:`answer` / :meth:`answer_many`.
     max_workers:
-        Default worker-pool size for :meth:`evaluate_many`; ``None`` picks
+        Default worker-pool size for :meth:`answer_many`; ``None`` picks
         ``min(8, cpu_count)``, ``1`` forces serial execution.
     backend:
         Default execution backend for the distinct solves of a batch:
@@ -145,12 +104,12 @@ class PreferenceService:
     >>> from repro.db.examples import polling_example
     >>> service = PreferenceService(cache_capacity=128)
     >>> db = polling_example()
-    >>> batch = service.evaluate_many(
+    >>> batch = service.answer_many(
     ...     ["P('Ann', '5/5'; 'Trump'; 'Clinton')"] * 2, db
     ... )
     >>> batch.n_distinct_solves  # the repeat is served by grouping
     1
-    >>> 0.0 < batch.probabilities[0] < 1.0
+    >>> 0.0 < batch.values[0] < 1.0
     True
     """
 
@@ -221,37 +180,8 @@ class PreferenceService:
         return tier_depth() if tier_depth is not None else {}
 
     # ------------------------------------------------------------------
-    # Single-query path
+    # Single-request path
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _parse(query: "ConjunctiveQuery | str") -> ConjunctiveQuery:
-        request = as_request(query)
-        if not isinstance(request, Probability):
-            raise TypeError(
-                "evaluate() serves Boolean probability queries; use "
-                f"answer() / answer_many() for {request.kind!r} requests"
-            )
-        return request.query
-
-    def evaluate(
-        self,
-        query: "ConjunctiveQuery | str",
-        db: PPDatabase,
-        method: str | None = None,
-        rng: np.random.Generator | None = None,
-        **overrides,
-    ) -> QueryResult:
-        """One Boolean query through the shared cache (engine ``evaluate``)."""
-        options = {**self.solver_options, **overrides}
-        return evaluate(
-            self._parse(query),
-            db,
-            method=method or self.method,
-            rng=rng,
-            cache=self.cache,
-            **options,
-        )
 
     def answer(
         self,
@@ -281,129 +211,6 @@ class PreferenceService:
     # Batch path
     # ------------------------------------------------------------------
 
-    def evaluate_many(
-        self,
-        queries: Sequence["ConjunctiveQuery | str | QueryRequest"],
-        db: PPDatabase,
-        method: str | None = None,
-        max_workers: int | None = None,
-        backend: "str | ExecutionBackend | None" = None,
-        rng: np.random.Generator | None = None,
-        session_limit: int | None = None,
-        **overrides,
-    ) -> "BatchResult | BatchAnswer":
-        """Evaluate a batch of queries with batch-wide solve deduplication.
-
-        ``queries`` accepts plain Boolean CQs (objects or text) and any
-        typed request of the unified API (:mod:`repro.api.requests`) —
-        objects or prefixed text (``COUNT ...``, ``TOPK k ...``,
-        ``AGG stat(R.col) ...``), freely mixed.  A purely Boolean batch
-        returns the historical :class:`BatchResult` of
-        :class:`~repro.query.engine.QueryResult` objects, bit-identical to
-        sequential :func:`repro.query.engine.evaluate`; a batch containing
-        any other kind returns a :class:`~repro.api.answer.BatchAnswer` of
-        :class:`~repro.api.answer.Answer` envelopes.  Either way the whole
-        batch is planned as one query-plan DAG (:mod:`repro.plan`): the
-        optimizer's common-solve elimination merges identical solves
-        across sessions, queries, *and kinds* — a Count and a Probability
-        of the same query share every solve — the survivors are
-        LPT-ordered, and the executor runs them on the configured backend.
-        Sampling methods (``mis_amp_*``, ``rejection``) are rng-driven and
-        non-cacheable, so they fall back to sequential evaluation (a
-        parallelism request is then warned about, not silently ignored) —
-        each solve still draws and weighs its samples through the
-        vectorized kernel layer (:mod:`repro.kernels`) unless
-        ``vectorized=False`` is passed as a solver option.
-        """
-        started = time.perf_counter()
-        method = method or self.method
-        options = {**self.solver_options, **overrides}
-        requests = [as_request(query) for query in queries]
-        if any(not isinstance(request, Probability) for request in requests):
-            return self.answer_many(
-                requests,
-                db,
-                method=method,
-                max_workers=max_workers,
-                backend=backend,
-                rng=rng,
-                session_limit=session_limit,
-                **overrides,
-            )
-        parsed = [request.query for request in requests]
-
-        if method in APPROXIMATE_METHODS:
-            requested_workers = (
-                max_workers if max_workers is not None else self.max_workers
-            )
-            effective_backend = backend if backend is not None else self.backend
-            if parallelism_requested(
-                backend, effective_backend, requested_workers
-            ):
-                warnings.warn(
-                    f"approximate method {method!r} is rng-driven and runs "
-                    "sequentially; the requested parallelism "
-                    "(max_workers/backend) is ignored",
-                    UserWarning,
-                    stacklevel=2,
-                )
-            results = [
-                evaluate(
-                    query, db, method=method, rng=rng,
-                    session_limit=session_limit, **options,
-                )
-                for query in parsed
-            ]
-            return BatchResult(
-                results=results,
-                n_queries=len(results),
-                n_sessions=sum(result.n_sessions for result in results),
-                n_distinct_solves=sum(result.n_solver_calls for result in results),
-                n_cache_hits=0,
-                seconds=time.perf_counter() - started,
-                cache_stats=self.stats(),
-                backend="serial",
-            )
-
-        # Build one plan for the whole batch: per-query logical nodes under
-        # a CombineQueries root, then the optimizer's canonical common-solve
-        # elimination subsumes the batch-wide dedup dicts this method used
-        # to maintain by hand (solves merge across sessions AND queries).
-        plan = build_plan(
-            parsed,
-            db,
-            method=method,
-            options=options,
-            group_sessions=True,
-            session_limit=session_limit,
-        )
-        optimize_plan(plan, canonical=True)
-        execution_backend = resolve_backend(
-            backend if backend is not None else self.backend,
-            max_workers if max_workers is not None else self.max_workers,
-        )
-        execution = execute_plan(
-            plan, cache=self.cache, rng=rng, backend=execution_backend
-        )
-        self.cache.record_plan(
-            plan.n_solves_planned,
-            plan.n_solves_eliminated,
-            len(plan.passes_applied),
-        )
-        results = assemble_results(plan, execution, batched=True)
-        return BatchResult(
-            results=results,
-            n_queries=len(results),
-            n_sessions=sum(result.n_sessions for result in results),
-            n_distinct_solves=execution.n_executed,
-            n_cache_hits=execution.n_cache_hits,
-            seconds=time.perf_counter() - started,
-            cache_stats=self.stats(),
-            backend=execution_backend.name,
-            n_solves_planned=plan.n_solves_planned,
-            n_solves_eliminated=plan.n_solves_eliminated,
-        )
-
     def answer_many(
         self,
         requests: Sequence["QueryRequest | ConjunctiveQuery | str"],
@@ -417,11 +224,14 @@ class PreferenceService:
     ) -> BatchAnswer:
         """A mixed-kind batch through the shared cache and backend.
 
-        The typed-request twin of :meth:`evaluate_many`: any mix of
-        Probability / Count / TopK / Aggregate requests (objects or
-        prefixed text) planned as one DAG, with common-solve elimination
-        across kinds and the distinct solves on the configured backend.
-        Returns a :class:`~repro.api.answer.BatchAnswer`.
+        Any mix of Probability / Count / TopK / Aggregate requests (objects,
+        plain queries, or prefixed text) planned as one DAG, with
+        common-solve elimination across sessions, queries, and kinds, and
+        the distinct solves on the configured backend.  Sampling methods
+        (``mis_amp_*``, ``rejection``) are rng-driven and non-cacheable, so
+        they run sequentially per request (a parallelism request is then
+        warned about, not silently ignored).  Returns a
+        :class:`~repro.api.answer.BatchAnswer`.
         """
         options = {**self.solver_options, **overrides}
         batch = api_answer_many(
@@ -431,7 +241,7 @@ class PreferenceService:
             rng=rng,
             cache=self.cache,
             # Explicit and configured backends stay distinct so the
-            # ignored-parallelism warning matches the Boolean path.
+            # ignored-parallelism warning can tell them apart.
             backend=backend,
             default_backend=self.backend,
             max_workers=(

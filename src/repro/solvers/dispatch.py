@@ -38,36 +38,6 @@ def available_methods() -> tuple[str, ...]:
     return tuple(_SOLVERS)
 
 
-def choose_method(union_or_pattern) -> str:
-    """The method ``"auto"`` resolves to for this union.
-
-    Delegates to the planner's structural dichotomy
-    (:func:`repro.plan.methods.classic_choice`) — which the planner's
-    cost-based selection provably coincides with — so the dispatch, the
-    plan passes, and the cache keys can never disagree.
-    """
-    # Deferred: the plan package imports the solver stack at load time.
-    from repro.plan.methods import classic_choice
-
-    return classic_choice(as_union(union_or_pattern))
-
-
-def resolve_method(union_or_pattern, method: str = "auto") -> str:
-    """``method`` with ``"auto"`` resolved to the concrete solver name.
-
-    A thin delegate to the single resolution path,
-    :func:`repro.plan.methods.resolve_solve_method`, shared by the plan's
-    method-resolution pass, this dispatch, and the cache keys
-    (:mod:`repro.service.keys`): resolving *before* building a cache key
-    makes an ``"auto"`` request and its explicit twin collide on one entry,
-    and resolving before solving lets results report the solver that
-    actually ran rather than the requested ``"auto"``.
-    """
-    from repro.plan.methods import resolve_solve_method
-
-    return resolve_solve_method(as_union(union_or_pattern), method)
-
-
 def solve(
     model,
     labeling: Labeling,
@@ -83,7 +53,7 @@ def solve(
     method:
         One of ``"auto"``, ``"two_label"``, ``"bipartite"``, ``"general"``,
         ``"lifted"``, ``"brute"``.  ``"auto"`` picks the most specialized
-        applicable solver.
+        applicable solver (:func:`repro.plan.methods.classic_choice`).
     cache:
         An optional :class:`~repro.service.cache.SolverCache`; canonically
         identical requests return the cached :class:`SolverResult` without
@@ -94,7 +64,10 @@ def solve(
     """
     union = as_union(union_or_pattern)
     if method == "auto":
-        method = choose_method(union)
+        # Deferred: the plan package imports the solver stack at load time.
+        from repro.plan.methods import classic_choice
+
+        method = classic_choice(union)
     try:
         solver = _SOLVERS[method]
     except KeyError:

@@ -1,5 +1,5 @@
 """Tests for the unified query API (repro.api): grammar, routing, answers,
-mixed-kind batch dedup, deprecation-shim bit-identity, and explain."""
+exact-equality oracles for every kind, mixed-kind batch dedup, and explain."""
 
 import numpy as np
 import pytest
@@ -19,15 +19,12 @@ from repro.api import (
 from repro.datasets.crowdrank import crowdrank_database
 from repro.db.examples import polling_example
 from repro.plan import build_plan, optimize_plan
-from repro.plan.execute import execute_plan
-from repro.query.aggregates import (
-    aggregate_session_attribute,
-    count_session,
-    most_probable_session,
-)
-from repro.query.engine import evaluate
+from repro.plan.execute import execute_plan, session_upper_bound
+from repro.query.classify import analyze
+from repro.query.compile import labeling_for_patterns
+from repro.query.engine import compile_session_work, solve_session
 from repro.query.parser import QuerySyntaxError, parse_query
-from repro.service.service import BatchResult, PreferenceService
+from repro.service.service import PreferenceService
 
 POLLS_Q = "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
 CROWD_Q = "P(v; m1; m2), M(m1, _, 'F', _, _), M(m2, 'Thriller', _, _, _)"
@@ -199,46 +196,42 @@ class TestParserPositions:
 
 
 class TestAnswer:
-    def test_probability_answer_matches_evaluate(self, polls_db):
-        result = evaluate(parse_query(POLLS_Q), polls_db)
+    def test_probability_answer_matches_unoptimized_plan(self, polls_db):
+        reference = answer(POLLS_Q, polls_db, optimize=False)
         one = answer(POLLS_Q, polls_db)
         assert isinstance(one, Answer)
         assert one.kind == "probability"
-        assert one.probability == result.probability
-        assert one.value == result.probability
+        assert one.probability == reference.probability
+        assert one.value == reference.value
         assert [e.probability for e in one.per_session] == [
-            e.probability for e in result.per_session
+            e.probability for e in reference.per_session
         ]
-        assert one.to_legacy().probability == result.probability
 
     def test_methods_are_resolved_not_requested(self, polls_db):
         one = answer(POLLS_Q, polls_db)
         assert one.requested_method == "auto"
         assert one.methods and "auto" not in one.methods
-        solvers = {e.solver for e in evaluate(parse_query(POLLS_Q), polls_db).per_session}
-        assert set(one.methods) == solvers
+        naive = answer(POLLS_Q, polls_db, group_sessions=False)
+        assert set(one.methods) == {e.solver for e in naive.per_session}
 
     def test_count_answer(self, polls_db):
         one = answer(f"COUNT {POLLS_Q}", polls_db)
-        result = evaluate(parse_query(POLLS_Q), polls_db)
+        reference = answer(POLLS_Q, polls_db, optimize=False)
         assert one.kind == "count"
         assert one.expectation == pytest.approx(
-            sum(e.probability for e in result.per_session)
+            sum(e.probability for e in reference.per_session)
         )
-        legacy = one.to_legacy()
-        assert legacy.expectation == one.value
-        assert legacy.method == "auto"
-        assert legacy.resolved_methods == one.methods
+        assert one.requested_method == "auto"
 
     def test_topk_answer(self, polls_db):
         one = answer(f"TOPK 2 {POLLS_Q}", polls_db)
         assert one.kind == "top_k"
         assert len(one.ranking) == 2
-        legacy = one.to_legacy()
-        assert legacy.sessions == one.value
-        assert legacy.k == 2
+        assert one.request.k == 2
         # The paper's pruning bookkeeping survives in the answer stats.
         assert one.stats["n_upper_bound_evaluations"] == 3
+        assert one.stats["upper_bound_seconds"] >= 0.0
+        assert one.stats["exact_seconds"] >= 0.0
 
     def test_aggregate_answer(self, polls_db):
         one = answer(
@@ -246,9 +239,8 @@ class TestAnswer:
             rng=np.random.default_rng(0),
         )
         assert one.kind == "aggregate"
-        legacy = one.to_legacy()
-        assert one.value == legacy.expectation
-        assert one.stats["probability_any"] == legacy.probability_any
+        assert one.expectation == one.value
+        assert 0.0 <= one.stats["probability_any"] <= 1.0
         assert 20.0 <= one.value <= 50.0  # ages in the polls example
 
     def test_kind_checked_accessors(self, polls_db):
@@ -264,9 +256,34 @@ class TestAnswer:
         assert answer(Probability(query), polls_db).kind == "probability"
         assert answer(Count(query), polls_db).kind == "count"
         topk = answer(TopK(query, k=1, strategy="naive"), polls_db)
-        assert topk.to_legacy().strategy == "naive"
-        assert topk.to_legacy().n_upper_bound_evaluations == 0
-        assert topk.to_legacy().stats == {}
+        assert topk.request.strategy == "naive"
+        assert topk.stats["n_upper_bound_evaluations"] == 0
+        assert topk.stats["n_pruned"] == 0
+
+    def test_stats_keys_per_kind(self, polls_db):
+        # The server puts ``stats`` on the wire verbatim: pin its shape.
+        batch = answer_many(
+            [
+                POLLS_Q,
+                f"COUNT {POLLS_Q}",
+                f"AGG mean(V.age) {POLLS_Q}",
+                f"TOPK 2 {POLLS_Q}",
+            ],
+            polls_db,
+        )
+        counters = ["batched", "cache_hits", "n_solver_calls", "n_groups"]
+        assert list(batch[0].stats) == counters
+        assert list(batch[1].stats) == counters
+        assert list(batch[2].stats) == counters + [
+            "probability_any", "weighted_average", "n_worlds", "statistic",
+        ]
+        assert list(batch[3].stats) == [
+            "n_solver_calls", "cache_hits", "n_exact_evaluations",
+            "n_upper_bound_evaluations", "n_pruned", "upper_bound_seconds",
+            "exact_seconds",
+        ]
+        single = answer(POLLS_Q, polls_db)
+        assert list(single.stats) == ["n_solver_calls", "n_groups"]
 
     def test_aggregate_missing_row_raises_key_error(self, polls_db):
         with pytest.raises(KeyError):
@@ -274,130 +291,187 @@ class TestAnswer:
 
 
 # ----------------------------------------------------------------------
-# Deprecation-shim bit-identity
+# Exact-equality oracles: each kind against a plan-free reference
 # ----------------------------------------------------------------------
 
 
-class TestShimBitIdentity:
-    """The four legacy entry points delegate without changing a bit."""
+def reference_works(query, db):
+    """``(work, labeling, Pr(Q | s))`` per selected session, solved alone.
 
-    def test_count_session_is_evaluate_sum(self, crowd_db):
-        q = parse_query(CROWD_Q)
-        count = count_session(q, crowd_db)
-        result = evaluate(q, crowd_db)
-        assert count.expectation == float(
-            sum(e.probability for e in result.per_session)
+    Built from the engine primitives without a plan: no grouping, no
+    cache, no optimizer.  Unsatisfiable sessions carry ``None`` and 0.
+    """
+    analysis = analyze(query, db)
+    items = db.prelation(analysis.p_relation).items
+    labelings = {}
+    scored = []
+    for work in compile_session_work(query, db, analysis=analysis):
+        if work.union is None:
+            scored.append((work, None, 0.0))
+            continue
+        if work.union not in labelings:
+            labelings[work.union] = labeling_for_patterns(
+                work.union.patterns, items, db
+            )
+        labeling = labelings[work.union]
+        probability, _ = solve_session(work.model, labeling, work.union)
+        scored.append((work, labeling, probability))
+    return scored
+
+
+def reference_topk(query, db, k, strategy, n_edges):
+    """``top(Q, k)`` as a plain loop: (ranking, n_exact, n_upper_bound)."""
+    scored = reference_works(query, db)
+    if strategy == "naive":
+        ranking = [(work.key, p) for work, _, p in scored]
+        ranking.sort(key=lambda pair: (-pair[1], repr(pair[0])))
+        return ranking[:k], len(scored), 0
+    bounded = [
+        (
+            0.0
+            if labeling is None
+            else session_upper_bound(work.model, labeling, work.union, n_edges),
+            work.key,
+            p,
         )
-        assert count.per_session == [
-            (e.key, e.probability) for e in result.per_session
+        for work, labeling, p in scored
+    ]
+    bounded.sort(key=lambda triple: (-triple[0], repr(triple[1])))
+    confirmed, n_exact = [], 0
+    for bound, key, p in bounded:
+        if len(confirmed) >= k:
+            kth = sorted((q for _, q in confirmed), reverse=True)[k - 1]
+            if kth >= bound:
+                break
+        confirmed.append((key, p))
+        n_exact += 1
+    confirmed.sort(key=lambda pair: (-pair[1], repr(pair[0])))
+    return confirmed[:k], n_exact, len(scored)
+
+
+def reference_aggregate(query, db, relation, column, statistic, n_worlds, rng):
+    """The Section-7 possible-world estimate as a standalone numpy recipe.
+
+    Returns ``(expectation, probability_any, weighted_average)``.
+    """
+    attribute_relation = db.orelation(relation)
+    column_index = attribute_relation.column_index(column)
+    per_session = [
+        (
+            p,
+            float(
+                attribute_relation.first_row_where({0: work.key[0]})[
+                    column_index
+                ]
+            ),
+        )
+        for work, _, p in reference_works(query, db)
+    ]
+    probabilities = np.array([p for p, _ in per_session])
+    values = np.array([v for _, v in per_session])
+    weighted_total = float(probabilities @ values)
+    probability_mass = float(probabilities.sum())
+    weighted_average = (
+        weighted_total / probability_mass if probability_mass > 0 else 0.0
+    )
+    if rng is None:
+        rng = np.random.default_rng(0)
+    draws = rng.random((n_worlds, len(per_session))) < probabilities
+    any_satisfied = draws.any(axis=1)
+    if statistic == "mean":
+        counts = draws.sum(axis=1)
+        sums = draws @ values
+        with np.errstate(invalid="ignore"):
+            world_values = np.where(
+                counts > 0, sums / np.maximum(counts, 1), 0.0
+            )
+        satisfied_values = world_values[any_satisfied]
+    else:
+        satisfied_values = (draws @ values)[any_satisfied]
+    expectation = (
+        float(satisfied_values.mean()) if len(satisfied_values) else 0.0
+    )
+    return expectation, float(any_satisfied.mean()), weighted_average
+
+
+class TestOracles:
+    """Every kind of ``answer()`` equals its plan-free reference exactly."""
+
+    def test_count_is_probability_per_session_sum(self, crowd_db):
+        q = parse_query(CROWD_Q)
+        count = answer(Count(q), crowd_db)
+        reference = reference_works(q, crowd_db)
+        assert count.value == float(sum(p for _, _, p in reference))
+        assert [(e.key, e.probability) for e in count.per_session] == [
+            (work.key, p) for work, _, p in reference
         ]
-        assert count.method == "auto"
-        assert count.resolved_methods == tuple(
+        assert count.requested_method == "auto"
+        assert count.methods == tuple(
             sorted(
                 {
                     e.solver
-                    for e in result.per_session
+                    for e in answer(q, crowd_db).per_session
                     if e.solver != "unsatisfiable"
                 }
             )
         )
 
     def test_topk_matches_reference_loop(self, crowd_db):
-        """most_probable_session == the pre-redesign algorithm, verbatim."""
-        from repro.plan.execute import session_upper_bound
-        from repro.query.classify import analyze
-        from repro.query.compile import labeling_for_patterns
-        from repro.query.engine import compile_session_work, solve_session
-
+        """answer(TopK) == the top-k pruning algorithm as a plain loop."""
         q = parse_query(CROWD_Q)
-        analysis = analyze(q, crowd_db)
-        items = crowd_db.prelation(analysis.p_relation).items
-        works = compile_session_work(q, crowd_db, analysis=analysis)
-        labelings = {}
-
-        def labeling_of(union):
-            if union not in labelings:
-                labelings[union] = labeling_for_patterns(
-                    union.patterns, items, crowd_db
-                )
-            return labelings[union]
-
-        def exact(work):
-            if work.union is None:
-                return 0.0
-            probability, _ = solve_session(
-                work.model, labeling_of(work.union), work.union
-            )
-            return probability
-
         for k in (1, 3):
-            naive = most_probable_session(q, crowd_db, k=k, strategy="naive")
-            scored = [(w.key, exact(w)) for w in works]
-            scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-            assert naive.sessions == scored[:k]
-            assert naive.n_exact_evaluations == len(works)
-
-            pruned = most_probable_session(
-                q, crowd_db, k=k, strategy="upper_bound"
-            )
-            bounded = [
-                (
-                    0.0
-                    if w.union is None
-                    else session_upper_bound(
-                        w.model, labeling_of(w.union), w.union, 1
-                    ),
-                    w,
+            for strategy in ("naive", "upper_bound"):
+                ranking, n_exact, n_upper = reference_topk(
+                    q, crowd_db, k, strategy, 1
                 )
-                for w in works
-            ]
-            bounded.sort(key=lambda pair: (-pair[0], repr(pair[1].key)))
-            confirmed, n_exact = [], 0
-            for bound, work in bounded:
-                if len(confirmed) >= k:
-                    kth = sorted((p for _, p in confirmed), reverse=True)[k - 1]
-                    if kth >= bound:
-                        break
-                confirmed.append((work.key, exact(work)))
-                n_exact += 1
-            confirmed.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-            assert pruned.sessions == confirmed[:k]
-            assert pruned.n_exact_evaluations == n_exact
-            assert pruned.n_upper_bound_evaluations == len(works)
-            assert pruned.stats == {"n_sessions": len(works), "n_edges": 1}
+                one = answer(TopK(q, k=k, strategy=strategy), crowd_db)
+                assert one.value == ranking
+                assert one.stats["n_exact_evaluations"] == n_exact
+                assert one.stats["n_upper_bound_evaluations"] == n_upper
+
+    @pytest.mark.parametrize("statistic", ("mean", "sum"))
+    def test_aggregate_matches_reference_oracle(self, crowd_db, statistic):
+        q = parse_query(CROWD_Q)
+        expectation, probability_any, weighted_average = reference_aggregate(
+            q, crowd_db, "V", "age", statistic, 10_000, None
+        )
+        one = answer(
+            Aggregate(q, relation="V", column="age", statistic=statistic),
+            crowd_db,
+        )
+        assert one.value == expectation
+        assert one.stats["probability_any"] == probability_any
+        assert one.stats["weighted_average"] == weighted_average
 
     def test_topk_prunes_lazy_solves(self, crowd_db):
-        pruned = most_probable_session(
-            parse_query(CROWD_Q), crowd_db, k=1, strategy="upper_bound"
+        pruned = answer(
+            TopK(parse_query(CROWD_Q), k=1, strategy="upper_bound"), crowd_db
         )
-        assert pruned.n_exact_evaluations < pruned.n_upper_bound_evaluations
+        assert (
+            pruned.stats["n_exact_evaluations"]
+            < pruned.stats["n_upper_bound_evaluations"]
+        )
 
     def test_rng_topk_stream_is_unchanged(self, crowd_db):
-        """Approximate top-k draws one stream per session, as before."""
-        q = parse_query(CROWD_Q)
-        first = most_probable_session(
-            q, crowd_db, k=2, strategy="upper_bound",
-            method="rejection", rng=np.random.default_rng(5), n_samples=200,
+        """Approximate top-k draws one stream per session, reproducibly."""
+        request = TopK(parse_query(CROWD_Q), k=2, strategy="upper_bound")
+        first = answer(
+            request, crowd_db, method="rejection",
+            rng=np.random.default_rng(5), n_samples=200,
         )
-        second = most_probable_session(
-            q, crowd_db, k=2, strategy="upper_bound",
-            method="rejection", rng=np.random.default_rng(5), n_samples=200,
+        second = answer(
+            request, crowd_db, method="rejection",
+            rng=np.random.default_rng(5), n_samples=200,
         )
-        assert first.sessions == second.sessions
+        assert first.value == second.value
 
     def test_aggregate_default_rng_is_stable(self, crowd_db):
-        q = parse_query(CROWD_Q)
-        first = aggregate_session_attribute(q, crowd_db, "V", "age")
-        second = aggregate_session_attribute(q, crowd_db, "V", "age")
-        assert first.expectation == second.expectation
-        assert first.probability_any == second.probability_any
-        assert first.n_worlds == 10_000
-
-    def test_evaluate_stays_a_query_result(self, polls_db):
-        result = evaluate(parse_query(POLLS_Q), polls_db)
-        assert result.method == "auto"
-        assert result.stats == {}
-        assert result.grouped is True
+        request = Aggregate(parse_query(CROWD_Q), relation="V", column="age")
+        first = answer(request, crowd_db)
+        second = answer(request, crowd_db)
+        assert first.value == second.value
+        assert first.stats["probability_any"] == second.stats["probability_any"]
+        assert first.stats["n_worlds"] == 10_000
 
 
 # ----------------------------------------------------------------------
@@ -408,21 +482,21 @@ class TestShimBitIdentity:
 class TestMixedBatches:
     def test_mixed_kinds_share_solves(self, crowd_db):
         """Count + Probability of the same query cost one set of solves."""
-        prob_only = PreferenceService().evaluate_many([CROWD_Q], crowd_db)
-        count_only = PreferenceService().evaluate_many(
+        prob_only = PreferenceService().answer_many([CROWD_Q], crowd_db)
+        count_only = PreferenceService().answer_many(
             [f"COUNT {CROWD_Q}"], crowd_db
         )
-        mixed = PreferenceService().evaluate_many(
+        mixed = PreferenceService().answer_many(
             [CROWD_Q, f"COUNT {CROWD_Q}"], crowd_db
         )
-        assert isinstance(prob_only, BatchResult)
+        assert isinstance(prob_only, BatchAnswer)
         assert isinstance(mixed, BatchAnswer)
         assert mixed.n_distinct_solves == prob_only.n_distinct_solves
         assert mixed.n_distinct_solves == count_only.n_distinct_solves
 
     def test_mixed_batch_values_match_single_requests(self, crowd_db):
         service = PreferenceService()
-        mixed = service.evaluate_many(
+        mixed = service.answer_many(
             [
                 CROWD_Q,
                 f"COUNT {CROWD_Q}",
@@ -434,25 +508,22 @@ class TestMixedBatches:
         assert [one.kind for one in mixed] == [
             "probability", "count", "top_k", "aggregate",
         ]
-        sequential = evaluate(parse_query(CROWD_Q), crowd_db)
+        sequential = answer(CROWD_Q, crowd_db)
         assert mixed[0].value == sequential.probability
         assert mixed[1].value == pytest.approx(
             sum(e.probability for e in sequential.per_session)
         )
-        solo_topk = most_probable_session(
-            parse_query(CROWD_Q), crowd_db, k=2
+        assert mixed[2].value == answer(TopK(CROWD_Q, k=2), crowd_db).value
+        solo_aggregate = answer(
+            Aggregate(CROWD_Q, relation="V", column="age"), crowd_db
         )
-        assert mixed[2].value == solo_topk.sessions
-        solo_aggregate = aggregate_session_attribute(
-            parse_query(CROWD_Q), crowd_db, "V", "age"
-        )
-        assert mixed[3].value == solo_aggregate.expectation
+        assert mixed[3].value == solo_aggregate.value
 
     def test_warm_mixed_batch_is_all_cache_hits(self, crowd_db):
         service = PreferenceService()
         requests = [CROWD_Q, f"COUNT {CROWD_Q}"]
-        service.evaluate_many(requests, crowd_db)
-        warm = service.evaluate_many(requests, crowd_db)
+        service.answer_many(requests, crowd_db)
+        warm = service.answer_many(requests, crowd_db)
         assert warm.n_distinct_solves == 0
         assert warm.n_cache_hits > 0
 
@@ -466,21 +537,16 @@ class TestMixedBatches:
         assert batch.backend == "serial"
 
     def test_pure_boolean_batch_is_bit_identical(self, crowd_db):
-        """The historical BatchResult path survives the redesign."""
+        """A Boolean batch equals sequential single-request answers."""
         service = PreferenceService()
-        batch = service.evaluate_many([CROWD_Q, CROWD_Q], crowd_db)
-        assert isinstance(batch, BatchResult)
-        sequential = evaluate(parse_query(CROWD_Q), crowd_db)
+        batch = service.answer_many([CROWD_Q, CROWD_Q], crowd_db)
+        sequential = answer(CROWD_Q, crowd_db)
         for result in batch:
             assert result.probability == sequential.probability
             assert [(e.key, e.probability, e.solver) for e in result.per_session] == [
                 (e.key, e.probability, e.solver)
                 for e in sequential.per_session
             ]
-
-    def test_service_evaluate_rejects_non_boolean(self, polls_db):
-        with pytest.raises(TypeError, match="answer"):
-            PreferenceService().evaluate(f"COUNT {POLLS_Q}", polls_db)
 
     def test_approximate_mixed_batch_runs_sequentially(self, polls_db):
         batch = answer_many(
@@ -562,17 +628,6 @@ class TestAggregateExplain:
         text = plan.explain(execution)
         assert "[exact=" in text
         assert "[pruned]" in text  # lazy solves the bound pruning skipped
-
-    def test_boolean_assembly_rejects_pruned_topk_plans(self, crowd_db):
-        # assemble_results folds terminals into QueryResults; a plan whose
-        # top-k pruning skipped solves must fail loudly, not KeyError.
-        from repro.plan.execute import assemble_results
-
-        plan = build_plan(f"TOPK 1 {CROWD_Q}", crowd_db)
-        optimize_plan(plan, canonical=True)
-        execution = execute_plan(plan)
-        with pytest.raises(ValueError, match="assemble_answers"):
-            assemble_results(plan, execution)
 
 
 # ----------------------------------------------------------------------

@@ -35,9 +35,12 @@ class TestExactRunners:
             assert row[2] >= 0.0
 
     def test_figure_5_exponential_growth(self):
+        # Sub-millisecond solve times are too noisy to order reliably; the
+        # solver's DP expansion count is the deterministic work measure.
         result = figure_5(n_unions=1, m=6)
-        means = {row[0]: row[1] for row in result.rows}
-        assert means[1] <= means[2] <= means[3]
+        assert result.headers[-1] == "mean_expansions"
+        expansions = {row[0]: row[-1] for row in result.rows}
+        assert expansions[1] < expansions[2] < expansions[3]
 
     def test_figure_6_fraction_range(self):
         result = figure_6(

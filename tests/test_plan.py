@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import answer, assemble_answers
 from repro.datasets.crowdrank import crowdrank_database
 from repro.db.examples import polling_example
 from repro.patterns.pattern import LabelPattern, node
@@ -36,12 +37,10 @@ from repro.plan import (
     simplify_union,
     simplify_unions,
 )
-from repro.plan.execute import assemble_results
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 from repro.service.cache import SolverCache
+from repro.service.keys import request_fingerprint
 from repro.service.service import PreferenceService
-from repro.solvers.dispatch import resolve_method
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +88,7 @@ def _run(db, query, passes=None, cache=None, **kwargs):
     if passes is not None:
         optimize_plan(plan, passes=passes)
     execution = execute_plan(plan, cache=cache)
-    return plan, assemble_results(
+    return plan, assemble_answers(
         plan, execution, with_cache=cache is not None
     )[0]
 
@@ -101,7 +100,7 @@ class TestPassEquivalence:
     def test_full_pipeline_matches_unoptimized(self, polls_db, crowd_db, query):
         db = polls_db if query in POLLS_CORPUS else crowd_db
         _, baseline = _run(db, query, passes=())
-        optimized = evaluate(parse_query(query), db)  # optimizer on by default
+        optimized = answer(parse_query(query), db)  # optimizer on by default
         assert optimized.probability == baseline.probability
         assert _signature(optimized) == _signature(baseline)
 
@@ -141,14 +140,14 @@ class TestPassEquivalence:
         assert rewritten.probability == baseline.probability
         assert _signature(rewritten) == _signature(baseline)
 
-    def test_unoptimized_flag_on_evaluate(self, crowd_db):
+    def test_unoptimized_flag_on_answer(self, crowd_db):
         query = parse_query(CROWD_CORPUS[0])
-        optimized = evaluate(query, crowd_db)
-        raw = evaluate(query, crowd_db, optimize=False)
+        optimized = answer(query, crowd_db)
+        raw = answer(query, crowd_db, optimize=False)
         assert raw.probability == optimized.probability
         assert _signature(raw) == _signature(optimized)
         # Without elimination every satisfiable session solves separately.
-        assert raw.n_solver_calls >= optimized.n_solver_calls
+        assert raw.stats["n_solver_calls"] >= optimized.stats["n_solver_calls"]
 
     def test_unoptimized_plan_is_cacheless(self, polls_db):
         # Canonical keys are an optimizer product: the unoptimized
@@ -156,17 +155,17 @@ class TestPassEquivalence:
         # (and must not pretend it did in its stats).
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
         cache = SolverCache()
-        raw = evaluate(query, polls_db, cache=cache, optimize=False)
-        assert raw.stats == {}
+        raw = answer(query, polls_db, cache=cache, optimize=False)
+        assert "cache_hits" not in raw.stats
         assert len(cache) == 0
-        again = evaluate(query, polls_db, cache=cache, optimize=False)
-        assert again.n_solver_calls == raw.n_solver_calls > 0
+        again = answer(query, polls_db, cache=cache, optimize=False)
+        assert again.stats["n_solver_calls"] == raw.stats["n_solver_calls"] > 0
 
     def test_batch_matches_sequential(self, crowd_db):
         service = PreferenceService()
-        batch = service.evaluate_many(CROWD_CORPUS, crowd_db)
+        batch = service.answer_many(CROWD_CORPUS, crowd_db)
         for text, result in zip(CROWD_CORPUS, batch):
-            sequential = evaluate(parse_query(text), crowd_db)
+            sequential = answer(parse_query(text), crowd_db)
             assert result.probability == sequential.probability
             assert _signature(result) == _signature(sequential)
 
@@ -225,8 +224,11 @@ class TestUnifiedMethodResolution:
         from tests.conftest import random_instance
 
         for _ in range(25):
-            _, _, union = random_instance(pyrng)
-            assert resolve_method(union, "auto") == classic_choice(union)
+            _, labeling, union = random_instance(pyrng)
+            # The cache key resolves "auto" exactly as the plan pass does.
+            assert request_fingerprint(labeling, union)[2] == classic_choice(
+                union
+            )
             assert (
                 resolve_solve_method(union, "auto")
                 == classic_choice(union)
@@ -253,10 +255,10 @@ class TestUnifiedMethodResolution:
     def test_auto_and_explicit_twin_share_cache_entry(self, polls_db):
         cache = SolverCache()
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
-        first = evaluate(query, polls_db, method="auto", cache=cache)
-        second = evaluate(query, polls_db, method="two_label", cache=cache)
-        assert first.n_solver_calls == 1
-        assert second.n_solver_calls == 0
+        first = answer(query, polls_db, method="auto", cache=cache)
+        second = answer(query, polls_db, method="two_label", cache=cache)
+        assert first.stats["n_solver_calls"] == 1
+        assert second.stats["n_solver_calls"] == 0
         assert second.stats["cache_hits"] == 1
 
     def test_explicit_methods_pass_through(self):
@@ -270,8 +272,8 @@ class TestUnifiedMethodResolution:
 class TestAutoApprox:
     def test_below_budget_is_bitwise_auto(self, polls_db):
         query = parse_query("P(v, d; x; y), P(v, d; y; z), C(x, 'D', _, _, _, _)")
-        exact = evaluate(query, polls_db, method="auto")
-        budgeted = evaluate(
+        exact = answer(query, polls_db, method="auto")
+        budgeted = answer(
             query,
             polls_db,
             method="auto-approx",
@@ -282,14 +284,14 @@ class TestAutoApprox:
 
     def test_above_budget_falls_back_to_mis_amp(self, polls_db):
         query = parse_query("P(v, d; x; y), P(v, d; y; z), C(x, 'D', _, _, _, _)")
-        result = evaluate(
+        result = answer(
             query,
             polls_db,
             method="auto-approx",
             rng=np.random.default_rng(1),
             approx_budget=1,
         )
-        exact = evaluate(query, polls_db, method="auto")
+        exact = answer(query, polls_db, method="auto")
         solvers = {e.solver for e in result.per_session}
         assert any("mis_amp" in name for name in solvers)
         assert result.probability == pytest.approx(exact.probability, abs=0.15)
@@ -297,13 +299,13 @@ class TestAutoApprox:
     def test_fallback_without_rng_raises(self, polls_db):
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
         with pytest.raises(ValueError, match="rng"):
-            evaluate(query, polls_db, method="auto-approx", approx_budget=1)
+            answer(query, polls_db, method="auto-approx", approx_budget=1)
 
     def test_budget_option_never_reaches_solvers(self, polls_db):
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
         # A generous budget resolves exact; approx_budget must have been
         # popped before the solver signature sees it.
-        result = evaluate(
+        result = answer(
             query, polls_db, method="auto-approx", approx_budget=1e12
         )
         assert result.per_session[0].solver == "two_label"
@@ -313,13 +315,13 @@ class TestAutoApprox:
         # keep working when a call overrides the method to plain auto.
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
         cache = SolverCache()
-        budgeted = evaluate(
+        budgeted = answer(
             query, polls_db, method="auto", approx_budget=1e6, cache=cache
         )
-        plain = evaluate(query, polls_db, method="auto", cache=cache)
+        plain = answer(query, polls_db, method="auto", cache=cache)
         assert budgeted.probability == plain.probability
         # ...and never perturbs cache keys: the second call is a pure hit.
-        assert plain.n_solver_calls == 0
+        assert plain.stats["n_solver_calls"] == 0
 
     def test_unoptimized_plan_respects_budget(self, polls_db):
         # Lazy resolution on an unoptimized plan must budget against the
@@ -327,7 +329,7 @@ class TestAutoApprox:
         # not the default — optimized and unoptimized twins agree on which
         # solves fall back.
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
-        raw = evaluate(
+        raw = answer(
             query,
             polls_db,
             method="auto-approx",
@@ -357,7 +359,7 @@ class TestAutoApprox:
 
     def test_batch_auto_approx_mixes_backends(self, crowd_db):
         service = PreferenceService(method="auto-approx", backend="serial")
-        batch = service.evaluate_many(
+        batch = service.answer_many(
             [CROWD_CORPUS[0]],
             crowd_db,
             rng=np.random.default_rng(5),
@@ -395,7 +397,7 @@ class TestSimplifyUnions:
 class TestPlanCounters:
     def test_cache_accumulates_plan_counters(self, crowd_db):
         service = PreferenceService()
-        service.evaluate_many(CROWD_CORPUS, crowd_db)
+        service.answer_many(CROWD_CORPUS, crowd_db)
         stats = service.stats()
         assert stats["n_solves_planned"] > 0
         assert stats["n_solves_eliminated"] > 0
@@ -404,7 +406,7 @@ class TestPlanCounters:
 
     def test_engine_records_when_cached(self, polls_db):
         cache = SolverCache()
-        evaluate(
+        answer(
             parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')"),
             polls_db,
             cache=cache,

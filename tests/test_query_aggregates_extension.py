@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import Aggregate, answer
 from repro.db.examples import polling_example
-from repro.query import aggregate_session_attribute, evaluate, parse_query
+from repro.query import parse_query
 
 
 @pytest.fixture
@@ -17,20 +18,25 @@ REP_OVER_DEM = (
 )
 
 
+def aggregate(query, db, rng=None, **options):
+    """``answer(Aggregate(...))`` of a session attribute."""
+    return answer(Aggregate(query, **options), db, rng=rng)
+
+
 class TestAggregateSessionAttribute:
     def test_weighted_average_formula(self, db):
         q = parse_query(REP_OVER_DEM)
-        agg = aggregate_session_attribute(
+        agg = aggregate(
             q, db, relation="V", column="age", rng=np.random.default_rng(0)
         )
-        result = evaluate(q, db)
+        result = answer(q, db)
         probabilities = [e.probability for e in result.per_session]
         ages = {"Ann": 20, "Bob": 30, "Dave": 50}
         values = [ages[e.key[0]] for e in result.per_session]
         expected = sum(p * v for p, v in zip(probabilities, values)) / sum(
             probabilities
         )
-        assert agg.weighted_average == pytest.approx(expected)
+        assert agg.stats["weighted_average"] == pytest.approx(expected)
 
     def test_expectation_close_to_analytic(self, db):
         # With independent Bernoulli sessions the conditional expectation of
@@ -38,11 +44,11 @@ class TestAggregateSessionAttribute:
         import itertools
 
         q = parse_query(REP_OVER_DEM)
-        agg = aggregate_session_attribute(
+        agg = aggregate(
             q, db, relation="V", column="age",
             n_worlds=60_000, rng=np.random.default_rng(1),
         )
-        result = evaluate(q, db)
+        result = answer(q, db)
         probabilities = [e.probability for e in result.per_session]
         ages = {"Ann": 20.0, "Bob": 30.0, "Dave": 50.0}
         values = [ages[e.key[0]] for e in result.per_session]
@@ -59,11 +65,11 @@ class TestAggregateSessionAttribute:
             mass += weight
         analytic = numerator / mass
         assert agg.expectation == pytest.approx(analytic, rel=0.02)
-        assert agg.probability_any == pytest.approx(mass, abs=0.02)
+        assert agg.stats["probability_any"] == pytest.approx(mass, abs=0.02)
 
     def test_sum_statistic(self, db):
         q = parse_query(REP_OVER_DEM)
-        agg = aggregate_session_attribute(
+        agg = aggregate(
             q, db, relation="V", column="age", statistic="sum",
             n_worlds=40_000, rng=np.random.default_rng(2),
         )
@@ -73,7 +79,7 @@ class TestAggregateSessionAttribute:
     def test_invalid_statistic(self, db):
         q = parse_query(REP_OVER_DEM)
         with pytest.raises(ValueError, match="statistic"):
-            aggregate_session_attribute(
+            aggregate(
                 q, db, relation="V", column="age", statistic="median"
             )
 
@@ -82,4 +88,4 @@ class TestAggregateSessionAttribute:
         # loudly instead of silently skewing the aggregate.
         q = parse_query(REP_OVER_DEM)
         with pytest.raises(KeyError):
-            aggregate_session_attribute(q, db, relation="C", column="age")
+            aggregate(q, db, relation="C", column="age")

@@ -7,11 +7,11 @@ running examples Q0, Q1, Q2, plus grounding, grouping, count, and top-k.
 import numpy as np
 import pytest
 
+from repro.api import Count, TopK, answer
 from repro.db.examples import polling_example
-from repro.query.aggregates import count_session, most_probable_session
 from repro.query.ast import Variable
 from repro.query.classify import analyze
-from repro.query.engine import compile_session_work, evaluate
+from repro.query.engine import compile_session_work
 from repro.query.ground import decompose_query, variable_domain
 from repro.query.parser import parse_query
 
@@ -63,7 +63,7 @@ class TestEvaluation:
         q = parse_query(
             "P('Ann', '5/5'; 'Trump'; 'Clinton'), P('Ann', '5/5'; 'Trump'; 'Rubio')"
         )
-        result = evaluate(q, db)
+        result = answer(q, db)
         model = db.prelation("P").model_of(("Ann", "5/5"))
         expected = sum(
             p
@@ -77,7 +77,7 @@ class TestEvaluation:
         q = parse_query(
             "P(_, _; c1; c2), C(c1, _, 'F', _, _, _), C(c2, _, 'M', _, _, _)"
         )
-        result = evaluate(q, db)
+        result = answer(q, db)
 
         def predicate(world):
             for ranking in world.values():
@@ -93,7 +93,7 @@ class TestEvaluation:
         q = parse_query(
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
-        result = evaluate(q, db)
+        result = answer(q, db)
 
         def predicate(world):
             for ranking in world.values():
@@ -108,13 +108,13 @@ class TestEvaluation:
 
     def test_session_selection_by_constant(self, db):
         q = parse_query("P('Ann', _; 'Clinton'; 'Trump')")
-        result = evaluate(q, db)
+        result = answer(q, db)
         assert result.n_sessions == 1
         assert result.per_session[0].key == ("Ann", "5/5")
 
     def test_session_selection_by_comparison(self, db):
         q = parse_query("P(_, d; 'Clinton'; 'Trump'), d = '6/5'")
-        result = evaluate(q, db)
+        result = answer(q, db)
         assert [e.key for e in result.per_session] == [("Dave", "6/5")]
 
     def test_exact_methods_agree(self, db):
@@ -122,7 +122,7 @@ class TestEvaluation:
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
         values = {
-            method: evaluate(q, db, method=method).probability
+            method: answer(q, db, method=method).probability
             for method in ("auto", "two_label", "bipartite", "general", "lifted", "brute")
         }
         reference = values.pop("brute")
@@ -133,9 +133,9 @@ class TestEvaluation:
         q = parse_query(
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
-        exact = evaluate(q, db).probability
+        exact = answer(q, db).probability
         rng = np.random.default_rng(11)
-        approx = evaluate(
+        approx = answer(
             q, db, method="mis_amp_adaptive", rng=rng, n_per_proposal=300
         ).probability
         assert approx == pytest.approx(exact, rel=0.2)
@@ -144,28 +144,30 @@ class TestEvaluation:
         q = parse_query(
             "P(_, _; c1; c2), C(c1, 'D', _, _, _, _), C(c2, 'R', _, _, _, _)"
         )
-        grouped = evaluate(q, db, group_sessions=True)
-        naive = evaluate(q, db, group_sessions=False)
+        grouped = answer(q, db, group_sessions=True)
+        naive = answer(q, db, group_sessions=False)
         assert grouped.probability == pytest.approx(naive.probability)
         # Ann and Dave share a reference ranking but have different phi, so
         # their models differ; grouping saves nothing here but must agree.
-        assert grouped.n_solver_calls <= naive.n_solver_calls
+        assert (
+            grouped.stats["n_solver_calls"] <= naive.stats["n_solver_calls"]
+        )
 
     def test_unsatisfiable_query(self, db):
         q = parse_query("P(_, _; c1; c2), C(c1, 'Green', _, _, _, _)")
-        result = evaluate(q, db)
+        result = answer(q, db)
         assert result.probability == pytest.approx(0.0, abs=1e-12)
 
     def test_self_preference_is_false(self, db):
         q = parse_query("P('Ann', '5/5'; 'Trump'; 'Trump')")
-        result = evaluate(q, db)
+        result = answer(q, db)
         assert result.probability == 0.0
 
     def test_wildcard_item_position(self, db):
         # P(s; _; 'Clinton'): someone is preferred to Clinton, i.e. Clinton
         # is not ranked first.
         q = parse_query("P('Ann', '5/5'; _; 'Clinton')")
-        result = evaluate(q, db)
+        result = answer(q, db)
         model = db.prelation("P").model_of(("Ann", "5/5"))
         expected = sum(
             p
@@ -192,7 +194,7 @@ class TestSessionBoundJoin:
             by_key[("Ann", "5/5")].union != by_key[("Bob", "5/5")].union
         )
 
-        result = evaluate(q, db)
+        result = answer(q, db)
 
         def predicate(world):
             sex_of = {"Ann": "F", "Bob": "M", "Dave": "M"}
@@ -242,8 +244,8 @@ class TestSessionAtomJoinRegressions:
         assert by_key[("Bob", "5/5")] is None
         assert by_key[("Dave", "6/5")] is not None
 
-        result = evaluate(q, db_with_rep)
-        dave_only = evaluate(
+        result = answer(q, db_with_rep)
+        dave_only = answer(
             parse_query("P('Dave', _; 'Trump'; 'Clinton')"), db_with_rep
         )
         assert result.probability == pytest.approx(dave_only.probability)
@@ -260,8 +262,8 @@ class TestSessionAtomJoinRegressions:
         assert by_key[("Bob", "5/5")] is None
         assert by_key[("Dave", "6/5")] is None
 
-        result = evaluate(q, db)
-        ann_only = evaluate(
+        result = answer(q, db)
+        ann_only = answer(
             parse_query("P('Ann', _; 'Trump'; 'Clinton')"), db
         )
         assert result.probability == pytest.approx(ann_only.probability)
@@ -270,8 +272,8 @@ class TestSessionAtomJoinRegressions:
 class TestSolverAttribution:
     def test_auto_reports_the_resolved_solver(self, db):
         q = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
-        result = evaluate(q, db)
-        assert result.method == "auto"  # the request, as asked
+        result = answer(q, db)
+        assert result.requested_method == "auto"  # the request, as asked
         assert result.per_session[0].solver == "two_label"  # the solver run
 
     def test_mixture_reports_component_solver_not_auto(self):
@@ -287,7 +289,7 @@ class TestSolverAttribution:
         db = PPDatabase(
             prelations=[PRelation("P", ["user"], {("u",): mixture})]
         )
-        result = evaluate(parse_query("P('u'; 'a'; 'b')"), db)
+        result = answer(parse_query("P('u'; 'a'; 'b')"), db)
         assert result.per_session[0].solver == "mixture[two_label]"
 
     def test_auto_and_explicit_method_share_one_cache_entry(self, db):
@@ -295,11 +297,11 @@ class TestSolverAttribution:
 
         cache = SolverCache()
         q = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
-        first = evaluate(q, db, method="auto", cache=cache)
-        assert first.n_solver_calls == 1
+        first = answer(q, db, method="auto", cache=cache)
+        assert first.stats["n_solver_calls"] == 1
         # The explicit twin of what auto resolved to: zero fresh solves.
-        second = evaluate(q, db, method="two_label", cache=cache)
-        assert second.n_solver_calls == 0
+        second = answer(q, db, method="two_label", cache=cache)
+        assert second.stats["n_solver_calls"] == 0
         assert second.stats["cache_hits"] == 1
         assert len(cache) == 1
         assert second.probability == first.probability
@@ -310,8 +312,8 @@ class TestAggregates:
         q = parse_query(
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
-        count = count_session(q, db)
-        result = evaluate(q, db)
+        count = answer(Count(q), db)
+        result = answer(q, db)
         assert count.expectation == pytest.approx(
             sum(e.probability for e in result.per_session)
         )
@@ -322,31 +324,31 @@ class TestAggregates:
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
         for k in (1, 2, 3):
-            naive = most_probable_session(q, db, k=k, strategy="naive")
+            naive = answer(TopK(q, k=k, strategy="naive"), db)
             for n_edges in (1, 2):
-                optimized = most_probable_session(
-                    q, db, k=k, strategy="upper_bound", n_edges=n_edges
+                optimized = answer(
+                    TopK(q, k=k, strategy="upper_bound", n_edges=n_edges), db
                 )
-                assert [key for key, _ in optimized.sessions] == [
-                    key for key, _ in naive.sessions
+                assert [key for key, _ in optimized.ranking] == [
+                    key for key, _ in naive.ranking
                 ]
-                probs_opt = [p for _, p in optimized.sessions]
-                probs_naive = [p for _, p in naive.sessions]
+                probs_opt = [p for _, p in optimized.ranking]
+                probs_naive = [p for _, p in naive.ranking]
                 assert probs_opt == pytest.approx(probs_naive)
 
     def test_topk_optimization_saves_work(self, db):
         q = parse_query(
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
-        optimized = most_probable_session(
-            q, db, k=1, strategy="upper_bound", n_edges=1
+        optimized = answer(
+            TopK(q, k=1, strategy="upper_bound", n_edges=1), db
         )
-        assert optimized.n_exact_evaluations <= 3
-        assert optimized.n_upper_bound_evaluations == 3
+        assert optimized.stats["n_exact_evaluations"] <= 3
+        assert optimized.stats["n_upper_bound_evaluations"] == 3
 
     def test_topk_validates_k(self, db):
         q = parse_query("P(_, _; 'Trump'; 'Clinton')")
         with pytest.raises(ValueError):
-            most_probable_session(q, db, k=0)
+            answer(TopK(q, k=0), db)
         with pytest.raises(ValueError):
-            most_probable_session(q, db, k=1, strategy="magic")
+            answer(TopK(q, k=1, strategy="magic"), db)

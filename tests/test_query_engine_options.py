@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.db.examples import polling_example
-from repro.query.engine import evaluate, solve_session
+from repro.query.engine import solve_session
 from repro.query.parser import parse_query
 
 
@@ -22,12 +23,12 @@ class TestMethodHandling:
         q = parse_query(SIMPLE)
         for method in ("mis_amp_lite", "mis_amp_adaptive", "rejection"):
             with pytest.raises(ValueError, match="rng"):
-                evaluate(q, db, method=method)
+                answer(q, db, method=method)
 
     def test_rejection_method(self, db):
         q = parse_query(SIMPLE)
-        exact = evaluate(q, db).probability
-        approx = evaluate(
+        exact = answer(q, db).probability
+        approx = answer(
             q, db, method="rejection",
             rng=np.random.default_rng(0), n_samples=4000,
         ).probability
@@ -35,7 +36,7 @@ class TestMethodHandling:
 
     def test_mis_amp_lite_options_forwarded(self, db):
         q = parse_query(SIMPLE)
-        result = evaluate(
+        result = answer(
             q, db, method="mis_amp_lite",
             rng=np.random.default_rng(0),
             n_proposals=2, n_per_proposal=100,
@@ -45,21 +46,21 @@ class TestMethodHandling:
     def test_unknown_exact_method(self, db):
         q = parse_query(SIMPLE)
         with pytest.raises(ValueError, match="unknown method"):
-            evaluate(q, db, method="nonsense")
+            answer(q, db, method="nonsense")
 
 
 class TestSessionLimit:
     def test_limit_truncates_sessions(self):
         db = crowdrank_database(n_workers=30, n_movies=8, seed=5)
         q = parse_query("P(v; 1; 2), V(v, _, _)")
-        full = evaluate(q, db, method="lifted")
-        limited = evaluate(q, db, method="lifted", session_limit=10)
+        full = answer(q, db, method="lifted")
+        limited = answer(q, db, method="lifted", session_limit=10)
         assert full.n_sessions == 30
         assert limited.n_sessions == 10
 
     def test_limit_larger_than_sessions(self, db):
         q = parse_query(SIMPLE)
-        result = evaluate(q, db, session_limit=100)
+        result = answer(q, db, session_limit=100)
         assert result.n_sessions == 3
 
 
@@ -67,12 +68,12 @@ class TestGrouping:
     def test_group_counts_reported(self):
         db = crowdrank_database(n_workers=100, n_movies=8, seed=6)
         q = parse_query("P(v; 1; 2), V(v, _, _)")
-        grouped = evaluate(q, db, method="lifted", group_sessions=True)
+        grouped = answer(q, db, method="lifted", group_sessions=True)
         # One pattern for everyone; groups = number of distinct models.
-        assert grouped.n_groups <= 7
-        assert grouped.n_solver_calls == grouped.n_groups
-        naive = evaluate(q, db, method="lifted", group_sessions=False)
-        assert naive.n_solver_calls == naive.n_sessions
+        assert grouped.stats["n_groups"] <= 7
+        assert grouped.stats["n_solver_calls"] == grouped.stats["n_groups"]
+        naive = answer(q, db, method="lifted", group_sessions=False)
+        assert naive.stats["n_solver_calls"] == naive.n_sessions
         assert grouped.probability == pytest.approx(naive.probability)
 
 
@@ -103,7 +104,7 @@ class TestSessionEvaluationsSurface:
         q = parse_query(
             "P(_, _; c1; c2), C(c1, 'D', _, _, _, _), C(c2, 'R', _, _, _, _)"
         )
-        result = evaluate(q, db)
+        result = answer(q, db)
         p = result.session_probability(("Ann", "5/5"))
         assert 0.0 <= p <= 1.0
         with pytest.raises(KeyError):
@@ -111,5 +112,5 @@ class TestSessionEvaluationsSurface:
 
     def test_unsatisfiable_sessions_marked(self, db):
         q = parse_query("P('Ann', '5/5'; 'Trump'; 'Trump')")
-        result = evaluate(q, db)
+        result = answer(q, db)
         assert result.per_session[0].solver == "unsatisfiable"

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from repro.api import answer
 from repro.db.database import PPDatabase
 from repro.db.schema import ORelation, PRelation
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, node
-from repro.query import evaluate, parse_query
+from repro.query import parse_query
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
@@ -93,7 +94,7 @@ class TestMixtureQueries:
         prelation = PRelation("P", ["user"], {("u1",): mixture})
         db = PPDatabase(orelations=[movies], prelations=[prelation])
         q = parse_query("P(_; m1; m2), M(m1, 'X'), M(m2, 'Y')")
-        result = evaluate(q, db)
+        result = answer(q, db)
 
         labeling = Labeling({"a": {"X"}, "b": {"Y"}, "c": {"X"}})
         pattern = LabelPattern([(node("m1", "X"), node("m2", "Y"))])

@@ -2,7 +2,7 @@
 
 The contract under test: the serial / thread / process backends and the
 cold-vs-persistent-cache paths all return *bit-identical* probabilities to
-sequential :func:`repro.query.engine.evaluate`, because every backend
+sequential :func:`repro.api.answer`, because every backend
 executes the same canonical ``SolveTask`` descriptors and a thawed solve
 equals the original solve exactly.
 """
@@ -12,13 +12,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.db.database import PPDatabase
 from repro.db.schema import PRelation
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode, chain_pattern
 from repro.patterns.union import PatternUnion
-from repro.query.engine import evaluate, solve_session
+from repro.plan.cost import estimate_solve_states, largest_first_order
+from repro.query.engine import solve_session
 from repro.query.parser import parse_query
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
@@ -42,10 +44,6 @@ from repro.service.persist import (
     PersistentSolverCache,
     default_version,
 )
-from repro.service.planner import (
-    estimate_solve_states,
-    largest_first_order,
-)
 
 QUERIES = [
     "P(v; m1; m2), M(m1, 'Thriller', _, _, _), M(m2, _, _, _, 'short')",
@@ -63,7 +61,7 @@ def db():
 @pytest.fixture(scope="module")
 def reference(db):
     """Sequential, cache-free engine results: the equivalence baseline."""
-    return [evaluate(parse_query(q), db) for q in QUERIES]
+    return [answer(parse_query(q), db) for q in QUERIES]
 
 
 def _solve_request():
@@ -211,7 +209,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_backend_matches_sequential_engine(self, db, reference, backend):
         service = PreferenceService(backend=backend, max_workers=2)
-        batch = service.evaluate_many(QUERIES, db)
+        batch = service.answer_many(QUERIES, db)
         assert batch.backend == backend
         assert batch.n_cache_hits == 0
         for result, expected in zip(batch, reference):
@@ -234,9 +232,9 @@ class TestBackendEquivalence:
             prelations=[PRelation("P", ["user"], sessions)],
         )
         query = "P(u; 'a'; 'b')"
-        expected = evaluate(parse_query(query), db)
+        expected = answer(parse_query(query), db)
         service = PreferenceService(backend="process", max_workers=2)
-        batch = service.evaluate_many([query], db)
+        batch = service.answer_many([query], db)
         assert batch[0].probability == expected.probability
         solvers = {e.solver for e in batch[0].per_session}
         assert solvers == {"mixture[two_label]", "two_label"}
@@ -253,9 +251,9 @@ class TestBackendEquivalence:
             prelations=[PRelation("P", ["user"], {("u",): mixture})]
         )
         query = "P(u; 'a'; 'b')"
-        expected = evaluate(parse_query(query), db)
+        expected = answer(parse_query(query), db)
         assert expected.per_session[0].solver == "mixture[two_label]"
-        batch = PreferenceService(backend="serial").evaluate_many([query], db)
+        batch = PreferenceService(backend="serial").answer_many([query], db)
         assert batch[0].per_session[0].solver == "mixture[two_label]"
         assert batch[0].probability == expected.probability
 
@@ -357,14 +355,14 @@ class TestPersistentService:
     def test_restart_round_trip_serves_without_solving(self, db, reference, tmp_path):
         path = tmp_path / "service.sqlite"
         cold_service = PreferenceService(backend="serial", cache_db=path)
-        cold = cold_service.evaluate_many(QUERIES, db)
+        cold = cold_service.answer_many(QUERIES, db)
         assert cold.n_distinct_solves > 0
         for result, expected in zip(cold, reference):
             assert result.probability == expected.probability
 
         # A brand-new service over the same file: the restart scenario.
         warm_service = PreferenceService(backend="serial", cache_db=path)
-        warm = warm_service.evaluate_many(QUERIES, db)
+        warm = warm_service.answer_many(QUERIES, db)
         assert warm.n_distinct_solves == 0
         assert warm.n_cache_hits == cold.n_distinct_solves
         for result, expected in zip(warm, reference):
@@ -448,44 +446,44 @@ class TestBatchSemantics:
     def test_seconds_attributed_to_consuming_queries(self, db):
         service = PreferenceService(backend="serial")
         duplicated = [QUERIES[0], QUERIES[0], QUERIES[1]]
-        batch = service.evaluate_many(duplicated, db)
+        batch = service.answer_many(duplicated, db)
         # The duplicate queries consumed the same solves: identical, and
         # positive, attributed wall time.
         assert batch[0].seconds > 0.0
         assert batch[0].seconds == batch[1].seconds
         assert batch[2].seconds > 0.0
         # A cache-warm pass performs no solves, so no time is attributed.
-        warm = service.evaluate_many(duplicated, db)
+        warm = service.answer_many(duplicated, db)
         assert all(result.seconds == 0.0 for result in warm)
 
     def test_approximate_path_warns_on_ignored_parallelism(self, db):
         service = PreferenceService()
         rng = np.random.default_rng(3)
         with pytest.warns(UserWarning, match="ignored"):
-            service.evaluate_many(
+            service.answer_many(
                 QUERIES[:1], db, method="rejection", rng=rng,
                 max_workers=4, n_samples=50,
             )
         with pytest.warns(UserWarning, match="ignored"):
-            service.evaluate_many(
+            service.answer_many(
                 QUERIES[:1], db, method="rejection", rng=rng,
                 backend="process", n_samples=50,
             )
         # A process-*configured* service (e.g. --backend process on the
         # CLI) must warn too, not only a per-call backend argument.
         with pytest.warns(UserWarning, match="ignored"):
-            PreferenceService(backend="process").evaluate_many(
+            PreferenceService(backend="process").answer_many(
                 QUERIES[:1], db, method="rejection", rng=rng, n_samples=50
             )
 
     def test_approximate_path_quiet_when_sequential(self, db, recwarn):
         service = PreferenceService()
         rng = np.random.default_rng(3)
-        service.evaluate_many(
+        service.answer_many(
             QUERIES[:1], db, method="rejection", rng=rng, n_samples=50
         )
         # An explicitly serial request asks for no parallelism: no warning.
-        service.evaluate_many(
+        service.answer_many(
             QUERIES[:1], db, method="rejection", rng=rng,
             backend="serial", n_samples=50,
         )

@@ -3,20 +3,20 @@
 Covers the acceptance bar of the cache subsystem: relabeled-but-identical
 models/patterns collide on their canonical keys, cache-on and cache-off
 evaluation agree across every exact solver path, the LRU evicts at
-capacity, and ``PreferenceService.evaluate_many`` matches sequential
-``evaluate`` output.
+capacity, and ``PreferenceService.answer_many`` matches sequential
+``answer`` output.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import answer
 from repro.db.database import PPDatabase
 from repro.db.examples import polling_example
 from repro.db.schema import ORelation, PRelation
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, node
 from repro.patterns.union import PatternUnion
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
@@ -322,28 +322,28 @@ class TestEngineCache:
     @pytest.mark.parametrize("method", EXACT_METHODS)
     def test_cache_on_equals_cache_off(self, db, method):
         query = parse_query(self.QUERY)
-        reference = evaluate(query, db, method=method)
+        reference = answer(query, db, method=method)
         cache = SolverCache(64)
-        cold = evaluate(query, db, method=method, cache=cache)
-        warm = evaluate(query, db, method=method, cache=cache)
+        cold = answer(query, db, method=method, cache=cache)
+        warm = answer(query, db, method=method, cache=cache)
         assert abs(cold.probability - reference.probability) <= 1e-12
         assert abs(warm.probability - reference.probability) <= 1e-12
-        assert warm.n_solver_calls == 0
-        assert warm.stats["cache_hits"] == warm.n_groups
+        assert warm.stats["n_solver_calls"] == 0
+        assert warm.stats["cache_hits"] == warm.stats["n_groups"]
 
     def test_cache_hits_across_different_query_texts(self, db):
         # Different syntax, same compiled (model, union) request.
         cache = SolverCache(64)
-        direct = evaluate(
+        direct = answer(
             parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')"), db, cache=cache
         )
-        via_comparison = evaluate(
+        via_comparison = answer(
             parse_query("P(v, '5/5'; 'Trump'; 'Clinton'), v = 'Ann'"),
             db,
             cache=cache,
         )
-        assert direct.n_solver_calls == 1
-        assert via_comparison.n_solver_calls == 0
+        assert direct.stats["n_solver_calls"] == 1
+        assert via_comparison.stats["n_solver_calls"] == 0
         assert via_comparison.probability == direct.probability
 
     def test_mixture_sessions_are_cached(self):
@@ -371,21 +371,21 @@ class TestEngineCache:
         )
         query = parse_query("P(_; i; j), C(i, 'X'), C(j, 'Y')")
         cache = SolverCache(64)
-        reference = evaluate(query, db)
-        cold = evaluate(query, db, cache=cache)
-        warm = evaluate(query, db, cache=cache)
+        reference = answer(query, db)
+        cold = answer(query, db, cache=cache)
+        warm = answer(query, db, cache=cache)
         assert abs(cold.probability - reference.probability) <= 1e-12
-        assert cold.n_solver_calls == 1  # the two mixtures share one key
-        assert warm.n_solver_calls == 0
+        assert cold.stats["n_solver_calls"] == 1  # the two mixtures share one key
+        assert warm.stats["n_solver_calls"] == 0
 
     def test_approximate_methods_bypass_cache(self, db):
         cache = SolverCache(64)
         rng = np.random.default_rng(3)
-        first = evaluate(
+        first = answer(
             parse_query(self.QUERY), db, method="mis_amp_adaptive", rng=rng,
             cache=cache, n_per_proposal=50,
         )
-        assert first.n_solver_calls > 0
+        assert first.stats["n_solver_calls"] > 0
         assert len(cache) == 0
 
     def test_grouping_disabled_bypasses_cache(self, db):
@@ -393,10 +393,10 @@ class TestEngineCache:
         # a cache must not silently reintroduce session dedup there.
         cache = SolverCache(64)
         query = parse_query(self.QUERY)
-        cold = evaluate(query, db, cache=cache, group_sessions=False)
-        warm = evaluate(query, db, cache=cache, group_sessions=False)
-        assert cold.n_solver_calls == cold.n_sessions
-        assert warm.n_solver_calls == warm.n_sessions
+        cold = answer(query, db, cache=cache, group_sessions=False)
+        warm = answer(query, db, cache=cache, group_sessions=False)
+        assert cold.stats["n_solver_calls"] == cold.n_sessions
+        assert warm.stats["n_solver_calls"] == warm.n_sessions
         assert len(cache) == 0
         assert abs(warm.probability - cold.probability) <= 1e-12
 
@@ -432,11 +432,11 @@ class TestPreferenceService:
     )
 
     @pytest.mark.parametrize("method", ("auto", "lifted"))
-    def test_evaluate_many_matches_sequential_evaluate(self, db, method):
+    def test_answer_many_matches_sequential_answer(self, db, method):
         service = PreferenceService(method=method)
-        batch = service.evaluate_many(self.QUERIES, db)
+        batch = service.answer_many(self.QUERIES, db)
         for text, result in zip(self.QUERIES, batch):
-            sequential = evaluate(parse_query(text), db, method=method)
+            sequential = answer(parse_query(text), db, method=method)
             assert abs(result.probability - sequential.probability) <= 1e-12
             assert result.n_sessions == sequential.n_sessions
             for ours, theirs in zip(result.per_session, sequential.per_session):
@@ -445,46 +445,46 @@ class TestPreferenceService:
 
     def test_second_batch_is_all_cache_hits(self, db):
         service = PreferenceService()
-        cold = service.evaluate_many(self.QUERIES, db)
-        warm = service.evaluate_many(self.QUERIES, db)
+        cold = service.answer_many(self.QUERIES, db)
+        warm = service.answer_many(self.QUERIES, db)
         assert cold.n_cache_hits == 0
         assert warm.n_distinct_solves == 0
         assert warm.n_cache_hits == cold.n_distinct_solves
-        assert warm.probabilities == cold.probabilities
+        assert warm.values == cold.values
 
     def test_worker_pool_matches_serial(self, db):
-        serial = PreferenceService(max_workers=1).evaluate_many(self.QUERIES, db)
-        threaded = PreferenceService(max_workers=4).evaluate_many(
+        serial = PreferenceService(max_workers=1).answer_many(self.QUERIES, db)
+        threaded = PreferenceService(max_workers=4).answer_many(
             self.QUERIES, db
         )
-        assert threaded.probabilities == pytest.approx(
-            serial.probabilities, abs=1e-12
+        assert threaded.values == pytest.approx(
+            serial.values, abs=1e-12
         )
 
-    def test_single_query_evaluate_uses_shared_cache(self, db):
+    def test_single_request_answer_uses_shared_cache(self, db):
         service = PreferenceService()
-        first = service.evaluate(self.QUERIES[0], db)
-        second = service.evaluate(self.QUERIES[0], db)
-        assert first.n_solver_calls > 0
-        assert second.n_solver_calls == 0
+        first = service.answer(self.QUERIES[0], db)
+        second = service.answer(self.QUERIES[0], db)
+        assert first.stats["n_solver_calls"] > 0
+        assert second.stats["n_solver_calls"] == 0
         assert second.probability == first.probability
 
     def test_unsatisfiable_query_probability_zero(self, db):
-        batch = PreferenceService().evaluate_many([self.QUERIES[3]], db)
+        batch = PreferenceService().answer_many([self.QUERIES[3]], db)
         # Matches the engine: numerically zero (inclusion-exclusion noise).
-        assert batch.probabilities[0] == pytest.approx(0.0, abs=1e-12)
+        assert batch.values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_approximate_method_falls_back_to_sequential(self, db):
         service = PreferenceService(method="mis_amp_adaptive")
         rng = np.random.default_rng(5)
-        batch = service.evaluate_many(
+        batch = service.answer_many(
             self.QUERIES[:2], db, rng=rng, n_per_proposal=50
         )
         assert batch.n_cache_hits == 0
-        assert all(0.0 <= p <= 1.0 for p in batch.probabilities)
+        assert all(0.0 <= p <= 1.0 for p in batch.values)
 
     def test_accepts_parsed_queries(self, db):
         query = parse_query(self.QUERIES[1])
-        batch = PreferenceService().evaluate_many([query], db)
-        reference = evaluate(query, db)
-        assert abs(batch.probabilities[0] - reference.probability) <= 1e-12
+        batch = PreferenceService().answer_many([query], db)
+        reference = answer(query, db)
+        assert abs(batch.values[0] - reference.probability) <= 1e-12

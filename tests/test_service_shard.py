@@ -331,10 +331,10 @@ class TestShardedService:
         # rng, so both runs get an identically seeded generator).
         plain = PreferenceService(backend="serial")
         sharded = PreferenceService(backend="serial", cache_shards=3)
-        reference = plain.evaluate_many(
+        reference = plain.answer_many(
             MIXED_REQUESTS, db, rng=np.random.default_rng(7)
         )
-        answered = sharded.evaluate_many(
+        answered = sharded.answer_many(
             MIXED_REQUESTS, db, rng=np.random.default_rng(7)
         )
         for theirs, ours in zip(reference, answered):
@@ -348,7 +348,7 @@ class TestShardedService:
             cold = PreferenceService(
                 shard_address=server.address, backend="serial"
             )
-            first = cold.evaluate_many(queries, db)
+            first = cold.answer_many(queries, db)
             assert first.n_distinct_solves > 0
         # The fleet restarts: a NEW server over the same shard files and
         # entirely new workers; nothing may be solved again.
@@ -356,14 +356,14 @@ class TestShardedService:
             warm = PreferenceService(
                 shard_address=server.address, backend="serial"
             )
-            second = warm.evaluate_many(queries, db)
+            second = warm.answer_many(queries, db)
             assert second.n_distinct_solves == 0
             for theirs, ours in zip(first, second):
                 assert ours.value == theirs.value
 
     def test_tier_depth_surfaces_per_shard_counters(self, db):
         service = PreferenceService(backend="serial", cache_shards=2)
-        service.evaluate_many([MIXED_REQUESTS[0]], db)
+        service.answer_many([MIXED_REQUESTS[0]], db)
         depth = service.tier_depth()
         assert depth["n_shards"] == 2
         assert len(depth["shards"]) == 2

@@ -5,11 +5,12 @@ import pytest
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, node
 from repro.patterns.union import PatternUnion
+from repro.plan.methods import classic_choice
 from repro.rim.mallows import Mallows
 from repro.solvers.base import SolverResult, SolverTimeout, UnsupportedPatternError
 from repro.solvers.bipartite import bipartite_probability
 from repro.solvers.brute import brute_force_probability
-from repro.solvers.dispatch import choose_method, exact_probability, solve
+from repro.solvers.dispatch import exact_probability, solve
 from repro.solvers.general import general_probability
 from repro.solvers.lifted import lifted_probability
 from repro.solvers.two_label import two_label_probability
@@ -167,17 +168,17 @@ class TestLiftedSolver:
 
 
 class TestDispatch:
-    def test_choose_method(self):
+    def test_auto_resolves_by_classic_choice(self):
         _, _, union = simple_instance()
-        assert choose_method(union) == "two_label"
+        assert classic_choice(union) == "two_label"
         chain = LabelPattern(
             [(node("a", "A"), node("b", "B")), (node("b", "B"), node("c", "C"))]
         )
-        assert choose_method(PatternUnion([chain])) == "general"
+        assert classic_choice(PatternUnion([chain])) == "general"
         v = LabelPattern(
             [(node("a", "A"), node("c", "C")), (node("b", "B"), node("c", "C"))]
         )
-        assert choose_method(PatternUnion([v])) == "bipartite"
+        assert classic_choice(PatternUnion([v])) == "bipartite"
 
     def test_unknown_method_rejected(self):
         model, labeling, union = simple_instance()
