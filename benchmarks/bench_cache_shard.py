@@ -7,12 +7,14 @@ solves over sessions with *distinct* Mallows models, so neither grouping
 nor a warm cache can collapse the cold work — served four ways:
 
 * **unsharded reference** — one serial service, the bit-identity anchor;
-* **embedded shards** — one serial service whose cache is a
-  :class:`~repro.service.shard.ShardedSolverCache` (``cache_shards=``);
+* **embedded shards** — one serial service whose cache is ``[lru,
+  shard-group]``: a :class:`~repro.service.shard.ShardGroup` beneath the
+  front (``cache_shards=``);
 * **attached fleet, disjoint slices** — a :class:`ShardCacheServer` in
-  the parent and ``N_FLEET`` forked worker processes, each a
-  ``PreferenceService(shard_address=...)`` solving its own slice of the
-  corpus cold, write-back through per-shard SQLite files;
+  the parent serving one ``ShardGroup``, and ``N_FLEET`` forked worker
+  processes, each a ``PreferenceService(shard_address=...)`` (``[lru,
+  shard-client]``) solving its own slice of the corpus cold, write-back
+  through per-shard SQLite files;
 * **attached fleet, shared corpus** — every worker races the *same*
   corpus cold against a fresh server: fleet-wide single-flight must
   admit exactly one solve per distinct session, however many workers
@@ -49,7 +51,7 @@ from repro.db.schema import ORelation, PRelation
 from repro.evaluation.experiments import ExperimentResult
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
-from repro.service import PreferenceService, ShardCacheServer
+from repro.service import PreferenceService, ShardCacheServer, ShardGroup
 
 QUICK = os.environ.get("BENCH_SHARD_QUICK") == "1"
 N_MOVIES = 9 if QUICK else 16
@@ -156,7 +158,7 @@ def test_cache_shard(record_result, tmp_path):
         p for chunk in slices for p in
         (reference.values[queries.index(q)] for q in chunk)
     ]
-    with ShardCacheServer(n_shards=N_SHARDS, cache_db=stem) as server:
+    with ShardCacheServer(ShardGroup(N_SHARDS, cache_db=stem)) as server:
         fleet_probs, fleet_solves, fleet_seconds = _run_fleet(
             server.address, slices
         )
@@ -165,7 +167,7 @@ def test_cache_shard(record_result, tmp_path):
 
     # Warm-fleet restart: a NEW server over the same shard files, NEW
     # workers — nothing may be solved again.
-    with ShardCacheServer(n_shards=N_SHARDS, cache_db=stem) as server:
+    with ShardCacheServer(ShardGroup(N_SHARDS, cache_db=stem)) as server:
         warm_probs, warm_solves, warm_seconds = _run_fleet(
             server.address, slices
         )
@@ -174,7 +176,7 @@ def test_cache_shard(record_result, tmp_path):
 
     # Shared corpus: every worker races the FULL set against a fresh
     # server; fleet-wide single-flight admits one solve per session.
-    with ShardCacheServer(n_shards=N_SHARDS) as server:
+    with ShardCacheServer(ShardGroup(N_SHARDS)) as server:
         shared_probs, shared_solves, shared_seconds = _run_fleet(
             server.address, [list(queries)] * N_FLEET
         )

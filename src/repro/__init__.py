@@ -51,7 +51,7 @@ from repro.patterns import (
 )
 from repro.rankings import PartialOrder, Ranking, SubRanking, kendall_tau
 from repro.rim import AMPSampler, Mallows, MallowsMixture, RIM
-from repro.service import PersistentSolverCache, SolverCache
+from repro.service import SolverCache
 from repro.service.service import PreferenceService
 from repro.solvers import (
     SolverResult,
@@ -97,7 +97,6 @@ __all__ = [
     "union_satisfied_many",
     "SolverResult",
     "SolverCache",
-    "PersistentSolverCache",
     "PreferenceService",
     "solve",
     "exact_probability",

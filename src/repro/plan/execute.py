@@ -1,10 +1,13 @@
 """The plan executor: run a (optimized) :class:`QueryPlan` to results.
 
 Execution is deliberately thin — all the intelligence is in the plan.  The
-executor walks the surviving solve frontier in plan order, consults the
-shared :class:`~repro.service.cache.SolverCache` for cacheable nodes, and
-runs what remains; :func:`repro.api.evaluate.assemble_answers` then folds
-the resolved probabilities into one answer per request.
+executor walks the surviving solve frontier in plan order, looks each
+cacheable node up once in the shared
+:class:`~repro.service.cache.SolverCache`, and runs what missed
+single-flight through the cache's ``claim`` / ``wait_flight`` /
+``release_flight`` (the cache decides where flights live);
+:func:`repro.api.evaluate.assemble_answers` then folds the resolved
+probabilities into one answer per request.
 
 Two modes:
 
@@ -155,22 +158,22 @@ def execute_plan(
     started = time.perf_counter()
     execution = PlanExecution(backend=backend.name if backend else "")
     execution.lazy = _lazy_solve_ids(plan)
-    pending: list[SolveNode] = []
+    missed: list[SolveNode] = []
     for node in plan.solves():
         if node.node_id in execution.lazy:
             continue
         if cache is not None and node.cacheable:
             cached = cache.get(node.cache_key)
             if cached is not None:
-                execution.resolved[node.node_id] = cached
-                execution.cache_served.add(node.node_id)
+                _serve_cached(node, execution, cached)
                 continue
-        pending.append(node)
+        missed.append(node)
 
     if backend is None:
-        _run_in_process(plan, pending, execution, cache, rng)
+        for node in missed:
+            _solve_missed(plan, node, execution, cache, rng)
     else:
-        _run_on_backend(plan, pending, execution, backend, cache, rng)
+        _run_on_backend(plan, missed, execution, backend, cache, rng)
 
     _run_terminals(plan, execution, cache, rng)
 
@@ -178,25 +181,13 @@ def execute_plan(
     return execution
 
 
-def _run_in_process(
-    plan: QueryPlan,
-    pending: list[SolveNode],
-    execution: PlanExecution,
-    cache: SolverCache | None,
-    rng,
-) -> None:
-    for node in pending:
-        _demand_solve(plan, node, execution, cache, rng)
-
-
-def _serve_from_tier(
-    node: SolveNode, execution: PlanExecution, value
+def _serve_cached(
+    node: SolveNode, execution: PlanExecution, value: tuple[float, str]
 ) -> float:
-    """Record a shared-tier answer as a cache-served node."""
-    pair = (float(value[0]), value[1])
-    execution.resolved[node.node_id] = pair
+    """Record a cached answer as a cache-served node."""
+    execution.resolved[node.node_id] = value
     execution.cache_served.add(node.node_id)
-    return pair[0]
+    return value[0]
 
 
 def _demand_solve(
@@ -210,29 +201,34 @@ def _demand_solve(
     resolved = execution.resolved.get(node.node_id)
     if resolved is not None:
         return resolved[0]
-    owns_flight = False
     if cache is not None and node.cacheable:
         cached = cache.get(node.cache_key)
         if cached is not None:
-            execution.resolved[node.node_id] = cached
-            execution.cache_served.add(node.node_id)
-            return cached[0]
-        # A shared-tier cache (repro.service.shard) supports fleet-wide
-        # single-flight: claim the key, or wait out another worker's
-        # in-flight solve instead of duplicating it.  Plain caches don't
-        # have the surface and solve immediately, as before.
-        claim = getattr(cache, "claim", None)
-        if claim is not None:
-            status, value = claim(node.cache_key)
-            if status == "value":
-                return _serve_from_tier(node, execution, value)
-            if status == "wait":
-                waited = cache.wait_flight(node.cache_key)
-                if waited is not None:
-                    return _serve_from_tier(node, execution, waited)
-                # The owner abandoned the flight; fall through and solve
-                # locally (no claim held — the publish below still lands).
-            owns_flight = status == "claimed"
+            return _serve_cached(node, execution, cached)
+    return _solve_missed(plan, node, execution, cache, rng)
+
+
+def _solve_missed(
+    plan: QueryPlan,
+    node: SolveNode,
+    execution: PlanExecution,
+    cache: SolverCache | None,
+    rng,
+) -> float:
+    """Solve a node whose cache lookup missed, single-flight.
+
+    The key is claimed first: a value published meanwhile is served, and
+    another solver's in-flight solve is waited out instead of duplicated.
+    An abandoned flight degrades to a solve here, with no claim held.
+    """
+    owner = False
+    if cache is not None and node.cacheable:
+        status, value = cache.claim(node.cache_key)
+        if status == "wait":
+            value = cache.wait_flight(node.cache_key)
+        if value is not None:
+            return _serve_cached(node, execution, value)
+        owner = status == "claimed"
     solve_started = time.perf_counter()
     try:
         probability, solver_name = solve_session(
@@ -244,7 +240,7 @@ def _demand_solve(
             **node.options,
         )
     except BaseException:
-        if owns_flight:
+        if owner:
             cache.release_flight(node.cache_key)
         raise
     execution.seconds_by_solve[node.node_id] = (
@@ -259,39 +255,29 @@ def _demand_solve(
 
 def _run_on_backend(
     plan: QueryPlan,
-    pending: list[SolveNode],
+    missed: list[SolveNode],
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
     rng,
 ) -> None:
-    exact = [
-        n for n in pending if _node_method(plan, n) not in APPROXIMATE_METHODS
-    ]
-    sampled = [
-        n for n in pending if _node_method(plan, n) in APPROXIMATE_METHODS
-    ]
-
-    # Fleet-wide single-flight (shared-tier caches only): claim every
-    # cacheable exact node up front.  Keys another fleet member is already
-    # solving drop out of this worker's task list; after our own tasks
-    # land we collect their published answers instead of recomputing.
-    claim = getattr(cache, "claim", None) if cache is not None else None
+    # Single-flight: claim every cacheable exact node up front.  Keys
+    # another solver is already computing drop out of this run's tasks;
+    # after our own tasks land we collect their answers instead.
+    owned: list[SolveNode] = []
     waiting: list[SolveNode] = []
-    if claim is not None:
-        owned: list[SolveNode] = []
-        for node in exact:
-            if not node.cacheable:
-                owned.append(node)
-                continue
-            status, value = claim(node.cache_key)
+    sampled: list[SolveNode] = []
+    for node in missed:
+        if _node_method(plan, node) in APPROXIMATE_METHODS:
+            sampled.append(node)
+        elif cache is None or not node.cacheable:
+            owned.append(node)
+        else:
+            status, value = cache.claim(node.cache_key)
             if status == "value":
-                _serve_from_tier(node, execution, value)
-            elif status == "wait":
-                waiting.append(node)
+                _serve_cached(node, execution, value)
             else:
-                owned.append(node)
-        exact = owned
+                (waiting if status == "wait" else owned).append(node)
 
     tasks = [
         make_solve_task(
@@ -306,41 +292,36 @@ def _run_on_backend(
             labeling_form=node.fingerprint[0] if node.fingerprint else None,
             union_form=node.fingerprint[1] if node.fingerprint else None,
         )
-        for node in exact
+        for node in owned
     ]
     try:
         outcomes = backend.run(tasks)
     except BaseException:
-        if claim is not None:
-            # Don't strand fleet waiters on claims we will never publish.
-            for node in exact:
-                if node.cacheable:
-                    cache.release_flight(node.cache_key)
+        # Don't strand waiters on claims we will never publish.
+        for node in owned:
+            if cache is not None and node.cacheable:
+                cache.release_flight(node.cache_key)
         raise
     fresh_pairs: list[tuple[Hashable, tuple[float, str]]] = []
-    for node, outcome in zip(exact, outcomes):
+    for node, outcome in zip(owned, outcomes):
         execution.resolved[node.node_id] = outcome.value
         execution.seconds_by_solve[node.node_id] = outcome.seconds
         execution.fresh.add(node.node_id)
         if cache is not None and node.cacheable:
             fresh_pairs.append((node.cache_key, outcome.value))
     if cache is not None and fresh_pairs:
-        # One call so a persistent tier can flush the batch in a single
-        # transaction instead of one commit per solve (and a shared tier
-        # publishes the claimed flights, waking fleet waiters).
+        # One call, so each lower tier flushes the batch in one
+        # transaction and the claimed flights publish together.
         cache.put_many(fresh_pairs)
 
-    # Collect answers another fleet member was solving when we claimed.
-    # An abandoned flight (its owner died) degrades to a local solve.
+    # Collect the answers other solvers were computing when we claimed;
+    # an abandoned flight (its owner failed) degrades to a local solve.
     for node in waiting:
-        waited = cache.wait_flight(node.cache_key)
-        if waited is not None:
-            _serve_from_tier(node, execution, waited)
-        else:
-            _demand_solve(plan, node, execution, cache, rng)
+        _solve_missed(plan, node, execution, cache, rng)
 
     # rng-driven fallbacks (auto-approx) run in-process, in plan order.
-    _run_in_process(plan, sampled, execution, cache=None, rng=rng)
+    for node in sampled:
+        _solve_missed(plan, node, execution, None, rng)
 
 
 # ----------------------------------------------------------------------

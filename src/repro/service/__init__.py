@@ -6,15 +6,19 @@ persistence, planning"):
 * :mod:`repro.service.keys` — canonical cache keys for (model, labeling,
   pattern-union) solve requests, built on the ``freeze()`` hooks of the
   model and pattern classes;
-* :mod:`repro.service.cache` — a thread-safe LRU :class:`SolverCache` with
-  hit/miss/eviction statistics, consumed by the solver dispatch and the
-  plan executor (the ``cache=`` parameter of :func:`repro.api.answer`);
-* :mod:`repro.service.persist` — the SQLite tier beneath the LRU
-  (:class:`PersistentSolverCache`), making warm state survive restarts;
+* :mod:`repro.service.cache` — :class:`SolverCache`, the one cache class:
+  an LRU-with-flights front (:class:`~repro.service.cache.LRUStore`) over
+  an ordered list of lower tiers, with hit/miss/eviction statistics and
+  single-flight, consumed by the solver dispatch and the plan executor
+  (the ``cache=`` parameter of :func:`repro.api.answer`);
+* :mod:`repro.service.persist` — the SQLite disk tier
+  (:class:`PersistentCache`, ``[lru, disk]``), making warm state survive
+  restarts;
 * :mod:`repro.service.shard` — the sharded *shared* tier
-  (:class:`ShardedSolverCache`, :class:`ShardCacheServer`): warm state
-  partitioned over canonical keys and served to a fleet of workers, with
-  fleet-wide single-flight so N cold workers solve a hot key once;
+  (:class:`ShardGroup` embedded, or :class:`ShardClient` attached to a
+  :class:`ShardCacheServer`): warm state partitioned over canonical keys
+  and served to a fleet of workers, with fleet-wide single-flight so N
+  cold workers solve a hot key once;
 * :mod:`repro.service.executors` — pluggable ``serial`` / ``thread`` /
   ``process`` execution backends over picklable ``SolveTask`` descriptors
   built from the canonical ``freeze()`` forms;
@@ -46,12 +50,11 @@ from repro.service.executors import (
     task_model_form,
 )
 from repro.service.keys import freeze_model, session_cache_key, solve_cache_key
-from repro.service.persist import PersistentCache, PersistentSolverCache
+from repro.service.persist import PersistentCache
 from repro.service.shard import (
     ShardCacheServer,
     ShardClient,
     ShardGroup,
-    ShardedSolverCache,
     shard_of,
 )
 
@@ -60,13 +63,11 @@ __all__ = [
     "CacheStats",
     "ExecutionBackend",
     "PersistentCache",
-    "PersistentSolverCache",
     "ProcessBackend",
     "SerialBackend",
     "ShardCacheServer",
     "ShardClient",
     "ShardGroup",
-    "ShardedSolverCache",
     "SolveTask",
     "SolverCache",
     "TaskOutcome",

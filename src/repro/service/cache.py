@@ -1,19 +1,45 @@
-"""An LRU result cache for solver requests, with hit/miss/eviction stats.
+"""The solver cache: one LRU-with-flights store in front of a list of tiers.
 
 The cache is deliberately dumb: a bounded, thread-safe mapping from
 canonical request keys (:mod:`repro.service.keys`) to solver outcomes.  All
 the intelligence lives in the keys — semantically identical requests
 collide there, so one :class:`SolverCache` shared across queries turns the
 paper's within-query identical-request grouping (Section 6.4) into
-cross-query reuse.  See DESIGN.md, "The service layer".
+cross-query reuse.
+
+:class:`LRUStore` is the one store: a bounded LRU with per-key *flights*
+(the first to miss a key claims it, later ones wait for its value).  Every
+cache configuration is a :class:`SolverCache` — an ``LRUStore`` front over
+an ordered list of lower tiers: ``[lru]``, ``[lru, disk]``
+(:mod:`repro.service.persist`), ``[lru, shard-group]`` or ``[lru,
+shard-client]`` (:mod:`repro.service.shard`).  Lower tiers speak
+:func:`~repro.service.persist.encode_key` TEXT keys and hold only
+``(probability, solver)`` pairs.  See DESIGN.md, "The service layer".
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
+
+from repro.service.persist import Value, encode_key, persistable
+
+#: Seconds a waiter blocks on another solver's in-flight key before it
+#: solves locally: a hung flight costs a duplicate solve, never a wedge.
+FLIGHT_TIMEOUT = 60.0
+
+_MISSING: Any = object()
 
 
 @dataclass(frozen=True)
@@ -63,39 +89,27 @@ class CacheStats:
         }
 
 
-_MISSING = object()
+class LRUStore:
+    """A bounded, thread-safe LRU map with per-key single-flight.
 
-
-class SolverCache:
-    """A thread-safe LRU cache keyed by canonical solver-request keys.
-
-    Values are whatever the caller stores — the solver dispatch caches
-    :class:`~repro.solvers.base.SolverResult` objects, the query engine
-    caches ``(probability, solver_name)`` pairs; the two never collide
-    because their keys carry distinct tags ("solve" vs "session").
-
-    ``get``/``put`` update recency and the hit/miss/eviction counters;
-    ``__contains__`` and ``__len__`` are side-effect-free peeks.
+    ``get`` updates recency and the hit/miss counters; ``claim`` /
+    ``wait`` / ``release`` are flight operations and count nothing (a
+    claim follows a ``get`` miss that was already counted).  A flight
+    resolves when its key is stored (``put_many``), released, or the
+    store is cleared; each wakes the flight's waiters.
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
+        self._lock = threading.Lock()
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.RLock()
-        #: In-flight computations keyed by cache key: the first thread to
-        #: miss in :meth:`get_or_compute` registers an event here and
-        #: computes; concurrent misses wait on the event instead of
-        #: duplicating the solve.
         self._flights: dict[Hashable, threading.Event] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
-        self._n_solves_planned = 0
-        self._n_solves_eliminated = 0
-        self._n_passes_applied = 0
 
     @property
     def capacity(self) -> int:
@@ -107,14 +121,8 @@ class SolverCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def __repr__(self) -> str:
-        return (
-            f"SolverCache(size={len(self._data)}, capacity={self._capacity}, "
-            f"hits={self._hits}, misses={self._misses})"
-        )
-
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """The cached value (marking it most recently used), or ``default``."""
+        """The stored value (marking it most recently used), or ``default``."""
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
@@ -124,107 +132,68 @@ class SolverCache:
             self._hits += 1
             return value
 
-    def _store(self, key: Hashable, value: Any) -> None:
-        """Insert/refresh one entry, evicting beyond capacity.
-
-        Takes the (reentrant) lock itself, so batch paths that already
-        hold it can call this per entry without releasing in between.
-        """
+    def peek(self, key: Hashable) -> Any:
+        """The stored value (marking it most recently used) or ``None``,
+        counting neither a hit nor a miss."""
         with self._lock:
-            if key in self._data:
+            value = self._data.get(key)
+            if value is not None:
                 self._data.move_to_end(key)
-            self._data[key] = value
-            while len(self._data) > self._capacity:
-                self._data.popitem(last=False)
-                self._evictions += 1
+            return value
 
-    def _release_flight(self, key: Hashable) -> None:
-        """Wake any :meth:`get_or_compute` waiters blocked on ``key``."""
+    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+        """Store a batch and resolve its keys' flights under ONE lock
+        acquisition, evicting the least recently used beyond capacity."""
+        items = list(items)
+        flights: list[threading.Event] = []
+        with self._lock:
+            for key, value in items:
+                self._data[key] = value
+                self._data.move_to_end(key)
+                flight = self._flights.pop(key, None)
+                if flight is not None:
+                    flights.append(flight)
+            overflow = len(self._data) - self._capacity
+            for _ in range(overflow):
+                self._data.popitem(last=False)
+            if overflow > 0:
+                self._evictions += overflow
+        for flight in flights:
+            flight.set()
+
+    def claim(self, key: Hashable) -> tuple[str, Any]:
+        """Atomically: ``("value", v)``, or ``("claimed", None)`` — the
+        caller owns the flight and must ``put_many`` or ``release`` it — or
+        ``("wait", None)`` when another caller owns it."""
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is not _MISSING:
+                self._data.move_to_end(key)
+                return ("value", value)
+            if key in self._flights:
+                return ("wait", None)
+            self._flights[key] = threading.Event()
+            return ("claimed", None)
+
+    def wait(self, key: Hashable, timeout: float) -> Any:
+        """Block until the key's flight resolves (or ``timeout`` passes);
+        the stored value, or ``None`` when none arrived."""
+        with self._lock:
+            flight = self._flights.get(key)
+        if flight is not None and not flight.wait(timeout):
+            return None
+        return self.peek(key)
+
+    def release(self, key: Hashable) -> None:
+        """Resolve the key's flight without a value, waking its waiters."""
         with self._lock:
             flight = self._flights.pop(key, None)
         if flight is not None:
             flight.set()
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert/refresh an entry, evicting the least recently used beyond capacity."""
-        self._store(key, value)
-        self._release_flight(key)
-
-    def put_many(self, items) -> None:
-        """Insert/refresh many entries under ONE lock acquisition.
-
-        A batch flush from the plan executor can carry hundreds of fresh
-        outcomes; taking the lock per entry would interleave them with
-        concurrent readers for no benefit.  Subclasses with a durable tier
-        override this to also batch the disk work.
-        """
-        items = list(items)
-        with self._lock:
-            for key, value in items:
-                self._store(key, value)
-            flights = [
-                flight
-                for key, _ in items
-                if (flight := self._flights.pop(key, None)) is not None
-            ]
-        for flight in flights:
-            flight.set()
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """The cached value, or ``compute()`` stored under ``key``.
-
-        Single-flight: concurrent misses on one key perform ONE compute —
-        the first thread to miss claims the key (a per-key in-flight
-        event), the others block on the event and read the published
-        value.  ``compute`` still runs outside the lock, so a slow solve
-        never blocks unrelated cache traffic.  If the owning compute
-        raises, its waiters race to claim the key and retry, so a failure
-        never strands a waiter.  ``compute`` must not re-enter the cache
-        with the same key, or it will deadlock on its own flight.
-        """
-        # The subclass-aware lookup first: a tiered cache (persistent,
-        # sharded) serves from its lower tiers through ``get``.
-        value = self.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        while True:
-            with self._lock:
-                value = self._data.get(key, _MISSING)
-                if value is not _MISSING:
-                    self._data.move_to_end(key)
-                    self._hits += 1
-                    return value
-                flight = self._flights.get(key)
-                if flight is None:
-                    self._flights[key] = threading.Event()
-            if flight is None:  # this thread owns the flight
-                try:
-                    value = compute()
-                except BaseException:
-                    self._release_flight(key)
-                    raise
-                self.put(key, value)  # put() releases the flight
-                return value
-            flight.wait()
-            # Loop: a hit unless the owner failed (then race to re-claim).
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; see :meth:`reset_stats`)."""
-        with self._lock:
-            self._data.clear()
-
-    def invalidate(self, keys: "Iterable[Hashable]") -> int:
-        """Drop exactly ``keys``; returns how many were present.
-
-        The targeted sibling of :meth:`clear`, used by the streaming
-        layer to retire entries whose session was updated or expired
-        (DESIGN.md Section 15).  Content-addressed keys make this a
-        space/bookkeeping operation, never a correctness one: a changed
-        session freezes to a *new* key, so stale entries can linger
-        unread — invalidation reclaims them deterministically.  Absent
-        keys are ignored; dropped entries count as ``invalidations`` in
-        :meth:`stats`, not as evictions.
-        """
+    def invalidate(self, keys: Iterable[Hashable]) -> int:
+        """Drop exactly ``keys``; returns how many were present.  Flights
+        are left alone: content-addressed keys cannot go stale."""
         with self._lock:
             dropped = 0
             for key in keys:
@@ -232,6 +201,259 @@ class SolverCache:
                     dropped += 1
             self._invalidations += dropped
             return dropped
+
+    def clear(self) -> None:
+        """Drop every entry and flight, waking all waiters (counters kept)."""
+        with self._lock:
+            self._data.clear()
+            flights = list(self._flights.values())
+            self._flights.clear()
+        for flight in flights:
+            flight.set()
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "invalidations": self._invalidations,
+                "size": len(self._data),
+                "capacity": self._capacity,
+                "in_flight": len(self._flights),
+            }
+
+
+@runtime_checkable
+class Tier(Protocol):
+    """A lower tier beneath the front, in ``encode_key`` TEXT currency;
+    ``stats()`` is its entry in :meth:`SolverCache.tier_depth`."""
+
+    def get(self, encoded_key: str) -> Value | None:
+        ...
+    def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
+        ...
+    def invalidate(self, encoded_keys: Iterable[str]) -> int:
+        ...
+    def clear(self) -> None:
+        ...
+    def stats(self) -> dict[str, Any]:
+        ...
+    def close(self) -> None:
+        ...
+
+
+@runtime_checkable
+class SharedTier(Tier, Protocol):
+    """A lower tier that also carries flights: single-flight across every
+    cache attached to it (the shard tier)."""
+
+    def claim(self, encoded_key: str) -> tuple[str, Value | None]:
+        ...
+    def wait(self, encoded_key: str, timeout: float) -> Value | None:
+        ...
+    def release(self, encoded_key: str) -> None:
+        ...
+
+
+class SolverCache:
+    """A thread-safe LRU front over an ordered list of lower ``tiers``.
+
+    Values are whatever the caller stores — the solver dispatch caches
+    :class:`~repro.solvers.base.SolverResult` objects, the plan executor
+    ``(probability, solver_name)`` pairs, under distinct key tags; only
+    the pairs reach the lower tiers.  :meth:`stats` counts the front (a
+    tier-served ``get`` is a front miss), :meth:`tier_depth` the tiers;
+    ``__contains__`` and ``__len__`` are side-effect-free front peeks.
+
+    ``tiers`` holds at most one private tier (a disk file) and one
+    :class:`SharedTier`, in lookup order — e.g. ``[disk, shard-client]``
+    for a fleet worker that keeps its own warm file.
+    """
+
+    def __init__(
+        self, capacity: int = 4096, tiers: Sequence[Tier] = ()
+    ) -> None:
+        self._front = LRUStore(capacity)
+        self._tiers = tuple(tiers)
+        shared = [tier for tier in self._tiers if isinstance(tier, SharedTier)]
+        if len(shared) > 1 or len(self._tiers) - len(shared) > 1:
+            raise ValueError(
+                "a cache stacks at most one private and one shared tier, "
+                f"got {self._tiers!r}"
+            )
+        #: The tier that carries flights, when there is one; otherwise
+        #: flights live on the front.
+        self._shared = shared[0] if shared else None
+        self._lock = threading.Lock()
+        self._n_solves_planned = 0
+        self._n_solves_eliminated = 0
+        self._n_passes_applied = 0
+
+    @property
+    def capacity(self) -> int:
+        return self._front.capacity
+
+    def __len__(self) -> int:
+        return len(self._front)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._front
+
+    def __repr__(self) -> str:
+        tiers = ", ".join(type(tier).__name__ for tier in self._tiers)
+        return (
+            f"SolverCache(size={len(self)}, capacity={self.capacity}, "
+            f"tiers=[{tiers}])"
+        )
+
+    # -- lookups and writes ---------------------------------------------
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        """The value from the nearest tier holding ``key``, or ``default``;
+        a lower-tier hit is promoted into the front and every tier above
+        the one that held it."""
+        value = self._front.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        if self._tiers:
+            encoded = encode_key(key)
+            for index, tier in enumerate(self._tiers):
+                found = tier.get(encoded)
+                if found is not None:
+                    self._front.put_many([(key, found)])
+                    for upper in self._tiers[:index]:
+                        upper.put_many([(encoded, found)])
+                    return found
+        return default
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert/refresh one entry in every tier (see :meth:`put_many`)."""
+        self._write([(key, value)])
+
+    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+        """Write a batch through every tier: one front lock acquisition,
+        one flush per lower tier (one transaction per file)."""
+        self._write(list(items))
+
+    def _write(self, items: list[tuple[Hashable, Any]]) -> None:
+        self._front.put_many(items)
+        if not self._tiers:
+            return
+        pairs = [
+            (encode_key(key), (float(value[0]), value[1]))
+            for key, value in items
+            if persistable(value)
+        ]
+        if pairs:
+            for tier in self._tiers:
+                tier.put_many(pairs)
+
+    def invalidate(self, keys: Iterable[Hashable]) -> int:
+        """Drop exactly ``keys`` from every tier; returns the front's count.
+
+        The streaming layer retires entries of updated or expired
+        sessions this way (DESIGN.md Section 15): reclamation, never
+        correctness, since a changed session freezes to a *new* key.
+        Dropped entries count as ``invalidations``, not evictions.
+        """
+        keys = list(keys)
+        dropped = self._front.invalidate(keys)
+        if self._tiers:
+            encoded = [encode_key(key) for key in keys]
+            for tier in self._tiers:
+                tier.invalidate(encoded)
+        return dropped
+
+    def clear(self) -> None:
+        """Drop every tier's entries (counters are kept)."""
+        self._front.clear()
+        for tier in self._tiers:
+            tier.clear()
+
+    # -- single-flight ---------------------------------------------------
+
+    def claim(self, key: Hashable) -> tuple[str, Any]:
+        """After a :meth:`get` miss: ``("value", v)`` published meanwhile,
+        ``("claimed", None)`` — the caller must publish (``put`` /
+        ``put_many``) or :meth:`release_flight` — or ``("wait", None)``:
+        :meth:`wait_flight`.  The flight lives on the shared tier when
+        there is one, so it spans every cache attached to that tier.
+        """
+        if self._shared is None:
+            return self._front.claim(key)
+        encoded = encode_key(key)
+        status, value = self._shared.claim(encoded)
+        if value is not None:
+            self._front.put_many([(key, value)])
+        elif status == "claimed":
+            # A value that is not a pair never reaches the shared tier:
+            # its owner stores it in this front, then releases the flight.
+            local = self._front.peek(key)
+            if local is not None:
+                self._shared.release(encoded)
+                return ("value", local)
+        return (status, value)
+
+    def wait_flight(
+        self, key: Hashable, timeout: float = FLIGHT_TIMEOUT
+    ) -> Any:
+        """Block on another solver's in-flight ``key``; ``None`` (timeout,
+        or an abandoned flight) means the caller should solve itself."""
+        if self._shared is None:
+            return self._front.wait(key, timeout)
+        value = self._shared.wait(encode_key(key), timeout)
+        if value is not None:
+            self._front.put_many([(key, value)])
+        return value
+
+    def release_flight(self, key: Hashable) -> None:
+        """Abandon a claimed flight without publishing; waiters wake and
+        solve themselves."""
+        if self._shared is None:
+            self._front.release(key)
+        else:
+            self._shared.release(encode_key(key))
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The cached value, or ``compute()`` stored under ``key``.
+
+        Single-flight: concurrent misses on one key perform ONE compute —
+        the first to miss claims the key, the others wait for the
+        published value.  ``compute`` runs outside every lock, so a slow
+        solve never blocks unrelated cache traffic.  If the owner raises,
+        its waiters race to re-claim, so a failure never strands them;
+        past :data:`FLIGHT_TIMEOUT` a waiter computes on its own.
+        ``compute`` must not re-enter the cache with the same key.
+        """
+        value = self.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        deadline = time.monotonic() + FLIGHT_TIMEOUT
+        while True:
+            status, value = self.claim(key)
+            if status == "value":
+                return value
+            remaining = deadline - time.monotonic()
+            if status == "claimed" or remaining <= 0:
+                break
+            value = self.wait_flight(key, remaining)
+            if value is not None:
+                return value
+        owner = status == "claimed"
+        try:
+            value = compute()
+        except BaseException:
+            if owner:
+                self.release_flight(key)
+            raise
+        self.put(key, value)
+        if owner and self._shared is not None and not persistable(value):
+            # Front-only values never publish on the shared tier.
+            self.release_flight(key)
+        return value
+
+    # -- stats / lifecycle -----------------------------------------------
 
     def record_plan(
         self, n_planned: int, n_eliminated: int, n_passes: int
@@ -242,26 +464,27 @@ class SolverCache:
             self._n_solves_eliminated += n_eliminated
             self._n_passes_applied += n_passes
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-            self._invalidations = 0
-            self._n_solves_planned = 0
-            self._n_solves_eliminated = 0
-            self._n_passes_applied = 0
-
     def stats(self) -> CacheStats:
+        front = self._front.stats()
+        del front["in_flight"]
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._data),
-                capacity=self._capacity,
+                **front,
                 n_solves_planned=self._n_solves_planned,
                 n_solves_eliminated=self._n_solves_eliminated,
                 n_passes_applied=self._n_passes_applied,
-                invalidations=self._invalidations,
             )
+
+    def tier_depth(self) -> dict[str, Any]:
+        """Each lower tier's nested counters, merged (``{}`` when untiered):
+        a disk tier's ``{"disk": {...}}`` and a shard tier's ``n_shards``
+        / ``version`` / ``shards`` / ``totals`` (one tier of each kind, so
+        their keys never collide)."""
+        depth: dict[str, Any] = {}
+        for tier in self._tiers:
+            depth.update(tier.stats())
+        return depth
+
+    def close(self) -> None:
+        for tier in self._tiers:
+            tier.close()

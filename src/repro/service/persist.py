@@ -1,28 +1,16 @@
-"""A SQLite-backed persistent tier beneath the in-memory solver cache.
+"""The SQLite disk tier: warm solve state that survives restarts.
 
-The in-memory :class:`~repro.service.cache.SolverCache` makes repeated
-consensus-answer-style workloads cheap *within* a process, but evaporates
-on restart.  This module adds the durable tier:
-
-* :class:`PersistentCache` — a small write-through key/value store over one
-  SQLite file.  Keys are the canonical request keys of
-  :mod:`repro.service.keys`, encoded by ``repr`` (the same determinism the
-  canonical forms already rely on for sorting); values are the engine's
-  ``(probability, solver_name)`` session outcomes.  Entries are *versioned*:
-  the file records the cache-format version plus ``repro.__version__``, and
-  a mismatch clears the store — stale keys from an older freeze()/solver
-  generation can cost a rebuild, never a wrong answer.
-* :class:`PersistentSolverCache` — a drop-in :class:`SolverCache` whose
-  misses fall through to the SQLite tier (promoting hits back into memory)
-  and whose puts write through.  Handing one to the query engine or a
-  :class:`~repro.service.service.PreferenceService` (``cache_db=``) makes
-  warm state survive restarts: a new process serving a previously-seen
-  batch performs zero solves.
-
-Only plain ``(float, str)`` session outcomes are persisted; richer cached
-values (e.g. dispatch-level ``SolverResult`` objects) stay memory-only
-rather than pulling pickle into the storage format.  See DESIGN.md,
-"Executors, persistence, planning".
+A :class:`PersistentCache` is one entry in a
+:class:`~repro.service.cache.SolverCache`'s list of lower tiers
+(``[lru, disk]``, built by ``PreferenceService(cache_db=...)``), so a
+restarted service over the same file serves a previously-seen batch with
+zero solves.  The file maps :func:`encode_key` TEXT keys — the key
+currency of every lower tier — to ``(probability, solver_name)`` session
+outcomes; richer values stay in the front rather than pulling pickle into
+the storage format.  Entries are *versioned*: a file stamped by another
+freeze()/solver generation is cleared on open, so stale keys cost a
+rebuild, never a wrong answer.  See DESIGN.md, "Executors, persistence,
+planning".
 """
 
 from __future__ import annotations
@@ -30,16 +18,17 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 import repro
-from repro.service.cache import SolverCache
 
 #: Bump when the canonical key or value format changes incompatibly;
 #: combined with ``repro.__version__`` into the stored version stamp.
 KEY_SCHEMA_VERSION = 1
 
-_MISSING = object()
+#: The ``(probability, solver)`` pair every lower tier stores — the same
+#: value form :attr:`repro.service.executors.TaskOutcome.value` ships.
+Value = tuple[float, str]
 
 
 def default_version() -> str:
@@ -47,7 +36,7 @@ def default_version() -> str:
     return f"{repro.__version__}/k{KEY_SCHEMA_VERSION}"
 
 
-def _typed(value):
+def _typed(value: Any) -> Any:
     """Recursively tag non-builtin leaves with their type.
 
     ``repr`` alone can collide across types (``np.int64(1)`` reprs as
@@ -87,7 +76,7 @@ def encode_key(key: Hashable) -> str:
     return repr(_typed(key))
 
 
-def _persistable(value: Any) -> bool:
+def persistable(value: Any) -> bool:
     """True for the engine's ``(probability, solver_name)`` outcomes."""
     return (
         isinstance(value, tuple)
@@ -98,22 +87,26 @@ def _persistable(value: Any) -> bool:
 
 
 class PersistentCache:
-    """A write-through (key -> (probability, solver)) store in one SQLite file.
+    """A write-through ``encoded key -> (probability, solver)`` SQLite file.
 
     Thread-safe (one connection guarded by a lock; SQLite REAL columns are
-    IEEE doubles, so probabilities round-trip exactly).  ``get``/``put``
-    mirror the :class:`SolverCache` surface so tiering is mechanical.
+    IEEE doubles, so probabilities round-trip exactly).  Keys are
+    :func:`encode_key` TEXT forms; the surface is the lower-tier one of
+    :class:`repro.service.cache.Tier`.
     """
 
-    def __init__(self, path: "str | os.PathLike", version: str | None = None):
-        self._path = os.fspath(path)
-        self._version = version if version is not None else default_version()
+    def __init__(
+        self,
+        path: "str | os.PathLike[str]",
+        version: str | None = None,
+    ) -> None:
+        version = version if version is not None else default_version()
         self._lock = threading.RLock()
         # A generous busy timeout: multiple serving backends may share one
         # cache file (--cache-db), so a writer must wait out a concurrent
         # transaction instead of failing with "database is locked".
         self._conn = sqlite3.connect(
-            self._path, check_same_thread=False, timeout=30.0
+            os.fspath(path), check_same_thread=False, timeout=30.0
         )
         self._hits = 0
         self._misses = 0
@@ -130,24 +123,16 @@ class PersistentCache:
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE name = 'version'"
             ).fetchone()
-            if row is None or row[0] != self._version:
+            if row is None or row[0] != version:
                 # A different freeze()/solver generation wrote this file:
                 # its keys may no longer mean what they say. Start over.
                 self._conn.execute("DELETE FROM entries")
                 self._conn.execute(
                     "INSERT OR REPLACE INTO meta (name, value) "
                     "VALUES ('version', ?)",
-                    (self._version,),
+                    (version,),
                 )
             self._conn.commit()
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def version(self) -> str:
-        return self._version
 
     def __len__(self) -> int:
         with self._lock:
@@ -155,18 +140,8 @@ class PersistentCache:
                 self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
             )
 
-    def __repr__(self) -> str:
-        return f"PersistentCache(path={self._path!r}, size={len(self)})"
-
-    def get(
-        self, key: Hashable, default: Any = None
-    ) -> "tuple[float, str] | Any":
-        return self.get_encoded(encode_key(key), default)
-
-    def get_encoded(
-        self, encoded_key: str, default: Any = None
-    ) -> "tuple[float, str] | Any":
-        """Lookup by a pre-encoded TEXT key (the shard tier's currency)."""
+    def get(self, encoded_key: str) -> Value | None:
+        """The stored pair of one encoded key, or ``None``."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT probability, solver FROM entries WHERE key = ?",
@@ -174,38 +149,26 @@ class PersistentCache:
             ).fetchone()
             if row is None:
                 self._misses += 1
-                return default
+                return None
             self._hits += 1
-            return (float(row[0]), row[1])
+            return (float(row[0]), str(row[1]))
 
-    def put(self, key: Hashable, value: tuple) -> None:
-        self.put_many([(key, value)])
-
-    def put_many(self, items) -> None:
+    def put_many(self, pairs: Iterable[tuple[str, Any]]) -> None:
         """Store many outcomes in ONE transaction.
 
         A cold batch writes every fresh solve through; committing per entry
         would pay one fsync each, so the serving layer flushes a batch's
-        outcomes together.
+        outcomes together.  Every value is checked before any row is
+        staged: a non-pair raises ``TypeError`` and nothing lands.
         """
         rows = []
-        for key, value in items:
-            if not _persistable(value):
+        for encoded_key, value in pairs:
+            if not persistable(value):
                 raise TypeError(
                     "persistent cache stores (probability, solver) pairs, "
                     f"got {value!r}"
                 )
-            rows.append((encode_key(key), value))
-        self.put_many_encoded(rows)
-
-    def put_many_encoded(
-        self, items: "list[tuple[str, tuple[float, str]]]"
-    ) -> None:
-        """``put_many`` over pre-encoded TEXT keys, still one transaction."""
-        rows = [
-            (encoded_key, float(value[0]), value[1])
-            for encoded_key, value in items
-        ]
+            rows.append((encoded_key, float(value[0]), value[1]))
         if not rows:
             return
         with self._lock:
@@ -216,17 +179,10 @@ class PersistentCache:
             )
             self._conn.commit()
 
-    def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM entries")
-            self._conn.commit()
-
-    def invalidate(self, keys) -> int:
-        """Drop exactly ``keys`` from the file; returns how many existed."""
-        return self.invalidate_encoded([encode_key(key) for key in keys])
-
-    def invalidate_encoded(self, encoded_keys: "list[str]") -> int:
-        """:meth:`invalidate` over pre-encoded TEXT keys, one transaction."""
+    def invalidate(self, encoded_keys: Iterable[str]) -> int:
+        """Drop exactly ``encoded_keys`` in one transaction; returns how
+        many existed."""
+        encoded_keys = list(encoded_keys)
         if not encoded_keys:
             return 0
         with self._lock:
@@ -240,13 +196,21 @@ class PersistentCache:
             self._invalidations += dropped
             return dropped
 
-    def stats(self) -> dict[str, float]:
+    def clear(self) -> None:
+        with self._lock:
+            self._conn.execute("DELETE FROM entries")
+            self._conn.commit()
+
+    def stats(self) -> dict[str, Any]:
+        """This tier's entry in :meth:`SolverCache.tier_depth`."""
         with self._lock:
             return {
-                "disk_hits": self._hits,
-                "disk_misses": self._misses,
-                "disk_size": len(self),
-                "disk_invalidations": self._invalidations,
+                "disk": {
+                    "disk_hits": self._hits,
+                    "disk_misses": self._misses,
+                    "disk_size": len(self),
+                    "disk_invalidations": self._invalidations,
+                }
             }
 
     def close(self) -> None:
@@ -256,105 +220,5 @@ class PersistentCache:
     def __enter__(self) -> "PersistentCache":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class PersistentSolverCache(SolverCache):
-    """An LRU :class:`SolverCache` with a SQLite tier beneath it.
-
-    * ``get`` — memory first; a miss falls through to the SQLite tier and a
-      disk hit is promoted back into the LRU (so hot restarted state pays
-      the disk read once);
-    * ``put`` — write-through: the LRU and the file are updated together.
-      Values the durable format cannot hold (anything but a
-      ``(probability, solver)`` pair) stay memory-only.
-
-    The inherited :meth:`stats` counters keep their in-memory semantics (a
-    disk-served ``get`` still counts as a memory miss); the disk tier's own
-    counters are reported by :meth:`tier_stats`.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        db_path: "str | os.PathLike" = "solver_cache.sqlite",
-        version: str | None = None,
-    ):
-        super().__init__(capacity)
-        self._persistent = PersistentCache(db_path, version=version)
-
-    @property
-    def persistent(self) -> PersistentCache:
-        return self._persistent
-
-    @property
-    def db_path(self) -> str:
-        return self._persistent.path
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        value = super().get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        value = self._persistent.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        super().put(key, value)  # promote into the LRU
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        super().put(key, value)
-        if _persistable(value):
-            self._persistent.put(key, value)
-
-    def put_many(self, items) -> None:
-        """Write-through a whole batch with one disk transaction.
-
-        The in-memory half goes through the base class (one lock
-        acquisition for the whole batch); the durable half is one SQLite
-        transaction.
-        """
-        items = list(items)
-        SolverCache.put_many(self, items)
-        self._persistent.put_many(
-            [(key, value) for key, value in items if _persistable(value)]
-        )
-
-    def clear(self) -> None:
-        """Drop both tiers (counters are kept, as in the base class)."""
-        super().clear()
-        self._persistent.clear()
-
-    def invalidate(self, keys) -> int:
-        """Drop ``keys`` from BOTH tiers (write-through invalidation).
-
-        Returns the in-memory drop count (the tier the solver reads
-        first); the disk tier's own count shows up in
-        :meth:`tier_stats` as ``disk_invalidations``.
-        """
-        keys = list(keys)
-        dropped = super().invalidate(keys)
-        self._persistent.invalidate(keys)
-        return dropped
-
-    def tier_stats(self) -> dict[str, float]:
-        """Disk-tier counters, merged into ``PreferenceService.stats()``."""
-        return self._persistent.stats()
-
-    def tier_depth(self) -> dict:
-        """Structured per-tier depth for the server's ``/stats`` payload.
-
-        Unlike :meth:`tier_stats` (flat scalars merged into the service
-        counters), this nests one entry per tier beneath the LRU, so the
-        wire can show the whole cache hierarchy.
-        """
-        return {"disk": self._persistent.stats()}
-
-    def close(self) -> None:
-        self._persistent.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"PersistentSolverCache(size={len(self)}, "
-            f"capacity={self.capacity}, db={self.db_path!r})"
-        )

@@ -33,16 +33,16 @@ the frontier largest-first, and a pluggable execution backend
 (:mod:`repro.service.executors`) runs it — ``serial``, ``thread``, or
 ``process``, the last shipping picklable ``SolveTask`` descriptors to a
 ``ProcessPoolExecutor`` so the pure-Python exact DP solvers actually scale
-across cores.  With ``cache_db=`` the
-in-memory cache gains a SQLite tier (:mod:`repro.service.persist`), so warm
-state survives restarts.  Sampling-method requests run through the batched
-kernels of :mod:`repro.kernels` (DESIGN.md Section 7) by default.  See
+across cores.  With ``cache_db=`` the cache's tier list gains the SQLite
+disk tier (:mod:`repro.service.persist`), so warm state survives restarts.
+Sampling-method requests run through the batched kernels of
+:mod:`repro.kernels` (DESIGN.md Section 7) by default.  See
 DESIGN.md, "The service layer" and "Executors, persistence, planning".
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -52,10 +52,10 @@ from repro.api.evaluate import answer_many as api_answer_many
 from repro.api.requests import QueryRequest, as_request
 from repro.db.database import PPDatabase
 from repro.query.ast import ConjunctiveQuery
-from repro.service.cache import SolverCache
+from repro.service.cache import SolverCache, Tier
 from repro.service.executors import ExecutionBackend
-from repro.service.persist import PersistentSolverCache
-from repro.service.shard import ShardedSolverCache
+from repro.service.persist import PersistentCache
+from repro.service.shard import ShardClient, ShardGroup
 
 
 class PreferenceService:
@@ -64,8 +64,8 @@ class PreferenceService:
     Parameters
     ----------
     cache_capacity:
-        LRU capacity of the shared solver cache (ignored when an explicit
-        ``cache`` is given).
+        LRU capacity of the shared solver cache's front (ignored when an
+        explicit ``cache`` is given).
     method:
         Default solver method for :meth:`answer` / :meth:`answer_many`.
     max_workers:
@@ -78,24 +78,25 @@ class PreferenceService:
         process backend is the one that scales the CPU-bound exact DP
         solves across cores.
     cache_db:
-        Path of a SQLite file adding a persistent tier beneath the
-        in-memory cache (:class:`~repro.service.persist
-        .PersistentSolverCache`): solves are written through and survive
-        process restarts.  Mutually exclusive with an explicit ``cache``.
-        With ``cache_shards`` it becomes the *stem* of the per-shard
-        write-back files instead.
+        Path of a SQLite file: the cache becomes ``[lru, disk]`` with a
+        :class:`~repro.service.persist.PersistentCache` beneath the front,
+        so solves are written through and survive process restarts.
+        Mutually exclusive with an explicit ``cache``.  With
+        ``cache_shards`` it becomes the *stem* of the per-shard write-back
+        files instead.
     cache_shards:
-        Shard the warm tier: the cache becomes a
-        :class:`~repro.service.shard.ShardedSolverCache` with this many
-        shards beneath the process-local LRU, partitioned over the
-        canonical keys, with fleet-wide single-flight.  Combine with
-        ``cache_db`` for per-shard SQLite write-back files.
+        Shard the warm tier: the cache becomes ``[lru, shard-group]``
+        with a :class:`~repro.service.shard.ShardGroup` of this many
+        shards beneath the front, partitioned over the canonical keys,
+        with single-flight on the shards.  Combine with ``cache_db`` for
+        per-shard SQLite write-back files.
     shard_address:
         ``host:port`` of a running
-        :class:`~repro.service.shard.ShardCacheServer`: this service
-        becomes one worker of a fleet sharing that warm tier.  The server
-        owns the shard topology and persistence, so this is mutually
-        exclusive with ``cache_db`` and ``cache_shards``.
+        :class:`~repro.service.shard.ShardCacheServer`: the cache becomes
+        ``[lru, shard-client]`` and this service one worker of a fleet
+        sharing that warm tier.  The server owns the shard topology and
+        persistence, so this is mutually exclusive with ``cache_db`` and
+        ``cache_shards``.
     solver_options:
         Default options forwarded to every solve (e.g. ``time_budget=60``).
 
@@ -138,20 +139,18 @@ class PreferenceService:
                 "an attached shard server owns topology and persistence; "
                 "shard_address excludes cache_db/cache_shards"
             )
-        if cache is not None:
-            self.cache = cache
-        elif shard_address is not None:
-            self.cache = ShardedSolverCache(
-                cache_capacity, address=shard_address
-            )
-        elif cache_shards is not None:
-            self.cache = ShardedSolverCache(
-                cache_capacity, n_shards=cache_shards, cache_db=cache_db
-            )
-        elif cache_db is not None:
-            self.cache = PersistentSolverCache(cache_capacity, cache_db)
-        else:
-            self.cache = SolverCache(cache_capacity)
+        if cache is None:
+            tiers: list[Tier] = []
+            if shard_address is not None:
+                tiers.append(ShardClient(shard_address))
+            elif cache_shards is not None:
+                tiers.append(
+                    ShardGroup(cache_shards, cache_capacity, cache_db)
+                )
+            elif cache_db is not None:
+                tiers.append(PersistentCache(cache_db))
+            cache = SolverCache(cache_capacity, tiers)
+        self.cache = cache
         self.method = method
         self.max_workers = max_workers
         self.backend = backend
@@ -160,24 +159,21 @@ class PreferenceService:
     def stats(self) -> dict[str, float]:
         """Current cache counters (hits, misses, evictions, hit_rate, ...).
 
-        With a persistent tier (``cache_db=``) the disk counters
-        (``disk_hits``, ``disk_misses``, ``disk_size``) are merged in.
+        The front's counters, plus the flat ``disk_*`` / ``shard_*``
+        counters of the lower tiers (:func:`_flat_tier_stats`).
         """
         stats = self.cache.stats().as_dict()
-        tier_stats = getattr(self.cache, "tier_stats", None)
-        if tier_stats is not None:
-            stats.update(tier_stats())
+        stats.update(_flat_tier_stats(self.cache.tier_depth()))
         return stats
 
-    def tier_depth(self) -> dict:
-        """Structured per-tier depth beneath the LRU (``{}`` when untiered).
+    def tier_depth(self) -> dict[str, Any]:
+        """Structured per-tier depth beneath the front (``{}`` when untiered).
 
-        ``{"disk": {...}}`` for a persistent cache; the per-shard payload
-        (``n_shards`` / ``shards`` / ``totals``) for a sharded one.  The
+        ``{"disk": {...}}`` for a disk tier; the per-shard payload
+        (``n_shards`` / ``shards`` / ``totals``) for a shard tier.  The
         server's ``/stats`` endpoint nests this beside the flat counters.
         """
-        tier_depth = getattr(self.cache, "tier_depth", None)
-        return tier_depth() if tier_depth is not None else {}
+        return self.cache.tier_depth()
 
     # ------------------------------------------------------------------
     # Single-request path
@@ -254,3 +250,18 @@ class PreferenceService:
         batch.cache_stats = self.stats()
         return batch
 
+
+def _flat_tier_stats(depth: dict[str, Any]) -> dict[str, float]:
+    """The flat ``disk_*`` / ``shard_*`` counters of a :meth:`tier_depth`:
+    a shard tier's totals become ``shard_*`` (its files' stay ``disk_*``)."""
+    flat: dict[str, float] = dict(depth.get("disk", {}))
+    if "totals" in depth:
+        totals = depth["totals"]
+        flat["n_shards"] = depth["n_shards"]
+        for name in ("hits", "misses", "evictions", "invalidations", "size"):
+            flat[f"shard_{name}"] = totals.get(name, 0.0)
+        flat.update(
+            (name, count) for name, count in totals.items()
+            if name.startswith("disk_")
+        )
+    return flat

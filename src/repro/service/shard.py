@@ -1,66 +1,44 @@
-"""A sharded shared-cache tier: warm solve state for a fleet of workers.
+"""The shard tier: warm solve state shared by a fleet of workers.
 
-The LRU :class:`~repro.service.cache.SolverCache` is per-process and the
-SQLite tier of :mod:`repro.service.persist` is one file consulted only on
-miss-after-miss; a fleet of worker processes therefore starts cold N times
-and duplicates hot solves N times.  This module turns the warm state into
-a *shared* tier partitioned over the canonical ``freeze()`` keys:
+A :class:`~repro.service.cache.SolverCache` front is per-process, so a
+fleet of workers would start cold N times and duplicate hot solves N
+times.  The shard tier is the lower tier that fixes both, with
+fleet-wide single-flight:
 
-* :func:`shard_of` — a stable hash of the existing
-  :func:`~repro.service.persist.encode_key` TEXT form picks one of N
-  shards, so every process (and every restart) routes a canonical key to
-  the same shard;
-* :class:`ShardStore` / :class:`ShardGroup` — one bounded, thread-safe
-  store per shard with per-shard hit/occupancy counters, per-key
-  *in-flight* tracking (single-flight: a fleet of cache-cold workers
-  hitting one hot key performs one solve, not N), and write-back through
-  a per-shard :class:`~repro.service.persist.PersistentCache` SQLite file
-  (one transaction per flush; the existing version-stamp clearing
-  semantics carry over, so a format bump clears shards and can never
-  serve a stale answer);
-* :class:`ShardCacheServer` / :class:`ShardClient` — a small cache-server
-  protocol over a localhost socket for multi-process fleets, framed
-  exactly like the process backend ships its work: length-prefixed pickle
-  of small builtin forms (encoded TEXT keys and the ``(probability,
-  solver)`` pairs of :attr:`~repro.service.executors.TaskOutcome.value`).
-  The client is picklable and re-connects lazily after a ``fork``, so it
-  crosses process boundaries the way :class:`~repro.service.executors
-  .SolveTask` does;
-* :class:`ShardedSolverCache` — the drop-in :class:`SolverCache` subclass
-  (like :class:`~repro.service.persist.PersistentSolverCache`) that the
-  :class:`~repro.service.service.PreferenceService`, the plan executor,
-  and the CLI inherit via ``cache_shards=`` / ``--cache-shards``: a
-  process-local LRU in front, the shard tier beneath it — embedded
-  in-process, or attached to a running :class:`ShardCacheServer` via
-  ``shard_address=``.
+* :class:`ShardGroup` — the embedded tier (``[lru, shard-group]``): N
+  :class:`~repro.service.cache.LRUStore` shards routed by
+  :func:`shard_of`, each with an optional per-shard
+  :class:`~repro.service.persist.PersistentCache` write-back file;
+* :class:`ShardCacheServer` / :class:`ShardClient` — the attached tier
+  (``[lru, shard-client]``): one group served over a localhost socket.
+  Frames are a 4-byte big-endian length and a JSON body — requests
+  ``[op, ...args]``, replies ``["ok" | "err", payload]`` — so a peer can
+  send only data, never code.  The server refuses every op until a
+  ``hello`` with the client's version stamp succeeds, checks every op's
+  argument shapes, refuses frames over :data:`MAX_FRAME_BYTES` unread
+  (the client splits a batch across frames to stay within it), and
+  releases the claims of a connection that ends without publishing them.
 
-The protocol is trusted-transport only (pickle over a loopback socket,
-exactly like the ``ProcessPoolExecutor`` pipe the process backend already
-uses); it is not an exposed network surface.  See DESIGN.md Section 14.
+See DESIGN.md Section 14.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 import socket
 import struct
 import threading
-from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterable, Union
+from typing import Any, Callable, Iterable, Union
 
-from repro.service.cache import SolverCache
+from repro.service.cache import LRUStore
 from repro.service.persist import (
     PersistentCache,
-    _persistable,
+    Value,
     default_version,
-    encode_key,
+    persistable,
 )
-
-#: The ``(probability, solver)`` pair every shared tier stores — the same
-#: value form :attr:`repro.service.executors.TaskOutcome.value` ships.
-Value = tuple[float, str]
 
 #: Default shard count of an embedded tier (a few shards decorrelate lock
 #: and transaction contention without fragmenting the LRU budget).
@@ -70,7 +48,9 @@ DEFAULT_SHARDS = 4
 #: flights cannot pin handler threads forever.
 MAX_WAIT_SECONDS = 300.0
 
-_MISSING: Any = object()
+#: Largest frame body either side accepts, in bytes; a longer length
+#: prefix is refused before its body is read.
+MAX_FRAME_BYTES = 1 << 26
 
 
 def shard_of(encoded_key: str, n_shards: int) -> int:
@@ -99,202 +79,16 @@ def shard_db_path(path: Union[str, "os.PathLike[str]"], index: int) -> str:
     return f"{root}-shard{index}{extension}"
 
 
-# ----------------------------------------------------------------------
-# Stores
-# ----------------------------------------------------------------------
-
-
-class ShardStore:
-    """One shard: a bounded LRU of encoded keys with in-flight tracking.
-
-    Values are the persistable ``(probability, solver)`` pairs.  With a
-    ``persistent`` tier attached, misses fall through to its SQLite file
-    (promoting hits back into memory) and every :meth:`put_many` flush
-    writes back in one transaction.
-    """
-
-    def __init__(
-        self, capacity: int, persistent: PersistentCache | None = None
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        self._persistent = persistent
-        self._lock = threading.RLock()
-        self._data: OrderedDict[str, Value] = OrderedDict()
-        self._flights: dict[str, threading.Event] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
-
-    @property
-    def persistent(self) -> PersistentCache | None:
-        return self._persistent
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def get(self, encoded_key: str) -> Value | None:
-        with self._lock:
-            value = self._data.get(encoded_key)
-            if value is not None:
-                self._data.move_to_end(encoded_key)
-                self._hits += 1
-                return value
-            self._misses += 1
-        if self._persistent is None:
-            return None
-        found = self._persistent.get_encoded(encoded_key, _MISSING)
-        if found is _MISSING:
-            return None
-        disk_value: Value = (float(found[0]), found[1])
-        self._store(encoded_key, disk_value)
-        return disk_value
-
-    def _store(self, encoded_key: str, value: Value) -> None:
-        """Insert/refresh one entry (takes the reentrant lock itself)."""
-        with self._lock:
-            if encoded_key in self._data:
-                self._data.move_to_end(encoded_key)
-            self._data[encoded_key] = value
-            while len(self._data) > self._capacity:
-                self._data.popitem(last=False)
-                self._evictions += 1
-
-    def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
-        """Publish a batch: memory, then ONE disk transaction, then wake
-        every waiter whose key the batch resolved."""
-        pairs = list(pairs)
-        with self._lock:
-            for encoded_key, value in pairs:
-                self._store(encoded_key, value)
-            flights = [
-                flight
-                for encoded_key, _ in pairs
-                if (flight := self._flights.pop(encoded_key, None)) is not None
-            ]
-        if self._persistent is not None:
-            self._persistent.put_many_encoded(pairs)
-        for flight in flights:
-            flight.set()
-
-    def claim(self, encoded_key: str) -> tuple[str, Value | None]:
-        """Atomically: the value, or ownership of computing it.
-
-        Returns ``("value", v)`` when the shard (memory or disk) already
-        holds the key, ``("claimed", None)`` when the caller now owns the
-        in-flight computation, and ``("wait", None)`` when another worker
-        owns it — the caller should :meth:`wait`.
-        """
-        with self._lock:
-            value = self._data.get(encoded_key)
-            if value is not None:
-                self._data.move_to_end(encoded_key)
-                self._hits += 1
-                return ("value", value)
-            if encoded_key in self._flights:
-                return ("wait", None)
-            if self._persistent is not None:
-                # Read the disk tier under the shard lock so a concurrent
-                # publisher cannot interleave between miss and claim.
-                found = self._persistent.get_encoded(encoded_key, _MISSING)
-                if found is not _MISSING:
-                    disk_value: Value = (float(found[0]), found[1])
-                    self._store(encoded_key, disk_value)
-                    return ("value", disk_value)
-            self._misses += 1
-            self._flights[encoded_key] = threading.Event()
-            return ("claimed", None)
-
-    def wait(self, encoded_key: str, timeout: float) -> Value | None:
-        """Block until the key's flight publishes (or ``timeout`` passes).
-
-        ``None`` means the value never arrived — the owner abandoned the
-        flight or timed out — and the caller should compute locally.
-        """
-        with self._lock:
-            value = self._data.get(encoded_key)
-            if value is not None:
-                self._data.move_to_end(encoded_key)
-                self._hits += 1
-                return value
-            flight = self._flights.get(encoded_key)
-        if flight is not None and not flight.wait(
-            min(max(timeout, 0.0), MAX_WAIT_SECONDS)
-        ):
-            return None
-        return self.get(encoded_key)
-
-    def release(self, encoded_key: str) -> None:
-        """Resolve the key's flight (publish or abandon), waking waiters."""
-        with self._lock:
-            flight = self._flights.pop(encoded_key, None)
-        if flight is not None:
-            flight.set()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            flights = list(self._flights.values())
-            self._flights.clear()
-        for flight in flights:
-            flight.set()
-        if self._persistent is not None:
-            self._persistent.clear()
-
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
-        """Drop exactly ``encoded_keys`` (memory AND write-back file).
-
-        The targeted sibling of :meth:`clear`: the streaming layer
-        retires keys of expired/updated sessions without disturbing the
-        rest of the shard.  In-flight computations of a dropped key are
-        left alone — their eventual publish re-inserts a value that is
-        correct for *its* key (content-addressed keys cannot go stale).
-        Returns the in-memory drop count.
-        """
-        encoded_keys = list(encoded_keys)
-        with self._lock:
-            dropped = 0
-            for encoded_key in encoded_keys:
-                if self._data.pop(encoded_key, None) is not None:
-                    dropped += 1
-            self._invalidations += dropped
-        if self._persistent is not None:
-            self._persistent.invalidate_encoded(encoded_keys)
-        return dropped
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            counters: dict[str, float] = {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "invalidations": self._invalidations,
-                "size": len(self._data),
-                "capacity": self._capacity,
-                "in_flight": len(self._flights),
-            }
-        if self._persistent is not None:
-            counters.update(self._persistent.stats())
-        return counters
-
-    def close(self) -> None:
-        if self._persistent is not None:
-            self._persistent.close()
-
-
 class ShardGroup:
-    """N :class:`ShardStore` shards routed by :func:`shard_of`.
+    """N :class:`~repro.service.cache.LRUStore` shards routed by
+    :func:`shard_of`, each optionally written back to its own file.
 
-    The embedded (in-process) form of the shared tier: a
-    :class:`ShardedSolverCache` without a ``shard_address`` owns one, and
-    a :class:`ShardCacheServer` serves one to a fleet.  ``capacity`` is
-    the total entry budget, split evenly across shards; ``cache_db`` is
-    the write-back stem — each shard gets its own SQLite file
-    (:func:`shard_db_path`) whose version stamp clears it on a format
-    bump, exactly like the unsharded persistent tier.
+    The embedded form of the shared tier: a ``SolverCache`` built with
+    ``cache_shards=`` holds one, and a :class:`ShardCacheServer` serves
+    one to a fleet.  ``capacity`` is the total entry budget, split evenly
+    across shards; ``cache_db`` is the write-back stem — each shard gets
+    its own SQLite file (:func:`shard_db_path`) whose version stamp
+    clears it on a format bump, exactly like the unsharded disk tier.
     """
 
     def __init__(
@@ -308,19 +102,15 @@ class ShardGroup:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self._version = version if version is not None else default_version()
         per_shard = max(1, -(-capacity // n_shards))  # ceil division
-        self._stores = [
-            ShardStore(
-                per_shard,
-                persistent=(
-                    PersistentCache(
-                        shard_db_path(cache_db, index), version=self._version
-                    )
-                    if cache_db is not None
-                    else None
-                ),
-            )
-            for index in range(n_shards)
-        ]
+        self._stores = [LRUStore(per_shard) for _ in range(n_shards)]
+        self._disks = (
+            [
+                PersistentCache(shard_db_path(cache_db, index), self._version)
+                for index in range(n_shards)
+            ]
+            if cache_db is not None
+            else []
+        )
 
     @property
     def n_shards(self) -> int:
@@ -330,59 +120,81 @@ class ShardGroup:
     def version(self) -> str:
         return self._version
 
-    @property
-    def stores(self) -> list[ShardStore]:
-        return list(self._stores)
-
     def __len__(self) -> int:
         return sum(len(store) for store in self._stores)
 
-    def _store(self, encoded_key: str) -> ShardStore:
-        return self._stores[shard_of(encoded_key, len(self._stores))]
+    def _shard(self, encoded_key: str) -> int:
+        return shard_of(encoded_key, len(self._stores))
+
+    def _by_shard(
+        self, encoded_keys: Iterable[str]
+    ) -> dict[int, list[str]]:
+        grouped: dict[int, list[str]] = {}
+        for encoded_key in encoded_keys:
+            grouped.setdefault(self._shard(encoded_key), []).append(
+                encoded_key
+            )
+        return grouped
 
     def get(self, encoded_key: str) -> Value | None:
-        return self._store(encoded_key).get(encoded_key)
+        """Memory first, then the shard's file (promoting a disk hit)."""
+        index = self._shard(encoded_key)
+        value: Value | None = self._stores[index].get(encoded_key)
+        if value is None and self._disks:
+            value = self._disks[index].get(encoded_key)
+            if value is not None:
+                self._stores[index].put_many([(encoded_key, value)])
+        return value
 
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
-        """Group a flush by shard; each shard flushes in one transaction."""
-        by_shard: dict[int, list[tuple[str, Value]]] = {}
-        for encoded_key, value in pairs:
-            index = shard_of(encoded_key, len(self._stores))
-            by_shard.setdefault(index, []).append((encoded_key, value))
-        for index, batch in by_shard.items():
+        """Publish a batch, shard by shard: memory (resolving the keys'
+        flights), then ONE write-back transaction per shard."""
+        values = dict(pairs)
+        for index, keys in self._by_shard(values).items():
+            batch = [(key, values[key]) for key in keys]
             self._stores[index].put_many(batch)
+            if self._disks:
+                self._disks[index].put_many(batch)
 
     def claim(self, encoded_key: str) -> tuple[str, Value | None]:
-        return self._store(encoded_key).claim(encoded_key)
+        return self._stores[self._shard(encoded_key)].claim(encoded_key)
 
     def wait(self, encoded_key: str, timeout: float) -> Value | None:
-        return self._store(encoded_key).wait(encoded_key, timeout)
+        value: Value | None = self._stores[self._shard(encoded_key)].wait(
+            encoded_key, timeout
+        )
+        return value
 
     def release(self, encoded_key: str) -> None:
-        self._store(encoded_key).release(encoded_key)
+        self._stores[self._shard(encoded_key)].release(encoded_key)
+
+    def invalidate(self, encoded_keys: Iterable[str]) -> int:
+        """Drop exactly ``encoded_keys`` from memory and the write-back
+        files; returns the in-memory drop count."""
+        dropped = 0
+        for index, keys in self._by_shard(encoded_keys).items():
+            dropped += self._stores[index].invalidate(keys)
+            if self._disks:
+                self._disks[index].invalidate(keys)
+        return dropped
 
     def clear(self) -> None:
         for store in self._stores:
             store.clear()
-
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
-        """Route a targeted drop by shard; returns the total drop count."""
-        by_shard: dict[int, list[str]] = {}
-        for encoded_key in encoded_keys:
-            index = shard_of(encoded_key, len(self._stores))
-            by_shard.setdefault(index, []).append(encoded_key)
-        return sum(
-            self._stores[index].invalidate(batch)
-            for index, batch in by_shard.items()
-        )
+        for disk in self._disks:
+            disk.clear()
 
     def stats(self) -> dict[str, Any]:
         """Per-shard counters plus their totals (the ``/stats`` payload)."""
-        shards = [store.stats() for store in self._stores]
+        shards: list[dict[str, Any]] = [
+            dict(store.stats()) for store in self._stores
+        ]
+        for counters, disk in zip(shards, self._disks):
+            counters.update(disk.stats()["disk"])
         totals: dict[str, float] = {}
         for counters in shards:
-            for name, value in counters.items():
-                totals[name] = totals.get(name, 0.0) + value
+            for name, count in counters.items():
+                totals[name] = totals.get(name, 0.0) + count
         return {
             "n_shards": len(self._stores),
             "version": self._version,
@@ -391,14 +203,8 @@ class ShardGroup:
         }
 
     def close(self) -> None:
-        for store in self._stores:
-            store.close()
-
-    def __enter__(self) -> "ShardGroup":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        for disk in self._disks:
+            disk.close()
 
 
 # ----------------------------------------------------------------------
@@ -410,11 +216,22 @@ class ShardProtocolError(RuntimeError):
     """A shard request failed at the transport or protocol layer."""
 
 
-def _send_frame(sock: socket.socket, message: object) -> None:
-    """One length-prefixed pickle frame — the ``SolveTask`` transport
-    convention (small picklable builtin forms), over a socket."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
+def _encode(message: object) -> bytes:
+    """A frame body.  ``json`` writes floats with ``repr``, so
+    probabilities round-trip bit for bit."""
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise ShardProtocolError(
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+
+
+def _send_body(sock: socket.socket, body: bytes) -> None:
+    """One frame: a 4-byte big-endian length, then the JSON body."""
+    sock.sendall(struct.pack(">I", len(body)) + body)
 
 
 def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
@@ -429,29 +246,83 @@ def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_frame(sock: socket.socket) -> Any:
+def _recv_body(sock: socket.socket) -> bytes:
+    """One frame's body; an oversized length is refused unread."""
     (length,) = struct.unpack(">I", _recv_exact(sock, 4))
-    return pickle.loads(_recv_exact(sock, length))
+    _check_length(length)
+    return _recv_exact(sock, length)
 
 
-def _check_pairs(pairs: object) -> list[tuple[str, Value]]:
-    """Validate a wire-received ``put_many`` batch before it reaches a store."""
-    if not isinstance(pairs, list):
-        raise ShardProtocolError(f"put_many expects a list, got {pairs!r}")
-    checked: list[tuple[str, Value]] = []
-    for pair in pairs:
-        if not (
-            isinstance(pair, tuple)
-            and len(pair) == 2
-            and isinstance(pair[0], str)
-            and _persistable(pair[1])
-        ):
+def _decode(body: bytes) -> Any:
+    try:
+        return json.loads(body)
+    except ValueError as error:
+        raise ShardProtocolError(f"frame is not JSON: {error}") from None
+
+
+def _is_text(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_texts(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_seconds(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pairs(value: object) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and isinstance(pair[1], list)
+        and persistable(tuple(pair[1]))
+        for pair in value
+    )
+
+
+_KEY = (_is_text, "an encoded TEXT key")
+
+#: Every op's arguments: one (check, description) per position.
+_SIGNATURES: dict[str, tuple[tuple[Callable[[object], bool], str], ...]] = {
+    "hello": ((_is_text, "a version stamp"),),
+    "get": (_KEY,),
+    "put_many": (
+        (_is_pairs, "a list of [encoded_key, [probability, solver]] pairs"),
+    ),
+    "claim": (_KEY,),
+    "wait": (_KEY, (_is_seconds, "a timeout in seconds")),
+    "release": (_KEY,),
+    "invalidate": ((_is_texts, "a list of encoded TEXT keys"),),
+    "stats": (),
+    "clear": (),
+}
+
+
+def _parse_request(frame: object) -> tuple[str, list[Any]]:
+    """``(op, args)`` of a decoded request, its shape checked."""
+    if not (isinstance(frame, list) and frame and isinstance(frame[0], str)):
+        raise ShardProtocolError(f"malformed request {frame!r:.200}")
+    op, arguments = frame[0], frame[1:]
+    signature = _SIGNATURES.get(op)
+    if signature is None:
+        raise ShardProtocolError(f"unknown shard op {op!r:.200}")
+    if len(arguments) != len(signature):
+        raise ShardProtocolError(
+            f"{op} takes {len(signature)} argument(s), got {len(arguments)}"
+        )
+    for (check, expected), argument in zip(signature, arguments):
+        if not check(argument):
             raise ShardProtocolError(
-                "shard tier stores (encoded_key, (probability, solver)) "
-                f"pairs, got {pair!r}"
+                f"{op} expects {expected}, got {argument!r:.200}"
             )
-        checked.append((pair[0], (float(pair[1][0]), pair[1][1])))
-    return checked
+    return op, arguments
+
+
+def _as_value(found: Any) -> Value | None:
+    return None if found is None else (float(found[0]), str(found[1]))
 
 
 class ShardCacheServer:
@@ -460,43 +331,28 @@ class ShardCacheServer:
     Thread-per-connection (fleet sizes are worker counts, not crowds); a
     connection's blocking ``wait`` therefore never stalls other workers.
     ``port=0`` binds an ephemeral port; :attr:`address` is the
-    ``host:port`` string clients attach to.  The handshake carries the
-    cache-format version stamp, and a client from a different
+    ``host:port`` string clients attach to.  The ``hello`` handshake
+    carries the cache-format version stamp, and a client from a different
     freeze()/solver generation is refused — the same never-serve-stale
-    contract the SQLite tier enforces by clearing.
+    contract the SQLite tier enforces by clearing.  The server owns the
+    group and closes it on :meth:`close`.
     """
 
     def __init__(
-        self,
-        n_shards: int = DEFAULT_SHARDS,
-        capacity: int = 4096,
-        cache_db: Union[str, "os.PathLike[str]", None] = None,
-        version: str | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        group: ShardGroup | None = None,
+        self, group: ShardGroup, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        self.group = (
-            group
-            if group is not None
-            else ShardGroup(
-                n_shards=n_shards,
-                capacity=capacity,
-                cache_db=cache_db,
-                version=version,
-            )
-        )
+        self.group = group
         self._lock = threading.Lock()
         self._closed = threading.Event()
         self._listener = socket.create_server((host, port))
         bound_host, bound_port = self._listener.getsockname()[:2]
         self._address = f"{bound_host}:{bound_port}"
-        self._threads: list[threading.Thread] = []
-        accept_thread = threading.Thread(
+        #: Live connections and the threads serving them.
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        self._accept_thread = threading.Thread(
             target=self._accept_loop, name="shard-accept", daemon=True
         )
-        self._accept_thread = accept_thread
-        accept_thread.start()
+        self._accept_thread.start()
 
     @property
     def address(self) -> str:
@@ -516,93 +372,96 @@ class ShardCacheServer:
                 daemon=True,
             )
             with self._lock:
-                self._threads.append(handler)
-                self._threads = [
-                    thread for thread in self._threads if thread.is_alive()
-                ]
+                self._handlers[connection] = handler
             handler.start()
 
     def _serve_connection(self, connection: socket.socket) -> None:
-        with connection:
-            while not self._closed.is_set():
-                try:
-                    request = _recv_frame(connection)
-                except Exception:
-                    return  # disconnect or garbage frame: drop the peer
-                try:
-                    response: tuple[str, Any] = ("ok", self._handle(request))
-                except ShardProtocolError as error:
-                    response = ("err", str(error))
-                except Exception as error:  # never kill the handler thread
-                    response = ("err", f"{type(error).__name__}: {error}")
-                try:
-                    _send_frame(connection, response)
-                except OSError:
-                    return
+        """Answer one peer's frames until it leaves, then release every
+        flight it claimed and never published or released."""
+        claims: set[str] = set()
+        greeted = False
+        try:
+            with connection:
+                while not self._closed.is_set():
+                    try:
+                        body = _recv_body(connection)
+                    except (OSError, ShardProtocolError) as error:
+                        # Gone, or an oversized frame the stream cannot
+                        # skip: say why (if anyone listens) and drop it.
+                        _try_send(connection, ["err", str(error)])
+                        return
+                    try:
+                        op, arguments = _parse_request(_decode(body))
+                        if not greeted and op != "hello":
+                            raise ShardProtocolError(
+                                f"{op} refused: send hello first"
+                            )
+                        payload = self._handle(op, arguments, claims)
+                        greeted = True
+                        response = ["ok", payload]
+                    except ShardProtocolError as error:
+                        response = ["err", str(error)]
+                    except Exception as error:  # never kill the handler
+                        response = ["err", f"{type(error).__name__}: {error}"]
+                    if not _try_send(connection, response):
+                        return
+        finally:
+            for encoded_key in claims:
+                self.group.release(encoded_key)
+            with self._lock:
+                self._handlers.pop(connection, None)
 
-    def _handle(self, request: object) -> Any:
-        if not (isinstance(request, tuple) and request):
-            raise ShardProtocolError(f"malformed request {request!r}")
-        op = request[0]
-        arguments = request[1:]
+    def _handle(
+        self, op: str, arguments: list[Any], claims: set[str]
+    ) -> Any:
+        group = self.group
         if op == "hello":
-            (client_version,) = arguments
-            if client_version != self.group.version:
+            if arguments[0] != group.version:
                 raise ShardProtocolError(
                     f"cache-format version mismatch: client "
-                    f"{client_version!r}, server {self.group.version!r} — "
+                    f"{arguments[0]!r}, server {group.version!r} — "
                     "a stale client must not read these shards"
                 )
-            return {
-                "n_shards": self.group.n_shards,
-                "version": self.group.version,
-            }
-        if op == "get":
-            (encoded_key,) = arguments
-            return self.group.get(encoded_key)
+            return {"n_shards": group.n_shards, "version": group.version}
         if op == "put_many":
-            (pairs,) = arguments
-            self.group.put_many(_check_pairs(pairs))
+            pairs = [
+                (key, (float(value[0]), value[1]))
+                for key, value in arguments[0]
+            ]
+            group.put_many(pairs)
+            claims.difference_update(key for key, _ in pairs)
             return len(pairs)
         if op == "claim":
-            (encoded_key,) = arguments
-            return self.group.claim(encoded_key)
+            status, value = group.claim(arguments[0])
+            if status == "claimed":
+                claims.add(arguments[0])
+            return [status, value]
         if op == "wait":
-            encoded_key, timeout = arguments
-            return self.group.wait(encoded_key, float(timeout))
+            timeout = min(max(float(arguments[1]), 0.0), MAX_WAIT_SECONDS)
+            return group.wait(arguments[0], timeout)
         if op == "release":
-            (encoded_key,) = arguments
-            self.group.release(encoded_key)
-            return True
-        if op == "invalidate":
-            (encoded_keys,) = arguments
-            if not (
-                isinstance(encoded_keys, list)
-                and all(isinstance(item, str) for item in encoded_keys)
-            ):
-                raise ShardProtocolError(
-                    "invalidate expects a list of encoded TEXT keys, "
-                    f"got {encoded_keys!r}"
-                )
-            return self.group.invalidate(encoded_keys)
-        if op == "stats":
-            return self.group.stats()
-        if op == "clear":
-            self.group.clear()
-            return True
-        raise ShardProtocolError(f"unknown shard op {op!r}")
+            claims.discard(arguments[0])
+        # The rest map one-to-one onto the group: get, release,
+        # invalidate, stats, clear (``_parse_request`` admitted no other).
+        return getattr(group, op)(*arguments)
 
     def close(self) -> None:
-        """Stop accepting, drop connections, close the write-back files."""
+        """Stop accepting, drop connections, close the write-back files.
+
+        Shutting the sockets down wakes the threads blocked in
+        ``accept`` / ``recv``, so each handler releases its claims.
+        """
         self._closed.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=5.0)
         with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
+            handlers = dict(self._handlers)
+        for sock in [self._listener, *handlers]:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
+        self._listener.close()
+        self._accept_thread.join(timeout=5.0)
+        for thread in handlers.values():
             thread.join(timeout=1.0)
         self.group.close()
 
@@ -612,22 +471,25 @@ class ShardCacheServer:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        return (
-            f"ShardCacheServer(address={self._address!r}, "
-            f"n_shards={self.group.n_shards})"
-        )
+
+def _try_send(sock: socket.socket, message: object) -> bool:
+    """Send one frame; ``False`` when the peer is gone."""
+    try:
+        _send_body(sock, _encode(message))
+    except OSError:
+        return False
+    return True
 
 
 class ShardClient:
     """A picklable handle on a running :class:`ShardCacheServer`.
 
     Mirrors the :class:`ShardGroup` surface over the socket protocol.
-    The connection is opened lazily and re-opened after a ``fork`` (the
-    owning pid is tracked), so a client can ride into worker processes
-    like a :class:`~repro.service.executors.SolveTask` does.  One
-    request is in flight per client at a time (the socket is guarded by a
-    lock); workers wanting concurrency hold one client each.
+    Each thread gets its own connection, opened lazily and re-opened
+    after a ``fork`` (the owning pid is tracked), so one thread blocked
+    in ``wait`` never stalls another's publish, and a claim is published
+    on the connection that made it.  The client rides into worker
+    processes like a :class:`~repro.service.executors.SolveTask` does.
     """
 
     def __init__(self, address: str, timeout: float = 30.0) -> None:
@@ -637,334 +499,130 @@ class ShardClient:
                 f"shard address must look like 'host:port', got {address!r}"
             )
         self._address = address
-        self._host = host
-        self._port = int(port_text)
+        self._endpoint = (host, int(port_text))
         self._timeout = timeout
-        self._lock = threading.RLock()
-        self._sock: socket.socket | None = None
-        self._pid = -1
-
-    @property
-    def address(self) -> str:
-        return self._address
+        self._lock = threading.Lock()
+        #: This thread's connection and the pid that opened it.
+        self._local = threading.local()
+        #: Every open connection, so :meth:`close` reaches all threads',
+        #: and the pid that opened them.
+        self._sockets: set[socket.socket] = set()
+        self._pid = os.getpid()
 
     def __reduce__(self) -> tuple[Any, tuple[str, float]]:
         return (type(self), (self._address, self._timeout))
 
     def _connection(self) -> socket.socket:
-        """The live socket, (re)connecting + handshaking as needed.
-
-        Takes the (reentrant) client lock itself; a stale post-``fork``
-        socket inherited from the parent is replaced, never shared.
-        """
-        with self._lock:
-            if self._sock is not None and self._pid == os.getpid():
-                return self._sock
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self._timeout
-            )
-            _send_frame(sock, ("hello", default_version()))
-            status, payload = _recv_frame(sock)
-            if status != "ok":
-                sock.close()
-                raise ShardProtocolError(str(payload))
-            self._sock = sock
-            self._pid = os.getpid()
+        """This thread's live socket, (re)connecting + handshaking as
+        needed; sockets inherited across ``fork`` are closed, never shared."""
+        local = self._local
+        pid = os.getpid()
+        if getattr(local, "pid", None) == pid:
+            sock: socket.socket = local.sock
             return sock
-
-    def _call(
-        self, message: "tuple[Any, ...]", read_timeout: float | None = None
-    ) -> Any:
         with self._lock:
-            sock = self._connection()
-            try:
-                if read_timeout is not None:
-                    sock.settimeout(read_timeout)
-                _send_frame(sock, message)
-                status, payload = _recv_frame(sock)
-            except (OSError, EOFError) as error:
-                self._drop()
-                raise ShardProtocolError(
-                    f"shard server {self._address} unreachable: {error}"
-                ) from error
-            finally:
-                if read_timeout is not None and self._sock is not None:
-                    self._sock.settimeout(self._timeout)
-        if status != "ok":
-            raise ShardProtocolError(str(payload))
-        return payload
-
-    def _drop(self) -> None:
-        """Discard the connection (takes the reentrant lock itself)."""
+            inherited = list(self._sockets) if self._pid != pid else []
+            self._sockets.difference_update(inherited)
+            self._pid = pid
+        for stale in inherited:
+            stale.close()
+        sock = socket.create_connection(self._endpoint, self._timeout)
+        try:
+            _send_body(sock, _encode(["hello", default_version()]))
+            _reply_payload(_decode(_recv_body(sock)))
+        except BaseException:
+            sock.close()
+            raise
+        local.sock, local.pid = sock, pid
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-            self._sock = None
-            self._pid = -1
+            self._sockets.add(sock)
+        return sock
+
+    def _call(self, *message: Any, read_timeout: float | None = None) -> Any:
+        return self._exchange(_encode(list(message)), read_timeout)
+
+    def _call_split(self, op: str, items: list[Any]) -> list[Any]:
+        """``op`` over ``items`` in frames within :data:`MAX_FRAME_BYTES`,
+        halving the batch until each fits; one reply payload per frame."""
+        body = _encode([op, items])
+        if len(body) <= MAX_FRAME_BYTES or len(items) < 2:
+            return [self._exchange(body)]
+        middle = len(items) // 2
+        return self._call_split(op, items[:middle]) + self._call_split(
+            op, items[middle:]
+        )
+
+    def _exchange(self, body: bytes, read_timeout: float | None = None) -> Any:
+        """Send one request body on this thread's connection; the reply's
+        payload.  An oversized body is refused before anything is sent."""
+        _check_length(len(body))
+        sock = self._connection()
+        try:
+            if read_timeout is not None:
+                sock.settimeout(read_timeout)
+            _send_body(sock, body)
+            reply = _decode(_recv_body(sock))
+            if read_timeout is not None:
+                sock.settimeout(self._timeout)
+        except (OSError, ShardProtocolError) as error:
+            self._local.pid = None  # reconnect on this thread's next call
+            with self._lock:
+                self._sockets.discard(sock)
+            sock.close()
+            raise ShardProtocolError(
+                f"shard server {self._address} failed: {error}"
+            ) from error
+        return _reply_payload(reply)
 
     def get(self, encoded_key: str) -> Value | None:
-        found = self._call(("get", encoded_key))
-        return None if found is None else (float(found[0]), found[1])
+        return _as_value(self._call("get", encoded_key))
 
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
-        self._call(("put_many", list(pairs)))
+        self._call_split("put_many", list(pairs))
 
     def claim(self, encoded_key: str) -> tuple[str, Value | None]:
-        status, value = self._call(("claim", encoded_key))
-        if value is not None:
-            value = (float(value[0]), value[1])
-        return (status, value)
+        status, value = self._call("claim", encoded_key)
+        return (str(status), _as_value(value))
 
     def wait(self, encoded_key: str, timeout: float) -> Value | None:
         # The server blocks up to `timeout`; give the socket read slack
         # beyond it so a slow publish is not misread as a dead server.
-        found = self._call(
-            ("wait", encoded_key, timeout), read_timeout=timeout + 10.0
+        return _as_value(
+            self._call(
+                "wait", encoded_key, timeout, read_timeout=timeout + 10.0
+            )
         )
-        return None if found is None else (float(found[0]), found[1])
 
     def release(self, encoded_key: str) -> None:
-        self._call(("release", encoded_key))
+        self._call("release", encoded_key)
 
     def invalidate(self, encoded_keys: Iterable[str]) -> int:
-        return int(self._call(("invalidate", list(encoded_keys))))
+        return sum(
+            int(dropped)
+            for dropped in self._call_split("invalidate", list(encoded_keys))
+        )
 
     def stats(self) -> dict[str, Any]:
-        payload = self._call(("stats",))
-        return dict(payload)
+        return dict(self._call("stats"))
 
     def clear(self) -> None:
-        self._call(("clear",))
+        self._call("clear")
 
     def close(self) -> None:
-        self._drop()
-
-    def __repr__(self) -> str:
-        return f"ShardClient(address={self._address!r})"
-
-
-#: Either face of the shared tier — embedded or attached.
-ShardTier = Union[ShardGroup, ShardClient]
-
-
-# ----------------------------------------------------------------------
-# The drop-in cache
-# ----------------------------------------------------------------------
+        """Close every thread's connection; later calls reconnect."""
+        with self._lock:
+            sockets = list(self._sockets)
+            self._sockets.clear()
+            self._local = threading.local()
+        for sock in sockets:
+            sock.close()
 
 
-class ShardedSolverCache(SolverCache):
-    """An LRU :class:`SolverCache` with a sharded shared tier beneath it.
-
-    * ``get`` — process-local LRU first; a miss consults the shard tier
-      (promoting hits into the LRU), which itself falls through to its
-      per-shard SQLite write-back files;
-    * ``put`` / ``put_many`` — write-through: the LRU, the shard tier,
-      and the per-shard files update together (one transaction per shard
-      per flush).  Values the durable format cannot hold (anything but a
-      ``(probability, solver)`` pair) stay in the local LRU, like the
-      unsharded persistent tier;
-    * ``claim`` / ``wait_flight`` / ``release_flight`` — fleet-wide
-      single-flight: the plan executor claims a missing key before
-      solving, and concurrent workers claiming the same key wait for the
-      one in-flight solve instead of duplicating it.  An abandoned flight
-      (owner died, timeout) degrades to a local solve, never a wrong or
-      missing answer.
-
-    Embedded by default (``n_shards`` stores in this process, optional
-    ``cache_db`` write-back stem); pass ``address=`` to attach to a
-    running :class:`ShardCacheServer` instead — the server then owns the
-    shard topology and persistence.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        n_shards: int = DEFAULT_SHARDS,
-        cache_db: Union[str, "os.PathLike[str]", None] = None,
-        version: str | None = None,
-        address: str | None = None,
-        shard_capacity: int | None = None,
-        flight_timeout: float = 60.0,
-    ) -> None:
-        super().__init__(capacity)
-        if address is not None and cache_db is not None:
-            raise ValueError(
-                "an attached shard tier persists on the server side; pass "
-                "cache_db to the ShardCacheServer, not the client"
-            )
-        self._tier: ShardTier = (
-            ShardClient(address)
-            if address is not None
-            else ShardGroup(
-                n_shards=n_shards,
-                capacity=(
-                    shard_capacity if shard_capacity is not None else capacity
-                ),
-                cache_db=cache_db,
-                version=version,
-            )
-        )
-        self._flight_timeout = flight_timeout
-
-    @property
-    def tier(self) -> ShardTier:
-        return self._tier
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        value = super().get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        found = self._tier.get(encode_key(key))
-        if found is None:
-            return default
-        super().put(key, found)  # promote into the local LRU
-        return found
-
-    def put(self, key: Hashable, value: Any) -> None:
-        super().put(key, value)
-        if _persistable(value):
-            self._tier.put_many(
-                [(encode_key(key), (float(value[0]), value[1]))]
-            )
-
-    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
-        """One local lock acquisition, one tier flush (one transaction
-        per shard), one wake-up sweep for fleet waiters."""
-        items = list(items)
-        SolverCache.put_many(self, items)
-        pairs = [
-            (encode_key(key), (float(value[0]), value[1]))
-            for key, value in items
-            if _persistable(value)
-        ]
-        if pairs:
-            self._tier.put_many(pairs)
-
-    # -- fleet-wide single-flight ---------------------------------------
-
-    def claim(self, key: Hashable) -> tuple[str, Value | None]:
-        """Claim one canonical key against the shared tier.
-
-        ``("value", v)`` — served (and promoted locally); ``("claimed",
-        None)`` — this worker owns the solve and must publish via ``put``
-        / ``put_many`` or abandon via :meth:`release_flight`; ``("wait",
-        None)`` — another worker is solving it: :meth:`wait_flight`.
-        """
-        status, value = self._tier.claim(encode_key(key))
-        if value is not None:
-            super().put(key, value)
-        return (status, value)
-
-    def wait_flight(
-        self, key: Hashable, timeout: float | None = None
-    ) -> Value | None:
-        """Block on another worker's in-flight solve of ``key``.
-
-        ``None`` after the timeout (or an abandoned flight) means the
-        caller should solve locally.
-        """
-        value = self._tier.wait(
-            encode_key(key),
-            self._flight_timeout if timeout is None else timeout,
-        )
-        if value is not None:
-            super().put(key, value)
-        return value
-
-    def release_flight(self, key: Hashable) -> None:
-        """Abandon a claimed flight without publishing (solve failed, or
-        the value is not persistable); waiters fall back to local solves."""
-        self._tier.release(encode_key(key))
-
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any]
-    ) -> Any:
-        """Single-flight across the whole fleet, not just this process."""
-        value = self.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        status, found = self.claim(key)
-        if status == "value":
-            return found
-        if status == "wait":
-            found = self.wait_flight(key)
-            if found is not None:
-                return found
-            # The owner vanished; fall through and solve locally (the
-            # claim may have expired without a value — do not re-claim,
-            # just publish when done).
-        try:
-            value = compute()
-        except BaseException:
-            self.release_flight(key)
-            raise
-        self.put(key, value)  # publishes the flight when persistable
-        if not _persistable(value):
-            self.release_flight(key)
-        return value
-
-    # -- stats / lifecycle ----------------------------------------------
-
-    def tier_stats(self) -> dict[str, float]:
-        """Flat shard-tier counters merged into ``PreferenceService.stats()``."""
-        depth = self._tier.stats()
-        totals = depth["totals"]
-        flat: dict[str, float] = {
-            "n_shards": depth["n_shards"],
-            "shard_hits": totals.get("hits", 0.0),
-            "shard_misses": totals.get("misses", 0.0),
-            "shard_evictions": totals.get("evictions", 0.0),
-            "shard_invalidations": totals.get("invalidations", 0.0),
-            "shard_size": totals.get("size", 0.0),
-        }
-        for name in (
-            "disk_hits", "disk_misses", "disk_size", "disk_invalidations"
-        ):
-            if name in totals:
-                flat[name] = totals[name]
-        return flat
-
-    def tier_depth(self) -> dict[str, Any]:
-        """The structured per-shard payload for the server's ``/stats``."""
-        return self._tier.stats()
-
-    def clear(self) -> None:
-        """Drop the local LRU and every shard (counters are kept)."""
-        super().clear()
-        self._tier.clear()
-
-    def invalidate(self, keys: Iterable[Hashable]) -> int:
-        """Drop ``keys`` from the local LRU AND the shared tier.
-
-        Write-through invalidation: the same keys leave every tier (the
-        shard stores and their write-back files included), so a fleet
-        member cannot re-promote a retired entry.  Returns the local
-        drop count; the tier's own count shows up per shard in
-        :meth:`tier_depth` (``invalidations``).
-        """
-        keys = list(keys)
-        dropped = super().invalidate(keys)
-        self._tier.invalidate([encode_key(key) for key in keys])
-        return dropped
-
-    def close(self) -> None:
-        self._tier.close()
-
-    def __repr__(self) -> str:
-        tier = (
-            f"address={self._tier.address!r}"
-            if isinstance(self._tier, ShardClient)
-            else f"n_shards={self._tier.n_shards}"
-        )
-        return (
-            f"ShardedSolverCache(size={len(self)}, "
-            f"capacity={self.capacity}, {tier})"
-        )
+def _reply_payload(reply: Any) -> Any:
+    """The payload of an ``["ok", payload]`` reply; raises on ``"err"``."""
+    if not (isinstance(reply, list) and len(reply) == 2):
+        raise ShardProtocolError(f"malformed reply {reply!r:.200}")
+    status, payload = reply
+    if status != "ok":
+        raise ShardProtocolError(str(payload))
+    return payload

@@ -83,7 +83,7 @@ def run_replay(args) -> int:
     from repro.api import answer
     from repro.evaluation.harness import format_table
     from repro.service.cache import SolverCache
-    from repro.service.shard import ShardedSolverCache
+    from repro.service.shard import ShardGroup
     from repro.stream.replay import TrafficReplayer
     from repro.stream.standing import StandingQueryEngine, answers_equal
 
@@ -100,12 +100,11 @@ def run_replay(args) -> int:
             expirations=args.expirations,
             seed=args.seed,
         )
-        cache = (
-            ShardedSolverCache(
-                capacity=args.capacity, n_shards=args.shards
-            )
+        cache = SolverCache(
+            args.capacity,
+            [ShardGroup(args.shards, args.capacity)]
             if args.shards is not None
-            else SolverCache(capacity=args.capacity)
+            else [],
         )
         engine = StandingQueryEngine(
             replayer.db, cache=cache, method=args.method, auto_refresh=False
@@ -196,6 +195,5 @@ def run_replay(args) -> int:
             "from-scratch evaluation"
         )
     engine.close()
-    if args.shards is not None:
-        cache.close()
+    cache.close()
     return 0

@@ -39,11 +39,7 @@ from repro.service.executors import (
     thaw_pattern,
     thaw_union,
 )
-from repro.service.persist import (
-    PersistentCache,
-    PersistentSolverCache,
-    default_version,
-)
+from repro.service.persist import PersistentCache, default_version, encode_key
 
 QUERIES = [
     "P(v; m1; m2), M(m1, 'Thriller', _, _, _), M(m2, _, _, _, 'short')",
@@ -266,89 +262,57 @@ class TestBackendEquivalence:
 class TestPersistentCache:
     def test_put_get_round_trip(self, tmp_path):
         with PersistentCache(tmp_path / "c.sqlite") as cache:
-            key = ("session", ("mallows", ("a", "b"), 0.5), "rest")
+            key = encode_key(("session", ("mallows", ("a", "b"), 0.5), "rest"))
             assert cache.get(key) is None
-            cache.put(key, (0.123456789012345, "two_label"))
+            cache.put_many([(key, (0.123456789012345, "two_label"))])
             assert cache.get(key) == (0.123456789012345, "two_label")
             assert len(cache) == 1
 
     def test_encode_key_discriminates_leaf_types(self, tmp_path):
-        from repro.service.persist import encode_key
-
         assert encode_key((1,)) != encode_key((np.int64(1),))
         assert encode_key((1,)) != encode_key((1.0,))
         assert encode_key(("1",)) != encode_key((1,))
         assert encode_key((b"x",)) != encode_key(("x",))
-        # ...and the store keeps such keys apart end to end.
-        with PersistentCache(tmp_path / "c.sqlite") as cache:
-            cache.put((np.int64(1),), (0.25, "general"))
-            assert cache.get((1,)) is None
-            assert cache.get((np.int64(1),)) == (0.25, "general")
+        # ...and a disk-tiered cache keeps such keys apart end to end.
+        disk = PersistentCache(tmp_path / "c.sqlite")
+        cache = SolverCache(4, [disk])
+        cache.put((np.int64(1),), (0.25, "general"))
+        assert disk.get(encode_key((1,))) is None
+        assert disk.get(encode_key((np.int64(1),))) == (0.25, "general")
+        cache.close()
 
     def test_rejects_non_outcome_values(self, tmp_path):
         with PersistentCache(tmp_path / "c.sqlite") as cache:
             with pytest.raises(TypeError, match="persistent cache stores"):
-                cache.put(("k",), {"not": "a pair"})
+                cache.put_many([(encode_key(("k",)), {"not": "a pair"})])
 
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "c.sqlite"
         with PersistentCache(path) as cache:
-            cache.put(("k",), (0.5, "general"))
+            cache.put_many([(encode_key(("k",)), (0.5, "general"))])
         with PersistentCache(path) as cache:
-            assert cache.get(("k",)) == (0.5, "general")
+            assert cache.get(encode_key(("k",))) == (0.5, "general")
 
     def test_version_mismatch_clears(self, tmp_path):
         path = tmp_path / "c.sqlite"
         with PersistentCache(path, version="v1") as cache:
-            cache.put(("k",), (0.5, "general"))
+            cache.put_many([(encode_key(("k",)), (0.5, "general"))])
         with PersistentCache(path, version="v2") as cache:
-            assert cache.get(("k",)) is None
+            assert cache.get(encode_key(("k",))) is None
             assert len(cache) == 0
         assert default_version()  # the stamp the service tier uses
-
-    def test_tiered_cache_promotes_and_writes_through(self, tmp_path):
-        path = tmp_path / "c.sqlite"
-        tiered = PersistentSolverCache(capacity=4, db_path=path)
-        tiered.put(("k",), (0.25, "bipartite"))
-        assert tiered.persistent.get(("k",)) == (0.25, "bipartite")
-        # A fresh tier over the same file misses in memory, hits on disk,
-        # and promotes the entry into the LRU.
-        reopened = PersistentSolverCache(capacity=4, db_path=path)
-        assert len(reopened) == 0
-        assert reopened.get(("k",)) == (0.25, "bipartite")
-        assert ("k",) in reopened
-        assert reopened.tier_stats()["disk_hits"] == 1
-        reopened.close()
-        tiered.close()
 
     def test_put_many_single_transaction_round_trip(self, tmp_path):
         with PersistentCache(tmp_path / "c.sqlite") as cache:
             cache.put_many(
-                [(("a",), (0.1, "two_label")), (("b",), (0.2, "general"))]
+                [("a", (0.1, "two_label")), ("b", (0.2, "general"))]
             )
-            assert cache.get(("a",)) == (0.1, "two_label")
-            assert cache.get(("b",)) == (0.2, "general")
+            assert cache.get("a") == (0.1, "two_label")
+            assert cache.get("b") == (0.2, "general")
             assert len(cache) == 2
             cache.put_many([])  # a batch with nothing fresh is a no-op
             with pytest.raises(TypeError, match="persistent cache stores"):
-                cache.put_many([(("c",), "bad")])
-
-    def test_tiered_put_many_mixes_persistable_and_not(self, tmp_path):
-        tiered = PersistentSolverCache(capacity=8, db_path=tmp_path / "c.sqlite")
-        tiered.put_many(
-            [(("a",), (0.1, "two_label")), (("b",), {"rich": "object"})]
-        )
-        assert tiered.get(("a",)) == (0.1, "two_label")
-        assert tiered.get(("b",)) == {"rich": "object"}
-        assert len(tiered.persistent) == 1  # only the outcome pair on disk
-        tiered.close()
-
-    def test_non_persistable_values_stay_memory_only(self, tmp_path):
-        tiered = PersistentSolverCache(capacity=4, db_path=tmp_path / "c.sqlite")
-        tiered.put(("k",), {"rich": "object"})
-        assert tiered.get(("k",)) == {"rich": "object"}
-        assert len(tiered.persistent) == 0
-        tiered.close()
+                cache.put_many([("c", "bad")])
 
 
 class TestPersistentService:

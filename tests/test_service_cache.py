@@ -2,10 +2,16 @@
 
 Covers the acceptance bar of the cache subsystem: relabeled-but-identical
 models/patterns collide on their canonical keys, cache-on and cache-off
-evaluation agree across every exact solver path, the LRU evicts at
-capacity, and ``PreferenceService.answer_many`` matches sequential
-``answer`` output.
+evaluation agree across every exact solver path, every tier configuration
+(``[lru]``, ``[lru, disk]``, ``[lru, shard-group]``, ``[lru,
+shard-client]``) behaves the same (one conformance suite), and
+``PreferenceService.answer_many`` matches sequential ``answer`` output.
 """
+
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +27,16 @@ from repro.query.parser import parse_query
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
 from repro.rim.model import RIM
-from repro.service import SolverCache, session_cache_key, solve_cache_key
+from repro.service import (
+    PersistentCache,
+    ShardCacheServer,
+    ShardClient,
+    ShardGroup,
+    SolverCache,
+    session_cache_key,
+    solve_cache_key,
+)
+from repro.service.persist import encode_key
 from repro.service.service import PreferenceService
 from repro.solvers.dispatch import solve
 
@@ -165,65 +180,262 @@ class TestRequestKeys:
 
 
 # ----------------------------------------------------------------------
-# The LRU cache
+# The cache: one conformance suite over every tier configuration
 # ----------------------------------------------------------------------
+
+#: Every cache configuration: the front alone, or over one lower tier.
+CONFIGS = ("lru", "lru+disk", "lru+shard-group", "lru+shard-client")
+
+
+def pair(probability):
+    return (probability, "two_label")
+
+
+class TierStack:
+    """One cache configuration: fronts over shared, reopenable lower state.
+
+    :meth:`cache` opens another front over the same lower state (a peer
+    worker); :meth:`reopen` closes a cache and opens a fresh one over
+    what persisted (a restart).  Both shard configurations write back to
+    per-shard files, so every lower tier survives a restart.
+    """
+
+    def __init__(self, kind, tmp_path):
+        self.kind = kind
+        self.path = tmp_path / "tier.sqlite"
+        self.server = self._serve() if kind == "lru+shard-client" else None
+        self.opened = []
+
+    def _serve(self):
+        return ShardCacheServer(ShardGroup(2, 64, self.path))
+
+    def cache(self, capacity=4):
+        if self.kind == "lru":
+            tiers = []
+        elif self.kind == "lru+disk":
+            tiers = [PersistentCache(self.path)]
+        elif self.kind == "lru+shard-group":
+            tiers = [ShardGroup(2, 64, self.path)]
+        else:
+            tiers = [ShardClient(self.server.address)]
+        cache = SolverCache(capacity, tiers)
+        self.opened.append(cache)
+        return cache
+
+    def reopen(self, cache):
+        cache.close()
+        if self.server is not None:
+            self.server.close()
+            self.server = self._serve()
+        return self.cache(cache.capacity)
+
+    def close(self):
+        for cache in self.opened:
+            cache.close()
+        if self.server is not None:
+            self.server.close()
+
+
+@pytest.fixture
+def tiers(request, tmp_path):
+    stack = TierStack(request.param, tmp_path)
+    yield stack
+    stack.close()
+
+
+def tier_invalidations(cache):
+    """The lower tier's own invalidation counters, from ``tier_depth``:
+    ``{}`` untiered, else the disk file's and/or the shards' counts."""
+    depth = cache.tier_depth()
+    if "disk" in depth:
+        return {"disk": depth["disk"]["disk_invalidations"]}
+    if "totals" in depth:
+        totals = depth["totals"]
+        return {
+            "shards": totals["invalidations"],
+            "disk": totals["disk_invalidations"],  # the write-back files
+        }
+    return {}
+
+
+class CountingLock:
+    """Counts acquisitions made while the lock was not yet held."""
+
+    def __init__(self):
+        self._inner = threading.RLock()
+        self._depth = 0
+        self.outer_acquisitions = 0
+
+    def __enter__(self):
+        entered = self._inner.__enter__()
+        if self._depth == 0:
+            self.outer_acquisitions += 1
+        self._depth += 1
+        return entered
+
+    def __exit__(self, *exc_info):
+        self._depth -= 1
+        return self._inner.__exit__(*exc_info)
 
 
 class TestSolverCache:
-    def test_hit_miss_counting(self):
-        cache = SolverCache(capacity=4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
-        assert stats.hit_rate == 0.5
-
-    def test_eviction_at_capacity(self):
-        cache = SolverCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert cache.stats().evictions == 1
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-
-    def test_get_refreshes_recency(self):
-        cache = SolverCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # "a" becomes most recent; "b" is now the LRU entry
-        cache.put("c", 3)
-        assert "a" in cache
-        assert "b" not in cache
-
-    def test_get_or_compute_computes_once(self):
-        cache = SolverCache(capacity=2)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_compute("k", compute) == "value"
-        assert cache.get_or_compute("k", compute) == "value"
-        assert len(calls) == 1
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SolverCache(capacity=0)
 
-    def test_get_or_compute_single_flight_under_contention(self):
+    def test_flights_live_on_the_shared_tier(self, tmp_path):
+        plain = SolverCache(4, [PersistentCache(tmp_path / "c.sqlite")])
+        assert plain.claim("k") == ("claimed", None)
+        assert plain.stats() == SolverCache(4).stats()  # claims count nothing
+        group = ShardGroup(2, 8)
+        shared = SolverCache(4, [group])
+        assert shared.claim("k") == ("claimed", None)
+        assert group.stats()["totals"]["in_flight"] == 1
+        plain.close()
+
+    def test_a_private_and_a_shared_tier_stack(self, tmp_path):
+        # [lru, disk, shard-group]: a hit in the lowest tier is promoted
+        # into the front AND the disk tier above it; writes and
+        # invalidations reach both; flights live on the shared tier.
+        disk = PersistentCache(tmp_path / "private.sqlite")
+        group = ShardGroup(2, 8)
+        cache = SolverCache(4, [disk, group])
+        key = ("session", "a")
+        group.put_many([(encode_key(key), pair(0.5))])
+        assert cache.get(key) == pair(0.5)
+        assert key in cache
+        assert disk.get(encode_key(key)) == pair(0.5)
+        cache.put("b", pair(0.25))
+        assert disk.get(encode_key("b")) == group.get(encode_key("b"))
+        assert cache.invalidate([key, "b"]) == 2
+        for tier in (disk, group):
+            assert tier.get(encode_key(key)) is None
+            assert tier.get(encode_key("b")) is None
+        depth = cache.tier_depth()
+        assert set(depth) == {"disk", "n_shards", "version", "shards", "totals"}
+        assert depth["disk"]["disk_invalidations"] == 2
+        assert depth["totals"]["invalidations"] == 2
+        assert cache.claim("c") == ("claimed", None)
+        assert group.stats()["totals"]["in_flight"] == 1
+        cache.release_flight("c")
+        cache.close()
+
+    def test_one_tier_of_each_kind(self, tmp_path):
+        disks = [PersistentCache(tmp_path / f"{i}.sqlite") for i in range(2)]
+        with pytest.raises(ValueError, match="at most one"):
+            SolverCache(4, disks)
+        with pytest.raises(ValueError, match="at most one"):
+            SolverCache(4, [ShardGroup(1, 8), ShardGroup(1, 8)])
+        for disk in disks:
+            disk.close()
+
+
+@pytest.mark.parametrize("tiers", CONFIGS, indirect=True)
+class TestTierConformance:
+    def test_hit_miss_counting(self, tiers):
+        cache = tiers.cache()
+        assert cache.get("a") is None
+        cache.put("a", pair(0.5))
+        assert cache.get("a") == pair(0.5)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+        assert stats.hit_rate == 0.5
+
+    def test_eviction_at_capacity(self, tiers):
+        cache = tiers.cache(capacity=2)
+        cache.put("a", pair(0.1))
+        cache.put("b", pair(0.2))
+        cache.put("c", pair(0.3))
+        assert cache.stats().evictions == 1
+        assert "a" not in cache
+        assert "b" in cache and "c" in cache
+
+    def test_get_refreshes_recency(self, tiers):
+        cache = tiers.cache(capacity=2)
+        cache.put("a", pair(0.1))
+        cache.put("b", pair(0.2))
+        cache.get("a")  # "a" becomes most recent; "b" is now the LRU entry
+        cache.put("c", pair(0.3))
+        assert "a" in cache
+        assert "b" not in cache
+
+    def test_cold_solve_looks_up_once(self, tiers):
+        # The executor looks an eager node up once; the miss goes on to
+        # claim and solve without a second lookup.
+        cache = tiers.cache(capacity=64)
+        query = "P('Ann', '5/5'; 'Trump'; 'Clinton')"
+        cold = answer(query, polling_example(), cache=cache)
+        assert (cache.stats().hits, cache.stats().misses) == (0, 1)
+        warm = answer(query, polling_example(), cache=cache)
+        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
+        assert warm.value == cold.value
+
+    def test_invalidate_drops_exactly_the_keys(self, tiers):
+        # "a" and "c" land on different shards of a two-shard group.
+        cache = tiers.cache(capacity=8)
+        cache.put_many([("a", pair(0.1)), ("b", pair(0.2)), ("c", pair(0.3))])
+        assert cache.invalidate(["a", "c", "ghost"]) == 2
+        assert cache.get("a") is None and cache.get("b") == pair(0.2)
+        assert cache.get("c") is None
+        stats = cache.stats()
+        assert stats.invalidations == 2 and stats.size == 1
+        expected = {"lru": {}, "lru+disk": {"disk": 2}}.get(
+            tiers.kind, {"shards": 2, "disk": 2}
+        )
+        assert tier_invalidations(cache) == expected
+
+    def test_clear_drops_every_tier(self, tiers):
+        cache = tiers.cache(capacity=16)
+        cache.put_many([(("session", i), pair(i / 9)) for i in range(9)])
+        cache.clear()
+        assert len(cache) == 0
+        assert all(cache.get(("session", i)) is None for i in range(9))
+        assert tiers.cache().get(("session", 0)) is None
+
+    def test_claim_wait_release_cycle(self, tiers):
+        cache = tiers.cache()
+        assert cache.claim("k") == ("claimed", None)
+        assert cache.claim("k") == ("wait", None)
+        cache.put("k", pair(0.5))
+        assert cache.wait_flight("k", 1.0) == pair(0.5)
+        assert cache.claim("k") == ("value", pair(0.5))
+
+    def test_abandoned_claim_unblocks_waiters(self, tiers):
+        cache = tiers.cache()
+        assert cache.claim("k") == ("claimed", None)
+        waited = []
+        thread = threading.Thread(
+            target=lambda: waited.append(cache.wait_flight("k", 5.0))
+        )
+        thread.start()
+        cache.release_flight("k")  # owner gives up without publishing
+        thread.join(5.0)
+        assert waited == [None]
+
+    def test_get_or_compute_computes_once(self, tiers):
+        cache = tiers.cache(capacity=2)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return pair(0.5)
+
+        assert cache.get_or_compute("k", compute) == pair(0.5)
+        assert cache.get_or_compute("k", compute) == pair(0.5)
+        assert len(calls) == 1
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("value", [pair(0.625), "front-only"])
+    def test_get_or_compute_single_flight_under_contention(self, tiers, value):
         # Regression: concurrent misses on ONE key used to race past the
         # documented check-then-compute window and each run compute().
-        # With per-key in-flight events, a barrier-synchronized pool of
-        # threads releases exactly one compute; the rest block and read
-        # the published value.
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
+        # With per-key flights, a barrier-synchronized pool of threads
+        # (more than cores, switching often) releases exactly one
+        # compute; the rest wait and read the value.  A value that is not
+        # a pair never reaches a shared tier: waiters must find it in the
+        # front rather than claim the released flight and compute again.
         n_threads = 8
-        cache = SolverCache(capacity=4)
+        cache = tiers.cache()
         barrier = threading.Barrier(n_threads)
         calls = []
         calls_lock = threading.Lock()
@@ -231,21 +443,27 @@ class TestSolverCache:
         def compute():
             with calls_lock:
                 calls.append(threading.get_ident())
-            return "value"
+            time.sleep(0.05)  # long enough for every thread to wait
+            return value
 
         def contend():
             barrier.wait()  # all threads miss at the same instant
             return cache.get_or_compute("hot", compute)
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(lambda _: contend(), range(n_threads)))
-        assert results == ["value"] * n_threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                results = list(
+                    pool.map(lambda _: contend(), range(n_threads))
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [value] * n_threads
         assert len(calls) == 1
 
-    def test_get_or_compute_failed_owner_does_not_strand_waiters(self):
-        import threading
-
-        cache = SolverCache(capacity=4)
+    def test_get_or_compute_failed_owner_does_not_strand_waiters(self, tiers):
+        cache = tiers.cache()
         entered = threading.Event()
         release = threading.Event()
         outcome = []
@@ -263,7 +481,7 @@ class TestSolverCache:
 
         def waiter():
             entered.wait(5.0)
-            outcome.append(cache.get_or_compute("k", lambda: "recovered"))
+            outcome.append(cache.get_or_compute("k", lambda: pair(0.5)))
 
         threads = [
             threading.Thread(target=owner),
@@ -276,39 +494,123 @@ class TestSolverCache:
         for thread in threads:
             thread.join(5.0)
         assert "raised" in outcome
-        assert "recovered" in outcome
+        assert pair(0.5) in outcome
 
-    def test_put_many_takes_the_lock_once(self):
-        # The batch flush contract: ONE outer lock acquisition for the
-        # whole batch (re-entrant re-entries inside it are free), not one
-        # per entry — so a flush never interleaves with readers.
-        import threading
-
-        class CountingRLock:
-            """Counts acquisitions made while the lock was not yet held."""
-
-            def __init__(self):
-                self._inner = threading.RLock()
-                self._depth = 0
-                self.outer_acquisitions = 0
-
-            def __enter__(self):
-                entered = self._inner.__enter__()
-                if self._depth == 0:
-                    self.outer_acquisitions += 1
-                self._depth += 1
-                return entered
-
-            def __exit__(self, *exc_info):
-                self._depth -= 1
-                return self._inner.__exit__(*exc_info)
-
-        cache = SolverCache(capacity=64)
-        lock = CountingRLock()
-        cache._lock = lock
-        cache.put_many([(f"k{i}", i) for i in range(50)])
+    def test_put_many_takes_the_front_lock_once(self, tiers):
+        # The batch flush contract: ONE front lock acquisition for the
+        # whole batch, not one per entry — so a flush never interleaves
+        # with readers.
+        cache = tiers.cache(capacity=64)
+        lock = CountingLock()
+        cache._front._lock = lock
+        cache.put_many([(f"k{i}", pair(i / 50)) for i in range(50)])
         assert len(cache) == 50
         assert lock.outer_acquisitions == 1
+
+
+@pytest.mark.parametrize("tiers", CONFIGS[1:], indirect=True)
+class TestLowerTierConformance:
+    def test_get_promotes_a_lower_tier_hit(self, tiers):
+        tiers.cache().put(("session", "a"), pair(0.5))
+        peer = tiers.cache()
+        assert ("session", "a") not in peer
+        assert peer.get(("session", "a")) == pair(0.5)
+        assert ("session", "a") in peer  # promoted into the front
+        depth = peer.tier_depth()
+        assert peer.get(("session", "a")) == pair(0.5)
+        assert peer.tier_depth() == depth  # a front hit reads no tier
+        assert (peer.stats().hits, peer.stats().misses) == (1, 1)
+
+    def test_write_through_of_pairs_only(self, tiers):
+        cache = tiers.cache(capacity=8)
+        marker = object()
+        cache.put_many([("pair", pair(0.25)), ("rich", marker)])
+        cache.put("one", pair(0.75))
+        cache.put("other", {"rich": "object"})
+        assert cache.get("rich") is marker
+        assert cache.get("other") == {"rich": "object"}
+        peer = tiers.cache(capacity=8)
+        assert peer.get("pair") == pair(0.25)
+        assert peer.get("one") == pair(0.75)
+        assert peer.get("rich") is None and peer.get("other") is None
+
+    def test_invalidate_reaches_every_tier_and_survives_reopen(self, tiers):
+        cache = tiers.cache(capacity=8)
+        cache.put_many([("a", pair(0.25)), ("b", pair(0.5))])
+        assert cache.invalidate(["a"]) == 1
+        expected = {"disk": 1}
+        if tiers.kind != "lru+disk":
+            expected["shards"] = 1
+        assert tier_invalidations(cache) == expected
+        assert tiers.cache().get("a") is None  # gone from the lower tier
+        # A restart over the same lower state must not resurrect the key.
+        reopened = tiers.reopen(cache)
+        assert reopened.get("a") is None
+        assert reopened.get("b") == pair(0.5)
+
+
+# ----------------------------------------------------------------------
+# Service stats surface
+# ----------------------------------------------------------------------
+
+FRONT_KEYS = {
+    "capacity", "evictions", "hit_rate", "hits", "invalidations", "misses",
+    "n_passes_applied", "n_solves_eliminated", "n_solves_planned", "size",
+}
+DISK_KEYS = {"disk_hits", "disk_invalidations", "disk_misses", "disk_size"}
+SHARD_KEYS = {
+    "n_shards", "shard_evictions", "shard_hits", "shard_invalidations",
+    "shard_misses", "shard_size",
+}
+STORE_KEYS = {
+    "capacity", "evictions", "hits", "in_flight", "invalidations", "misses",
+    "size",
+}
+
+
+def test_service_stats_keys_per_configuration(db, tmp_path):
+    """``stats()`` and ``tier_depth()`` keep their key sets per config
+    (``/stats`` -> ``cache`` and ``cache_tiers`` on the wire)."""
+    server = ShardCacheServer(ShardGroup(2, 64, tmp_path / "served.sqlite"))
+    configurations = [
+        ({}, FRONT_KEYS, None),
+        ({"cache_db": str(tmp_path / "c.sqlite")}, FRONT_KEYS | DISK_KEYS,
+         {"disk"}),
+        ({"cache_shards": 2}, FRONT_KEYS | SHARD_KEYS, STORE_KEYS),
+        ({"shard_address": server.address},
+         FRONT_KEYS | SHARD_KEYS | DISK_KEYS, STORE_KEYS | DISK_KEYS),
+    ]
+    for options, flat_keys, depth_keys in configurations:
+        service = PreferenceService(backend="serial", **options)
+        service.answer_many(["P('Ann', '5/5'; 'Trump'; 'Clinton')"], db)
+        service.cache.put(("probe",), (0.5, "lifted"))
+        service.cache.invalidate([("probe",)])
+        flat = service.stats()
+        assert set(flat) == flat_keys
+        depth = service.tier_depth()
+        if depth_keys is None:
+            assert depth == {}
+        elif depth_keys == {"disk"}:
+            assert set(depth) == {"disk"}
+            assert set(depth["disk"]) == DISK_KEYS
+            assert {key: flat[key] for key in DISK_KEYS} == depth["disk"]
+            assert flat["disk_invalidations"] == 1
+        else:
+            assert set(depth) == {"n_shards", "version", "shards", "totals"}
+            assert depth["n_shards"] == 2
+            assert [set(shard) for shard in depth["shards"]] == [depth_keys] * 2
+            totals = depth["totals"]
+            assert set(totals) == depth_keys
+            # The flat shard_* counters are the nested totals, renamed;
+            # the write-back files' disk_* totals keep their names.
+            assert flat["n_shards"] == 2
+            for name in ("hits", "misses", "evictions", "invalidations", "size"):
+                assert flat[f"shard_{name}"] == totals[name]
+            for name in DISK_KEYS & depth_keys:
+                assert flat[name] == totals[name]
+            assert flat["shard_invalidations"] == 1
+        service.cache.close()
+    server.close()
 
 
 # ----------------------------------------------------------------------

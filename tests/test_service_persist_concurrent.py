@@ -14,7 +14,8 @@ import threading
 import pytest
 
 from repro.db.examples import polling_example
-from repro.service.persist import PersistentCache, PersistentSolverCache
+from repro.service.cache import SolverCache
+from repro.service.persist import PersistentCache, encode_key
 from repro.service.service import PreferenceService
 
 pytestmark = pytest.mark.timeout(120)
@@ -40,13 +41,15 @@ class TestConcurrentWriters:
                     # Overlapping keys (shared across workers) exercise
                     # INSERT OR REPLACE races; distinct keys grow the file.
                     items = [
-                        (("shared", round_no, j), (j / 7.0, f"w{worker}"))
+                        (encode_key(("shared", round_no, j)),
+                         (j / 7.0, f"w{worker}"))
                         for j in range(chunk)
                     ] + [
-                        (("own", worker, round_no), (float(round_no), "lp"))
+                        (encode_key(("own", worker, round_no)),
+                         (float(round_no), "lp"))
                     ]
                     cache.put_many(items)
-                    got = cache.get(("shared", round_no, 0))
+                    got = cache.get(encode_key(("shared", round_no, 0)))
                     assert got is not None and got[0] == 0.0
                 cache.close()
             except Exception as error:  # pragma: no cover - failure path
@@ -69,7 +72,7 @@ class TestConcurrentWriters:
         assert len(survivor) == n_rounds * chunk + n_writers * n_rounds
         for round_no in range(n_rounds):
             for j in range(chunk):
-                value = survivor.get(("shared", round_no, j))
+                value = survivor.get(encode_key(("shared", round_no, j)))
                 assert value[0] == j / 7.0
                 assert value[1] in {f"w{w}" for w in range(n_writers)}
         survivor.close()
@@ -97,33 +100,32 @@ class TestConcurrentWriters:
 class TestVersioning:
     def test_version_mismatch_clears_the_store(self, tmp_path):
         path = tmp_path / "versioned.sqlite"
+        key = encode_key(("k",))
         old = PersistentCache(path, version="gen-1")
-        old.put(("k",), (0.5, "lp"))
+        old.put_many([(key, (0.5, "lp"))])
         old.close()
 
         reopened = PersistentCache(path, version="gen-1")
-        assert reopened.get(("k",)) == (0.5, "lp")
+        assert reopened.get(key) == (0.5, "lp")
         reopened.close()
 
         # A different generation must not trust gen-1 keys.
         migrated = PersistentCache(path, version="gen-2")
-        assert migrated.get(("k",)) is None
+        assert migrated.get(key) is None
         assert len(migrated) == 0
-        migrated.put(("k",), (0.75, "dp"))
+        migrated.put_many([(key, (0.75, "dp"))])
         migrated.close()
 
         kept = PersistentCache(path, version="gen-2")
-        assert kept.get(("k",)) == (0.75, "dp")
+        assert kept.get(key) == (0.75, "dp")
         kept.close()
 
     def test_solver_cache_version_clear_via_tier(self, tmp_path):
         path = str(tmp_path / "tiered.sqlite")
-        tiered = PersistentSolverCache(capacity=8, db_path=path,
-                                       version="gen-1")
+        tiered = SolverCache(8, [PersistentCache(path, version="gen-1")])
         tiered.put(("k",), (0.25, "lp"))
         tiered.close()
-        fresh = PersistentSolverCache(capacity=8, db_path=path,
-                                      version="gen-2")
+        fresh = SolverCache(8, [PersistentCache(path, version="gen-2")])
         assert fresh.get(("k",)) is None
         fresh.close()
 
@@ -134,7 +136,7 @@ class TestTransactions:
         statements = []
         cache._conn.set_trace_callback(statements.append)
         cache.put_many(
-            [(("k", i), (i / 3.0, "lp")) for i in range(50)]
+            [(encode_key(("k", i)), (i / 3.0, "lp")) for i in range(50)]
         )
         cache._conn.set_trace_callback(None)
         commits = [s for s in statements if s.strip().upper() == "COMMIT"]
@@ -149,7 +151,7 @@ class TestTransactions:
     def test_put_many_rejects_unpersistable_values_atomically(self, tmp_path):
         cache = PersistentCache(tmp_path / "atomic.sqlite")
         with pytest.raises(TypeError):
-            cache.put_many([(("good",), (0.5, "lp")), (("bad",), object())])
+            cache.put_many([("good", (0.5, "lp")), ("bad", object())])
         # Validation happens before any row is staged: nothing landed.
         assert len(cache) == 0
         cache.close()

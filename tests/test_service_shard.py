@@ -1,32 +1,41 @@
-"""Tests for the sharded shared-cache tier (:mod:`repro.service.shard`).
+"""Tests for the shard tier (:mod:`repro.service.shard`).
 
-Covers the tentpole contract: stable key partitioning, per-shard LRU and
-write-back semantics, the cache-server protocol (including the version
-handshake and fleet-wide single-flight), the drop-in
-:class:`ShardedSolverCache`, warm-fleet restarts performing zero solves,
+Covers stable key partitioning, per-shard write-back, the cache-server
+protocol (typed JSON frames, the hello-first rule and version handshake,
+argument checking, the frame-size limit, release-on-disconnect, and
+fleet-wide single-flight), warm-fleet restarts performing zero solves,
 and bit-identity of sharded vs. unsharded answers on a seeded mixed-kind
-corpus.
+corpus.  The cache behaviour shared with every other tier configuration
+is the conformance suite of ``tests/test_service_cache.py``.
 """
 
+import json
 import os
 import pickle
+import socket
+import struct
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets.crowdrank import crowdrank_database
+from repro.service import shard
 from repro.service.cache import SolverCache
 from repro.service.persist import default_version, encode_key
 from repro.service.service import PreferenceService
 from repro.service.shard import (
+    MAX_FRAME_BYTES,
     ShardCacheServer,
     ShardClient,
     ShardGroup,
     ShardProtocolError,
-    ShardStore,
-    ShardedSolverCache,
     shard_db_path,
     shard_of,
 )
@@ -83,40 +92,11 @@ class TestShardOf:
 
 
 # ----------------------------------------------------------------------
-# Stores
+# The embedded group
 # ----------------------------------------------------------------------
 
 
-class TestShardStore:
-    def test_lru_eviction_per_shard(self):
-        store = ShardStore(capacity=2)
-        store.put_many([("a", (0.1, "s")), ("b", (0.2, "s"))])
-        assert store.get("a") == (0.1, "s")  # refreshes recency
-        store.put_many([("c", (0.3, "s"))])
-        assert store.get("b") is None
-        assert store.get("a") == (0.1, "s")
-        assert store.stats()["evictions"] == 1
-
-    def test_claim_wait_release_cycle(self):
-        store = ShardStore(capacity=8)
-        assert store.claim("k") == ("claimed", None)
-        assert store.claim("k") == ("wait", None)
-        store.put_many([("k", (0.5, "s"))])
-        assert store.wait("k", 1.0) == (0.5, "s")
-        assert store.claim("k") == ("value", (0.5, "s"))
-
-    def test_abandoned_claim_unblocks_waiters(self):
-        store = ShardStore(capacity=8)
-        assert store.claim("k") == ("claimed", None)
-        waited = []
-        thread = threading.Thread(
-            target=lambda: waited.append(store.wait("k", 5.0))
-        )
-        thread.start()
-        store.release("k")  # owner gives up without publishing
-        thread.join(5.0)
-        assert waited == [None]
-
+class TestShardGroup:
     def test_interleaved_writers_across_shards(self, tmp_path):
         # Concurrent batch writers hitting all shards at once: every
         # write lands, in memory and in the per-shard files.
@@ -169,9 +149,64 @@ class TestShardStore:
 # ----------------------------------------------------------------------
 
 
+def _connect(server):
+    host, _, port = server.address.rpartition(":")
+    return socket.create_connection((host, int(port)), timeout=5.0)
+
+
+def _read(sock, n_bytes):
+    """Exactly ``n_bytes``, or ``None`` once the peer hangs up."""
+    data = b""
+    while len(data) < n_bytes:
+        chunk = sock.recv(n_bytes - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def _send(sock, body):
+    if not isinstance(body, bytes):
+        body = json.dumps(body).encode()
+    sock.sendall(struct.pack(">I", len(body)) + body)
+
+
+def _reply(sock):
+    """The decoded reply frame, or ``None`` once the server hangs up."""
+    header = _read(sock, 4)
+    if header is None:
+        return None
+    return json.loads(_read(sock, struct.unpack(">I", header)[0]))
+
+
+def _exchange(sock, body):
+    _send(sock, body)
+    return _reply(sock)
+
+
+class _Exploit:
+    """Unpickling this creates ``path`` — a stand-in for running code."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+#: The claimant child: hold a claim mid-solve until killed.
+CLAIMANT = """
+import sys, time
+from repro.service.shard import ShardClient
+client = ShardClient(sys.argv[1])
+print(client.claim(sys.argv[2])[0], flush=True)
+time.sleep(120)  # solving...
+"""
+
+
 class TestShardServer:
     def test_round_trip_and_stats(self):
-        with ShardCacheServer(n_shards=2, capacity=64) as server:
+        with ShardCacheServer(ShardGroup(n_shards=2, capacity=64)) as server:
             client = ShardClient(server.address)
             assert client.get("k") is None
             client.put_many([("k", (0.25, "lifted"))])
@@ -184,9 +219,22 @@ class TestShardServer:
             assert client.get("k") is None
             client.close()
 
+    def test_probabilities_round_trip_exactly(self):
+        values = [0.1 + 0.2, 5e-324, 1 - 2**-53]
+        with ShardCacheServer(ShardGroup(n_shards=2, capacity=64)) as server:
+            client = ShardClient(server.address)
+            client.put_many(
+                [(f"k{index}", (value, "s")) for index, value in enumerate(values)]
+            )
+            for index, value in enumerate(values):
+                found = client.get(f"k{index}")
+                assert found == (value, "s")
+                assert found[0].hex() == value.hex()
+            client.close()
+
     def test_version_handshake_rejects_stale_clients(self):
         group = ShardGroup(n_shards=1, capacity=8, version="old-format/k0")
-        with ShardCacheServer(group=group) as server:
+        with ShardCacheServer(group) as server:
             client = ShardClient(server.address)
             with pytest.raises(ShardProtocolError, match="version mismatch"):
                 client.get("k")
@@ -195,7 +243,7 @@ class TestShardServer:
     def test_single_flight_across_clients(self):
         # Two fleet members race one key: exactly one claims, the other
         # waits and reads the published value.
-        with ShardCacheServer(n_shards=2, capacity=64) as server:
+        with ShardCacheServer(ShardGroup(n_shards=2, capacity=64)) as server:
             owner = ShardClient(server.address)
             peer = ShardClient(server.address)
             assert owner.claim("hot") == ("claimed", None)
@@ -211,79 +259,17 @@ class TestShardServer:
             owner.close()
             peer.close()
 
-    def test_malformed_put_many_is_rejected(self):
-        with ShardCacheServer(n_shards=1, capacity=8) as server:
-            client = ShardClient(server.address)
-            with pytest.raises(ShardProtocolError, match="pairs"):
-                client.put_many([("k", "not-a-pair")])
-            # The connection survives the protocol error.
-            client.put_many([("k", (0.5, "s"))])
-            assert client.get("k") == (0.5, "s")
-            client.close()
-
-    def test_client_is_picklable(self):
-        with ShardCacheServer(n_shards=1, capacity=8) as server:
-            client = ShardClient(server.address)
-            client.put_many([("k", (0.5, "s"))])
-            clone = pickle.loads(pickle.dumps(client))
-            assert clone.get("k") == (0.5, "s")
-            client.close()
-            clone.close()
-
-    def test_bad_address_rejected(self):
-        with pytest.raises(ValueError, match="host:port"):
-            ShardClient("nonsense")
-
-
-# ----------------------------------------------------------------------
-# The drop-in cache
-# ----------------------------------------------------------------------
-
-
-class TestShardedSolverCache:
-    def test_address_excludes_cache_db(self):
-        with pytest.raises(ValueError, match="server"):
-            ShardedSolverCache(address="127.0.0.1:1", cache_db="x.sqlite")
-
-    def test_write_through_and_promotion(self, tmp_path):
-        cache = ShardedSolverCache(
-            capacity=8, n_shards=2, cache_db=tmp_path / "tier.sqlite"
-        )
-        cache.put(("session", "a"), (0.5, "s"))
-        assert cache.get(("session", "a")) == (0.5, "s")
-        # A second cache over the same files sees the write-back.
-        cache.close()
-        fresh = ShardedSolverCache(
-            capacity=8, n_shards=2, cache_db=tmp_path / "tier.sqlite"
-        )
-        assert fresh.get(("session", "a")) == (0.5, "s")
-        # ... and promoted it into its local LRU (no tier consultation).
-        before = fresh.tier_stats()["shard_misses"]
-        assert fresh.get(("session", "a")) == (0.5, "s")
-        assert fresh.tier_stats()["shard_misses"] == before
-        fresh.close()
-
-    def test_non_persistable_values_stay_local(self):
-        cache = ShardedSolverCache(capacity=8, n_shards=2)
-        marker = object()
-        cache.put(("solve", "rich"), marker)
-        assert cache.get(("solve", "rich")) is marker
-        assert cache.tier_stats()["shard_size"] == 0
-        cache.close()
-
     def test_fleet_single_flight_one_solve(self):
-        # N workers (each with its OWN ShardedSolverCache, sharing one
-        # server) rush one cold key: the tier admits one compute.
+        # N workers (each with its OWN SolverCache over one server) rush
+        # one cold key: the tier admits one compute.
         n_workers = 6
-        with ShardCacheServer(n_shards=2, capacity=64) as server:
+        with ShardCacheServer(ShardGroup(n_shards=2, capacity=64)) as server:
             barrier = threading.Barrier(n_workers)
             calls = []
             calls_lock = threading.Lock()
 
             def work(index):
-                cache = ShardedSolverCache(
-                    capacity=8, address=server.address
-                )
+                cache = SolverCache(8, [ShardClient(server.address)])
 
                 def compute():
                     with calls_lock:
@@ -300,16 +286,141 @@ class TestShardedSolverCache:
             assert results == [(0.625, "lifted")] * n_workers
             assert len(calls) == 1
 
-    def test_clear_drops_all_shards(self):
-        cache = ShardedSolverCache(capacity=8, n_shards=3, shard_capacity=64)
-        cache.put_many(
-            [(("session", i), (0.5, "s")) for i in range(9)]
+    @pytest.mark.timeout(60)
+    def test_killed_claimant_releases_its_claims(self):
+        # A worker holding a claim is SIGKILLed mid-solve: the server
+        # releases the claim when the connection drops, so a waiting peer
+        # gets None (and solves itself) at once, not after its timeout.
+        key = encode_key(("session", "hot"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + [path for path in [env.get("PYTHONPATH")] if path]
         )
-        assert cache.tier_stats()["shard_size"] == 9
-        cache.clear()
-        assert cache.tier_stats()["shard_size"] == 0
-        assert len(cache) == 0
-        cache.close()
+        group = ShardGroup(n_shards=2, capacity=64)
+        with ShardCacheServer(group=group) as server:
+            child = subprocess.Popen(
+                [sys.executable, "-c", CLAIMANT, server.address, key],
+                stdout=subprocess.PIPE, text=True, env=env,
+            )
+            try:
+                assert child.stdout.readline().strip() == "claimed"
+                peer = ShardClient(server.address)
+                assert peer.claim(key) == ("wait", None)
+                killer = threading.Timer(0.5, child.kill)
+                killer.start()
+                started = time.monotonic()
+                assert peer.wait(key, 30.0) is None
+                assert time.monotonic() - started < 5.0
+                assert group.stats()["totals"]["in_flight"] == 0
+                assert peer.claim(key) == ("claimed", None)
+                peer.close()
+            finally:
+                child.kill()
+                child.wait()
+                child.stdout.close()
+
+    def test_pickle_frames_cannot_run_code(self, tmp_path):
+        marker = tmp_path / "unpickled"
+        hostile = pickle.dumps(("get", _Exploit(str(marker))))
+        group = ShardGroup(n_shards=1, capacity=8)
+        with ShardCacheServer(group=group) as server:
+            for greet in (False, True):
+                with _connect(server) as sock:
+                    if greet:
+                        hello = ["hello", default_version()]
+                        assert _exchange(sock, hello)[0] == "ok"
+                    _send(sock, hostile)
+                    header = _read(sock, 4)  # the server has handled it
+                    assert not marker.exists()
+                    if header is not None:
+                        body = _read(sock, struct.unpack(">I", header)[0])
+                        assert json.loads(body)[0] == "err"
+
+    def test_ops_are_refused_until_hello(self):
+        with ShardCacheServer(ShardGroup(n_shards=1, capacity=8)) as server:
+            with _connect(server) as sock:
+                refused = _exchange(sock, ["put_many", [["k", [0.5, "s"]]]])
+                assert refused[0] == "err" and "hello" in refused[1]
+                assert _exchange(sock, ["hello", default_version()])[0] == "ok"
+                assert _exchange(sock, ["get", "k"]) == ["ok", None]
+
+    def test_oversized_frame_is_refused_unread(self):
+        with ShardCacheServer(ShardGroup(n_shards=1, capacity=8)) as server:
+            with _connect(server) as sock:
+                # Only the length prefix: a server reading the body would
+                # block, and this exchange would time out.
+                sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+                header = _read(sock, 4)
+                if header is not None:
+                    body = _read(sock, struct.unpack(">I", header)[0])
+                    assert json.loads(body)[0] == "err"
+                assert _read(sock, 1) is None  # and the peer is dropped
+
+    def test_client_splits_a_batch_beyond_the_frame_limit(self, monkeypatch):
+        # A flush of many fresh sessions can outgrow one frame: the client
+        # spreads put_many and invalidate over as many frames as needed.
+        monkeypatch.setattr(shard, "MAX_FRAME_BYTES", 4096)
+        pairs = [
+            (encode_key(("session", "x" * 40, index)), (index / 300, "lifted"))
+            for index in range(300)
+        ]
+        assert len(json.dumps(["put_many", pairs])) > 4 * 4096
+        with ShardCacheServer(ShardGroup(n_shards=2, capacity=512)) as server:
+            client = ShardClient(server.address)
+            client.put_many(pairs)
+            assert [client.get(key) for key, _ in pairs] == [
+                value for _, value in pairs
+            ]
+            assert client.invalidate([key for key, _ in pairs]) == len(pairs)
+            assert client.stats()["totals"]["size"] == 0
+            # A single pair no frame can hold is refused before sending,
+            # and the connection lives on.
+            with pytest.raises(ShardProtocolError, match="exceeds"):
+                client.put_many([("k" * 5000, (0.5, "s"))])
+            client.put_many([("k", (0.5, "s"))])
+            assert client.get("k") == (0.5, "s")
+            client.close()
+
+    def test_every_op_checks_its_arguments(self):
+        malformed = [
+            {"op": "get"}, "get", [], [1], ["nope"], ["get"], ["get", 1],
+            ["get", "k", "extra"], ["claim", ["k"]], ["release", None],
+            ["wait", "k", "soon"], ["wait", "k", True], ["invalidate", "k"],
+            ["put_many", [["k", [0.5]]]], ["put_many", [["k", ["p", "s"]]]],
+            ["hello", 1], ["stats", 1], ["clear", 1],
+        ]
+        with ShardCacheServer(ShardGroup(n_shards=1, capacity=8)) as server:
+            with _connect(server) as sock:
+                assert _exchange(sock, ["hello", default_version()])[0] == "ok"
+                for request in malformed:
+                    reply = _exchange(sock, request)
+                    assert reply[0] == "err", request
+                # The connection survives every protocol error.
+                assert _exchange(sock, ["get", "k"]) == ["ok", None]
+
+    def test_malformed_put_many_is_rejected(self):
+        with ShardCacheServer(ShardGroup(n_shards=1, capacity=8)) as server:
+            client = ShardClient(server.address)
+            with pytest.raises(ShardProtocolError, match="pairs"):
+                client.put_many([("k", "not-a-pair")])
+            # The connection survives the protocol error.
+            client.put_many([("k", (0.5, "s"))])
+            assert client.get("k") == (0.5, "s")
+            client.close()
+
+    def test_client_is_picklable(self):
+        with ShardCacheServer(ShardGroup(n_shards=1, capacity=8)) as server:
+            client = ShardClient(server.address)
+            client.put_many([("k", (0.5, "s"))])
+            clone = pickle.loads(pickle.dumps(client))
+            assert clone.get("k") == (0.5, "s")
+            client.close()
+            clone.close()
+
+    def test_bad_address_rejected(self):
+        with pytest.raises(ValueError, match="host:port"):
+            ShardClient("nonsense")
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +432,8 @@ class TestShardedService:
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="shard_address excludes"):
             PreferenceService(shard_address="127.0.0.1:1", cache_shards=2)
+        with pytest.raises(ValueError, match="shard_address excludes"):
+            PreferenceService(shard_address="127.0.0.1:1", cache_db="x.db")
         with pytest.raises(ValueError, match="not both"):
             PreferenceService(cache=SolverCache(4), cache_shards=2)
 
@@ -344,19 +457,21 @@ class TestShardedService:
     def test_warm_fleet_restart_zero_solves(self, db, tmp_path):
         stem = tmp_path / "fleet.sqlite"
         queries = [MIXED_REQUESTS[0], MIXED_REQUESTS[1]]
-        with ShardCacheServer(n_shards=2, cache_db=stem) as server:
+        with ShardCacheServer(ShardGroup(2, cache_db=stem)) as server:
             cold = PreferenceService(
                 shard_address=server.address, backend="serial"
             )
             first = cold.answer_many(queries, db)
             assert first.n_distinct_solves > 0
+            cold.cache.close()
         # The fleet restarts: a NEW server over the same shard files and
         # entirely new workers; nothing may be solved again.
-        with ShardCacheServer(n_shards=2, cache_db=stem) as server:
+        with ShardCacheServer(ShardGroup(2, cache_db=stem)) as server:
             warm = PreferenceService(
                 shard_address=server.address, backend="serial"
             )
             second = warm.answer_many(queries, db)
+            warm.cache.close()
             assert second.n_distinct_solves == 0
             for theirs, ours in zip(first, second):
                 assert ours.value == theirs.value
@@ -376,7 +491,7 @@ class TestShardedService:
         group = ShardGroup(
             n_shards=1, capacity=8, version="other-generation/k9"
         )
-        with ShardCacheServer(group=group) as server:
+        with ShardCacheServer(group) as server:
             service = PreferenceService(
                 shard_address=server.address, backend="serial"
             )

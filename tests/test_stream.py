@@ -23,11 +23,11 @@ from repro.rim.mallows import Mallows
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
 from repro.service.cache import SolverCache
-from repro.service.persist import PersistentSolverCache, encode_key
+from repro.service.persist import encode_key
 from repro.service.shard import (
     ShardCacheServer,
     ShardClient,
-    ShardedSolverCache,
+    ShardGroup,
     ShardProtocolError,
 )
 from repro.stream import (
@@ -157,42 +157,14 @@ class TestMutableDatabase:
 
 
 # ----------------------------------------------------------------------
-# Targeted invalidation, tier by tier
+# Targeted invalidation over the wire (every tier configuration is
+# covered by the conformance suite in tests/test_service_cache.py)
 # ----------------------------------------------------------------------
 
 
 class TestInvalidate:
-    def test_solver_cache_drops_exactly_the_keys(self):
-        cache = SolverCache(capacity=8)
-        cache.put_many([("a", 1), ("b", 2), ("c", 3)])
-        assert cache.invalidate(["a", "c", "ghost"]) == 2
-        assert cache.get("a") is None and cache.get("b") == 2
-        stats = cache.stats()
-        assert stats.invalidations == 2 and stats.size == 1
-
-    def test_persistent_cache_drops_from_disk(self, tmp_path):
-        path = tmp_path / "cache.sqlite"
-        cache = PersistentSolverCache(capacity=8, db_path=path)
-        cache.put_many([("a", (0.25, "lifted")), ("b", (0.5, "lifted"))])
-        assert cache.invalidate(["a"]) == 1
-        assert cache.persistent.stats()["disk_invalidations"] == 1
-        cache.close()
-        # A cold restart over the same file must not resurrect the key.
-        reopened = PersistentSolverCache(capacity=8, db_path=path)
-        assert reopened.get("a") is None
-        assert reopened.get("b") == (0.5, "lifted")
-        reopened.close()
-
-    def test_sharded_cache_drops_across_shards(self):
-        cache = ShardedSolverCache(capacity=8, n_shards=2)
-        cache.put_many([("a", (0.25, "lifted")), ("b", (0.5, "lifted"))])
-        assert cache.invalidate(["a", "b"]) == 2
-        assert cache.get("a") is None and cache.get("b") is None
-        assert cache.tier_stats()["shard_invalidations"] == 2
-        cache.close()
-
     def test_shard_protocol_invalidate(self):
-        with ShardCacheServer(n_shards=2, capacity=8) as server:
+        with ShardCacheServer(ShardGroup(n_shards=2, capacity=8)) as server:
             client = ShardClient(server.address)
             keys = [encode_key(("k", index)) for index in range(3)]
             client.put_many([(key, (0.5, "s")) for key in keys])
@@ -203,7 +175,7 @@ class TestInvalidate:
             client.close()
 
     def test_shard_protocol_rejects_malformed_invalidate(self):
-        with ShardCacheServer(n_shards=1, capacity=8) as server:
+        with ShardCacheServer(ShardGroup(n_shards=1, capacity=8)) as server:
             client = ShardClient(server.address)
             with pytest.raises(ShardProtocolError, match="encoded TEXT"):
                 client.invalidate([("not", "text")])  # type: ignore[list-item]
@@ -250,10 +222,8 @@ class TestStandingEngine:
         replayer = TrafficReplayer(
             n_active=8, n_pool=3, n_movies=6, seed=11
         )
-        cache = (
-            ShardedSolverCache(capacity=512, n_shards=n_shards)
-            if n_shards is not None
-            else SolverCache(capacity=512)
+        cache = SolverCache(
+            512, [ShardGroup(n_shards, 512)] if n_shards is not None else []
         )
         engine = StandingQueryEngine(
             replayer.db, cache=cache, auto_refresh=False
@@ -278,8 +248,7 @@ class TestStandingEngine:
                 )
                 assert standing.answer.generation == replayer.db.generation
         engine.close()
-        if n_shards is not None:
-            cache.close()
+        cache.close()
 
     def test_auto_refresh_tracks_mutations(self):
         db = make_db()
