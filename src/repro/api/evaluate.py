@@ -150,23 +150,11 @@ def answer_with_plan(
         and group_sessions
         and optimize
     )
-    plan = build_plan(
-        request,
-        db,
-        method=method,
-        options=solver_options,
-        group_sessions=group_sessions,
-        session_limit=session_limit,
+    plan, execution = _run_plan(
+        request, db, method, solver_options, group_sessions, session_limit,
+        optimize=optimize, canonical=use_cache, rng=rng,
+        cache=cache if use_cache else None, backend=None,
     )
-    if optimize:
-        optimize_plan(plan, canonical=use_cache)
-    execution = execute_plan(plan, cache=cache if use_cache else None, rng=rng)
-    if use_cache:
-        cache.record_plan(
-            plan.n_solves_planned,
-            plan.n_solves_eliminated,
-            len(plan.passes_applied),
-        )
     result = assemble_answers(
         plan, execution, batched=False, with_cache=use_cache
     )[0]
@@ -236,25 +224,12 @@ def answer_many(
             generation=db_generation(db),
         )
 
-    plan = build_plan(
-        parsed,
-        db,
-        method=method,
-        options=solver_options,
-        group_sessions=True,
-        session_limit=session_limit,
-    )
-    optimize_plan(plan, canonical=True)
     execution_backend = resolve_backend(effective_backend, max_workers)
-    execution = execute_plan(
-        plan, cache=cache, rng=rng, backend=execution_backend
+    plan, execution = _run_plan(
+        parsed, db, method, solver_options, True, session_limit,
+        optimize=True, canonical=True, rng=rng, cache=cache,
+        backend=execution_backend,
     )
-    if cache is not None:
-        cache.record_plan(
-            plan.n_solves_planned,
-            plan.n_solves_eliminated,
-            len(plan.passes_applied),
-        )
     answers = assemble_answers(plan, execution, batched=True)
     generation = db_generation(db)
     for one in answers:
@@ -272,6 +247,46 @@ def answer_many(
         n_solves_eliminated=plan.n_solves_eliminated,
         generation=generation,
     )
+
+
+def _run_plan(
+    requests: Any,
+    db: Any,
+    method: str,
+    solver_options: dict[str, Any],
+    group_sessions: bool,
+    session_limit: int | None,
+    *,
+    optimize: bool,
+    canonical: bool,
+    rng: "np.random.Generator | None",
+    cache: SolverCache | None,
+    backend: "ExecutionBackend | None",
+) -> "tuple[QueryPlan, PlanExecution]":
+    """Build -> optimize -> execute, recording the plan on ``cache``.
+
+    The one step behind :func:`answer_with_plan` and the exact branch of
+    :func:`answer_many`; they differ only in backend, grouping mode
+    (``canonical``) and how they wrap the answers.
+    """
+    plan = build_plan(
+        requests,
+        db,
+        method=method,
+        options=solver_options,
+        group_sessions=group_sessions,
+        session_limit=session_limit,
+    )
+    if optimize:
+        optimize_plan(plan, canonical=canonical)
+    execution = execute_plan(plan, cache=cache, rng=rng, backend=backend)
+    if cache is not None:
+        cache.record_plan(
+            plan.n_solves_planned,
+            plan.n_solves_eliminated,
+            len(plan.passes_applied),
+        )
+    return plan, execution
 
 
 def _parallelism_requested(

@@ -10,15 +10,16 @@ consensus answers both rewrite plans, not evaluators:
   (``SelectSessions -> GroundSessions -> CompileUnion -> Solve ->
   AggregateSessions``, plus ``CombineQueries`` for batches);
 * :mod:`repro.plan.build` — the logical builder, (queries, db) -> plan;
-* :mod:`repro.plan.methods` — the single method-resolution path (cost-based
+* :mod:`repro.plan.methods` — the single method-resolution path (structural
   ``"auto"``, budgeted ``"auto-approx"``) and the method-name constants;
 * :mod:`repro.plan.cost` — the DP state-count cost model and the
   largest-first (LPT) schedule;
 * :mod:`repro.plan.passes` — the optimizer pipeline (union simplification,
   method resolution, cost annotation, common-solve elimination, LPT
   ordering);
-* :mod:`repro.plan.execute` — the executor running the frontier through
-  the solver/cache stack, plus the adaptive top-k and attribute terminals;
+* :mod:`repro.plan.execute` — the one frontier runner (cache lookups and
+  claims, one backend run, one publish), plus the adaptive top-k and
+  attribute terminals;
 * :mod:`repro.plan.explain` — the ``explain()`` renderer behind
   ``python -m repro explain``.
 
@@ -47,7 +48,6 @@ from repro.plan.methods import (
     AUTO_APPROX_FALLBACK,
     DEFAULT_APPROX_BUDGET,
     classic_choice,
-    cost_based_choice,
     resolve_solve_method,
 )
 from repro.plan.nodes import (
@@ -98,7 +98,6 @@ __all__ = [
     "build_plan",
     "session_upper_bound",
     "classic_choice",
-    "cost_based_choice",
     "default_passes",
     "eliminate_common_solves",
     "execute_plan",

@@ -100,8 +100,8 @@ def estimate_solve_states(
 
     Mixtures multiply by the component count (one solve per component).
     """
-    # Deferred: repro.plan.methods imports this module for its cost-based
-    # resolution.
+    # Deferred: repro.plan.methods imports this module for the
+    # auto-approx budget.
     from repro.plan.methods import APPROXIMATE_METHODS, classic_choice
 
     options = options or {}

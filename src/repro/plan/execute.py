@@ -1,39 +1,40 @@
 """The plan executor: run a (optimized) :class:`QueryPlan` to results.
 
-Execution is deliberately thin — all the intelligence is in the plan.  The
-executor walks the surviving solve frontier in plan order, looks each
-cacheable node up once in the shared
-:class:`~repro.service.cache.SolverCache`, and runs what missed
-single-flight through the cache's ``claim`` / ``wait_flight`` /
-``release_flight`` (the cache decides where flights live);
-:func:`repro.api.evaluate.assemble_answers` then folds the resolved
-probabilities into one answer per request.
+Execution is deliberately thin — all the intelligence is in the plan.  One
+runner resolves a list of solve nodes, and every solve of every plan goes
+through it:
 
-Two modes:
+1. nodes already resolved are skipped;
+2. each cacheable node is looked up once in the shared
+   :class:`~repro.service.cache.SolverCache` and claimed on a miss, so a
+   key another solver is computing is waited out instead of duplicated
+   (the cache decides where flights live);
+3. every node this run owns is solved in ONE ``backend.run`` — the
+   ``serial`` backend by default, or the caller's ``thread`` / ``process``
+   backend (:mod:`repro.service.executors`) — on the plan's live,
+   method-resolved nodes, in the plan's LPT order;
+4. the fresh outcomes are published in ONE ``put_many``; if the run
+   raises, the claims are released instead, so no waiter is stranded;
+5. other owners' flights are waited out one node at a time; an abandoned
+   flight is claimed once more and solved here;
+6. rng-driven solves (the ``auto-approx`` fallback) run in-process, in
+   plan order, so their draws are deterministic given the rng.
 
-* **in-process** (``backend=None``) — each solve runs through
-  :func:`repro.query.engine.solve_session` on the live model/labeling/union
-  objects, with the caller's rng; this is the engine's single-query path;
-* **backend** (``backend=`` an :class:`~repro.service.executors
-  .ExecutionBackend`) — exact solves are frozen into picklable
-  :class:`~repro.service.executors.SolveTask` descriptors (reusing the
-  memoized canonical fingerprints) and shipped to the ``serial`` /
-  ``thread`` / ``process`` pool in the plan's LPT order; rng-driven solves
-  (the ``auto-approx`` fallback) stay in-process, in plan order, so their
-  draws are deterministic given the rng.  This is the serving layer's
-  batch path.
+The eager frontier (every solve not owned by a lazy terminal) calls the
+runner once; :func:`repro.api.evaluate.assemble_answers` then folds the
+resolved probabilities into one answer per request.
 
-Aggregate-aware terminals (the unified query API, :mod:`repro.api`) add a
-third phase after the eager frontier: :class:`~repro.plan.nodes
-.TopKSessionsNode` terminals with the upper-bound strategy own *lazy*
-solves — excluded from the eager frontier, demanded in descending
-upper-bound order, and skipped entirely once the k-th best confirmed
-probability dominates every remaining bound (the paper's top-k pruning) —
-and :class:`~repro.plan.nodes.AttributeAggregateNode` terminals draw their
-Bernoulli possible-world sample.  Terminals run in request order, so rng
-consumption is deterministic.  A lazy solve shared with any eager terminal
-(a Count and a TopK of the same query in one batch) stays eager and the
-top-k loop reads its probability for free.
+Aggregate-aware terminals (the unified query API, :mod:`repro.api`) run
+after the eager frontier: :class:`~repro.plan.nodes.TopKSessionsNode`
+terminals with the upper-bound strategy own *lazy* solves — excluded from
+the eager frontier, demanded one node at a time through the same runner in
+descending upper-bound order, and skipped entirely once the k-th best
+confirmed probability dominates every remaining bound (the paper's top-k
+pruning) — and :class:`~repro.plan.nodes.AttributeAggregateNode` terminals
+draw their Bernoulli possible-world sample.  Terminals run in request
+order, so rng consumption is deterministic.  A lazy solve shared with any
+eager terminal (a Count and a TopK of the same query in one batch) stays
+eager and the top-k loop reads its probability for free.
 """
 
 from __future__ import annotations
@@ -44,11 +45,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.plan.methods import (
-    APPROXIMATE_METHODS,
-    AUTO_METHODS,
-    resolve_solve_method,
-)
+from repro.plan.methods import APPROXIMATE_METHODS, resolve_solve_method
 from repro.plan.nodes import (
     AttributeAggregateNode,
     QueryPlan,
@@ -58,7 +55,7 @@ from repro.plan.nodes import (
 from repro.query.engine import solve_session
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
-from repro.service.executors import ExecutionBackend, make_solve_task
+from repro.service.executors import ExecutionBackend, SerialBackend
 from repro.solvers.upper_bound import upper_bound_probability
 
 
@@ -103,7 +100,7 @@ class PlanExecution:
     topk: dict[int, TopKOutcome] = field(default_factory=dict)
     #: attribute-aggregate terminal node id -> its estimates
     attribute: dict[int, AttributeOutcome] = field(default_factory=dict)
-    #: name of the execution backend ("" for the in-process mode)
+    #: name of the execution backend the solves ran on
     backend: str = ""
     seconds: float = 0.0
 
@@ -114,28 +111,6 @@ class PlanExecution:
     @property
     def n_cache_hits(self) -> int:
         return len(self.cache_served)
-
-
-def _node_method(plan: QueryPlan, node: SolveNode) -> str:
-    """The node's concrete method, resolving lazily on unoptimized plans.
-
-    Lazy resolution must see the plan-level ``approx_budget`` (the builder
-    pops it out of the solver options), or an unoptimized ``auto-approx``
-    plan would silently budget against the default instead of the caller's
-    value and diverge from its optimized twin.
-    """
-    if node.method is not None:
-        return node.method
-    if node.requested_method in AUTO_METHODS:
-        return resolve_solve_method(
-            node.union,
-            node.requested_method,
-            node.labeling,
-            node.model,
-            node.options,
-            approx_budget=plan.approx_budget,
-        )
-    return node.requested_method
 
 
 def _lazy_solve_ids(plan: QueryPlan) -> set[int]:
@@ -154,174 +129,134 @@ def execute_plan(
     rng: "np.random.Generator | None" = None,
     backend: "ExecutionBackend | None" = None,
 ) -> PlanExecution:
-    """Run the plan's solve frontier; see the module docstring for modes."""
+    """Run the plan's solve frontier on ``backend`` (serial by default),
+    then its terminals; see the module docstring."""
     started = time.perf_counter()
-    execution = PlanExecution(backend=backend.name if backend else "")
+    backend = backend if backend is not None else SerialBackend()
+    execution = PlanExecution(backend=backend.name)
     execution.lazy = _lazy_solve_ids(plan)
-    missed: list[SolveNode] = []
-    for node in plan.solves():
-        if node.node_id in execution.lazy:
-            continue
-        if cache is not None and node.cacheable:
-            cached = cache.get(node.cache_key)
-            if cached is not None:
-                _serve_cached(node, execution, cached)
-                continue
-        missed.append(node)
-
-    if backend is None:
-        for node in missed:
-            _solve_missed(plan, node, execution, cache, rng)
-    else:
-        _run_on_backend(plan, missed, execution, backend, cache, rng)
-
-    _run_terminals(plan, execution, cache, rng)
-
+    frontier = [
+        node for node in plan.solves() if node.node_id not in execution.lazy
+    ]
+    _run_frontier(plan, frontier, execution, backend, cache, rng)
+    _run_terminals(plan, execution, backend, cache, rng)
     execution.seconds = time.perf_counter() - started
     return execution
 
 
-def _serve_cached(
-    node: SolveNode, execution: PlanExecution, value: tuple[float, str]
-) -> float:
-    """Record a cached answer as a cache-served node."""
-    execution.resolved[node.node_id] = value
-    execution.cache_served.add(node.node_id)
-    return value[0]
+def _resolve_method(plan: QueryPlan, node: SolveNode) -> str:
+    """The node's concrete method, resolved now on an unoptimized plan.
 
-
-def _demand_solve(
-    plan: QueryPlan,
-    node: SolveNode,
-    execution: PlanExecution,
-    cache: SolverCache | None,
-    rng,
-) -> float:
-    """The node's probability — already-resolved, cache-served, or fresh."""
-    resolved = execution.resolved.get(node.node_id)
-    if resolved is not None:
-        return resolved[0]
-    if cache is not None and node.cacheable:
-        cached = cache.get(node.cache_key)
-        if cached is not None:
-            return _serve_cached(node, execution, cached)
-    return _solve_missed(plan, node, execution, cache, rng)
-
-
-def _solve_missed(
-    plan: QueryPlan,
-    node: SolveNode,
-    execution: PlanExecution,
-    cache: SolverCache | None,
-    rng,
-) -> float:
-    """Solve a node whose cache lookup missed, single-flight.
-
-    The key is claimed first: a value published meanwhile is served, and
-    another solver's in-flight solve is waited out instead of duplicated.
-    An abandoned flight degrades to a solve here, with no claim held.
+    Resolution must see the plan-level ``approx_budget`` (the builder pops
+    it out of the solver options), or an unoptimized ``auto-approx`` plan
+    would silently budget against the default instead of the caller's
+    value and diverge from its optimized twin.
     """
-    owner = False
-    if cache is not None and node.cacheable:
-        status, value = cache.claim(node.cache_key)
-        if status == "wait":
-            value = cache.wait_flight(node.cache_key)
-        if value is not None:
-            return _serve_cached(node, execution, value)
-        owner = status == "claimed"
-    solve_started = time.perf_counter()
-    try:
-        probability, solver_name = solve_session(
-            node.model,
-            node.labeling,
+    if node.method is None:
+        node.method = resolve_solve_method(
             node.union,
-            method=_node_method(plan, node),
-            rng=rng,
-            **node.options,
+            node.requested_method,
+            node.labeling,
+            node.model,
+            node.options,
+            approx_budget=plan.approx_budget,
         )
-    except BaseException:
-        if owner:
-            cache.release_flight(node.cache_key)
-        raise
-    execution.seconds_by_solve[node.node_id] = (
-        time.perf_counter() - solve_started
-    )
-    execution.resolved[node.node_id] = (probability, solver_name)
-    execution.fresh.add(node.node_id)
-    if cache is not None and node.cacheable:
-        cache.put(node.cache_key, (probability, solver_name))
-    return probability
+    return node.method
 
 
-def _run_on_backend(
+def _run_frontier(
     plan: QueryPlan,
-    missed: list[SolveNode],
+    nodes: list[SolveNode],
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
     rng,
 ) -> None:
-    # Single-flight: claim every cacheable exact node up front.  Keys
-    # another solver is already computing drop out of this run's tasks;
-    # after our own tasks land we collect their answers instead.
+    """Resolve ``nodes`` in the six steps of the module docstring."""
     owned: list[SolveNode] = []
     waiting: list[SolveNode] = []
     sampled: list[SolveNode] = []
-    for node in missed:
-        if _node_method(plan, node) in APPROXIMATE_METHODS:
+    for node in nodes:
+        if node.node_id in execution.resolved:
+            continue
+        if _resolve_method(plan, node) in APPROXIMATE_METHODS:
             sampled.append(node)
         elif cache is None or not node.cacheable:
             owned.append(node)
         else:
-            status, value = cache.claim(node.cache_key)
-            if status == "value":
-                _serve_cached(node, execution, value)
-            else:
-                (waiting if status == "wait" else owned).append(node)
+            value = cache.get(node.cache_key)
+            if value is None:
+                status, value = cache.claim(node.cache_key)
+                if status != "value":
+                    (owned if status == "claimed" else waiting).append(node)
+                    continue
+            _serve_cached(node, execution, value)
+    _solve_and_publish(owned, execution, backend, cache, claimed=True)
 
-    tasks = [
-        make_solve_task(
-            node.model,
-            node.labeling,
-            node.union,
-            _node_method(plan, node),
-            node.options,
-            cost=node.cost or 0.0,
-            # The memoized fingerprint already holds the canonical labeling
-            # and union forms; don't re-freeze the expensive half.
-            labeling_form=node.fingerprint[0] if node.fingerprint else None,
-            union_form=node.fingerprint[1] if node.fingerprint else None,
+    # Another owner's flight: wait it out, never while holding a claim of
+    # our own; an abandoned one is claimed once more and solved here (or
+    # solved unclaimed, when yet another solver claimed it first).
+    for node in waiting:
+        status, value = cache.claim(node.cache_key)
+        if status == "wait":
+            value = cache.wait_flight(node.cache_key)
+        if value is not None:
+            _serve_cached(node, execution, value)
+        else:
+            _solve_and_publish(
+                [node], execution, backend, cache,
+                claimed=status == "claimed",
+            )
+
+    for node in sampled:
+        started = time.perf_counter()
+        execution.resolved[node.node_id] = solve_session(
+            node.model, node.labeling, node.union, method=node.method,
+            rng=rng, **node.options,
         )
-        for node in owned
-    ]
+        execution.seconds_by_solve[node.node_id] = time.perf_counter() - started
+        execution.fresh.add(node.node_id)
+
+
+def _serve_cached(
+    node: SolveNode, execution: PlanExecution, value: tuple[float, str]
+) -> None:
+    """Record a cached answer as a cache-served node."""
+    execution.resolved[node.node_id] = value
+    execution.cache_served.add(node.node_id)
+
+
+def _solve_and_publish(
+    nodes: list[SolveNode],
+    execution: PlanExecution,
+    backend: ExecutionBackend,
+    cache: SolverCache | None,
+    claimed: bool,
+) -> None:
+    """Solve ``nodes`` in one backend run and publish them in one
+    ``put_many``; a failed run releases the flights ``claimed`` says we
+    hold, so their waiters solve for themselves."""
+    if not nodes:
+        return
     try:
-        outcomes = backend.run(tasks)
+        outcomes = backend.run(nodes)
     except BaseException:
-        # Don't strand waiters on claims we will never publish.
-        for node in owned:
-            if cache is not None and node.cacheable:
-                cache.release_flight(node.cache_key)
+        if claimed and cache is not None:
+            for node in nodes:
+                if node.cacheable:
+                    cache.release_flight(node.cache_key)
         raise
-    fresh_pairs: list[tuple[Hashable, tuple[float, str]]] = []
-    for node, outcome in zip(owned, outcomes):
+    fresh: list[tuple[Hashable, tuple[float, str]]] = []
+    for node, outcome in zip(nodes, outcomes):
         execution.resolved[node.node_id] = outcome.value
         execution.seconds_by_solve[node.node_id] = outcome.seconds
         execution.fresh.add(node.node_id)
-        if cache is not None and node.cacheable:
-            fresh_pairs.append((node.cache_key, outcome.value))
-    if cache is not None and fresh_pairs:
+        if node.cacheable:
+            fresh.append((node.cache_key, outcome.value))
+    if cache is not None and fresh:
         # One call, so each lower tier flushes the batch in one
         # transaction and the claimed flights publish together.
-        cache.put_many(fresh_pairs)
-
-    # Collect the answers other solvers were computing when we claimed;
-    # an abandoned flight (its owner failed) degrades to a local solve.
-    for node in waiting:
-        _solve_missed(plan, node, execution, cache, rng)
-
-    # rng-driven fallbacks (auto-approx) run in-process, in plan order.
-    for node in sampled:
-        _solve_missed(plan, node, execution, None, rng)
+        cache.put_many(fresh)
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +282,7 @@ def session_upper_bound(model, labeling, union, n_edges: int) -> float:
 def _run_terminals(
     plan: QueryPlan,
     execution: PlanExecution,
+    backend: ExecutionBackend,
     cache: SolverCache | None,
     rng,
 ) -> None:
@@ -354,7 +290,7 @@ def _run_terminals(
     for terminal in plan.aggregate_nodes():
         if isinstance(terminal, TopKSessionsNode):
             execution.topk[terminal.node_id] = _run_topk(
-                plan, terminal, execution, cache, rng
+                plan, terminal, execution, backend, cache, rng
             )
         elif isinstance(terminal, AttributeAggregateNode):
             execution.attribute[terminal.node_id] = _run_attribute(
@@ -366,6 +302,7 @@ def _run_topk(
     plan: QueryPlan,
     terminal: TopKSessionsNode,
     execution: PlanExecution,
+    backend: ExecutionBackend,
     cache: SolverCache | None,
     rng,
 ) -> TopKOutcome:
@@ -374,9 +311,10 @@ def _run_topk(
     def probability_of(solve_id: "int | None") -> float:
         if solve_id is None:
             return 0.0
-        return _demand_solve(
-            plan, plan.nodes[solve_id], execution, cache, rng
+        _run_frontier(
+            plan, [plan.nodes[solve_id]], execution, backend, cache, rng
         )
+        return execution.resolved[solve_id][0]
 
     if terminal.strategy == "naive":
         # Every solve is eager in this strategy; score all sessions.
@@ -455,10 +393,12 @@ def _run_attribute(
     )
 
     local_rng = rng if rng is not None else np.random.default_rng(0)
-    draws = (
-        local_rng.random((terminal.n_worlds, len(terminal.items)))
-        < probabilities
-    )
+    # One n_worlds x n_sessions matrix: the uniforms, overwritten in place
+    # by the 0/1 draws, serve any, count, and the matmul (the float values
+    # a bool matrix would be cast to anyway), so the cost does not depend
+    # on how many large temporaries the allocator happens to recycle.
+    draws = local_rng.random((terminal.n_worlds, len(terminal.items)))
+    np.less(draws, probabilities, out=draws, casting="unsafe")
     any_satisfied = draws.any(axis=1)
     if terminal.statistic == "mean":
         counts = draws.sum(axis=1)

@@ -10,6 +10,7 @@ eliminated / frontier counters.  Costs print in engineering notation
 
 from __future__ import annotations
 
+from repro.plan.cost import estimate_solve_states
 from repro.plan.nodes import (
     AttributeAggregateNode,
     CompileUnionNode,
@@ -104,7 +105,7 @@ def explain_plan(plan: QueryPlan, execution=None) -> str:
         lines.append(
             f"executed: {execution.n_executed} fresh,"
             f" {execution.n_cache_hits} cache-served"
-            + (f", backend={execution.backend}" if execution.backend else "")
+            + f", backend={execution.backend}"
         )
     return "\n".join(lines)
 
@@ -176,14 +177,24 @@ def _solve_lines(
             elif solve_id not in execution.resolved:
                 # A lazy top-k solve the bound pruning never demanded.
                 outcome = "  [pruned]"
-        hint = (
-            "  (lifted estimated cheaper)"
-            if "lifted_hint" in node.annotations
-            else ""
-        )
+        hint = "  (lifted estimated cheaper)" if _lifted_cheaper(node) else ""
         lines.append(
             f"  Solve #{solve_id}  method={method}"
             f" cost{_cost(node.cost)} sessions={len(node.sessions)}"
             f"{shared}{outcome}{hint}"
         )
     return lines
+
+
+def _lifted_cheaper(node: SolveNode) -> bool:
+    """True for an auto-resolved general solve whose lifted estimate is
+    smaller; ``auto`` never picks the lifted solver, so this is a hint."""
+    if node.requested_method != "auto" or node.method != "general":
+        return False
+    lifted, general = (
+        estimate_solve_states(
+            node.model, node.labeling, node.union, name, node.options
+        ).states
+        for name in ("lifted", "general")
+    )
+    return lifted < general

@@ -136,7 +136,7 @@ class SolveNode(PlanNode):
     cost: float | None = None
     cache_key: Hashable | None = None
     #: (labeling_form, union_form, method, options) — memoized canonical
-    #: request fingerprint, shared with cache keys and SolveTask transport.
+    #: request fingerprint, shared with cache keys and process-backend transport.
     fingerprint: tuple[Any, ...] | None = None
 
     kind: ClassVar[str] = "solve"

@@ -10,8 +10,8 @@ Five passes, applied in order by :func:`optimize_plan`:
    plan-level invariant check; it rewrites and annotates if anything
    slipped through (e.g. unions assembled by external code).
 2. :func:`resolve_methods` — resolve every solve's method through the one
-   shared path (:mod:`repro.plan.methods`): cost-based for ``"auto"``
-   (provably the paper's dichotomy), budgeted MIS-AMP fallback for
+   shared path (:mod:`repro.plan.methods`): the paper's structural
+   dichotomy for ``"auto"``, budgeted MIS-AMP fallback for
    ``"auto-approx"``.
 3. :func:`annotate_costs` — annotate every solve node with the planner's
    DP state-count estimate (:func:`repro.plan.cost
@@ -45,11 +45,7 @@ from typing import Callable, Iterable
 
 from repro.patterns.union import PatternUnion
 from repro.plan.cost import estimate_solve_states, largest_first_order
-from repro.plan.methods import (
-    APPROXIMATE_METHODS,
-    cost_based_choice,
-    resolve_solve_method,
-)
+from repro.plan.methods import APPROXIMATE_METHODS, resolve_solve_method
 from repro.plan.nodes import CompileUnionNode, QueryPlan
 from repro.service.keys import request_fingerprint, session_cache_key
 
@@ -106,27 +102,9 @@ def simplify_unions(plan: QueryPlan) -> QueryPlan:
 
 def resolve_methods(plan: QueryPlan) -> QueryPlan:
     """Pass 2: every solve's method through the single resolution path."""
-    # Cost-based "auto" selection is model-independent for a fixed union
-    # (the model multiplies every candidate's estimate equally), so the
-    # choice memoizes per union object; "auto-approx" budgets per node
-    # because mixtures multiply the state count by their component count.
-    auto_memo: dict[int, tuple[str, dict[str, float]]] = {}
     for node in plan.solves():
         requested = node.requested_method
-        if requested == "auto":
-            memoized = auto_memo.get(id(node.union))
-            if memoized is None:
-                memoized = cost_based_choice(
-                    node.union, node.labeling, node.model, node.options
-                )
-                auto_memo[id(node.union)] = memoized
-            node.method, costs = memoized
-            node.annotations["candidate_costs"] = costs
-            if costs.get("lifted", float("inf")) < costs.get(
-                "general", float("inf")
-            ) and node.method == "general":
-                node.annotations["lifted_hint"] = costs["lifted"]
-        elif requested == "auto-approx":
+        if requested == "auto-approx":
             node.method = resolve_solve_method(
                 node.union,
                 "auto-approx",

@@ -1,16 +1,17 @@
 """The serving layer: cache keys, caches, executors, batching.
 
-Five pieces (see DESIGN.md, "The service layer" and "Executors,
+Six pieces (see DESIGN.md, "The service layer" and "Executors,
 persistence, planning"):
 
 * :mod:`repro.service.keys` — canonical cache keys for (model, labeling,
-  pattern-union) solve requests, built on the ``freeze()`` hooks of the
+  pattern-union) session solves, built on the ``freeze()`` hooks of the
   model and pattern classes;
 * :mod:`repro.service.cache` — :class:`SolverCache`, the one cache class:
   an LRU-with-flights front (:class:`~repro.service.cache.LRUStore`) over
-  an ordered list of lower tiers, with hit/miss/eviction statistics and
-  single-flight, consumed by the solver dispatch and the plan executor
-  (the ``cache=`` parameter of :func:`repro.api.answer`);
+  an ordered list of lower tiers, holding ``(probability, solver)`` pairs
+  with hit/miss/eviction statistics and single-flight; the plan executor
+  is the only code that solves through one (the ``cache=`` parameter of
+  :func:`repro.api.answer`);
 * :mod:`repro.service.persist` — the SQLite disk tier
   (:class:`PersistentCache`, ``[lru, disk]``), making warm state survive
   restarts;
@@ -20,8 +21,8 @@ persistence, planning"):
   and served to a fleet of workers, with fleet-wide single-flight so N
   cold workers solve a hot key once;
 * :mod:`repro.service.executors` — pluggable ``serial`` / ``thread`` /
-  ``process`` execution backends over picklable ``SolveTask`` descriptors
-  built from the canonical ``freeze()`` forms;
+  ``process`` execution backends over a plan's live solve nodes; only the
+  process backend freezes them into picklable ``SolveTask`` descriptors;
 * :mod:`repro.service.service` — :class:`PreferenceService`, the unified
   API (``answer`` / ``answer_many``) bound to one shared cache, which
   groups sessions across whole batches of requests and runs the distinct
@@ -30,10 +31,10 @@ persistence, planning"):
 The solve cost model these batches are scheduled by lives with the
 planner, in :mod:`repro.plan.cost`.
 
-``PreferenceService`` is re-exported lazily: the solver dispatch imports
-:mod:`repro.service.keys` at load time, and an eager import of
-:mod:`repro.service.service` here would close an import cycle back into
-the solvers.
+``PreferenceService`` is re-exported lazily: it imports the query API,
+whose plan executor imports this package's cache at load time, so an
+eager import of :mod:`repro.service.service` here would close an import
+cycle.
 """
 
 from repro.service.cache import CacheStats, SolverCache
@@ -49,7 +50,7 @@ from repro.service.executors import (
     run_solve_task,
     task_model_form,
 )
-from repro.service.keys import freeze_model, session_cache_key, solve_cache_key
+from repro.service.keys import freeze_model, session_cache_key
 from repro.service.persist import PersistentCache
 from repro.service.shard import (
     ShardCacheServer,
@@ -78,7 +79,6 @@ __all__ = [
     "run_solve_task",
     "task_model_form",
     "session_cache_key",
-    "solve_cache_key",
     "PreferenceService",
 ]
 

@@ -1,11 +1,14 @@
 """The solver cache: one LRU-with-flights store in front of a list of tiers.
 
 The cache is deliberately dumb: a bounded, thread-safe mapping from
-canonical request keys (:mod:`repro.service.keys`) to solver outcomes.  All
-the intelligence lives in the keys — semantically identical requests
-collide there, so one :class:`SolverCache` shared across queries turns the
+canonical session keys (:mod:`repro.service.keys`) to one value type, the
+``(probability, solver_name)`` pair of a session solve.  All the
+intelligence lives in the keys — semantically identical requests collide
+there, so one :class:`SolverCache` shared across queries turns the
 paper's within-query identical-request grouping (Section 6.4) into
-cross-query reuse.
+cross-query reuse.  The plan executor (:mod:`repro.plan.execute`) is the
+only code that solves through a cache: it looks each cold node up once,
+claims it, and publishes what it solved in one ``put_many``.
 
 :class:`LRUStore` is the one store: a bounded LRU with per-key *flights*
 (the first to miss a key claims it, later ones wait for its value).  Every
@@ -13,19 +16,17 @@ cache configuration is a :class:`SolverCache` — an ``LRUStore`` front over
 an ordered list of lower tiers: ``[lru]``, ``[lru, disk]``
 (:mod:`repro.service.persist`), ``[lru, shard-group]`` or ``[lru,
 shard-client]`` (:mod:`repro.service.shard`).  Lower tiers speak
-:func:`~repro.service.persist.encode_key` TEXT keys and hold only
-``(probability, solver)`` pairs.  See DESIGN.md, "The service layer".
+:func:`~repro.service.persist.encode_key` TEXT keys; every configuration
+accepts the same values.  See DESIGN.md, "The service layer".
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Hashable,
     Iterable,
     Protocol,
@@ -259,12 +260,12 @@ class SharedTier(Tier, Protocol):
 class SolverCache:
     """A thread-safe LRU front over an ordered list of lower ``tiers``.
 
-    Values are whatever the caller stores — the solver dispatch caches
-    :class:`~repro.solvers.base.SolverResult` objects, the plan executor
-    ``(probability, solver_name)`` pairs, under distinct key tags; only
-    the pairs reach the lower tiers.  :meth:`stats` counts the front (a
-    tier-served ``get`` is a front miss), :meth:`tier_depth` the tiers;
-    ``__contains__`` and ``__len__`` are side-effect-free front peeks.
+    Every tier holds one value type: the ``(probability, solver_name)``
+    pair of a session solve, stored by the plan executor under
+    :func:`~repro.service.keys.session_cache_key` keys.  :meth:`stats`
+    counts the front (a tier-served ``get`` is a front miss),
+    :meth:`tier_depth` the tiers; ``__contains__`` and ``__len__`` are
+    side-effect-free front peeks.
 
     ``tiers`` holds at most one private tier (a disk file) and one
     :class:`SharedTier`, in lookup order — e.g. ``[disk, shard-client]``
@@ -327,25 +328,30 @@ class SolverCache:
                     return found
         return default
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Value) -> None:
         """Insert/refresh one entry in every tier (see :meth:`put_many`)."""
         self._write([(key, value)])
 
-    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+    def put_many(self, items: Iterable[tuple[Hashable, Value]]) -> None:
         """Write a batch through every tier: one front lock acquisition,
-        one flush per lower tier (one transaction per file)."""
+        one flush per lower tier (one transaction per file).  Every value
+        is checked first: one that is not a ``(probability, solver)``
+        pair raises ``TypeError`` and nothing is stored."""
         self._write(list(items))
 
-    def _write(self, items: list[tuple[Hashable, Any]]) -> None:
+    def _write(self, items: list[tuple[Hashable, Value]]) -> None:
+        for _, value in items:
+            if not persistable(value):
+                raise TypeError(
+                    "a SolverCache stores (probability, solver) pairs, "
+                    f"got {value!r}"
+                )
         self._front.put_many(items)
-        if not self._tiers:
-            return
-        pairs = [
-            (encode_key(key), (float(value[0]), value[1]))
-            for key, value in items
-            if persistable(value)
-        ]
-        if pairs:
+        if self._tiers:
+            pairs = [
+                (encode_key(key), (float(value[0]), value[1]))
+                for key, value in items
+            ]
             for tier in self._tiers:
                 tier.put_many(pairs)
 
@@ -386,13 +392,6 @@ class SolverCache:
         status, value = self._shared.claim(encoded)
         if value is not None:
             self._front.put_many([(key, value)])
-        elif status == "claimed":
-            # A value that is not a pair never reaches the shared tier:
-            # its owner stores it in this front, then releases the flight.
-            local = self._front.peek(key)
-            if local is not None:
-                self._shared.release(encoded)
-                return ("value", local)
         return (status, value)
 
     def wait_flight(
@@ -414,44 +413,6 @@ class SolverCache:
             self._front.release(key)
         else:
             self._shared.release(encode_key(key))
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """The cached value, or ``compute()`` stored under ``key``.
-
-        Single-flight: concurrent misses on one key perform ONE compute —
-        the first to miss claims the key, the others wait for the
-        published value.  ``compute`` runs outside every lock, so a slow
-        solve never blocks unrelated cache traffic.  If the owner raises,
-        its waiters race to re-claim, so a failure never strands them;
-        past :data:`FLIGHT_TIMEOUT` a waiter computes on its own.
-        ``compute`` must not re-enter the cache with the same key.
-        """
-        value = self.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        deadline = time.monotonic() + FLIGHT_TIMEOUT
-        while True:
-            status, value = self.claim(key)
-            if status == "value":
-                return value
-            remaining = deadline - time.monotonic()
-            if status == "claimed" or remaining <= 0:
-                break
-            value = self.wait_flight(key, remaining)
-            if value is not None:
-                return value
-        owner = status == "claimed"
-        try:
-            value = compute()
-        except BaseException:
-            if owner:
-                self.release_flight(key)
-            raise
-        self.put(key, value)
-        if owner and self._shared is not None and not persistable(value):
-            # Front-only values never publish on the shared tier.
-            self.release_flight(key)
-        return value
 
     # -- stats / lifecycle -----------------------------------------------
 

@@ -1,29 +1,33 @@
-"""Pluggable execution backends for the serving layer's distinct solves.
+"""Pluggable execution backends for a plan's solve frontier.
 
-:meth:`PreferenceService.answer_many` reduces a batch of requests to a
-deduplicated work list of session solves.  This module is where that list
-actually runs.  Three backends share one contract:
+The plan executor (:mod:`repro.plan.execute`) hands a backend the live,
+method-resolved :class:`~repro.plan.nodes.SolveNode` objects whose solves
+it owns and gets one :class:`TaskOutcome` per node back, in order.  Three
+backends share that contract:
 
-* ``serial`` — an in-process loop; the baseline every equivalence test
-  compares against;
-* ``thread`` — a ``ThreadPoolExecutor``; useful when solver options make
-  solves release the GIL (or the caller overlaps batches), otherwise
-  roughly serial for the pure-Python DP solvers;
-* ``process`` — a ``ProcessPoolExecutor``; the exact DP solvers are
-  CPU-bound Python loops, so this is the backend that actually scales
-  solves across cores.
+* ``serial`` — an in-process loop; the default of
+  :func:`~repro.plan.execute.execute_plan` and the reference every
+  equivalence test compares against;
+* ``thread`` — a ``ThreadPoolExecutor`` over the same live objects; the
+  exact DP solvers release the GIL only inside NumPy calls, so it helps a
+  few large solves and is slower than ``serial`` on many small ones
+  (DESIGN.md Section 8.1 has the measurements);
+* ``process`` — a ``ProcessPoolExecutor``; the backend that scales the
+  exact DP solves across cores.
 
-The process backend cannot ship live model/labeling/union objects cheaply
-or safely, so every backend executes :class:`SolveTask` descriptors — small
-picklable records built from the *same* canonical ``freeze()`` forms the
-cache keys are made of (:mod:`repro.service.keys`).  ``thaw_model`` /
+The process backend cannot ship live model/labeling/union objects, so it
+alone freezes each node into a :class:`SolveTask`, a small picklable
+record built from the *same* canonical ``freeze()`` forms the cache keys
+are made of (:mod:`repro.service.keys`), reusing the labeling and union
+forms memoized in the node's fingerprint.  ``thaw_model`` /
 ``thaw_labeling`` / ``thaw_union`` reconstruct semantically identical
-objects on the other side; the test suite pins that a thawed solve is
-bit-identical to solving the original objects, which is what lets the three
-backends (and the cache) interchange freely.
+objects in the worker; the test suite pins that a thawed solve is
+bit-identical to solving the original objects, which is what lets the
+three backends (and the cache) interchange freely.
 
-Every executed task reports a :class:`TaskOutcome` carrying the measured
-solve wall time, which the service attributes back to the queries that
+Every backend calls :func:`repro.query.engine.solve_session` through the
+engine module at call time, and each outcome carries the measured solve
+wall time, which the executor attributes back to the requests that
 consumed the solve.  See DESIGN.md, "Executors, persistence, planning".
 """
 
@@ -33,17 +37,21 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode
 from repro.patterns.union import PatternUnion
+from repro.query import engine
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
 from repro.rim.model import RIM
+
+if TYPE_CHECKING:
+    from repro.plan.nodes import SolveNode
 
 #: Names accepted by :func:`resolve_backend` (and the ``--backend`` flag).
 BACKENDS = ("serial", "thread", "process")
@@ -159,16 +167,15 @@ def task_model_form(model) -> tuple:
 
 @dataclass(frozen=True)
 class SolveTask:
-    """A picklable, self-contained descriptor of one session solve.
+    """A picklable, self-contained descriptor of one session solve: the
+    process backend's transport.
 
     Built from the canonical ``freeze()`` forms (the same ones the cache
     keys use) — except the model, which uses the structure-preserving
     :func:`task_model_form` — so the descriptor is small, process-portable,
     and reproduces the original solve bit-for-bit.  ``options`` must hold
     picklable values (the solver options already have to be ``repr``-stable
-    for the cache key, which in practice means plain scalars).  ``cost`` is
-    the planner's state-count estimate (:mod:`repro.plan.cost`),
-    carried along so schedulers need not re-derive it.
+    for the cache key, which in practice means plain scalars).
     """
 
     model_form: tuple
@@ -176,7 +183,6 @@ class SolveTask:
     union_form: tuple
     method: str
     options: dict[str, Any] = field(default_factory=dict)
-    cost: float = 0.0
 
 
 def make_solve_task(
@@ -185,15 +191,14 @@ def make_solve_task(
     union: PatternUnion,
     method: str,
     options: dict[str, Any] | None = None,
-    cost: float = 0.0,
     labeling_form: tuple | None = None,
     union_form: tuple | None = None,
 ) -> SolveTask:
     """Freeze a live (model, labeling, union) solve request into a task.
 
     Canonicalizing the union/labeling is the expensive half; callers that
-    already computed those forms for the cache key (the service's request
-    fingerprints) pass them in via ``labeling_form``/``union_form`` instead
+    already computed those forms for the cache key (a solve node's
+    fingerprint) pass them in via ``labeling_form``/``union_form`` instead
     of re-freezing.
     """
     return SolveTask(
@@ -205,17 +210,16 @@ def make_solve_task(
         union_form=union_form if union_form is not None else union.freeze(),
         method=method,
         options=dict(options or {}),
-        cost=cost,
     )
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """The result of executing one :class:`SolveTask`.
+    """The result of one solve on a backend.
 
-    ``seconds`` is the wall time measured around the solve (thaw included:
-    it is part of the work the task costs wherever it runs), used by the
-    service for per-query time attribution.
+    ``seconds`` is the wall time measured around the solve (a process
+    task's thaw included: it is part of the work the task costs wherever
+    it runs), used for per-request time attribution.
     """
 
     probability: float
@@ -228,29 +232,38 @@ class TaskOutcome:
         return (self.probability, self.solver)
 
 
-def run_solve_task(task: SolveTask) -> TaskOutcome:
-    """Thaw and solve one task; the worker function of every backend.
-
-    Module-level (and argument-picklable) so ``ProcessPoolExecutor`` can
-    ship it; the in-process backends call it directly, keeping all three
-    backends on one code path — the equivalence tests then reduce to
-    "thawed solve == original solve", which is pinned separately.
-    """
-    # Deferred: the engine imports repro.service at load time.
-    from repro.query.engine import solve_session
-
-    started = time.perf_counter()
-    probability, solver_name = solve_session(
-        thaw_model(task.model_form),
-        thaw_labeling(task.labeling_form),
-        thaw_union(task.union_form),
-        method=task.method,
-        **task.options,
+def _timed_solve(
+    started: float, model, labeling, union, method: str, options: dict
+) -> TaskOutcome:
+    probability, solver_name = engine.solve_session(
+        model, labeling, union, method=method, **options
     )
     return TaskOutcome(
         probability=probability,
         solver=solver_name,
         seconds=time.perf_counter() - started,
+    )
+
+
+def solve_node(node: "SolveNode") -> TaskOutcome:
+    """Solve one live, method-resolved solve node in this process."""
+    return _timed_solve(
+        time.perf_counter(),
+        node.model, node.labeling, node.union, node.method, node.options,
+    )
+
+
+def run_solve_task(task: SolveTask) -> TaskOutcome:
+    """Thaw and solve one task: the process backend's worker function
+    (module-level, so ``ProcessPoolExecutor`` can ship it).  The clock
+    starts before the thaw, which is part of the task's cost."""
+    return _timed_solve(
+        time.perf_counter(),
+        thaw_model(task.model_form),
+        thaw_labeling(task.labeling_form),
+        thaw_union(task.union_form),
+        task.method,
+        task.options,
     )
 
 
@@ -275,7 +288,7 @@ def default_worker_count() -> int:
 
 
 class ExecutionBackend:
-    """Base class: execute tasks, preserving input order of the outcomes."""
+    """Base class: solve live nodes, preserving their order in the outcomes."""
 
     name = "base"
 
@@ -290,7 +303,7 @@ class ExecutionBackend:
         )
         return max(1, count)
 
-    def run(self, tasks: Sequence[SolveTask]) -> list[TaskOutcome]:
+    def run(self, nodes: "Sequence[SolveNode]") -> list[TaskOutcome]:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -302,40 +315,56 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run(self, tasks: Sequence[SolveTask]) -> list[TaskOutcome]:
-        return [run_solve_task(task) for task in tasks]
+    def run(self, nodes: "Sequence[SolveNode]") -> list[TaskOutcome]:
+        return [solve_node(node) for node in nodes]
 
 
 class ThreadBackend(ExecutionBackend):
-    """A ``ThreadPoolExecutor`` over :func:`run_solve_task`."""
+    """A ``ThreadPoolExecutor`` over :func:`solve_node`."""
 
     name = "thread"
 
-    def run(self, tasks: Sequence[SolveTask]) -> list[TaskOutcome]:
-        if self.workers() <= 1 or len(tasks) <= 1:
-            return [run_solve_task(task) for task in tasks]
+    def run(self, nodes: "Sequence[SolveNode]") -> list[TaskOutcome]:
+        if self.workers() <= 1 or len(nodes) <= 1:
+            return [solve_node(node) for node in nodes]
         with ThreadPoolExecutor(max_workers=self.workers()) as pool:
-            return list(pool.map(run_solve_task, tasks))
+            return list(pool.map(solve_node, nodes))
 
 
 class ProcessBackend(ExecutionBackend):
     """A ``ProcessPoolExecutor`` shipping pickled :class:`SolveTask`s.
 
-    The only backend where the pure-Python DP solves truly run in parallel.
-    Worker processes rebuild models from the canonical forms; the memoized
-    kernel tables (:mod:`repro.kernels.precompute`) warm up per worker and
-    amortize across the tasks each worker executes.  ``chunksize`` is kept
-    at 1 so the planner's largest-first order translates into LPT
-    scheduling across workers.
+    The only backend where the DP solves truly run in parallel, and the
+    only one that freezes nodes.  Worker processes rebuild models from the
+    canonical forms; the memoized kernel tables
+    (:mod:`repro.kernels.precompute`) warm up per worker and amortize
+    across the tasks each worker executes.  ``chunksize`` is kept at 1 so
+    the planner's largest-first order translates into LPT scheduling
+    across workers.
     """
 
     name = "process"
 
-    def run(self, tasks: Sequence[SolveTask]) -> list[TaskOutcome]:
-        # One worker or one task cannot parallelize: skip the pool startup
-        # and pickling (outcomes are bit-identical either way).
-        if self.workers() <= 1 or len(tasks) <= 1:
-            return [run_solve_task(task) for task in tasks]
+    def run(self, nodes: "Sequence[SolveNode]") -> list[TaskOutcome]:
+        # One worker or one node cannot parallelize: solve the live
+        # objects here, with no pool startup or pickling (outcomes are
+        # bit-identical either way).
+        if self.workers() <= 1 or len(nodes) <= 1:
+            return [solve_node(node) for node in nodes]
+        tasks = [
+            make_solve_task(
+                node.model,
+                node.labeling,
+                node.union,
+                node.method,
+                node.options,
+                # The memoized fingerprint already holds the canonical
+                # labeling and union forms; don't re-freeze them.
+                labeling_form=node.fingerprint[0] if node.fingerprint else None,
+                union_form=node.fingerprint[1] if node.fingerprint else None,
+            )
+            for node in nodes
+        ]
         workers = min(self.workers(), len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_solve_task, tasks, chunksize=1))

@@ -31,8 +31,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.patterns.labels import Labeling
-from repro.patterns.pattern import LabelPattern
-from repro.patterns.union import PatternUnion
+from repro.solvers.base import as_union
 
 
 def freeze_model(model) -> tuple:
@@ -44,18 +43,6 @@ def freeze_model(model) -> tuple:
             "cacheable (RIM, Mallows, MallowsMixture) to use the solver cache"
         )
     return freeze()
-
-
-def _as_union(union_or_pattern) -> PatternUnion:
-    # Mirrors repro.solvers.base.as_union without importing repro.solvers
-    # (the solver dispatch imports this module at load time).
-    if isinstance(union_or_pattern, PatternUnion):
-        return union_or_pattern
-    if isinstance(union_or_pattern, LabelPattern):
-        return PatternUnion([union_or_pattern])
-    raise TypeError(
-        f"expected LabelPattern or PatternUnion, got {type(union_or_pattern).__name__}"
-    )
 
 
 def _freeze_options(solver_options: Mapping[str, Any] | None) -> tuple:
@@ -78,7 +65,7 @@ def request_fingerprint(
     union/labeling objects — callers memoize this fingerprint per union and
     pass it back via the ``fingerprint`` parameter of the key functions.
     """
-    union = _as_union(union_or_pattern)
+    union = as_union(union_or_pattern)
     if method == "auto":
         # Resolved so an auto request collides with its explicit twin.
         # Deferred: the plan package imports this module at load time.
@@ -93,26 +80,6 @@ def request_fingerprint(
     )
 
 
-def solve_cache_key(
-    model,
-    labeling: Labeling,
-    union_or_pattern,
-    method: str = "auto",
-    solver_options: Mapping[str, Any] | None = None,
-    fingerprint: tuple | None = None,
-) -> tuple:
-    """The key of one dispatch-level exact solve (a plain RIM/Mallows model).
-
-    Used by :func:`repro.solvers.dispatch.solve` when handed a cache; the
-    cached value is the :class:`~repro.solvers.base.SolverResult`.
-    """
-    if fingerprint is None:
-        fingerprint = request_fingerprint(
-            labeling, union_or_pattern, method, solver_options
-        )
-    return ("solve", freeze_model(model)) + fingerprint
-
-
 def session_cache_key(
     model,
     labeling: Labeling,
@@ -121,13 +88,13 @@ def session_cache_key(
     solver_options: Mapping[str, Any] | None = None,
     fingerprint: tuple | None = None,
 ) -> tuple:
-    """The key of one engine-level session solve (the model may be a mixture).
+    """The key of one session solve (the model may be a mixture).
 
     Used by the plan optimizer's common-solve elimination
     (:mod:`repro.plan.passes`) for every cached answer; the cached value is a
-    ``(probability, solver_name)`` pair.  The tag keeps these entries
-    disjoint from dispatch-level entries, whose values have a different
-    type.
+    ``(probability, solver_name)`` pair.  The leading ``"session"`` tag is
+    part of the stored format: the disk and shard files written under it
+    stay readable.
 
     Canonically equal requests share one entry *including its solver
     name*: a plain Mallows and a single-full-weight-component mixture of

@@ -6,8 +6,7 @@ A :class:`PersistentCache` is one entry in a
 restarted service over the same file serves a previously-seen batch with
 zero solves.  The file maps :func:`encode_key` TEXT keys — the key
 currency of every lower tier — to ``(probability, solver_name)`` session
-outcomes; richer values stay in the front rather than pulling pickle into
-the storage format.  Entries are *versioned*: a file stamped by another
+outcomes, the one value type every tier holds.  Entries are *versioned*: a file stamped by another
 freeze()/solver generation is cleared on open, so stale keys cost a
 rebuild, never a wrong answer.  See DESIGN.md, "Executors, persistence,
 planning".
@@ -77,7 +76,8 @@ def encode_key(key: Hashable) -> str:
 
 
 def persistable(value: Any) -> bool:
-    """True for the engine's ``(probability, solver_name)`` outcomes."""
+    """True for a ``(probability, solver_name)`` pair: the one value
+    type every cache tier stores."""
     return (
         isinstance(value, tuple)
         and len(value) == 2

@@ -4,10 +4,9 @@ The paper's experiments show a strict efficiency order — two-label solver
 < bipartite solver < general solver — with each specialized solver limited
 to its pattern class.  ``solve(..., method="auto")`` applies that order.
 
-Passing a :class:`~repro.service.cache.SolverCache` via ``cache=`` reuses
-results across calls: requests are keyed canonically
-(:func:`repro.service.keys.solve_cache_key`), so semantically identical
-(model, labeling, union) triples — however constructed — solve once.
+Dispatch solves one request and reuses nothing: reuse across sessions,
+queries and batches happens one level up, in the plan executor
+(:mod:`repro.plan.execute`).
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.patterns.labels import Labeling
-from repro.service.cache import SolverCache
-from repro.service.keys import solve_cache_key
 from repro.solvers.base import SolverResult, as_union
 from repro.solvers.bipartite import bipartite_probability
 from repro.solvers.brute import brute_force_probability
@@ -43,7 +40,6 @@ def solve(
     labeling: Labeling,
     union_or_pattern,
     method: str = "auto",
-    cache: SolverCache | None = None,
     **solver_options,
 ) -> SolverResult:
     """Compute ``Pr(G | sigma, Pi, lambda)`` with the chosen exact solver.
@@ -54,10 +50,6 @@ def solve(
         One of ``"auto"``, ``"two_label"``, ``"bipartite"``, ``"general"``,
         ``"lifted"``, ``"brute"``.  ``"auto"`` picks the most specialized
         applicable solver (:func:`repro.plan.methods.classic_choice`).
-    cache:
-        An optional :class:`~repro.service.cache.SolverCache`; canonically
-        identical requests return the cached :class:`SolverResult` without
-        solving.
     solver_options:
         Forwarded to the solver (e.g. ``time_budget=...``,
         ``merge_gaps=False``).
@@ -75,12 +67,7 @@ def solve(
             f"unknown method {method!r}; expected one of "
             f"{('auto',) + available_methods()}"
         ) from None
-    if cache is None:
-        return solver(model, labeling, union, **solver_options)
-    key = solve_cache_key(model, labeling, union, method, solver_options)
-    return cache.get_or_compute(
-        key, lambda: solver(model, labeling, union, **solver_options)
-    )
+    return solver(model, labeling, union, **solver_options)
 
 
 def exact_probability(
@@ -88,10 +75,7 @@ def exact_probability(
     labeling: Labeling,
     union_or_pattern,
     method: str = "auto",
-    cache: SolverCache | None = None,
     **options,
 ) -> float:
     """Convenience wrapper returning just the probability."""
-    return solve(
-        model, labeling, union_or_pattern, method, cache=cache, **options
-    ).probability
+    return solve(model, labeling, union_or_pattern, method, **options).probability

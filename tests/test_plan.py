@@ -27,7 +27,6 @@ from repro.plan import (
     annotate_costs,
     build_plan,
     classic_choice,
-    cost_based_choice,
     eliminate_common_solves,
     execute_plan,
     optimize_plan,
@@ -233,24 +232,6 @@ class TestUnifiedMethodResolution:
                 resolve_solve_method(union, "auto")
                 == classic_choice(union)
             )
-
-    def test_cost_based_choice_coincides_with_dichotomy(self, pyrng):
-        from tests.conftest import (
-            random_bipartite_instance,
-            random_instance,
-            random_two_label_instance,
-        )
-
-        makers = (
-            random_instance,
-            random_two_label_instance,
-            random_bipartite_instance,
-        )
-        for index in range(30):
-            model, labeling, union = makers[index % 3](pyrng)
-            chosen, costs = cost_based_choice(union, labeling, model)
-            assert chosen == classic_choice(union)
-            assert set(costs) >= {"general", "lifted"}
 
     def test_auto_and_explicit_twin_share_cache_entry(self, polls_db):
         cache = SolverCache()

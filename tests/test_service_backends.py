@@ -2,9 +2,10 @@
 
 The contract under test: the serial / thread / process backends and the
 cold-vs-persistent-cache paths all return *bit-identical* probabilities to
-sequential :func:`repro.api.answer`, because every backend
-executes the same canonical ``SolveTask`` descriptors and a thawed solve
-equals the original solve exactly.
+sequential :func:`repro.api.answer`, because the serial and thread
+backends solve the plan's live nodes, the process backend ships canonical
+``SolveTask`` descriptors, and a thawed solve equals the original solve
+exactly.
 """
 
 import pickle
@@ -20,6 +21,7 @@ from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode, chain_pattern
 from repro.patterns.union import PatternUnion
 from repro.plan.cost import estimate_solve_states, largest_first_order
+from repro.plan.nodes import SolveNode
 from repro.query.engine import solve_session
 from repro.query.parser import parse_query
 from repro.rim.mallows import Mallows
@@ -161,7 +163,7 @@ class TestThaw:
 class TestSolveTask:
     def test_pickle_round_trip_and_execution(self):
         model, labeling, union = _solve_request()
-        task = make_solve_task(model, labeling, union, "two_label", cost=3.0)
+        task = make_solve_task(model, labeling, union, "two_label")
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task
         outcome = run_solve_task(clone)
@@ -173,15 +175,18 @@ class TestSolveTask:
         assert outcome.seconds > 0.0
         assert outcome.value == (probability, solver_name)
 
-    def test_backends_agree_on_a_task_list(self):
+    def test_backends_agree_on_live_nodes(self):
         model, labeling, union = _solve_request()
-        tasks = [
-            make_solve_task(model, labeling, union, method)
-            for method in ("two_label", "general", "lifted")
+        nodes = [
+            SolveNode(
+                node_id, model=model, labeling=labeling, union=union,
+                method=method,
+            )
+            for node_id, method in enumerate(("two_label", "general", "lifted"))
         ]
-        serial = SerialBackend().run(tasks)
-        threaded = ThreadBackend(max_workers=2).run(tasks)
-        processed = ProcessBackend(max_workers=2).run(tasks)
+        serial = SerialBackend().run(nodes)
+        threaded = ThreadBackend(max_workers=2).run(nodes)
+        processed = ProcessBackend(max_workers=2).run(nodes)
         for a, b in zip(serial, threaded):
             assert a.value == b.value
         for a, b in zip(serial, processed):
@@ -209,8 +214,8 @@ class TestBackendEquivalence:
         assert batch.backend == backend
         assert batch.n_cache_hits == 0
         for result, expected in zip(batch, reference):
-            # Bit-identical, not approximately equal: every backend runs
-            # the same canonical SolveTask path.
+            # Bit-identical, not approximately equal: live and thawed
+            # solves agree exactly.
             assert result.probability == expected.probability
 
     def test_mixture_sessions_round_trip_through_process_tasks(self):

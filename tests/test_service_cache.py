@@ -23,6 +23,7 @@ from repro.db.schema import ORelation, PRelation
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, node
 from repro.patterns.union import PatternUnion
+from repro.query import engine
 from repro.query.parser import parse_query
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
@@ -34,11 +35,10 @@ from repro.service import (
     ShardGroup,
     SolverCache,
     session_cache_key,
-    solve_cache_key,
 )
+from repro.service.cache import FLIGHT_TIMEOUT
 from repro.service.persist import encode_key
 from repro.service.service import PreferenceService
-from repro.solvers.dispatch import solve
 
 EXACT_METHODS = ("auto", "two_label", "bipartite", "general", "lifted", "brute")
 
@@ -152,28 +152,20 @@ class TestRequestKeys:
         labeling = Labeling({"t": {"M"}, "c": {"F"}, "s": {"M"}})
         union = PatternUnion([LabelPattern([(node("a", "F"), node("b", "M"))])])
         renamed = PatternUnion([LabelPattern([(node("p", "F"), node("q", "M"))])])
-        key1 = solve_cache_key(
+        key1 = session_cache_key(
             Mallows(["c", "s", "t"], 0.3), labeling, union, "auto"
         )
-        key2 = solve_cache_key(
+        key2 = session_cache_key(
             Mallows(["c", "s", "t"], 0.3), labeling, renamed, "two_label"
         )
         assert key1 == key2  # auto resolves to two_label for this union
-
-    def test_session_and_solve_keys_are_disjoint(self):
-        labeling = Labeling({"t": {"M"}, "c": {"F"}})
-        union = PatternUnion([LabelPattern([(node("a", "F"), node("b", "M"))])])
-        model = Mallows(["c", "t"], 0.3)
-        assert solve_cache_key(model, labeling, union) != session_cache_key(
-            model, labeling, union
-        )
 
     def test_options_distinguish(self):
         labeling = Labeling({"t": {"M"}, "c": {"F"}})
         union = PatternUnion([LabelPattern([(node("a", "F"), node("b", "M"))])])
         model = Mallows(["c", "t"], 0.3)
-        plain = solve_cache_key(model, labeling, union, "lifted")
-        tuned = solve_cache_key(
+        plain = session_cache_key(model, labeling, union, "lifted")
+        tuned = session_cache_key(
             model, labeling, union, "lifted", {"merge_gaps": False}
         )
         assert plain != tuned
@@ -412,89 +404,108 @@ class TestTierConformance:
         thread.join(5.0)
         assert waited == [None]
 
-    def test_get_or_compute_computes_once(self, tiers):
-        cache = tiers.cache(capacity=2)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return pair(0.5)
-
-        assert cache.get_or_compute("k", compute) == pair(0.5)
-        assert cache.get_or_compute("k", compute) == pair(0.5)
-        assert len(calls) == 1
-
     @pytest.mark.timeout(60)
-    @pytest.mark.parametrize("value", [pair(0.625), "front-only"])
-    def test_get_or_compute_single_flight_under_contention(self, tiers, value):
-        # Regression: concurrent misses on ONE key used to race past the
-        # documented check-then-compute window and each run compute().
-        # With per-key flights, a barrier-synchronized pool of threads
-        # (more than cores, switching often) releases exactly one
-        # compute; the rest wait and read the value.  A value that is not
-        # a pair never reaches a shared tier: waiters must find it in the
-        # front rather than claim the released flight and compute again.
+    def test_concurrent_cold_answers_solve_once(self, tiers, monkeypatch):
+        # A barrier-synchronized pool of threads (more than cores,
+        # switching often) answers one cold request through one shared
+        # cache: the executor's claims admit exactly one solve; the rest
+        # wait for its value.
         n_threads = 8
-        cache = tiers.cache()
-        barrier = threading.Barrier(n_threads)
+        cache = tiers.cache(capacity=64)
+        db = polling_example()
+        query = "P('Ann', '5/5'; 'Trump'; 'Clinton')"
+        reference = answer(query, db)
+        solve_session = engine.solve_session
         calls = []
-        calls_lock = threading.Lock()
 
-        def compute():
-            with calls_lock:
-                calls.append(threading.get_ident())
+        def slow_solve(*args, **kwargs):
+            calls.append(threading.get_ident())
             time.sleep(0.05)  # long enough for every thread to wait
-            return value
+            return solve_session(*args, **kwargs)
 
-        def contend():
+        monkeypatch.setattr(engine, "solve_session", slow_solve)
+        barrier = threading.Barrier(n_threads)
+
+        def contend(_):
             barrier.wait()  # all threads miss at the same instant
-            return cache.get_or_compute("hot", compute)
+            return answer(query, db, cache=cache)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                results = list(
-                    pool.map(lambda _: contend(), range(n_threads))
-                )
+                results = list(pool.map(contend, range(n_threads)))
         finally:
             sys.setswitchinterval(interval)
-        assert results == [value] * n_threads
         assert len(calls) == 1
+        assert [result.value for result in results] == (
+            [reference.value] * n_threads
+        )
+        assert sum(r.stats["n_solver_calls"] for r in results) == 1
 
-    def test_get_or_compute_failed_owner_does_not_strand_waiters(self, tiers):
-        cache = tiers.cache()
+    @pytest.mark.timeout(60)
+    def test_failed_owner_releases_its_claim(self, tiers, monkeypatch):
+        # The owner's solve raises: its claim is released, so a waiter
+        # solves for itself at once instead of waiting out FLIGHT_TIMEOUT,
+        # and the owner sees the error.
+        cache = tiers.cache(capacity=64)
+        db = polling_example()
+        query = "P('Ann', '5/5'; 'Trump'; 'Clinton')"
+        reference = answer(query, db)
+        solve_session = engine.solve_session
         entered = threading.Event()
         release = threading.Event()
-        outcome = []
+        outcome = {}
 
-        def failing():
-            entered.set()
-            release.wait(5.0)
-            raise RuntimeError("solver blew up")
+        def flaky_solve(*args, **kwargs):
+            if threading.current_thread().name == "owner":
+                entered.set()
+                release.wait(5.0)
+                raise RuntimeError("solver blew up")
+            return solve_session(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_session", flaky_solve)
 
         def owner():
             try:
-                cache.get_or_compute("k", failing)
-            except RuntimeError:
-                outcome.append("raised")
+                answer(query, db, cache=cache)
+            except RuntimeError as error:
+                outcome["owner"] = error
 
         def waiter():
-            entered.wait(5.0)
-            outcome.append(cache.get_or_compute("k", lambda: pair(0.5)))
+            started = time.monotonic()
+            outcome["waiter"] = answer(query, db, cache=cache)
+            outcome["waited"] = time.monotonic() - started
 
         threads = [
-            threading.Thread(target=owner),
-            threading.Thread(target=waiter),
+            threading.Thread(target=owner, name="owner"),
+            threading.Thread(target=waiter, name="waiter"),
         ]
         threads[0].start()
-        entered.wait(5.0)
+        assert entered.wait(5.0)
         threads[1].start()
+        time.sleep(0.2)  # let the waiter reach the owner's flight
         release.set()
         for thread in threads:
-            thread.join(5.0)
-        assert "raised" in outcome
-        assert pair(0.5) in outcome
+            thread.join(30.0)
+        assert isinstance(outcome["owner"], RuntimeError)
+        assert outcome["waiter"].value == reference.value
+        assert outcome["waiter"].stats["n_solver_calls"] == 1
+        assert outcome["waited"] < FLIGHT_TIMEOUT / 6
+
+    def test_non_pair_values_are_rejected(self, tiers):
+        # One value type on every configuration: a value that is not a
+        # (probability, solver) pair raises before anything is stored.
+        cache = tiers.cache(capacity=8)
+        for bad in (object(), {"rich": "object"}, (0.5,), ("0.5", "x")):
+            with pytest.raises(TypeError, match="pairs"):
+                cache.put("one", bad)
+        with pytest.raises(TypeError, match="pairs"):
+            cache.put_many([("pair", pair(0.25)), ("rich", object())])
+        assert len(cache) == 0
+        assert cache.get("pair") is None and cache.get("one") is None
+        peer = tiers.cache(capacity=8)
+        assert peer.get("pair") is None  # no lower tier got the batch
 
     def test_put_many_takes_the_front_lock_once(self, tiers):
         # The batch flush contract: ONE front lock acquisition for the
@@ -520,19 +531,6 @@ class TestLowerTierConformance:
         assert peer.get(("session", "a")) == pair(0.5)
         assert peer.tier_depth() == depth  # a front hit reads no tier
         assert (peer.stats().hits, peer.stats().misses) == (1, 1)
-
-    def test_write_through_of_pairs_only(self, tiers):
-        cache = tiers.cache(capacity=8)
-        marker = object()
-        cache.put_many([("pair", pair(0.25)), ("rich", marker)])
-        cache.put("one", pair(0.75))
-        cache.put("other", {"rich": "object"})
-        assert cache.get("rich") is marker
-        assert cache.get("other") == {"rich": "object"}
-        peer = tiers.cache(capacity=8)
-        assert peer.get("pair") == pair(0.25)
-        assert peer.get("one") == pair(0.75)
-        assert peer.get("rich") is None and peer.get("other") is None
 
     def test_invalidate_reaches_every_tier_and_survives_reopen(self, tiers):
         cache = tiers.cache(capacity=8)
@@ -614,7 +612,7 @@ def test_service_stats_keys_per_configuration(db, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Engine and dispatch wiring
+# Engine wiring
 # ----------------------------------------------------------------------
 
 
@@ -701,23 +699,6 @@ class TestEngineCache:
         assert warm.stats["n_solver_calls"] == warm.n_sessions
         assert len(cache) == 0
         assert abs(warm.probability - cold.probability) <= 1e-12
-
-
-class TestDispatchCache:
-    def test_solve_returns_cached_result(self):
-        model = Mallows(["c", "s", "t"], 0.3)
-        labeling = Labeling({"c": {"F"}, "s": {"M"}, "t": {"M"}})
-        union = PatternUnion([LabelPattern([(node("a", "F"), node("b", "M"))])])
-        cache = SolverCache(8)
-        first = solve(model, labeling, union, cache=cache)
-        renamed = PatternUnion([LabelPattern([(node("x", "F"), node("y", "M"))])])
-        second = solve(
-            Mallows(["c", "s", "t"], 0.3), labeling, renamed, cache=cache
-        )
-        assert second is first  # the exact cached object
-        assert cache.stats().hits == 1
-        uncached = solve(model, labeling, union)
-        assert abs(uncached.probability - first.probability) <= 1e-12
 
 
 # ----------------------------------------------------------------------

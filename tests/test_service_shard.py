@@ -25,7 +25,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
+from repro.query import engine
 from repro.service import shard
 from repro.service.cache import SolverCache
 from repro.service.persist import default_version, encode_key
@@ -259,32 +261,40 @@ class TestShardServer:
             owner.close()
             peer.close()
 
-    def test_fleet_single_flight_one_solve(self):
-        # N workers (each with its OWN SolverCache over one server) rush
-        # one cold key: the tier admits one compute.
+    @pytest.mark.timeout(60)
+    def test_fleet_single_flight_one_solve(self, db, monkeypatch):
+        # N workers (each with its OWN SolverCache over one server) answer
+        # one cold request at once: the tier admits one solve fleet-wide.
         n_workers = 6
+        query = "P('worker000000'; m1; m2), M(m1, 'Comedy', _, _, _)"
+        solve_session = engine.solve_session
+        calls = []
+
+        def slow_solve(*args, **kwargs):
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # long enough for every worker to wait
+            return solve_session(*args, **kwargs)
+
         with ShardCacheServer(ShardGroup(n_shards=2, capacity=64)) as server:
+            reference = answer(query, db)
+            monkeypatch.setattr(engine, "solve_session", slow_solve)
             barrier = threading.Barrier(n_workers)
-            calls = []
-            calls_lock = threading.Lock()
 
-            def work(index):
+            def work(_):
                 cache = SolverCache(8, [ShardClient(server.address)])
-
-                def compute():
-                    with calls_lock:
-                        calls.append(index)
-                    return (0.625, "lifted")
-
                 barrier.wait()
-                value = cache.get_or_compute(("session", "hot"), compute)
-                cache.close()
-                return value
+                try:
+                    return answer(query, db, cache=cache)
+                finally:
+                    cache.close()
 
             with ThreadPoolExecutor(max_workers=n_workers) as pool:
                 results = list(pool.map(work, range(n_workers)))
-            assert results == [(0.625, "lifted")] * n_workers
-            assert len(calls) == 1
+        assert [result.value for result in results] == (
+            [reference.value] * n_workers
+        )
+        assert len(calls) == 1
+        assert sum(r.stats["n_solver_calls"] for r in results) == 1
 
     @pytest.mark.timeout(60)
     def test_killed_claimant_releases_its_claims(self):
