@@ -28,7 +28,7 @@ from repro.api.answer import Answer, BatchAnswer
 from repro.api.requests import QueryRequest, as_request
 from repro.plan.build import build_plan
 from repro.plan.execute import PlanExecution, execute_plan
-from repro.plan.methods import APPROXIMATE_METHODS
+from repro.plan.methods import APPROXIMATE_METHODS, check_required_options
 from repro.plan.nodes import QueryPlan, TerminalNode
 from repro.plan.passes import optimize_plan
 from repro.query.engine import SessionEvaluation, aggregate_sessions
@@ -135,6 +135,7 @@ def answer_with_plan(
     construction.
     """
     started = time.perf_counter()
+    check_required_options(method, solver_options)
     request = as_request(request)
     if request.kind == "top_k" and method in APPROXIMATE_METHODS:
         # Top-k scores every session independently, so rng-driven
@@ -187,6 +188,7 @@ def answer_many(
     is then warned about, not silently ignored).
     """
     started = time.perf_counter()
+    check_required_options(method, solver_options)
     parsed = [as_request(item) for item in requests]
     effective_backend = backend if backend is not None else default_backend
 

@@ -44,6 +44,8 @@ class ORelation:
             normalized.append(row)
         self.rows: tuple[tuple[Value, ...], ...] = tuple(normalized)
         self._column_index = {c: k for k, c in enumerate(self.columns)}
+        #: Hash indexes over ``rows``, one per looked-up position set.
+        self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
         if len(self._column_index) != len(self.columns):
             raise ValueError(f"duplicate column names in {name}")
 
@@ -75,10 +77,26 @@ class ORelation:
         return sorted(seen, key=repr)
 
     def rows_where(self, conditions: Mapping[int, Value]) -> Iterator[tuple]:
-        """Rows matching equality conditions ``{position: value}``."""
-        for row in self.rows:
-            if all(row[pos] == value for pos, value in conditions.items()):
-                yield row
+        """Rows matching equality conditions ``{position: value}``, in order.
+
+        Answered from a hash index over the condition positions, built on
+        first use (``rows`` is immutable).  As with ``==``, a value
+        unequal to itself (NaN) matches nothing.
+        """
+        positions = tuple(sorted(conditions))
+        if not positions:
+            return iter(self.rows)
+        key = tuple(conditions[pos] for pos in positions)
+        if any(value != value for value in key):
+            return iter(())
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            for row in self.rows:
+                row_key = tuple(row[pos] for pos in positions)
+                index.setdefault(row_key, []).append(row)
+            self._indexes[positions] = index
+        return iter(index.get(key, ()))
 
     def first_row_where(self, conditions: Mapping[int, Value]) -> tuple | None:
         for row in self.rows_where(conditions):

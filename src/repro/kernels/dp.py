@@ -50,6 +50,20 @@ so one huge generation cannot overshoot ``time_budget`` by more than
 roughly one chunk plus one merge (the scalar paths only check once per
 outer insertion step).
 
+Size-adaptive handoff: on a generation of a few dozen states, one array
+pass costs more in per-call NumPy overhead than the scalar dict loop
+spends on the whole step.  So every exact DP starts on its scalar loop
+and, at the top of each step, asks :func:`handoff_due` whether that
+step's candidate count (states x insertion points) has passed
+``_HANDOFF_CANDIDATES``.  Once it has, the solver converts its current
+generation, in dict order, into the engine's state table and the engine
+runs the remaining steps.  Every engine therefore starts from a handed-
+over generation (rows, probabilities, first step, peak so far, and any
+carried absorbed mass or expansion count); the step-1 start is just the
+initial generation handed over at once.  Because the bit-identity
+contract holds at *every* generation — the engine's first-occurrence
+order is the dict's insertion order — a handoff at any step is exact.
+
 The optional numba layer (:mod:`repro.kernels.jit`, ``REPRO_JIT=1`` plus
 the ``[jit]`` extra) compiles the one inherently sequential kernel — the
 order-preserving segment fold — and falls back to NumPy silently.
@@ -68,6 +82,8 @@ __all__ = [
     "scalar_gap_segments",
     "sequential_sum",
     "merge_states",
+    "handoff_due",
+    "alpha_beta_table",
     "two_label_engine",
     "bipartite_basic_engine",
     "bipartite_pruned_engine",
@@ -87,6 +103,13 @@ _PACK_LIMIT = 1 << 62
 #: engine falls back to per-slot id columns (tests pin it to 0 to cover
 #: the fallback on small instances).
 _GCODE_LIMIT = 62
+
+#: Candidate count (states x insertion points) of a step above which an
+#: exact DP hands its generation from the scalar loop to the array engine
+#: (DESIGN.md Section 12).  Set from the constant sweep of
+#: ``benchmarks/bench_dp_kernels.py`` (``BENCH_dp.json``); tests pin it
+#: to 0 to run the engine from step 1.
+_HANDOFF_CANDIDATES = 64
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +144,35 @@ def scalar_gap_segments(
         if weight <= 0.0:
             continue
         yield high, weight
+
+
+# ----------------------------------------------------------------------
+# Scalar-to-engine handoff
+# ----------------------------------------------------------------------
+
+
+def handoff_due(n_states: int, step: int) -> bool:
+    """Should the generation entering ``step`` move to the array engine?
+
+    Only the ``vectorized=True`` paths ask; the scalar reference never
+    hands over.
+    """
+    return n_states * step > _HANDOFF_CANDIDATES
+
+
+def alpha_beta_table(states: dict, width: int):
+    """The engine generation of a scalar ``{(alpha, beta): prob}`` dict.
+
+    The two-label and basic bipartite layout: each row is ``alpha`` then
+    ``beta`` with ``None`` as ``-1``.  Rows keep dict insertion order,
+    which is the engines' first-occurrence order, so the handoff is exact.
+    Returns ``(rows, probs)``.
+    """
+    rows = np.array(
+        [[-1 if p is None else p for p in alpha + beta] for alpha, beta in states],
+        np.int64,
+    ).reshape(len(states), width)
+    return rows, np.fromiter(states.values(), np.float64, len(states))
 
 
 # ----------------------------------------------------------------------
@@ -423,21 +475,27 @@ def two_label_engine(
     n_left: int,
     n_right: int,
     pattern_pairs: Sequence[tuple[int, int]],
+    X: np.ndarray,
+    probs: np.ndarray,
     *,
+    first_step: int,
+    peak: int,
     merge_gaps: bool,
     time_budget,
     started: float,
 ):
-    """Vectorized Algorithm 3: returns ``(violation_mass, peak, final)``."""
+    """Vectorized Algorithm 3: returns ``(violation_mass, peak, final)``.
+
+    Runs steps ``first_step..m`` from the generation ``(X, probs)``
+    (:func:`alpha_beta_table`) with ``peak`` states seen so far.
+    """
     width = n_left + n_right
-    X = np.full((1, width), -1, np.int64)
-    probs = np.ones(1)
-    peak_states = 1
+    peak_states = peak
     left_cols = np.array([li for li, _ in pattern_pairs], np.int64)
     right_cols = np.array([n_left + ri for _, ri in pattern_pairs], np.int64)
     col_bounds = [m + 3] * width
 
-    for i in range(1, m + 1):
+    for i in range(first_step, m + 1):
         _check_budget("two_label", time_budget, started)
         n_states = X.shape[0]
         sl = serves_left[i - 1]
@@ -490,19 +548,25 @@ def bipartite_basic_engine(
     n_left: int,
     n_right: int,
     pattern_edges: Sequence[Sequence[tuple[int, int]]],
+    X: np.ndarray,
+    probs: np.ndarray,
     *,
+    first_step: int,
+    peak: int,
     merge_gaps: bool,
     time_budget,
     started: float,
 ):
-    """Vectorized basic Algorithm 4: returns ``(total, peak, final)``."""
+    """Vectorized basic Algorithm 4: returns ``(total, peak, final)``.
+
+    Runs steps ``first_step..m`` from the generation ``(X, probs)``
+    (:func:`alpha_beta_table`) with ``peak`` states seen so far.
+    """
     width = n_left + n_right
-    X = np.full((1, width), -1, np.int64)
-    probs = np.ones(1)
-    peak_states = 1
+    peak_states = peak
     col_bounds = [m + 3] * width
 
-    for i in range(1, m + 1):
+    for i in range(first_step, m + 1):
         _check_budget("bipartite[basic]", time_budget, started)
         n_states = X.shape[0]
         sl = serves_left[i - 1]
@@ -560,8 +624,14 @@ def bipartite_pruned_engine(
     pattern_edges: Sequence[Sequence[tuple[int, int]]],
     last_left: Sequence[int],
     last_right: Sequence[int],
-    initial_status: tuple,
+    X: np.ndarray,
+    sids: np.ndarray,
+    start_statuses: Sequence[tuple],
+    probs: np.ndarray,
     *,
+    first_step: int,
+    peak: int,
+    absorbed: float,
     merge_gaps: bool,
     time_budget,
     started: float,
@@ -573,6 +643,10 @@ def bipartite_pruned_engine(
     position table; columns whose label is untracked by the status hold
     the ``-2`` sentinel, so ``(status_id, row)`` is bijective with the
     scalar ``(status, tracked_alpha, tracked_beta)`` key.
+
+    Runs steps ``first_step..m`` from the generation ``(X, sids,
+    probs)``, where ``sids`` index the distinct ``start_statuses``, with
+    ``peak`` states seen and ``absorbed`` mass carried so far.
     """
     width = n_left + n_right
     statuses: list[tuple] = []
@@ -657,16 +731,12 @@ def bipartite_pruned_engine(
 
     dense_tables: dict[tuple[int, int], np.ndarray] = {}
 
-    init_sid = intern_status(tuple(initial_status))
-    X = np.full((1, width), -1, np.int64)
-    X[0, ~tracked_masks[init_sid]] = -2
-    sids = np.array([init_sid], np.int64)
-    probs = np.ones(1)
-    absorbed = 0.0
-    peak_states = 1
+    for status in start_statuses:  # interned in order: ids = indices
+        intern_status(status)
+    peak_states = peak
     col_bounds = [m + 3] * width
 
-    for i in range(1, m + 1):
+    for i in range(first_step, m + 1):
         if X.shape[0] == 0:
             break
         _check_budget("bipartite", time_budget, started)
@@ -784,7 +854,14 @@ def lifted_engine(
     n_signatures: int,
     batch_matches: Callable[[np.ndarray], np.ndarray],
     batch_dead: Callable[[np.ndarray, int], np.ndarray],
+    P: np.ndarray,
+    G: np.ndarray,
+    probs: np.ndarray,
     *,
+    first_step: int,
+    peak: int,
+    absorbed: float,
+    expansions: int,
     prune_dead: bool,
     merge_gaps: bool,
     time_budget,
@@ -805,6 +882,11 @@ def lifted_engine(
     evaluated once per unique sequence in one array pass (the solver
     vectorizes the greedy embedding matcher over the batch axis, so no
     per-sequence Python loop is needed).
+
+    Runs steps ``first_step..last_relevant`` from the generation ``(P, G,
+    probs)`` — positions and signature-id columns, packed here into the
+    gcode when the engine packs — with ``peak`` states seen and
+    ``absorbed`` mass and ``expansions`` carried so far.
     """
     m = last_relevant
     sig_bits = max(1, (n_signatures - 1).bit_length())
@@ -812,13 +894,11 @@ def lifted_engine(
         1 for s in step_signature[1 : last_relevant + 1] if s is not None
     )
     use_gcode = sig_bits * max(n_relevant, 1) <= _GCODE_LIMIT
-    P = np.zeros((1, 0), np.int64)
-    G = np.zeros((1, 0), np.int64)
-    gcode = np.zeros(1, np.int64)
-    probs = np.ones(1)
-    absorbed = 0.0
-    peak_states = 1
-    expansions = 0
+    gcode = np.zeros(P.shape[0], np.int64)
+    if use_gcode:
+        for c in range(G.shape[1]):
+            gcode = (gcode << sig_bits) | G[:, c]
+    peak_states = peak
 
     def unpack_codes(codes: np.ndarray, length: int) -> np.ndarray:
         rows = np.empty((codes.size, length), np.int64)
@@ -829,7 +909,7 @@ def lifted_engine(
         rows[:, 0] = rem
         return rows
 
-    for i in range(1, last_relevant + 1):
+    for i in range(first_step, last_relevant + 1):
         _check_budget("lifted", time_budget, started)
         sid = step_signature[i]
         n_states, L = P.shape

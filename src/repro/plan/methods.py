@@ -38,6 +38,10 @@ APPROXIMATE_METHODS = ("mis_amp_lite", "mis_amp_adaptive", "rejection")
 #: Method names the planner resolves itself (everything else is explicit).
 AUTO_METHODS = ("auto", "auto-approx")
 
+#: Solver options a method cannot run without.  MIS-AMP-lite's proposal
+#: count has no default: it trades accuracy for time, so the caller picks.
+REQUIRED_OPTIONS: dict[str, tuple[str, ...]] = {"mis_amp_lite": ("n_proposals",)}
+
 #: State-count budget above which ``"auto-approx"`` falls back to MIS-AMP.
 #: Calibrated against the array-compiled DP engines (kernels/dp.py, see
 #: BENCH_dp.json): at 10-24x the scalar throughput, exact DPs stay cheaper
@@ -51,6 +55,22 @@ AUTO_APPROX_FALLBACK = "mis_amp_adaptive"
 #: Solver-option key carrying a per-request auto-approx budget.  Consumed
 #: by the planner (popped before options reach a solver).
 APPROX_BUDGET_OPTION = "approx_budget"
+
+
+def check_required_options(method: str, options: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` naming each option ``method`` needs but lacks.
+
+    Called when a request is validated, before any plan is built, so a
+    missing option never surfaces as a ``TypeError`` from a solver.
+    """
+    missing = [
+        name for name in REQUIRED_OPTIONS.get(method, ()) if name not in options
+    ]
+    if missing:
+        raise ValueError(
+            f"method {method!r} requires the solver option "
+            + ", ".join(repr(name) for name in missing)
+        )
 
 
 def classic_choice(union: PatternUnion) -> str:

@@ -79,8 +79,11 @@ def validate_options(options: dict[str, Any]) -> dict[str, Any]:
     server has no per-request seed to attribute its draws to, so an
     unbudgeted auto-approx would either silently behave like ``auto`` or
     blow up mid-batch with a stack trace.  Clients must state the budget
-    they want.
+    they want.  Likewise a method whose required solver options
+    (:data:`repro.plan.methods.REQUIRED_OPTIONS`) are absent is a 400.
     """
+    from repro.plan.methods import check_required_options
+
     method = options.get("method")
     if method is not None:
         if not isinstance(method, str) or method not in known_methods():
@@ -93,6 +96,10 @@ def validate_options(options: dict[str, Any]) -> dict[str, Any]:
                 "method 'auto-approx' requires an explicit approx_budget "
                 "(the state-count threshold of the MIS-AMP fallback)"
             )
+        try:
+            check_required_options(method, options)
+        except ValueError as error:
+            raise ProtocolError(str(error)) from None
     budget = options.get("approx_budget")
     if budget is not None:
         if not isinstance(budget, (int, float)) or budget <= 0:

@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.kernels.dp import (
+    alpha_beta_table,
     bipartite_basic_engine,
     bipartite_pruned_engine,
+    handoff_due,
     scalar_gap_segments,
 )
 from repro.kernels.precompute import model_tables
@@ -59,11 +63,12 @@ def bipartite_probability(
 ) -> SolverResult:
     """Exact ``Pr(G)`` for a union of bipartite patterns (Algorithm 4).
 
-    ``vectorized=True`` (the default) runs the array-compiled state-table
-    engines of :mod:`repro.kernels.dp`; ``vectorized=False`` runs the
-    original dict-of-tuples DPs, kept as the scalar reference semantics
-    (DESIGN.md Sections 7.3 and 12).  Both produce bit-identical
-    probabilities and identical ``peak_states``.
+    ``vectorized=True`` (the default) runs the dict-of-tuples DPs while
+    generations are small and hands the first large one to the
+    array-compiled state-table engines of :mod:`repro.kernels.dp`, which
+    run the remaining steps; ``vectorized=False`` never hands over and is
+    the scalar reference semantics (DESIGN.md Sections 7.3 and 12).  Both
+    produce bit-identical probabilities and identical state stats.
     """
     union = as_union(union_or_pattern)
     if not union.is_bipartite():
@@ -142,36 +147,32 @@ def _basic_dp(
     n_left, n_right, merge_gaps, vectorized, time_budget, started,
 ) -> SolverResult:
     tables = model_tables(model)
-    if vectorized:
-        total, peak_states, final_states = bipartite_basic_engine(
-            tables,
-            model.m,
-            serves_left,
-            serves_right,
-            n_left,
-            n_right,
-            pattern_edges,
-            merge_gaps=merge_gaps,
-            time_budget=time_budget,
-            started=started,
-        )
-        return SolverResult(
-            probability=min(1.0, max(0.0, total)),
-            solver="bipartite[basic]",
-            stats={
-                "peak_states": peak_states,
-                "final_states": final_states,
-                "seconds": time.perf_counter() - started,
-            },
-        )
     pi = tables.pi
     initial = (tuple([None] * n_left), tuple([None] * n_right))
     states: dict[tuple, float] = {initial: 1.0}
     peak_states = 1
+    handed_over = None
 
     for i in range(1, model.m + 1):
         if time_budget is not None and time.perf_counter() - started > time_budget:
             raise SolverTimeout("bipartite[basic]", time_budget)
+        if vectorized and handoff_due(len(states), i):
+            handed_over = bipartite_basic_engine(
+                tables,
+                model.m,
+                serves_left,
+                serves_right,
+                n_left,
+                n_right,
+                pattern_edges,
+                *alpha_beta_table(states, n_left + n_right),
+                first_step=i,
+                peak=peak_states,
+                merge_gaps=merge_gaps,
+                time_budget=time_budget,
+                started=started,
+            )
+            break
         row = pi[i - 1]
         sl = set(serves_left[i - 1])
         sr = set(serves_right[i - 1])
@@ -213,23 +214,27 @@ def _basic_dp(
         states = new_states
         peak_states = max(peak_states, len(states))
 
-    total = 0.0
-    for (alpha, beta), prob in states.items():
-        for edges in pattern_edges:
-            if all(
-                alpha[l] is not None
-                and beta[r] is not None
-                and alpha[l] < beta[r]
-                for l, r in edges
-            ):
-                total += prob
-                break
+    if handed_over is None:
+        total = 0.0
+        for (alpha, beta), prob in states.items():
+            for edges in pattern_edges:
+                if all(
+                    alpha[l] is not None
+                    and beta[r] is not None
+                    and alpha[l] < beta[r]
+                    for l, r in edges
+                ):
+                    total += prob
+                    break
+        final_states = len(states)
+    else:
+        total, peak_states, final_states = handed_over
     return SolverResult(
         probability=min(1.0, max(0.0, total)),
         solver="bipartite[basic]",
         stats={
             "peak_states": peak_states,
-            "final_states": len(states),
+            "final_states": final_states,
             "seconds": time.perf_counter() - started,
         },
     )
@@ -287,32 +292,6 @@ def _pruned_dp(
             0.0, solver="bipartite", stats={"unsatisfiable": True}
         )
 
-    if vectorized:
-        absorbed, peak_states, leftover = bipartite_pruned_engine(
-            tables,
-            m,
-            serves_left,
-            serves_right,
-            n_left,
-            n_right,
-            pattern_edges,
-            last_left,
-            last_right,
-            tuple(initial_status),
-            merge_gaps=merge_gaps,
-            time_budget=time_budget,
-            started=started,
-        )
-        return SolverResult(
-            probability=min(1.0, max(0.0, absorbed)),
-            solver="bipartite",
-            stats={
-                "peak_states": peak_states,
-                "leftover_states": leftover,
-                "seconds": time.perf_counter() - started,
-            },
-        )
-
     def tracked_labels(status: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ls: set[int] = set()
         rs: set[int] = set()
@@ -340,12 +319,33 @@ def _pruned_dp(
     states: dict[tuple, float] = {initial_key: 1.0}
     absorbed = 0.0
     peak_states = 1
+    handed_over = None
 
     for i in range(1, m + 1):
         if not states:
             break
         if time_budget is not None and time.perf_counter() - started > time_budget:
             raise SolverTimeout("bipartite", time_budget)
+        if vectorized and handoff_due(len(states), i):
+            handed_over = bipartite_pruned_engine(
+                tables,
+                m,
+                serves_left,
+                serves_right,
+                n_left,
+                n_right,
+                pattern_edges,
+                last_left,
+                last_right,
+                *_status_table(states, tracked_cache, n_left, n_right),
+                first_step=i,
+                peak=peak_states,
+                absorbed=absorbed,
+                merge_gaps=merge_gaps,
+                time_budget=time_budget,
+                started=started,
+            )
+            break
         row = pi[i - 1]
         sl_all = set(serves_left[i - 1])
         sr_all = set(serves_right[i - 1])
@@ -419,14 +419,46 @@ def _pruned_dp(
 
     # Any surviving state has every pattern violated or unresolvable; it
     # contributes nothing.  (With complete closure bookkeeping none survive.)
+    if handed_over is None:
+        leftover = len(states)
+    else:
+        absorbed, peak_states, leftover = handed_over
     return SolverResult(
         probability=min(1.0, max(0.0, absorbed)),
         solver="bipartite",
         stats={
             "peak_states": peak_states,
-            "leftover_states": len(states),
+            "leftover_states": leftover,
             "seconds": time.perf_counter() - started,
         },
+    )
+
+
+def _status_table(states: dict, tracked_cache: dict, n_left: int, n_right: int):
+    """The pruned engine's generation of a scalar ``{(status, alpha, beta): prob}``.
+
+    Each distinct status is numbered by first occurrence; a row holds the
+    status's tracked positions in their label columns (``None`` as
+    ``-1``) and ``-2`` in every column the status does not track.  Rows
+    keep dict insertion order.  Returns ``(rows, sids, statuses, probs)``.
+    """
+    status_ids: dict[tuple, int] = {}
+    sids = []
+    rows = []
+    for status, alpha, beta in states:
+        sids.append(status_ids.setdefault(status, len(status_ids)))
+        row = [-2] * (n_left + n_right)
+        keep_l, keep_r = tracked_cache[status]
+        for l, p in zip(keep_l, alpha):
+            row[l] = -1 if p is None else p
+        for r, p in zip(keep_r, beta):
+            row[n_left + r] = -1 if p is None else p
+        rows.append(row)
+    return (
+        np.array(rows, np.int64).reshape(len(states), n_left + n_right),
+        np.array(sids, np.int64),
+        list(status_ids),
+        np.fromiter(states.values(), np.float64, len(states)),
     )
 
 

@@ -30,11 +30,12 @@ inserted: later insertions cannot change the match status of any surviving
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Hashable
 
 import numpy as np
 
-from repro.kernels.dp import lifted_engine, scalar_gap_segments
+from repro.kernels.dp import handoff_due, lifted_engine, scalar_gap_segments
 from repro.kernels.precompute import model_tables
 from repro.patterns.labels import Labeling
 from repro.patterns.matching import match_served_sequence
@@ -58,11 +59,12 @@ def lifted_probability(
 ) -> SolverResult:
     """Exact ``Pr(G | sigma, Pi, lambda)`` for any pattern union.
 
-    ``vectorized=True`` (the default) runs the array-compiled state-table
-    engine of :mod:`repro.kernels.dp`; ``vectorized=False`` runs the
-    original dict-of-tuples DP, kept as the scalar reference semantics
-    (DESIGN.md Sections 7.3 and 12).  Both produce bit-identical
-    probabilities and identical ``peak_states``.
+    ``vectorized=True`` (the default) runs the dict-of-tuples DP while
+    generations are small and hands the first large one to the
+    array-compiled state-table engine of :mod:`repro.kernels.dp`, which
+    runs the remaining steps; ``vectorized=False`` never hands over and
+    is the scalar reference semantics (DESIGN.md Sections 7.3 and 12).
+    Both produce bit-identical probabilities and identical state stats.
 
     Raises :class:`SolverTimeout` if ``time_budget`` (seconds) is exceeded.
     """
@@ -213,30 +215,6 @@ def lifted_probability(
                 dead &= ~covered
             return dead
 
-        absorbed, peak_states, expansions = lifted_engine(
-            tables,
-            last_relevant,
-            step_signature,
-            len(signatures),
-            batch_matches,
-            batch_dead,
-            prune_dead=prune_dead,
-            merge_gaps=merge_gaps,
-            time_budget=time_budget,
-            started=started,
-        )
-        return SolverResult(
-            probability=min(1.0, max(0.0, absorbed)),
-            solver="lifted",
-            stats={
-                "peak_states": peak_states,
-                "expansions": expansions,
-                "n_relevant_items": len(relevant_steps),
-                "last_relevant_step": last_relevant,
-                "seconds": time.perf_counter() - started,
-            },
-        )
-
     pi = tables.pi
     states: dict[_State, float] = {(): 1.0}
     absorbed = 0.0
@@ -246,6 +224,25 @@ def lifted_probability(
     for i in range(1, last_relevant + 1):
         if time_budget is not None and time.perf_counter() - started > time_budget:
             raise SolverTimeout("lifted", time_budget)
+        if vectorized and handoff_due(len(states), i):
+            absorbed, peak_states, expansions = lifted_engine(
+                tables,
+                last_relevant,
+                step_signature,
+                len(signatures),
+                batch_matches,
+                batch_dead,
+                *_sequence_table(states, bisect_left(relevant_steps, i)),
+                first_step=i,
+                peak=peak_states,
+                absorbed=absorbed,
+                expansions=expansions,
+                prune_dead=prune_dead,
+                merge_gaps=merge_gaps,
+                time_budget=time_budget,
+                started=started,
+            )
+            break
         sid = step_signature[i]
         row = pi[i - 1]
         new_states: dict[_State, float] = {}
@@ -325,4 +322,21 @@ def lifted_probability(
             "last_relevant_step": last_relevant,
             "seconds": time.perf_counter() - started,
         },
+    )
+
+
+def _sequence_table(states: dict, length: int):
+    """The lifted engine's generation of a scalar ``{state: prob}`` dict.
+
+    Every state holds ``length`` ``(position, signature_id)`` pairs; they
+    split into a position table and a signature-id table, rows in dict
+    insertion order.  Returns ``(positions, signature_ids, probs)``.
+    """
+    pairs = np.array(
+        [pair for state in states for pair in state], np.int64
+    ).reshape(len(states), length, 2)
+    return (
+        pairs[:, :, 0],
+        pairs[:, :, 1],
+        np.fromiter(states.values(), np.float64, len(states)),
     )

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 import time
 
-from repro.kernels.dp import scalar_gap_segments, two_label_engine
+from repro.kernels.dp import (
+    alpha_beta_table,
+    handoff_due,
+    scalar_gap_segments,
+    two_label_engine,
+)
 from repro.kernels.precompute import model_tables
 from repro.patterns.labels import Labeling
 from repro.solvers.base import (
@@ -45,11 +50,12 @@ def two_label_probability(
 ) -> SolverResult:
     """Exact ``Pr(G)`` for a union of two-label patterns (Algorithm 3).
 
-    ``vectorized=True`` (the default) runs the array-compiled state-table
-    engine of :mod:`repro.kernels.dp`; ``vectorized=False`` runs the
-    original dict-of-tuples DP, kept as the scalar reference semantics
-    (DESIGN.md Sections 7.3 and 12).  Both produce bit-identical
-    probabilities and identical ``peak_states``.
+    ``vectorized=True`` (the default) runs the dict-of-tuples DP while
+    generations are small and hands the first large one to the
+    array-compiled state-table engine of :mod:`repro.kernels.dp`, which
+    runs the remaining steps; ``vectorized=False`` never hands over and
+    is the scalar reference semantics (DESIGN.md Sections 7.3 and 12).
+    Both produce bit-identical probabilities and identical state stats.
     """
     union = as_union(union_or_pattern)
     if not union.is_two_label():
@@ -106,29 +112,6 @@ def two_label_probability(
     # DP over insertions
     # ------------------------------------------------------------------
     tables = model_tables(model)
-    if vectorized:
-        violation_mass, peak_states, final_states = two_label_engine(
-            tables,
-            model.m,
-            serves_left,
-            serves_right,
-            len(left_sets),
-            len(right_sets),
-            pattern_pairs,
-            merge_gaps=merge_gaps,
-            time_budget=time_budget,
-            started=started,
-        )
-        return SolverResult(
-            probability=min(1.0, max(0.0, 1.0 - violation_mass)),
-            solver="two_label",
-            stats={
-                "peak_states": peak_states,
-                "final_states": final_states,
-                "seconds": time.perf_counter() - started,
-            },
-        )
-
     pi = tables.pi
     initial = (
         tuple([None] * len(left_sets)),
@@ -136,10 +119,28 @@ def two_label_probability(
     )
     states: dict[tuple[_Positions, _Positions], float] = {initial: 1.0}
     peak_states = 1
+    handed_over = None
 
     for i in range(1, model.m + 1):
         if time_budget is not None and time.perf_counter() - started > time_budget:
             raise SolverTimeout("two_label", time_budget)
+        if vectorized and handoff_due(len(states), i):
+            handed_over = two_label_engine(
+                tables,
+                model.m,
+                serves_left,
+                serves_right,
+                len(left_sets),
+                len(right_sets),
+                pattern_pairs,
+                *alpha_beta_table(states, len(left_sets) + len(right_sets)),
+                first_step=i,
+                peak=peak_states,
+                merge_gaps=merge_gaps,
+                time_budget=time_budget,
+                started=started,
+            )
+            break
         row = pi[i - 1]
         sl = serves_left[i - 1]
         sr = serves_right[i - 1]
@@ -203,13 +204,16 @@ def two_label_probability(
         if len(states) > peak_states:
             peak_states = len(states)
 
-    violation_mass = sum(states.values())
+    if handed_over is None:
+        violation_mass, final_states = sum(states.values()), len(states)
+    else:
+        violation_mass, peak_states, final_states = handed_over
     return SolverResult(
         probability=min(1.0, max(0.0, 1.0 - violation_mass)),
         solver="two_label",
         stats={
             "peak_states": peak_states,
-            "final_states": len(states),
+            "final_states": final_states,
             "seconds": time.perf_counter() - started,
         },
     )

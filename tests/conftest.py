@@ -6,11 +6,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode
 from repro.patterns.union import PatternUnion
 from repro.rim.mallows import Mallows
+
+#: CI's longer randomized run of the DP equivalence suite
+#: (``--hypothesis-profile=long``); tier-1 runs the default profile.
+settings.register_profile("long", max_examples=1000)
 
 
 @pytest.fixture

@@ -285,6 +285,26 @@ class TestAnswer:
         single = answer(POLLS_Q, polls_db)
         assert list(single.stats) == ["n_solver_calls", "n_groups"]
 
+    @pytest.mark.parametrize(
+        "entry",
+        [answer, lambda request, db, **kw: answer_many([request], db, **kw)],
+        ids=["answer", "answer_many"],
+    )
+    def test_missing_required_solver_option_is_rejected_before_planning(
+        self, polls_db, entry, monkeypatch
+    ):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a request failing validation was planned")
+
+        monkeypatch.setattr("repro.api.evaluate.build_plan", no_plan)
+        with pytest.raises(ValueError, match="n_proposals"):
+            entry(
+                POLLS_Q,
+                polls_db,
+                method="mis_amp_lite",
+                rng=np.random.default_rng(0),
+            )
+
     def test_aggregate_missing_row_raises_key_error(self, polls_db):
         with pytest.raises(KeyError):
             answer(f"AGG mean(C.age) {POLLS_Q}", polls_db)

@@ -1,7 +1,11 @@
 """Tests for the RIM-PPD database layer."""
 
+import random
+
 import pytest
 
+from repro.datasets.crowdrank import crowdrank_database
+from repro.datasets.polls import polls_database
 from repro.db.database import PPDatabase
 from repro.db.examples import polling_example
 from repro.db.schema import ORelation, PRelation
@@ -27,6 +31,44 @@ class TestORelation:
         assert list(relation.rows_where({0: 1})) == [(1, "p"), (1, "q")]
         assert relation.first_row_where({0: 1, 1: "q"}) == (1, "q")
         assert relation.first_row_where({0: 9}) is None
+
+    def test_rows_where_value_unequal_to_itself_matches_nothing(self):
+        nan = float("nan")
+        relation = ORelation("R", ["x", "y"], [(nan, "p"), (1, "p")])
+        assert list(relation.rows_where({0: nan})) == []
+        assert list(relation.rows_where({1: "p"})) == list(relation.rows)
+        assert list(relation.rows_where({})) == list(relation.rows)
+
+    @pytest.mark.parametrize(
+        "build",
+        [polls_database, lambda: crowdrank_database(n_workers=2000)],
+        ids=["polls", "crowdrank"],
+    )
+    def test_indexed_lookups_match_linear_scan(self, build):
+        pyrng = random.Random(20200316)
+        for relation in build().orelations.values():
+            for _ in range(200):
+                positions = pyrng.sample(
+                    range(relation.arity), pyrng.randint(1, relation.arity)
+                )
+                # Values from one row (a hit) or from the whole column,
+                # plus an absent value now and then (a miss).
+                row = pyrng.choice(relation.rows)
+                conditions = {
+                    pos: pyrng.choice(
+                        [row[pos], pyrng.choice(relation.rows)[pos], "absent"]
+                    )
+                    for pos in positions
+                }
+                scan = [
+                    candidate
+                    for candidate in relation.rows
+                    if all(candidate[pos] == value for pos, value in conditions.items())
+                ]
+                assert list(relation.rows_where(conditions)) == scan
+                assert relation.first_row_where(conditions) == (
+                    scan[0] if scan else None
+                )
 
     def test_column_index(self):
         relation = ORelation("R", ["x", "y"], [])

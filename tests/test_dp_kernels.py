@@ -8,27 +8,32 @@ Three layers of coverage:
   guarantee;
 * a hypothesis property suite generating random small instances (m <= 10,
   mixed serving / non-serving items, a phi grid including the 0 and 1
-  edge weights) asserting vectorized == scalar probabilities to 1e-12 and
-  identical state-count stats for all three solvers, both ``merge_gaps``
-  settings, and both bipartite variants;
+  edge weights) asserting, for all three solvers under every option
+  combination (``merge_gaps``, pruned / basic, ``prune_dead``, the gcode
+  fallback), that the scalar reference, the engine from step 1 (handoff
+  constant pinned to 0), a scalar-to-engine handoff at each later step,
+  and the adaptive default agree bit for bit on the probability and on
+  every state-count stat;
 * regression tests for the per-chunk time-budget checks (an oversized
   instance must time out within ~2x the budget, not per-generation) and
   for the opt-in jit layer's silent NumPy fallback.
 """
 
 import time
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.benchmarks import benchmark_a, benchmark_c, benchmark_d
-from repro.kernels import jit as jit_module
+from repro.kernels import dp, jit as jit_module
 from repro.kernels.dp import merge_states, scalar_gap_segments, sequential_sum
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode
 from repro.patterns.union import PatternUnion
 from repro.rim.mallows import Mallows
+from repro.solvers import bipartite, lifted, two_label
 from repro.solvers.base import SolverTimeout
 from repro.solvers.bipartite import bipartite_probability
 from repro.solvers.lifted import lifted_probability
@@ -161,97 +166,113 @@ def bipartite_instances(draw, max_m: int = 10):
     return model, labeling, PatternUnion(patterns)
 
 
+_LONG_PROFILE = settings.get_profile("long")
+
+#: 30 examples per property in tier-1; the ``long`` profile registered in
+#: ``tests/conftest.py`` (CI's ``--hypothesis-profile=long`` step) sets its
+#: own count.
 PROPERTY_SETTINGS = settings(
-    max_examples=30,
+    max_examples=(
+        _LONG_PROFILE.max_examples if settings.default is _LONG_PROFILE else 30
+    ),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _bits(result):
+    """The bit-identity surface: the probability and every stat but time."""
+    stats = {k: v for k, v in result.stats.items() if k != "seconds"}
+    return result.probability, stats
+
+
+def _assert_every_handoff_exact(solve, module, m):
+    """Every way ``solve`` can split between the two cores agrees bit for bit.
+
+    ``solve(vectorized)`` runs one solver of ``module``.  Compared with
+    the scalar reference: the engine from step 1 (constant pinned to 0),
+    a handoff at each step 2..m, and the adaptive default.  The per-step
+    runs force the step through the module's trigger: a constant cannot
+    reach a step whose candidate count does not pass an earlier one's,
+    such as the steps after an absorption shrinks the generation.
+    """
+    reference = _bits(solve(False))
+    with patch.object(dp, "_HANDOFF_CANDIDATES", 0):
+        assert _bits(solve(True)) == reference, "engine from step 1"
+    for k in range(2, m + 1):
+        with patch.object(module, "handoff_due", lambda _, step: step >= k):
+            assert _bits(solve(True)) == reference, f"handoff at step {k}"
+    assert _bits(solve(True)) == reference, "adaptive default"
 
 
 @PROPERTY_SETTINGS
 @given(two_label_instances(), st.booleans())
 def test_two_label_vectorized_matches_scalar(instance, merge_gaps):
     model, labeling, union = instance
-    scalar = two_label_probability(
-        model, labeling, union, merge_gaps=merge_gaps, vectorized=False
+    _assert_every_handoff_exact(
+        lambda vectorized: two_label_probability(
+            model, labeling, union, merge_gaps=merge_gaps, vectorized=vectorized
+        ),
+        two_label,
+        model.m,
     )
-    vector = two_label_probability(
-        model, labeling, union, merge_gaps=merge_gaps, vectorized=True
-    )
-    assert abs(vector.probability - scalar.probability) <= 1e-12
-    assert vector.stats["peak_states"] == scalar.stats["peak_states"]
-    assert vector.stats["final_states"] == scalar.stats["final_states"]
 
 
 @PROPERTY_SETTINGS
 @given(bipartite_instances(), st.booleans(), st.booleans())
 def test_bipartite_vectorized_matches_scalar(instance, merge_gaps, pruned):
     model, labeling, union = instance
-    scalar = bipartite_probability(
-        model,
-        labeling,
-        union,
-        merge_gaps=merge_gaps,
-        pruned=pruned,
-        vectorized=False,
+    _assert_every_handoff_exact(
+        lambda vectorized: bipartite_probability(
+            model,
+            labeling,
+            union,
+            merge_gaps=merge_gaps,
+            pruned=pruned,
+            vectorized=vectorized,
+        ),
+        bipartite,
+        model.m,
     )
-    vector = bipartite_probability(
-        model,
-        labeling,
-        union,
-        merge_gaps=merge_gaps,
-        pruned=pruned,
-        vectorized=True,
-    )
-    assert abs(vector.probability - scalar.probability) <= 1e-12
-    assert vector.stats.get("peak_states") == scalar.stats.get("peak_states")
 
 
 @PROPERTY_SETTINGS
 @given(bipartite_instances(), st.booleans(), st.booleans())
 def test_lifted_vectorized_matches_scalar(instance, merge_gaps, prune_dead):
     model, labeling, union = instance
-    scalar = lifted_probability(
-        model,
-        labeling,
-        union,
-        merge_gaps=merge_gaps,
-        prune_dead=prune_dead,
-        vectorized=False,
+    _assert_every_handoff_exact(
+        lambda vectorized: lifted_probability(
+            model,
+            labeling,
+            union,
+            merge_gaps=merge_gaps,
+            prune_dead=prune_dead,
+            vectorized=vectorized,
+        ),
+        lifted,
+        model.m,
     )
-    vector = lifted_probability(
-        model,
-        labeling,
-        union,
-        merge_gaps=merge_gaps,
-        prune_dead=prune_dead,
-        vectorized=True,
-    )
-    assert abs(vector.probability - scalar.probability) <= 1e-12
-    assert vector.stats.get("peak_states") == scalar.stats.get("peak_states")
-    assert vector.stats.get("expansions") == scalar.stats.get("expansions")
 
 
 @PROPERTY_SETTINGS
-@given(bipartite_instances(max_m=8), st.booleans())
-def test_lifted_column_fallback_matches_scalar(instance, merge_gaps):
+@given(bipartite_instances(max_m=8), st.booleans(), st.booleans())
+def test_lifted_column_fallback_matches_scalar(instance, merge_gaps, prune_dead):
     """The wide-sequence path (no packed gcode) is equally bit-faithful."""
-    from repro.kernels import dp
-
     model, labeling, union = instance
-    scalar = lifted_probability(
-        model, labeling, union, merge_gaps=merge_gaps, vectorized=False
-    )
-    original = dp._GCODE_LIMIT
-    dp._GCODE_LIMIT = 0  # force the per-slot id-column fallback
-    try:
-        vector = lifted_probability(
-            model, labeling, union, merge_gaps=merge_gaps, vectorized=True
+    # Limit 0 forces the per-slot id-column fallback.
+    with patch.object(dp, "_GCODE_LIMIT", 0):
+        _assert_every_handoff_exact(
+            lambda vectorized: lifted_probability(
+                model,
+                labeling,
+                union,
+                merge_gaps=merge_gaps,
+                prune_dead=prune_dead,
+                vectorized=vectorized,
+            ),
+            lifted,
+            model.m,
         )
-    finally:
-        dp._GCODE_LIMIT = original
-    assert abs(vector.probability - scalar.probability) <= 1e-12
-    assert vector.stats.get("peak_states") == scalar.stats.get("peak_states")
 
 
 # ---------------------------------------------------------------------------

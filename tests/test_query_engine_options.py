@@ -21,9 +21,14 @@ SIMPLE = "P(_, _; 'Clinton'; 'Trump')"
 class TestMethodHandling:
     def test_approximate_requires_rng(self, db):
         q = parse_query(SIMPLE)
-        for method in ("mis_amp_lite", "mis_amp_adaptive", "rejection"):
+        # Each method gets its required solver options: only the rng lacks.
+        for method, options in (
+            ("mis_amp_lite", {"n_proposals": 2}),
+            ("mis_amp_adaptive", {}),
+            ("rejection", {}),
+        ):
             with pytest.raises(ValueError, match="rng"):
-                answer(q, db, method=method)
+                answer(q, db, method=method, **options)
 
     def test_rejection_method(self, db):
         q = parse_query(SIMPLE)

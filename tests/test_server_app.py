@@ -152,6 +152,21 @@ class TestErrorContract:
         assert status == 200
         assert 0.0 <= payload["value"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/answer", {"request": BASE, "method": "mis_amp_lite"}),
+            ("/answer_many", {"requests": [BASE], "method": "mis_amp_lite"}),
+        ],
+    )
+    def test_missing_required_solver_option_is_400(self, path, body):
+        app = make_app()
+        status, payload, _ = run(
+            closing(app, app.handle("POST", path, body, "c"))
+        )
+        assert status == 400
+        assert "n_proposals" in payload["error"]
+
     def test_server_config_rejects_auto_approx_without_budget(self):
         with pytest.raises(ValueError, match="approx_budget"):
             make_app(method="auto-approx")

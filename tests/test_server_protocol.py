@@ -260,6 +260,12 @@ class TestValidateOptions:
         assert "approx_budget" in str(caught.value)
         assert caught.value.status == 400
 
+    def test_missing_required_solver_option_is_rejected(self):
+        with pytest.raises(ProtocolError) as caught:
+            validate_options({"method": "mis_amp_lite"})
+        assert "n_proposals" in str(caught.value)
+        assert caught.value.status == 400
+
     def test_auto_approx_with_budget_passes(self):
         options = validate_options(
             {"method": "auto-approx", "approx_budget": 1e6}
