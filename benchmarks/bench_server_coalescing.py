@@ -6,11 +6,13 @@ Section 11).  A 50-request overlapping mixed-kind workload (the
 is served two ways through the full :class:`ServerApp` route — protocol
 decode, admission, coalescer, metrics:
 
-* **per-request baseline** — ``window_seconds=0`` and a capacity-1
-  cache: request-at-a-time serving without the shared cache tier, the
-  pre-coalescer cost of the workload (a warm shared cache is also
-  measured and recorded, unenforced, for context);
-* **coalesced** — concurrent clients land in one coalescing window and
+* **per-request baseline** — requests submitted one after another with
+  ``max_batch=1`` and a capacity-1 cache: request-at-a-time serving
+  without the shared cache tier, the pre-coalescer cost of the workload
+  (a warm shared cache is also measured and recorded, unenforced, for
+  context);
+* **coalesced** — the same requests as one concurrent burst: the first
+  finds the worker idle and runs alone, and the rest queue behind it and
   are planned as one batch, so the planner's mixed-kind dedup and
   cross-query common-solve elimination run on live traffic.
 
@@ -65,7 +67,7 @@ def mixed_corpus(n_requests: int) -> list[str]:
     ranking page the TOPK, of the same filter).  Each pass over the
     distinct queries switches the kind, so every query recurs under
     several kinds across the corpus — exactly what mixed-kind dedup and
-    cross-query elimination collapse when the window merges them.
+    cross-query elimination collapse when the coalescer merges them.
     """
     distinct = batch_queries(max(4, n_requests // 4))
     return [
@@ -116,20 +118,20 @@ def distinct_solves(app: ServerApp) -> int:
 def test_server_coalescing(record_result):
     corpus = mixed_corpus(N_REQUESTS)
 
-    # --- per-request baseline: window 0, no shared cache tier ----------
-    baseline_app = make_app(window_seconds=0, cache_capacity=1)
+    # --- per-request baseline: one at a time, no shared cache tier -----
+    baseline_app = make_app(max_batch=1, cache_capacity=1)
     baseline_started = time.perf_counter()
     asyncio.run(serve_corpus(baseline_app, corpus, concurrent=False))
     baseline_seconds = time.perf_counter() - baseline_started
     baseline_solves = distinct_solves(baseline_app)
 
     # --- context: request-at-a-time with the default shared cache ------
-    cached_app = make_app(window_seconds=0)
+    cached_app = make_app(max_batch=1)
     asyncio.run(serve_corpus(cached_app, corpus, concurrent=False))
     cached_baseline_solves = distinct_solves(cached_app)
 
     # --- coalesced: concurrent clients merged into planned batches -----
-    coalesced_app = make_app(window_seconds=0.25, max_batch=2 * N_REQUESTS)
+    coalesced_app = make_app(max_batch=2 * N_REQUESTS)
     coalesced_started = time.perf_counter()
     payloads = asyncio.run(
         serve_corpus(coalesced_app, corpus, concurrent=True)
@@ -205,13 +207,13 @@ def test_server_coalescing(record_result):
             experiment="server_coalescing",
             headers=["serving", "distinct_solves", "seconds"],
             rows=[
-                ["per-request (window=0)", baseline_solves, baseline_seconds],
+                ["per-request (max_batch=1)", baseline_solves, baseline_seconds],
                 [
                     "per-request + shared cache",
                     cached_baseline_solves,
                     float("nan"),
                 ],
-                ["coalesced window", coalesced_solves, coalesced_seconds],
+                ["coalesced burst", coalesced_solves, coalesced_seconds],
             ],
             notes={
                 "solve_ratio": round(solve_ratio, 2),

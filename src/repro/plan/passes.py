@@ -13,11 +13,7 @@ Five passes, applied in order by :func:`optimize_plan`:
    shared path (:mod:`repro.plan.methods`): the paper's structural
    dichotomy for ``"auto"``, budgeted MIS-AMP fallback for
    ``"auto-approx"``.
-3. :func:`annotate_costs` — annotate every solve node with the planner's
-   DP state-count estimate (:func:`repro.plan.cost
-   .estimate_solve_states`); consumed by the ordering pass, ``explain()``,
-   and the LPT schedule of the execution backends.
-4. :func:`eliminate_common_solves` — merge solve nodes that are the same
+3. :func:`eliminate_common_solves` — merge solve nodes that are the same
    request: by canonical cache key (``canonical=True``, subsuming the
    engine's Section 6.4 grouping *and* the service's batch-wide dedup
    dicts, across queries) or by object identity (``canonical=False``,
@@ -27,6 +23,13 @@ Five passes, applied in order by :func:`optimize_plan`:
    (or TopK, or attribute Aggregate) of the same query share one merged
    solve, which is what makes mixed-kind batches of the unified API
    (:mod:`repro.api`) no more expensive than their hardest member.
+4. :func:`annotate_costs` — annotate every surviving solve node with the
+   planner's DP state-count estimate (:func:`repro.plan.cost
+   .estimate_solve_states`); consumed by the ordering pass, ``explain()``,
+   and the LPT schedule of the execution backends.  It runs after
+   elimination so that merged-away nodes are never estimated: a survivor
+   is the representative node it was before the merge, so its estimate
+   is the same either way.
 5. :func:`order_solves` — reorder the surviving frontier largest-first
    (LPT): big solves start immediately on a worker pool instead of
    straggling.  Skipped when any solve is rng-driven — sampling results
@@ -121,7 +124,7 @@ def resolve_methods(plan: QueryPlan) -> QueryPlan:
 
 
 def annotate_costs(plan: QueryPlan) -> QueryPlan:
-    """Pass 3: annotate every solve node with its DP state-count estimate."""
+    """Pass 4: annotate every solve node with its DP state-count estimate."""
     for node in plan.solves():
         estimate = estimate_solve_states(
             node.model,
@@ -139,7 +142,7 @@ def annotate_costs(plan: QueryPlan) -> QueryPlan:
 def eliminate_common_solves(
     plan: QueryPlan, canonical: bool = True
 ) -> QueryPlan:
-    """Pass 4: merge solve nodes that are the same request.
+    """Pass 3: merge solve nodes that are the same request.
 
     ``canonical=True`` groups by the canonical session cache key — the key
     the shared :class:`~repro.service.cache.SolverCache` uses, so
@@ -234,14 +237,14 @@ def default_passes(
     plan: QueryPlan, canonical: bool = False
 ) -> list[PlanPass]:
     """The default pipeline for this plan's configuration."""
-    passes: list[PlanPass] = [simplify_unions, resolve_methods, annotate_costs]
+    passes: list[PlanPass] = [simplify_unions, resolve_methods]
     if plan.group_sessions:
         passes.append(
             lambda p, _canonical=canonical: eliminate_common_solves(
                 p, canonical=_canonical
             )
         )
-    passes.append(order_solves)
+    passes += [annotate_costs, order_solves]
     return passes
 
 

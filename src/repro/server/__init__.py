@@ -3,8 +3,9 @@
 This package is ROADMAP item 1's traffic surface — the gateway between
 network clients and the offline stack (planner, unified API, backends,
 cache tiers).  Its core is the **request coalescer**
-(:mod:`repro.server.coalescer`): concurrent requests landing within one
-time window are planned and executed as a single
+(:mod:`repro.server.coalescer`): a request finding the batch worker
+idle runs at once, and the requests that queue while a batch runs are
+planned and executed together as the next
 :meth:`~repro.service.service.PreferenceService.answer_many` batch, so
 the planner's mixed-kind dedup and cross-query common-solve elimination
 (51.9x on overlapping workloads, ``BENCH_planner.json``) pay off on live
@@ -14,7 +15,7 @@ explicit backpressure (:mod:`repro.server.admission`), a latency/
 coalescing metrics registry (:mod:`repro.server.metrics`), the
 transport-independent application (:mod:`repro.server.app`), the asyncio
 HTTP layer (:mod:`repro.server.http`), and the ``python -m repro serve``
-CLI (:mod:`repro.server.cli`).  See DESIGN.md Section 11 for the window
+CLI (:mod:`repro.server.cli`).  See DESIGN.md Section 11 for the batch
 semantics, the backpressure contract, and the metric definitions.
 """
 

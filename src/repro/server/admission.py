@@ -3,10 +3,10 @@
 Every request holds one admission slot from arrival to response.  Slots
 are bounded twice — per client and server-wide — and overflow is answered
 immediately with :class:`AdmissionRejected` (the HTTP layer renders it as
-429 with a ``Retry-After`` hint) instead of queueing without bound: under
-a traffic spike the server keeps answering what it admitted at its normal
-latency and sheds the rest, rather than growing an invisible queue whose
-every entry times out.
+429 with a constant 1 s ``Retry-After`` hint) instead of queueing without
+bound: under a traffic spike the server keeps answering what it admitted
+at its normal latency and sheds the rest, rather than growing an
+invisible queue whose every entry times out.
 
 Clients are identified by the ``X-Client-Id`` header when present, else
 by peer address (:func:`repro.server.http` passes it down).  The
@@ -16,8 +16,11 @@ on the event loop and must never block.
 
 from __future__ import annotations
 
-import math
 import threading
+
+#: The backoff hint of every rejection, in whole seconds (HTTP
+#: ``Retry-After`` is integral): a batch drains well within it.
+RETRY_AFTER_SECONDS = 1
 
 
 class AdmissionRejected(Exception):
@@ -29,22 +32,15 @@ class AdmissionRejected(Exception):
 
 
 class AdmissionController:
-    """Bounded per-client and total in-flight request slots.
-
-    ``retry_after_seconds`` is the backoff hint attached to rejections; the
-    app wires it to a couple of coalescing windows, the time by which the
-    current batch has drained in the common case.
-    """
+    """Bounded per-client and total in-flight request slots."""
 
     def __init__(
         self,
         max_pending_per_client: int = 32,
         max_pending_total: int = 256,
-        retry_after_seconds: float = 1.0,
     ):
         self.max_pending_per_client = max_pending_per_client
         self.max_pending_total = max_pending_total
-        self.retry_after_seconds = retry_after_seconds
         self._lock = threading.Lock()
         self._pending: dict[str, int] = {}
         self._total = 0
@@ -55,15 +51,15 @@ class AdmissionController:
             if self._total >= self.max_pending_total:
                 raise AdmissionRejected(
                     f"server at capacity ({self._total} requests in flight); "
-                    f"retry after {self._retry_after():g}s",
-                    retry_after=self._retry_after(),
+                    f"retry after {RETRY_AFTER_SECONDS}s",
+                    retry_after=RETRY_AFTER_SECONDS,
                 )
             pending = self._pending.get(client_id, 0)
             if pending >= self.max_pending_per_client:
                 raise AdmissionRejected(
                     f"client {client_id!r} at capacity ({pending} requests "
-                    f"in flight); retry after {self._retry_after():g}s",
-                    retry_after=self._retry_after(),
+                    f"in flight); retry after {RETRY_AFTER_SECONDS}s",
+                    retry_after=RETRY_AFTER_SECONDS,
                 )
             self._pending[client_id] = pending + 1
             self._total += 1
@@ -77,10 +73,6 @@ class AdmissionController:
             else:
                 self._pending[client_id] = pending - 1
             self._total = max(0, self._total - 1)
-
-    def _retry_after(self) -> float:
-        # Whole seconds (HTTP Retry-After is integral), at least one.
-        return float(max(1, math.ceil(self.retry_after_seconds)))
 
     def pending(self, client_id: "str | None" = None) -> int:
         """In-flight count for one client (or server-wide with ``None``)."""

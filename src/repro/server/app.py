@@ -9,10 +9,12 @@ app directly with plain dicts.
 
 Routes:
 
-* ``POST /answer`` — one request (string or typed form); coalesced with
-  concurrent requests into one planned batch;
+* ``POST /answer`` — one request (string or typed form); dispatched at
+  once when the batch worker is idle, else coalesced with the requests
+  queued behind the running batch into one planned batch;
 * ``POST /answer_many`` — a pre-assembled batch; planned as-is, off the
-  event loop, sharing the cache with coalesced traffic;
+  event loop, taking its turn on the same worker and cache as coalesced
+  traffic;
 * ``POST /explain`` — the cost-annotated optimized plan, not executed;
 * ``GET /stats`` — latency percentiles, coalescing effect, admission and
   cache counters;
@@ -72,12 +74,10 @@ class ServerApp:
         self.admission = AdmissionController(
             max_pending_per_client=config.max_pending_per_client,
             max_pending_total=config.max_pending_total,
-            retry_after_seconds=max(1.0, 2 * config.window_seconds),
         )
         self.coalescer = RequestCoalescer(
             self.service,
             self.db,
-            window_seconds=config.window_seconds,
             max_batch=config.max_batch,
             metrics=self.metrics,
             seed=config.seed,
@@ -158,7 +158,7 @@ class ServerApp:
     # ------------------------------------------------------------------
 
     async def handle_answer(self, body, client_id: str) -> Response:
-        """One request through admission, the coalescing window, and out."""
+        """One request through admission, the coalescer, and out."""
         request, options = decode_request(body)
         self.admission.acquire(client_id)
         started = time.monotonic()
@@ -235,7 +235,6 @@ class ServerApp:
             "dataset": self.config.dataset,
             "method": self.config.method,
             "backend": self.config.backend,
-            "window_seconds": self.config.window_seconds,
             "max_batch": self.config.max_batch,
         }
         return payload
@@ -245,6 +244,6 @@ class ServerApp:
     # ------------------------------------------------------------------
 
     async def shutdown(self) -> None:
-        """Drain in-flight windows and batches, then release the worker."""
+        """Drain queued and in-flight batches, then release the worker."""
         await self.coalescer.drain()
         self.coalescer.close()

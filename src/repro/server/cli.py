@@ -2,7 +2,7 @@
 
 Example::
 
-    python -m repro serve --port 8642 --sessions 100 --window-ms 10
+    python -m repro serve --port 8642 --sessions 100
     curl -s -X POST http://127.0.0.1:8642/answer \\
         -d '{"request": "COUNT P(v; m1; m2), M(m1, 'Comedy', _, _, _)"}'
     curl -s http://127.0.0.1:8642/stats
@@ -10,8 +10,10 @@ Example::
 
 ``--port 0`` binds an ephemeral port; the bound address is printed (and
 flushed) as the first output line, so scripted callers — the CI smoke,
-the benchmark — can parse it.  SIGINT/SIGTERM trigger the same graceful
-drain as ``POST /shutdown``.
+the benchmark — can parse it.  A request is dispatched as soon as the
+batch worker is idle; requests that arrive while a batch runs go out
+together as the next batch (up to ``--max-batch``).  SIGINT/SIGTERM
+trigger the same graceful drain as ``POST /shutdown``.
 """
 
 from __future__ import annotations
@@ -58,12 +60,8 @@ def add_serve_parser(subparsers) -> None:
         "(default: min(8, cpu_count); 1 = serial)",
     )
     parser.add_argument(
-        "--window-ms", type=float, default=10.0, metavar="MS",
-        help="coalescing window in milliseconds (0 = request-at-a-time)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=64,
-        help="flush a window early at this many coalesced requests",
+        help="most queued requests of one key sent out as one batch",
     )
     parser.add_argument(
         "--max-pending-per-client", type=int, default=32,
@@ -118,7 +116,6 @@ def config_from_args(args):
         cache_shards=args.cache_shards,
         shard_address=args.shard_address,
         solver_options=solver_options,
-        window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_pending_per_client=args.max_pending_per_client,
         max_pending_total=args.max_pending_total,
@@ -142,7 +139,6 @@ def run_serve(args) -> int:
         print(
             f"dataset={config.dataset} sessions={config.sessions} "
             f"method={config.method} backend={config.backend} "
-            f"window={config.window_seconds * 1000:g}ms "
             f"max_batch={config.max_batch}",
             flush=True,
         )

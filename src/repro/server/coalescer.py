@@ -1,32 +1,36 @@
-"""The time-windowed request coalescer: live traffic -> planned batches.
+"""The request coalescer: live traffic -> planned batches, by natural batching.
 
 The planner's common-solve elimination (DESIGN.md Section 9; 51.9x fewer
 distinct solves on an overlapping 50-query workload per
 ``BENCH_planner.json``) only pays off when queries are planned *together*.
 Offline, ``answer_many`` batches arrive pre-assembled; online, requests
-arrive one at a time.  The coalescer closes that gap: the first request
-opens a **window**, concurrent requests arriving within ``window_seconds``
-join it, and the whole window is planned and executed as one
-:meth:`~repro.service.service.PreferenceService.answer_many` batch — so
-mixed-kind dedup and cross-query elimination run on live traffic.
+arrive one at a time.  The coalescer closes that gap without holding any
+request back: a request that finds the worker idle is dispatched at once,
+and requests that arrive while a batch runs queue up and go out together
+as the next :meth:`~repro.service.service.PreferenceService.answer_many`
+batch — so mixed-kind dedup and cross-query elimination run on exactly
+the traffic that would otherwise have waited anyway.
 
 Semantics (the contract DESIGN.md Section 11 documents):
 
-* windows are keyed by ``(method, options)`` — requests only coalesce when
-  they can share one plan;
-* a window flushes when its timer fires **or** it reaches ``max_batch``,
-  whichever is first; ``window_seconds=0`` degenerates to
-  request-at-a-time serving (the benchmark baseline);
-* batches execute on a dedicated single worker thread **off the event
-  loop** (the service's own backend parallelizes the solves *inside* a
-  batch), so the loop keeps accepting and coalescing while a batch runs;
-* a waiter cancelled before its window flushes is dropped from the batch;
-  cancelled later, its slot still computes but the response is discarded —
+* requests queue by ``(method, options)`` key — they only coalesce when
+  they can share one plan — and two keys never share a batch;
+* at most one batch runs, on a dedicated single worker thread **off the
+  event loop** (the service's own backend parallelizes the solves
+  *inside* a batch), so the loop keeps accepting and queueing while a
+  batch runs; pre-assembled :meth:`execute_many` batches take their turn
+  in the same queue;
+* when a batch ends, answered or raised, the oldest queued key goes out,
+  up to ``max_batch`` requests; the rest of that key moves to the back of
+  the order, so one hot key cannot starve another;
+* a waiter cancelled while queued is dropped before planning; cancelled
+  after dispatch, its slot still computes but the response is discarded —
   either way every live waiter gets exactly one answer and no answer is
   delivered twice;
-* :meth:`drain` (graceful shutdown) flushes every open window, refuses new
-  submissions, and waits for in-flight batches to finish, so accepted
-  requests are answered even while the listener is already closed.
+* :meth:`drain` (graceful shutdown) refuses new submissions, dispatches
+  everything queued, and waits for the running batch to finish, so
+  accepted requests are answered even while the listener is already
+  closed.
 """
 
 from __future__ import annotations
@@ -44,16 +48,6 @@ class CoalescerClosed(RuntimeError):
     """Raised by :meth:`RequestCoalescer.submit` after shutdown began."""
 
 
-class _Window:
-    """One open coalescing window: its waiters and its flush timer."""
-
-    __slots__ = ("items", "timer")
-
-    def __init__(self):
-        self.items: "list[tuple[Any, asyncio.Future]]" = []
-        self.timer: "asyncio.TimerHandle | None" = None
-
-
 class RequestCoalescer:
     """Merge concurrent requests into planned ``answer_many`` batches.
 
@@ -68,26 +62,25 @@ class RequestCoalescer:
         self,
         service,
         db,
-        window_seconds: float = 0.010,
         max_batch: int = 64,
         metrics=None,
         seed: int = 0,
     ):
         self._service = service
         self._db = db
-        self.window_seconds = window_seconds
         self.max_batch = max_batch
         self._metrics = metrics
         self._seed = seed
-        self._windows: "dict[tuple, _Window]" = {}
-        self._inflight: "set[asyncio.Task]" = set()
+        #: Waiters per dispatch key; the dict's order is the keys' age.
+        self._queued: "dict[tuple, list[tuple[Any, asyncio.Future]]]" = {}
+        #: The batch on the worker thread; None while the worker is idle.
+        self._running: "asyncio.Task | None" = None
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-coalescer"
         )
         self._closing = False
         self.n_submitted = 0
         self.n_batches = 0
-        self.n_full_flushes = 0
 
     # ------------------------------------------------------------------
     # Submission
@@ -96,26 +89,11 @@ class RequestCoalescer:
     async def submit(
         self, request, method: "str | None" = None, **options
     ) -> Answer:
-        """Queue one request into the current window; await its answer."""
-        if self._closing:
-            raise CoalescerClosed("the coalescer is draining; no new requests")
-        loop = asyncio.get_running_loop()
-        key = (method, tuple(sorted(options.items())))
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = _Window()
-            if self.window_seconds > 0:
-                window.timer = loop.call_later(
-                    self.window_seconds, self._flush, key
-                )
-        future: asyncio.Future = loop.create_future()
-        window.items.append((request, future))
+        """Queue one request under its key; await its answer."""
+        future = self._enqueue(
+            (method, tuple(sorted(options.items())), None), request
+        )
         self.n_submitted += 1
-        if len(window.items) >= self.max_batch:
-            self.n_full_flushes += 1
-            self._flush(key)
-        elif self.window_seconds <= 0:
-            self._flush(key)
         return await future
 
     async def execute_many(
@@ -124,52 +102,53 @@ class RequestCoalescer:
         """Run a pre-assembled batch on the worker thread, off the loop.
 
         The ``answer_many`` endpoint's path: the batch is already grouped,
-        so it skips the window and is planned as-is — on the same single
-        worker (serialized with coalesced batches, sharing their cache)
-        and tracked so :meth:`drain` waits for it.  Not counted in the
-        coalescing metrics: those measure what the window merged.
+        so it is planned as-is under a key of its own (the trailing
+        token), never merged with another — but it waits its turn for the
+        one worker like any coalesced batch, shares their cache, and
+        :meth:`drain` waits for it.  Not counted in the coalescing
+        metrics: those measure what the coalescer merged.
         """
+        return await self._enqueue(
+            (method, tuple(sorted(options.items())), object()), list(requests)
+        )
+
+    def _enqueue(self, key, item) -> asyncio.Future:
+        """Queue ``item`` under ``key``; the future its batch resolves."""
         if self._closing:
             raise CoalescerClosed("the coalescer is draining; no new requests")
-        loop = asyncio.get_running_loop()
-        session_limit = options.pop("session_limit", None)
-        call = partial(
-            self._service.answer_many,
-            list(requests),
-            self._db,
-            method=method,
-            rng=self._batch_rng(method, options),
-            session_limit=session_limit,
-            **options,
-        )
-        task = asyncio.ensure_future(
-            loop.run_in_executor(self._executor, call)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-        return await task
+        future = asyncio.get_running_loop().create_future()
+        self._queued.setdefault(key, []).append((item, future))
+        self._dispatch()
+        return future
 
     # ------------------------------------------------------------------
-    # Flushing
+    # Dispatch
     # ------------------------------------------------------------------
 
-    def _flush(self, key) -> None:
-        window = self._windows.pop(key, None)
-        if window is None:
-            return
-        if window.timer is not None:
-            window.timer.cancel()
-        # Waiters cancelled while the window was open leave the batch
-        # before it is planned; their slots cost nothing.
-        live = [(req, fut) for req, fut in window.items if not fut.done()]
-        if not live:
-            return
-        method, options = key
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(live, method, dict(options))
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    def _dispatch(self) -> None:
+        """Start the oldest queued key's batch unless one is running."""
+        while self._running is None and self._queued:
+            key = next(iter(self._queued))
+            # Waiters cancelled while queued leave before planning; their
+            # slots cost nothing.
+            live = [
+                (item, fut) for item, fut in self._queued.pop(key)
+                if not fut.done()
+            ]
+            if len(live) > self.max_batch:
+                self._queued[key] = live[self.max_batch:]  # back of the order
+                live = live[:self.max_batch]
+            if live:
+                self._running = asyncio.get_running_loop().create_task(
+                    self._run_batch(key, live)
+                )
+                self._running.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        self._running = None
+        # A batch cancelled by the loop's teardown starts no successor.
+        if not task.cancelled():
+            self._dispatch()
 
     def _batch_rng(self, method: "str | None", options: dict):
         """A fresh per-batch rng for the rng-driven methods, else None."""
@@ -180,10 +159,13 @@ class RequestCoalescer:
             return np.random.default_rng(self._seed)
         return None
 
-    async def _run_batch(self, live, method, options) -> None:
-        loop = asyncio.get_running_loop()
-        requests = [request for request, _ in live]
+    async def _run_batch(self, key, live) -> None:
+        # ``whole`` is execute_many's token: one waiter, whose item is the
+        # whole request list and whose result is the whole BatchAnswer.
+        method, options, whole = key
+        options = dict(options)
         session_limit = options.pop("session_limit", None)
+        requests = live[0][0] if whole else [request for request, _ in live]
         call = partial(
             self._service.answer_many,
             requests,
@@ -193,6 +175,7 @@ class RequestCoalescer:
             session_limit=session_limit,
             **options,
         )
+        loop = asyncio.get_running_loop()
         started = loop.time()
         try:
             batch = await loop.run_in_executor(self._executor, call)
@@ -201,30 +184,32 @@ class RequestCoalescer:
                 if not future.done():
                     future.set_exception(error)
             return
-        self.n_batches += 1
-        if self._metrics is not None:
-            self._metrics.observe_batch(
-                n_requests=len(live),
-                n_distinct_solves=batch.n_distinct_solves,
-                n_solves_planned=batch.n_solves_planned,
-                n_solves_eliminated=batch.n_solves_eliminated,
-                seconds=loop.time() - started,
-            )
-        for (_, future), answer in zip(live, batch.answers):
+        if whole:
+            results = [batch]
+        else:
+            results = batch.answers
+            self.n_batches += 1
+            if self._metrics is not None:
+                self._metrics.observe_batch(
+                    n_requests=len(live),
+                    n_distinct_solves=batch.n_distinct_solves,
+                    n_solves_planned=batch.n_solves_planned,
+                    n_solves_eliminated=batch.n_solves_eliminated,
+                    seconds=loop.time() - started,
+                )
+        for (_, future), result in zip(live, results):
             if not future.done():
-                future.set_result(answer)
+                future.set_result(result)
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
 
     async def drain(self) -> None:
-        """Flush every open window and wait out the in-flight batches."""
+        """Refuse new submissions; dispatch what queued and wait it out."""
         self._closing = True
-        for key in list(self._windows):
-            self._flush(key)
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        while self._running is not None:
+            await asyncio.wait([self._running])
 
     def close(self) -> None:
         """Release the worker thread (call after :meth:`drain`)."""
@@ -238,10 +223,8 @@ class RequestCoalescer:
         return {
             "n_submitted": self.n_submitted,
             "n_batches": self.n_batches,
-            "n_full_flushes": self.n_full_flushes,
-            "open_windows": len(self._windows),
-            "in_flight_batches": len(self._inflight),
-            "window_seconds": self.window_seconds,
+            "queued_requests": sum(map(len, self._queued.values())),
+            "in_flight_batches": int(self._running is not None),
             "max_batch": self.max_batch,
             "draining": self._closing,
         }

@@ -3,9 +3,9 @@
 One :class:`ServerConfig` describes everything the server needs: the
 dataset it answers over, the :class:`~repro.service.service
 .PreferenceService` it evaluates through (method, backend, workers, cache
-tiers), the coalescing window, and the admission limits.  The CLI
+tiers), the coalescer's batch cap, and the admission limits.  The CLI
 (:mod:`repro.server.cli`) builds one from flags; tests build them
-directly with small windows and tiny datasets.
+directly over tiny datasets.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 class ServerConfig:
     """Everything ``python -m repro serve`` (and the tests) configure.
 
-    ``window_seconds`` is the coalescing window: the first request opening
-    a window waits at most this long for companions before the batch is
-    planned (see DESIGN.md Section 11 for the window semantics).
-    ``max_batch`` flushes a window early once that many requests have
-    joined it.  ``max_pending_per_client`` / ``max_pending_total`` bound
+    ``max_batch`` caps how many queued requests of one key go out as one
+    batch when the worker frees (see DESIGN.md Section 11 for the batch
+    semantics).  ``max_pending_per_client`` / ``max_pending_total`` bound
     the admission queues; overflow is answered with 429 + Retry-After
     rather than queued without bound.
     """
@@ -48,7 +46,6 @@ class ServerConfig:
     shard_address: "str | None" = None
     solver_options: dict = field(default_factory=dict)
     # --- coalescing ----------------------------------------------------
-    window_seconds: float = 0.010
     max_batch: int = 64
     # --- admission -----------------------------------------------------
     max_pending_per_client: int = 32
@@ -57,8 +54,6 @@ class ServerConfig:
     latency_sample_size: int = 4096
 
     def __post_init__(self):
-        if self.window_seconds < 0:
-            raise ValueError("window_seconds must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_pending_per_client < 1 or self.max_pending_total < 1:

@@ -7,8 +7,8 @@ metrics, the error contract — lives in the app; this module only parses
 bytes and writes them back.
 
 Graceful shutdown (:meth:`HTTPServer.stop`) follows the drain contract of
-DESIGN.md Section 11: stop accepting connections, flush and finish every
-in-flight coalescing window and batch (accepted requests still get their
+DESIGN.md Section 11: stop accepting connections, dispatch and finish
+every queued and in-flight batch (accepted requests still get their
 answers), then close lingering idle connections.
 """
 
@@ -62,7 +62,7 @@ class HTTPServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Finish every accepted request: open windows flush, in-flight
+        # Finish every accepted request: queued requests are dispatched,
         # batches run to completion, waiters get their responses written.
         await self.app.shutdown()
         if self._connections:
@@ -141,6 +141,8 @@ class HTTPServer:
         path = target.split("?", 1)[0]
         try:
             length = int(headers.get("content-length", "0"))
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
             return method, path, headers, {
                 "error": "invalid Content-Length", "status": 400}, None

@@ -8,7 +8,7 @@ The registry keeps two kinds of state:
   demand, so ``/stats`` is cheap and the memory bound is fixed;
 * **counters** — requests by kind and outcome (answered / rejected /
   failed), coalesced batches with their planned/eliminated solve counts,
-  and per-window coalescing effect;
+  and per-batch coalescing effect;
 * **gauges** — registered providers evaluated at snapshot time, used by
   the app to surface state owned elsewhere (the service's cache-tier
   depth: disk hits/misses, per-shard hit/occupancy counters) without the
@@ -16,9 +16,10 @@ The registry keeps two kinds of state:
 
 The headline derived number is the **coalesce ratio**: coalesced requests
 per planned batch.  Ratio 1.0 means every request was planned alone
-(request-at-a-time serving); anything above 1.0 is traffic the window
-merged, and ``n_solves_eliminated`` counts the solves the planner's
-common-solve elimination then removed from live traffic.  See DESIGN.md
+(each found the worker idle, or ``max_batch=1``); anything above 1.0 is
+traffic that queued behind a running batch and was merged, and
+``n_solves_eliminated`` counts the solves the planner's common-solve
+elimination then removed from live traffic.  See DESIGN.md
 Section 11 for the metric definitions.
 """
 
@@ -105,7 +106,7 @@ class MetricsRegistry:
         n_solves_eliminated: int,
         seconds: float,
     ) -> None:
-        """One coalesced window was planned and executed as a batch."""
+        """One coalesced batch was planned and executed."""
         with self._lock:
             self._n_batches += 1
             self._n_coalesced_requests += n_requests

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode
 from repro.patterns.union import PatternUnion
 from repro.rim.mallows import Mallows
+from repro.service.service import PreferenceService
 
 #: CI's longer randomized run of the DP equivalence suite
 #: (``--hypothesis-profile=long``); tier-1 runs the default profile.
@@ -142,3 +144,27 @@ def random_bipartite_instance(
             edges = [(lefts[0], rights[0])]
         patterns.append(LabelPattern(edges))
     return model, labeling, PatternUnion(patterns)
+
+
+class GatedService(PreferenceService):
+    """A serial service whose batches wait for ``gate`` before they run.
+
+    Holds the coalescer's single worker busy for as long as a test needs,
+    without sleeps: the first batch blocks on the worker thread until the
+    test calls ``gate.set()``.  ``batches`` records each batch's requests
+    and its ``session_limit`` (one of the coalescing key's options), in
+    the order the worker received them.
+    """
+
+    def __init__(self):
+        super().__init__(backend="serial")
+        self.gate = threading.Event()
+        self.batches: list[tuple[list, object]] = []
+
+    def answer_many(self, requests, db, session_limit=None, **kwargs):
+        self.batches.append((list(requests), session_limit))
+        if not self.gate.wait(timeout=60):
+            raise TimeoutError("the test never opened the gate")
+        return super().answer_many(
+            requests, db, session_limit=session_limit, **kwargs
+        )

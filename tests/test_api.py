@@ -616,7 +616,7 @@ q1: TOPK 2 Q() <- P(_, _; 'Trump'; 'Clinton')
   Solve #5  (shared; see above)
   TopKSessions  k=2 strategy=upper_bound n_edges=1 over 3 sessions
 CombineQueries  2 queries
-passes: simplify_unions, resolve_methods, annotate_costs, eliminate_common_solves, order_solves
+passes: simplify_unions, resolve_methods, eliminate_common_solves, annotate_costs, order_solves
 solves: planned=6 eliminated=3 frontier=3"""
 
 

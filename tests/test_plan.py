@@ -120,6 +120,13 @@ class TestPassEquivalence:
                 lambda p: eliminate_common_solves(p, canonical=True),
                 order_solves,
             ),
+            (
+                simplify_unions,
+                resolve_methods,
+                lambda p: eliminate_common_solves(p, canonical=True),
+                annotate_costs,
+                order_solves,
+            ),
         ],
         ids=[
             "simplify",
@@ -130,6 +137,7 @@ class TestPassEquivalence:
             "cse-canonical",
             "lpt",
             "full-canonical",
+            "default-order",
         ],
     )
     @pytest.mark.parametrize("query", CROWD_CORPUS)
@@ -406,7 +414,7 @@ q0: Q() <- P(v, d; x; y), C(x, _, 'F', _, _, _), C(y, _, 'M', _, _, _)
   Solve #4  method=two_label cost~3.2e+01 sessions=1
   Solve #5  method=two_label cost~3.2e+01 sessions=1
   AggregateSessions  Pr(Q|D) = 1 - prod(1 - p_s) over 3 sessions
-passes: simplify_unions, resolve_methods, annotate_costs, eliminate_common_solves, order_solves
+passes: simplify_unions, resolve_methods, eliminate_common_solves, annotate_costs, order_solves
 solves: planned=3 eliminated=0 frontier=3"""
 
 

@@ -16,18 +16,18 @@ from repro.api.evaluate import answer
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
 from repro.server.http import run_server
+from tests.conftest import GatedService
 
 pytestmark = pytest.mark.timeout(120)
 
 BASE = "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
 
 
-def make_app(**overrides) -> ServerApp:
+def make_app(service=None, **overrides) -> ServerApp:
     overrides.setdefault("dataset", "polls")
     overrides.setdefault("backend", "serial")
-    overrides.setdefault("window_seconds", 0.005)
     overrides.setdefault("port", 0)
-    return ServerApp(ServerConfig(**overrides))
+    return ServerApp(ServerConfig(**overrides), service=service)
 
 
 def run(coro):
@@ -202,29 +202,37 @@ class TestErrorContract:
 
 
 class TestBackpressure:
+    """Slots are held by a batch the gated worker keeps running."""
+
     def test_overflow_is_429_with_retry_after(self):
-        app = make_app(max_pending_per_client=1, window_seconds=0.1)
+        service = GatedService()
+        app = make_app(service, max_pending_per_client=1)
 
         async def scenario():
             first = asyncio.ensure_future(
                 app.handle("POST", "/answer", BASE, "alice")
             )
-            await asyncio.sleep(0)  # alice's slot is now held in the window
+            await asyncio.sleep(0)  # alice's slot is held by the gated batch
             rejected = await app.handle("POST", "/answer", BASE, "alice")
-            other = await app.handle("POST", "/answer", BASE, "bob")
-            return await first, rejected, other
+            other = asyncio.ensure_future(
+                app.handle("POST", "/answer", BASE, "bob")
+            )
+            await asyncio.sleep(0)  # bob is admitted beside alice
+            service.gate.set()
+            return await first, rejected, await other
 
         first, rejected, other = run(closing(app, scenario()))
         assert first[0] == 200
         status, payload, headers = rejected
         assert status == 429
-        assert int(headers["Retry-After"]) >= 1
+        assert headers["Retry-After"] == "1"
         assert payload["status"] == 429
         assert other[0] == 200  # the per-client bound is per client
         assert app.metrics.snapshot()["requests"]["rejected"] == 1
 
     def test_total_bound_rejects_across_clients(self):
-        app = make_app(max_pending_total=2, window_seconds=0.1)
+        service = GatedService()
+        app = make_app(service, max_pending_total=2)
 
         async def scenario():
             held = [
@@ -235,6 +243,7 @@ class TestBackpressure:
             ]
             await asyncio.sleep(0)
             rejected = await app.handle("POST", "/answer", BASE, "c9")
+            service.gate.set()
             return await asyncio.gather(*held), rejected
 
         held, rejected = run(closing(app, scenario()))
@@ -244,21 +253,28 @@ class TestBackpressure:
 
 class TestShutdown:
     def test_drain_answers_accepted_requests_then_refuses(self):
-        app = make_app(window_seconds=0.2)
+        service = GatedService()
+        app = make_app(service)
 
         async def scenario():
-            pending = asyncio.ensure_future(
-                app.handle("POST", "/answer", BASE, "c")
-            )
-            await asyncio.sleep(0)  # joins an open 200ms window
-            await app.shutdown()  # flushes it instead of waiting
-            answered = await pending
-            refused = await app.handle("POST", "/answer", BASE, "c")
-            return answered, refused
+            accepted = [
+                asyncio.ensure_future(
+                    app.handle("POST", "/answer", BASE, f"c{i}")
+                )
+                for i in range(2)
+            ]
+            await asyncio.sleep(0)  # one in the gated batch, one queued
+            shutdown = asyncio.ensure_future(app.shutdown())
+            await asyncio.sleep(0)
+            refused = await app.handle("POST", "/answer", BASE, "c9")
+            service.gate.set()
+            await shutdown
+            return await asyncio.gather(*accepted), refused
 
         answered, refused = run(scenario())
-        assert answered[0] == 200
+        assert [status for status, _, _ in answered] == [200, 200]
         assert refused[0] == 503
+        assert len(service.batches) == 2
 
     def test_shutdown_route_sets_the_event(self):
         app = make_app()
@@ -315,9 +331,7 @@ async def http_call(port, method, path, body=None, headers=()):
 
 class TestHTTPEndToEnd:
     def test_serve_query_stats_shutdown(self):
-        config = ServerConfig(
-            dataset="polls", backend="serial", port=0, window_seconds=0.005
-        )
+        config = ServerConfig(dataset="polls", backend="serial", port=0)
         app = ServerApp(config)
         db = app.db
 
@@ -355,7 +369,16 @@ class TestHTTPEndToEnd:
         assert down == (200, {"draining": True},
                         down[2])  # body + headers intact
 
-    def test_malformed_json_body_is_400(self):
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: 8\r\n\r\nnot json",
+            b"Content-Length: -5\r\n\r\n",
+            b"Content-Length: abc\r\n\r\n",
+        ],
+        ids=["body-not-json", "negative-length", "non-numeric-length"],
+    )
+    def test_malformed_json_body_is_400(self, framing):
         config = ServerConfig(dataset="polls", backend="serial", port=0)
         app = ServerApp(config)
 
@@ -367,12 +390,7 @@ class TestHTTPEndToEnd:
             )
             port = await bound
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            raw = b"not json"
-            writer.write(
-                b"POST /answer HTTP/1.1\r\nHost: t\r\n"
-                + f"Content-Length: {len(raw)}\r\n\r\n".encode()
-                + raw
-            )
+            writer.write(b"POST /answer HTTP/1.1\r\nHost: t\r\n" + framing)
             await writer.drain()
             status = int((await reader.readline()).split()[1])
             writer.close()

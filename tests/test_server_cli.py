@@ -26,8 +26,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def serve_command(*extra: str) -> list[str]:
     return [
         sys.executable, "-m", "repro", "serve",
-        "--port", "0", "--dataset", "polls", "--backend", "serial",
-        "--window-ms", "5", *extra,
+        "--port", "0", "--dataset", "polls", "--backend", "serial", *extra,
     ]
 
 
@@ -111,7 +110,7 @@ class TestConfigFromArgs:
         args = parser.parse_args(
             [
                 "serve", "--port", "0", "--dataset", "polls",
-                "--window-ms", "2.5", "--max-batch", "16",
+                "--max-batch", "16",
                 "--backend", "serial", "--approx-budget", "1e6",
                 "--cache-db", "cache.sqlite",
             ]
@@ -119,7 +118,6 @@ class TestConfigFromArgs:
         config = config_from_args(args)
         assert config.port == 0
         assert config.dataset == "polls"
-        assert config.window_seconds == pytest.approx(0.0025)
         assert config.max_batch == 16
         assert config.backend == "serial"
         assert config.solver_options == {"approx_budget": 1e6}

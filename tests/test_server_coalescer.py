@@ -1,10 +1,12 @@
-"""Concurrency soak for the request coalescer.
+"""Concurrency soak and batching contract of the request coalescer.
 
 The serving contract under test: N async clients firing overlapping
 mixed-kind requests through :class:`RequestCoalescer` get answers
 bit-identical to sequential :func:`repro.api.evaluate.answer` calls, the
-coalesce ratio exceeds 1 (windows actually merged traffic), and
-cancellation mid-window neither loses nor duplicates responses.
+coalesce ratio exceeds 1 (requests queued behind a running batch were
+merged), and cancellation neither loses nor duplicates responses.  The
+batching tests hold the single worker busy with :class:`GatedService`,
+so which requests share a batch is deterministic and no test sleeps.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.db.examples import polling_example
 from repro.server.coalescer import CoalescerClosed, RequestCoalescer
 from repro.server.metrics import MetricsRegistry
 from repro.service.service import PreferenceService
+from tests.conftest import GatedService
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -47,8 +50,9 @@ def expected(db):
     return {text: answer(text, db) for text in CORPUS}
 
 
-def make_coalescer(db, **kwargs):
-    service = PreferenceService(backend="serial")
+def make_coalescer(db, service=None, **kwargs):
+    if service is None:
+        service = PreferenceService(backend="serial")
     metrics = MetricsRegistry()
     kwargs.setdefault("metrics", metrics)
     return RequestCoalescer(service, db, **kwargs), metrics
@@ -63,9 +67,7 @@ class TestSoak:
         n_clients = 48
 
         async def soak():
-            coalescer, metrics = make_coalescer(
-                db, window_seconds=0.05, max_batch=64
-            )
+            coalescer, metrics = make_coalescer(db, max_batch=64)
             try:
                 results = await asyncio.gather(
                     *(
@@ -89,7 +91,7 @@ class TestSoak:
             # deterministic and aggregate terminals draw from a fresh
             # default_rng(0) in both paths when no rng is passed.
             assert got.value == want.value
-        # The windows genuinely merged traffic.
+        # The requests queued behind the first batch were merged.
         assert metrics.coalesce_ratio > 1.0
         assert coalescer.n_batches < n_clients
         snapshot = metrics.snapshot()
@@ -97,9 +99,9 @@ class TestSoak:
         # Cross-request elimination fired on the live batches.
         assert snapshot["coalescing"]["n_solves_eliminated"] > 0
 
-    def test_interleaved_option_keys_do_not_mix_windows(self, db):
+    def test_interleaved_option_keys_do_not_mix_batches(self, db):
         async def soak():
-            coalescer, metrics = make_coalescer(db, window_seconds=0.05)
+            coalescer, metrics = make_coalescer(db)
             try:
                 plain, limited = await asyncio.gather(
                     coalescer.submit(f"COUNT {BASE}"),
@@ -111,7 +113,7 @@ class TestSoak:
             return plain, limited, coalescer
 
         plain, limited, coalescer = run(soak())
-        # Different options => different windows => separate batches.
+        # Different options => different keys => separate batches.
         assert coalescer.n_batches == 2
         assert limited.n_sessions == 2
         assert plain.n_sessions > limited.n_sessions
@@ -119,14 +121,15 @@ class TestSoak:
 
 
 class TestCancellation:
-    def test_cancel_before_flush_drops_waiter_only(self, db, expected):
+    def test_cancel_while_queued_drops_waiter_only(self, db, expected):
         async def scenario():
-            coalescer, metrics = make_coalescer(db, window_seconds=0.1)
+            coalescer, metrics = make_coalescer(db)
             tasks = [
                 asyncio.ensure_future(coalescer.submit(text))
                 for text in CORPUS[:5]
             ]
-            await asyncio.sleep(0)  # let every submit join the window
+            # The first goes out at once; the rest queue behind it.
+            await asyncio.sleep(0)
             tasks[1].cancel()
             tasks[3].cancel()
             survivors = await asyncio.gather(
@@ -142,13 +145,15 @@ class TestCancellation:
         survivors, metrics = run(scenario())
         for got, text in zip(survivors, (CORPUS[0], CORPUS[2], CORPUS[4])):
             assert got.value == expected[text].value
-        # Cancelled waiters left before planning: the batch only carried
+        # Cancelled waiters left before planning: the batches only carried
         # the three live requests, and nobody was answered twice.
         assert metrics.snapshot()["coalescing"]["n_coalesced_requests"] == 3
 
-    def test_cancel_after_flush_discards_response_cleanly(self, db, expected):
+    def test_cancel_after_dispatch_discards_response_cleanly(
+        self, db, expected
+    ):
         async def scenario():
-            coalescer, _ = make_coalescer(db, window_seconds=0)
+            coalescer, _ = make_coalescer(db)
             doomed = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
             safe = asyncio.ensure_future(coalescer.submit(CORPUS[1]))
             await asyncio.sleep(0)
@@ -164,51 +169,196 @@ class TestCancellation:
         assert got.value == expected[CORPUS[1]].value
 
 
-class TestWindows:
-    def test_max_batch_flushes_early(self, db, expected):
-        async def scenario():
-            coalescer, _ = make_coalescer(
-                db, window_seconds=30.0, max_batch=3
-            )
+class TestBatching:
+    """Natural batching: dispatch when idle, merge what queued behind."""
+
+    @staticmethod
+    def scenario(db, body, **kwargs):
+        """Run ``body(coalescer, service)`` against a gated worker."""
+        service = GatedService()
+
+        async def wrapped():
+            coalescer, metrics = make_coalescer(db, service, **kwargs)
             try:
-                results = await asyncio.gather(
-                    *(coalescer.submit(CORPUS[i]) for i in range(3))
-                )
+                result = await body(coalescer, service)
             finally:
+                service.gate.set()
                 await coalescer.drain()
                 coalescer.close()
-            return results, coalescer
+            return result, service, coalescer, metrics
 
-        # With a 30s window this only terminates via the max_batch flush
-        # (the whole scenario is capped at 90s by run()).
-        results, coalescer = run(scenario())
-        assert coalescer.n_full_flushes == 1
-        assert [a.value for a in results] == [
-            expected[CORPUS[i]].value for i in range(3)
-        ]
+        return run(wrapped())
 
-    def test_zero_window_serves_request_at_a_time(self, db, expected):
-        async def scenario():
-            coalescer, metrics = make_coalescer(db, window_seconds=0)
-            try:
-                results = await asyncio.gather(
-                    *(coalescer.submit(CORPUS[i]) for i in range(4))
-                )
-            finally:
-                await coalescer.drain()
-                coalescer.close()
-            return results, coalescer
+    def test_idle_coalescer_dispatches_a_lone_request(self, db, expected):
+        async def body(coalescer, service):
+            task = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            # Out at once: nothing waits for companions.
+            snapshot = coalescer.snapshot()
+            service.gate.set()
+            return snapshot, await task
 
-        results, coalescer = run(scenario())
-        assert coalescer.n_batches == 4  # nothing coalesced: the baseline
+        (snapshot, got), service, _, metrics = self.scenario(db, body)
+        assert snapshot["in_flight_batches"] == 1
+        assert snapshot["queued_requests"] == 0
+        assert service.batches == [([CORPUS[0]], None)]
+        assert got.value == expected[CORPUS[0]].value
+        assert metrics.snapshot()["coalescing"]["largest_batch"] == 1
+
+    def test_requests_queued_while_busy_go_out_as_one_batch(
+        self, db, expected
+    ):
+        async def body(coalescer, service):
+            first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            rest = [
+                asyncio.ensure_future(coalescer.submit(text))
+                for text in CORPUS[1:4]
+            ]
+            await asyncio.sleep(0)
+            service.gate.set()
+            return await asyncio.gather(first, *rest)
+
+        results, service, coalescer, metrics = self.scenario(db, body)
+        assert service.batches == [([CORPUS[0]], None), (CORPUS[1:4], None)]
+        assert coalescer.n_batches == 2
+        assert metrics.coalesce_ratio == 2.0
         for got, text in zip(results, CORPUS[:4]):
             assert got.value == expected[text].value
+
+    def test_max_batch_splits_and_keys_take_turns(self, db):
+        async def body(coalescer, service):
+            tasks = [asyncio.ensure_future(coalescer.submit(CORPUS[0]))]
+            await asyncio.sleep(0)
+            tasks += [
+                asyncio.ensure_future(coalescer.submit(CORPUS[i]))
+                for i in range(1, 6)
+            ]
+            tasks += [
+                asyncio.ensure_future(
+                    coalescer.submit(CORPUS[i], session_limit=2)
+                )
+                for i in range(2)
+            ]
+            await asyncio.sleep(0)
+            service.gate.set()
+            return await asyncio.gather(*tasks)
+
+        results, service, _, _ = self.scenario(db, body, max_batch=2)
+        # The default key's five queued requests go out two at a time,
+        # and the rest of the key moves behind the session_limit key.
+        assert service.batches == [
+            ([CORPUS[0]], None),
+            (CORPUS[1:3], None),
+            (CORPUS[0:2], 2),
+            (CORPUS[3:5], None),
+            (CORPUS[5:6], None),
+        ]
+        assert len(results) == 8
+
+    def test_two_keys_never_share_a_batch(self, db):
+        async def body(coalescer, service):
+            first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            interleaved = [
+                asyncio.ensure_future(
+                    coalescer.submit(CORPUS[i], session_limit=2 - i % 2)
+                )
+                for i in range(1, 5)
+            ]
+            await asyncio.sleep(0)
+            service.gate.set()
+            return await asyncio.gather(first, *interleaved)
+
+        _, service, _, _ = self.scenario(db, body)
+        assert service.batches == [
+            ([CORPUS[0]], None),
+            ([CORPUS[1], CORPUS[3]], 1),
+            ([CORPUS[2], CORPUS[4]], 2),
+        ]
+
+    def test_waiter_cancelled_while_queued_is_dropped(self, db):
+        async def body(coalescer, service):
+            first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            queued = [
+                asyncio.ensure_future(coalescer.submit(text))
+                for text in CORPUS[1:4]
+            ]
+            await asyncio.sleep(0)
+            queued[1].cancel()
+            await asyncio.sleep(0)
+            service.gate.set()
+            answered = await asyncio.gather(first, queued[0], queued[2])
+            with pytest.raises(asyncio.CancelledError):
+                await queued[1]
+            return answered
+
+        answered, service, _, metrics = self.scenario(db, body)
+        assert service.batches == [
+            ([CORPUS[0]], None),
+            ([CORPUS[1], CORPUS[3]], None),
+        ]
+        assert len(answered) == 3
+        snapshot = metrics.snapshot()["coalescing"]
+        assert snapshot["n_coalesced_requests"] == 3
+
+    def test_drain_dispatches_queued_requests(self, db, expected):
+        async def body(coalescer, service):
+            first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            queued = [
+                asyncio.ensure_future(coalescer.submit(text))
+                for text in CORPUS[1:3]
+            ]
+            await asyncio.sleep(0)
+            drained = asyncio.ensure_future(coalescer.drain())
+            await asyncio.sleep(0)
+            with pytest.raises(CoalescerClosed):
+                await coalescer.submit(CORPUS[3])
+            assert not drained.done()
+            service.gate.set()
+            await drained
+            return await asyncio.gather(first, *queued)
+
+        results, service, _, _ = self.scenario(db, body)
+        assert service.batches == [([CORPUS[0]], None), (CORPUS[1:3], None)]
+        for got, text in zip(results, CORPUS[:3]):
+            assert got.value == expected[text].value
+
+    def test_request_behind_execute_many_goes_out_next(self, db, expected):
+        async def body(coalescer, service):
+            many = asyncio.ensure_future(
+                coalescer.execute_many(CORPUS[:2])
+            )
+            await asyncio.sleep(0)
+            single = asyncio.ensure_future(coalescer.submit(CORPUS[2]))
+            await asyncio.sleep(0)
+            # The pre-assembled batch holds the one worker: the request
+            # queues behind it instead of running beside it.
+            snapshot = coalescer.snapshot()
+            service.gate.set()
+            return snapshot, await many, await single
+
+        (snapshot, many, single), service, coalescer, metrics = (
+            self.scenario(db, body)
+        )
+        assert snapshot["in_flight_batches"] == 1
+        assert snapshot["queued_requests"] == 1
+        assert service.batches == [(CORPUS[:2], None), ([CORPUS[2]], None)]
+        assert [a.value for a in many.answers] == [
+            expected[text].value for text in CORPUS[:2]
+        ]
+        assert single.value == expected[CORPUS[2]].value
+        # Only the coalesced request counts in the coalescing metrics.
+        assert coalescer.n_batches == 1
+        assert metrics.snapshot()["coalescing"]["n_coalesced_requests"] == 1
 
 
 class TestFailureAndShutdown:
     def test_evaluation_error_is_delivered_to_the_waiter(self, db):
         async def scenario():
-            coalescer, _ = make_coalescer(db, window_seconds=0)
+            coalescer, _ = make_coalescer(db)
             try:
                 with pytest.raises(KeyError):
                     await coalescer.submit(f"AGG mean(C.age) {BASE}")
@@ -220,7 +370,7 @@ class TestFailureAndShutdown:
 
     def test_submit_after_drain_is_refused(self, db):
         async def scenario():
-            coalescer, _ = make_coalescer(db, window_seconds=0.01)
+            coalescer, _ = make_coalescer(db)
             first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
             await asyncio.sleep(0)
             drained = asyncio.ensure_future(coalescer.drain())
@@ -241,7 +391,7 @@ class TestFailureAndShutdown:
         direct = service.answer_many(list(CORPUS), db)
 
         async def scenario():
-            coalescer = RequestCoalescer(service, db, window_seconds=0.01)
+            coalescer = RequestCoalescer(service, db)
             try:
                 return await coalescer.execute_many(list(CORPUS))
             finally:
