@@ -32,6 +32,7 @@ kinds share solver work and caching.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from typing import ClassVar
@@ -44,6 +45,20 @@ TOPK_STRATEGIES = ("naive", "upper_bound")
 
 #: Statistics accepted by :class:`Aggregate`.
 AGGREGATE_STATISTICS = ("mean", "sum")
+
+
+def _check_positive_integer(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of
+    at least 1: a malformed request fails when it is constructed, before it
+    can share a batch with other requests or reach a cache key."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or int(value) < 1
+    ):
+        raise ValueError(
+            f"{name} must be an integer of at least 1, got {value!r}"
+        )
 
 
 def _as_query(query: "ConjunctiveQuery | str") -> ConjunctiveQuery:
@@ -108,8 +123,8 @@ class TopK(QueryRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        _check_positive_integer("k", self.k)
+        _check_positive_integer("n_edges", self.n_edges)
         if self.strategy not in TOPK_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -141,6 +156,7 @@ class Aggregate(QueryRequest):
             raise ValueError("Aggregate requires a relation and a column")
         if self.statistic not in AGGREGATE_STATISTICS:
             raise ValueError(f"unsupported statistic {self.statistic!r}")
+        _check_positive_integer("n_worlds", self.n_worlds)
 
     def describe(self) -> str:
         return f"AGG {self.statistic}({self.relation}.{self.column}) {self.query}"

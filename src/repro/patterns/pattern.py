@@ -310,12 +310,8 @@ class LabelPattern:
         for group in ordered_groups:
             n_orderings *= math.factorial(len(group))
         if n_orderings > _CANONICAL_ORDERINGS_CAP:
-            ordered = sorted(nodes, key=lambda n: (color[n], n.name))
-            index = {n: i for i, n in enumerate(ordered)}
-            return (
-                "named",
-                tuple((n.name, sorted_labels(n.labels)) for n in ordered),
-                tuple(sorted((index[u], index[v]) for u, v in self._edges)),
+            return self._named_form(
+                sorted(nodes, key=lambda n: (color[n], n.name))
             )
 
         best_edges: tuple | None = None
@@ -333,6 +329,34 @@ class LabelPattern:
             "canonical",
             tuple(sorted_labels(n.labels) for n in best_order),
             best_edges if best_edges is not None else (),
+        )
+
+    def named_form(self) -> tuple:
+        """A hashable encoding of the pattern that keeps its node names.
+
+        Where :meth:`canonical_form` collapses renamed copies, this form
+        tells them apart, and
+        :func:`repro.service.executors.thaw_pattern` rebuilds exactly this
+        pattern from it.  Upper-bound cache keys need it: the bound's edge
+        selection breaks ease ties by node name.
+        """
+        return self._named_form(
+            sorted(
+                self._nodes,
+                key=lambda n: (
+                    n.name,
+                    tuple(map(canonical_sort_key, sorted_labels(n.labels))),
+                ),
+            )
+        )
+
+    def _named_form(self, ordered: list[PatternNode]) -> tuple:
+        """The ``"named"`` form listing the nodes in ``ordered`` order."""
+        index = {n: i for i, n in enumerate(ordered)}
+        return (
+            "named",
+            tuple((n.name, sorted_labels(n.labels)) for n in ordered),
+            tuple(sorted((index[u], index[v]) for u, v in self._edges)),
         )
 
     # ------------------------------------------------------------------

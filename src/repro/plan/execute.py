@@ -35,19 +35,34 @@ draw their Bernoulli possible-world sample.  Terminals run in request
 order, so rng consumption is deterministic.  A lazy solve shared with any
 eager terminal (a Count and a TopK of the same query in one batch) stays
 eager and the top-k loop reads its probability for free.
+
+The bounds are plan nodes too.  Before the terminals run, the executor adds
+one :class:`~repro.plan.nodes.BoundNode` per (solve node, ``n_edges``) an
+upper-bound terminal reads, shared by every terminal that reads it, and
+the runner resolves them all in one call: each cacheable bound is looked
+up and claimed under its exact key
+(:func:`~repro.service.keys.bound_cache_key`), the misses are computed in
+one run of a :class:`~repro.service.executors.SerialBackend` through
+:func:`session_upper_bound` (a bound is a small DP: a worker pool would
+cost more than it saves), and published in one ``put_many`` of
+``(bound, "upper_bound")`` pairs.  So a warm top-k answer computes no
+bound, and a standing query's refresh bounds only the sessions its delta
+added or updated.  Bounds are not solves: the solve counters
+(``n_executed``, ``n_cache_hits``) leave them out.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, cast
 
 import numpy as np
 
 from repro.plan.methods import APPROXIMATE_METHODS, resolve_solve_method
 from repro.plan.nodes import (
     AttributeAggregateNode,
+    BoundNode,
     QueryPlan,
     SolveNode,
     TopKSessionsNode,
@@ -56,6 +71,7 @@ from repro.query.engine import solve_session
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
 from repro.service.executors import ExecutionBackend, SerialBackend
+from repro.service.keys import bound_cache_key, named_union_form
 from repro.solvers.upper_bound import upper_bound_probability
 
 
@@ -86,14 +102,16 @@ class AttributeOutcome:
 class PlanExecution:
     """The raw outcome of executing a plan's solve frontier."""
 
-    #: solve node id -> (probability, solver name)
+    #: solve or bound node id -> (probability or bound, solver name)
     resolved: dict[int, tuple[float, str]] = field(default_factory=dict)
-    #: measured wall seconds per freshly executed solve node
+    #: measured wall seconds per freshly executed solve or bound node
     seconds_by_solve: dict[int, float] = field(default_factory=dict)
     #: node ids actually solved in this run (not served by the cache)
     fresh: set[int] = field(default_factory=set)
     #: node ids served by the shared SolverCache
     cache_served: set[int] = field(default_factory=set)
+    #: the bound node ids among them: upper bounds, which are not solves
+    bounds: set[int] = field(default_factory=set)
     #: solve node ids excluded from the eager frontier (top-k demand pool)
     lazy: set[int] = field(default_factory=set)
     #: top-k terminal node id -> its adaptive-frontier outcome
@@ -106,11 +124,11 @@ class PlanExecution:
 
     @property
     def n_executed(self) -> int:
-        return len(self.fresh)
+        return len(self.fresh - self.bounds)
 
     @property
     def n_cache_hits(self) -> int:
-        return len(self.cache_served)
+        return len(self.cache_served - self.bounds)
 
 
 def _lazy_solve_ids(plan: QueryPlan) -> set[int]:
@@ -166,20 +184,27 @@ def _resolve_method(plan: QueryPlan, node: SolveNode) -> str:
 
 def _run_frontier(
     plan: QueryPlan,
-    nodes: list[SolveNode],
+    nodes: "list[SolveNode] | list[BoundNode]",
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
     rng,
 ) -> None:
-    """Resolve ``nodes`` in the six steps of the module docstring."""
-    owned: list[SolveNode] = []
-    waiting: list[SolveNode] = []
+    """Resolve ``nodes`` in the six steps of the module docstring.
+
+    The cacheable nodes of one call must have distinct keys: a second
+    claim of a key this call already holds would wait on itself.
+    """
+    owned: list = []
+    waiting: list = []
     sampled: list[SolveNode] = []
     for node in nodes:
         if node.node_id in execution.resolved:
             continue
-        if _resolve_method(plan, node) in APPROXIMATE_METHODS:
+        if (
+            isinstance(node, SolveNode)
+            and _resolve_method(plan, node) in APPROXIMATE_METHODS
+        ):
             sampled.append(node)
         elif cache is None or not node.cacheable:
             owned.append(node)
@@ -219,7 +244,9 @@ def _run_frontier(
 
 
 def _serve_cached(
-    node: SolveNode, execution: PlanExecution, value: tuple[float, str]
+    node: "SolveNode | BoundNode",
+    execution: PlanExecution,
+    value: tuple[float, str],
 ) -> None:
     """Record a cached answer as a cache-served node."""
     execution.resolved[node.node_id] = value
@@ -227,7 +254,7 @@ def _serve_cached(
 
 
 def _solve_and_publish(
-    nodes: list[SolveNode],
+    nodes: "list[SolveNode] | list[BoundNode]",
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
@@ -265,7 +292,12 @@ def _solve_and_publish(
 
 
 def session_upper_bound(model, labeling, union, n_edges: int) -> float:
-    """Upper bound of ``Pr(Q | s)``; mixtures marginalize per component."""
+    """Upper bound of ``Pr(Q | s)``; mixtures marginalize per component.
+
+    :func:`repro.service.executors.solve_node` computes every uncached
+    :class:`~repro.plan.nodes.BoundNode` through this module's attribute,
+    looked up at call time.
+    """
     if isinstance(model, MallowsMixture):
         bounds = [
             upper_bound_probability(
@@ -286,7 +318,11 @@ def _run_terminals(
     cache: SolverCache | None,
     rng,
 ) -> None:
-    """Run the adaptive/rng-consuming terminals, in request order."""
+    """Resolve the plan's bound nodes, then run the adaptive and
+    rng-consuming terminals in request order."""
+    bounds = _bound_nodes(plan)
+    execution.bounds.update(node.node_id for node in bounds)
+    _run_frontier(plan, bounds, execution, SerialBackend(), cache, rng)
     for terminal in plan.aggregate_nodes():
         if isinstance(terminal, TopKSessionsNode):
             execution.topk[terminal.node_id] = _run_topk(
@@ -296,6 +332,61 @@ def _run_terminals(
             execution.attribute[terminal.node_id] = _run_attribute(
                 terminal, execution, rng
             )
+
+
+def _bound_nodes(plan: QueryPlan) -> list[BoundNode]:
+    """The bound nodes the plan's upper-bound top-k terminals read, in
+    first-use order; a missing one is added to the plan."""
+    memo: dict[int, tuple] = {}
+    by_key: dict[Hashable, int] = {}
+    wanted: dict[int, None] = {}
+    for terminal in plan.aggregate_nodes():
+        if not (isinstance(terminal, TopKSessionsNode) and terminal.lazy):
+            continue
+        for solve_id in terminal.solve_ids():
+            pair = (solve_id, terminal.n_edges)
+            if pair not in plan.bounds:
+                plan.bounds[pair] = _add_bound_node(
+                    plan, solve_id, terminal.n_edges, memo, by_key
+                )
+            wanted[plan.bounds[pair]] = None
+    return [cast(BoundNode, plan.nodes[bound_id]) for bound_id in wanted]
+
+
+def _add_bound_node(
+    plan: QueryPlan,
+    solve_id: int,
+    n_edges: int,
+    memo: dict[int, tuple],
+    by_key: dict[Hashable, int],
+) -> int:
+    """The id of a new bound node over ``solve_id``, or of the node that
+    already holds its cache key: one node per key, so the runner never
+    claims a key twice in one call.  ``memo`` keeps the named union form
+    per union object, as elimination memoizes fingerprints."""
+    solve = cast(SolveNode, plan.nodes[solve_id])
+    named = memo.get(id(solve.union))
+    if named is None:
+        named = memo[id(solve.union)] = named_union_form(solve.union)
+    key = None
+    if solve.cache_key is not None:
+        key = bound_cache_key(solve.cache_key, named, n_edges)
+        if key in by_key:
+            return by_key[key]
+    node = plan.add(
+        BoundNode(
+            node_id=plan.new_id(),
+            inputs=(solve_id,),
+            model=solve.model,
+            labeling=solve.labeling,
+            union=solve.union,
+            n_edges=n_edges,
+            cache_key=key,
+        )
+    )
+    if key is not None:
+        by_key[key] = node.node_id
+    return node.node_id
 
 
 def _run_topk(
@@ -328,22 +419,24 @@ def _run_topk(
         return outcome
 
     # --- upper-bound strategy: the paper's top-k pruning ---------------
-    ub_started = time.perf_counter()
-    bound_memo: dict[int, float] = {}
-    bounded: list[tuple[float, tuple, "int | None"]] = []
-    for key, solve_id in terminal.items:
-        if solve_id is None:
-            bounded.append((0.0, key, None))
-            continue
-        bound = bound_memo.get(solve_id)
-        if bound is None:
-            node = plan.nodes[solve_id]
-            bound = session_upper_bound(
-                node.model, node.labeling, node.union, terminal.n_edges
-            )
-            bound_memo[solve_id] = bound
-        bounded.append((bound, key, solve_id))
-    outcome.upper_bound_seconds = time.perf_counter() - ub_started
+    # _run_terminals resolved the bounds; only those computed now cost time.
+    bound_ids = {
+        solve_id: plan.bounds[(solve_id, terminal.n_edges)]
+        for solve_id in terminal.solve_ids()
+    }
+    bounded: list[tuple[float, tuple, "int | None"]] = [
+        (
+            0.0 if solve_id is None
+            else execution.resolved[bound_ids[solve_id]][0],
+            key,
+            solve_id,
+        )
+        for key, solve_id in terminal.items
+    ]
+    outcome.upper_bound_seconds = sum(
+        execution.seconds_by_solve.get(bound_id, 0.0)
+        for bound_id in set(bound_ids.values())
+    )
     outcome.n_upper_bound = len(bounded)
     bounded.sort(key=lambda triple: (-triple[0], repr(triple[1])))
 

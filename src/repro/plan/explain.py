@@ -5,7 +5,10 @@ test): one section per query showing the logical pipeline top-down, the
 surviving solve frontier with resolved methods, state-count estimates and
 session fan-in, and a footer with the applied passes and the planned /
 eliminated / frontier counters.  Costs print in engineering notation
-(``~1.2e+03``) so the output is deterministic across platforms.
+(``~1.2e+03``) so the output is deterministic across platforms.  With an
+execution, each solve line shows its outcome (a pruned top-k solve with
+the bound that pruned it) and each top-k line how many of its bounds the
+cache served.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def explain_plan(plan: QueryPlan, execution=None) -> str:
                 f"  z={compile_node.z} sessions={compile_node.n_sessions}{extra}"
             )
         lines.extend(_solve_lines(plan, aggregate, described, execution))
-        lines.append(_terminal_line(aggregate, execution))
+        lines.append(_terminal_line(plan, aggregate, execution))
     if plan.combine is not None:
         lines.append(f"CombineQueries  {plan.n_queries} queries")
 
@@ -110,7 +113,20 @@ def explain_plan(plan: QueryPlan, execution=None) -> str:
     return "\n".join(lines)
 
 
-def _terminal_line(terminal: TerminalNode, execution) -> str:
+def _bound_ids(plan: QueryPlan, terminal: TerminalNode) -> dict[int, int]:
+    """Solve id -> bound node id, for the bounds ``terminal`` reads: only
+    an upper-bound top-k terminal reads any."""
+    if not terminal.lazy:
+        return {}
+    n_edges = getattr(terminal, "n_edges", None)
+    return {
+        solve_id: plan.bounds[(solve_id, n_edges)]
+        for solve_id in terminal.solve_ids()
+        if (solve_id, n_edges) in plan.bounds
+    }
+
+
+def _terminal_line(plan: QueryPlan, terminal: TerminalNode, execution) -> str:
     """Render the per-request terminal node, by kind."""
     n_sessions = len(terminal.items)
     if isinstance(terminal, CountSessionsNode):
@@ -133,6 +149,12 @@ def _terminal_line(terminal: TerminalNode, execution) -> str:
                 f"  [exact={outcome.n_exact}"
                 f" pruned={n_sessions - outcome.n_exact}]"
             )
+        if outcome is not None and terminal.lazy:
+            bound_ids = set(_bound_ids(plan, terminal).values())
+            line += (
+                f"  bounds: {len(bound_ids & execution.cache_served)} cached,"
+                f" {len(bound_ids & execution.fresh)} computed"
+            )
         return line
     if isinstance(terminal, AttributeAggregateNode):
         return (
@@ -153,6 +175,7 @@ def _solve_lines(
     execution,
 ) -> list[str]:
     lines: list[str] = []
+    bound_ids = _bound_ids(plan, aggregate)
     for solve_id in aggregate.solve_ids():
         node = plan.nodes[solve_id]
         assert isinstance(node, SolveNode)
@@ -177,6 +200,9 @@ def _solve_lines(
             elif solve_id not in execution.resolved:
                 # A lazy top-k solve the bound pruning never demanded.
                 outcome = "  [pruned]"
+                if solve_id in bound_ids:
+                    bound, _ = execution.resolved[bound_ids[solve_id]]
+                    outcome += f" bound={bound:.1e}"
         hint = "  (lifted estimated cheaper)" if _lifted_cheaper(node) else ""
         lines.append(
             f"  Solve #{solve_id}  method={method}"

@@ -16,12 +16,14 @@ The nodes split into two layers:
   ``CompileUnionNode``) record what the builder did — how many sessions a
   query selected, how the session-atom joins grounded, which pattern unions
   compilation produced — so ``explain()`` can show the whole pipeline;
-* **physical nodes** (``SolveNode``, the :class:`TerminalNode` family,
-  ``CombineQueriesNode``) are what the optimizer rewrites and the executor
-  runs.  A ``SolveNode`` starts as one *planned* solve per satisfiable
-  session; the optimizer passes (:mod:`repro.plan.passes`) resolve its
-  method, annotate its cost, and merge identical nodes, so the executor
-  (:mod:`repro.plan.execute`) only ever runs the surviving frontier.
+* **physical nodes** (``SolveNode``, ``BoundNode``, the
+  :class:`TerminalNode` family, ``CombineQueriesNode``) are what the
+  optimizer rewrites and the executor runs.  A ``SolveNode`` starts as one
+  *planned* solve per satisfiable session; the optimizer passes
+  (:mod:`repro.plan.passes`) resolve its method, annotate its cost, and
+  merge identical nodes, so the executor (:mod:`repro.plan.execute`) only
+  ever runs the surviving frontier.  The executor adds a ``BoundNode`` per
+  surviving solve an upper-bound top-k terminal reads.
 
 Since the unified query API (:mod:`repro.api`), every request kind ends in
 its own *terminal* node over the shared solve frontier:
@@ -161,6 +163,34 @@ class SolveNode(PlanNode):
 
 
 @dataclass
+class BoundNode(PlanNode):
+    """One session's top-k upper bound (Section 4.3.2), ``Pr(G') >= Pr(G)``.
+
+    The executor adds one per (surviving solve node, ``n_edges``) that an
+    upper-bound :class:`TopKSessionsNode` reads, shared by every terminal
+    that reads it, and resolves them on the one frontier runner like
+    solves: cache lookup, claim, one serial backend run, one publish of
+    ``(bound, "upper_bound")`` pairs.  A bound is not a solve, so the
+    solve counters never count it.  ``cache_key`` keeps the union's node
+    names (:func:`repro.service.keys.bound_cache_key`): the edge selection
+    breaks ease ties by name.
+    """
+
+    model: Any = None
+    labeling: Labeling | None = None
+    union: PatternUnion | None = None
+    n_edges: int = 1
+    cache_key: Hashable | None = None
+
+    kind: ClassVar[str] = "upper_bound"
+
+    @property
+    def cacheable(self) -> bool:
+        """True when the bound may consult/populate a SolverCache."""
+        return self.cache_key is not None
+
+
+@dataclass
 class TerminalNode(PlanNode):
     """Base of the per-request terminal nodes.
 
@@ -215,7 +245,8 @@ class TopKSessionsNode(TerminalNode):
     frontier: its exclusive solve nodes are lazy (excluded from the eager
     frontier) and demanded in descending upper-bound order until the k-th
     best confirmed probability dominates every remaining bound — solves
-    past that point never run.  A solve shared with any non-lazy terminal
+    past that point never run.  The bounds are :class:`BoundNode` values
+    (``plan.bounds``).  A solve shared with any non-lazy terminal
     (e.g. a Count of the same query in the batch) stays eager, and the
     top-k loop consumes its already-resolved probability for free.
     """
@@ -315,6 +346,9 @@ class QueryPlan:
         #: AggregateSessionsNode; kept as the stable attribute name.)
         self.aggregates: list[int] = []
         self.combine: int | None = None
+        #: (solve node id, n_edges) -> the id of its BoundNode, added by
+        #: the executor for upper-bound top-k terminals.
+        self.bounds: dict[tuple[int, int], int] = {}
 
         self.passes_applied: list[str] = []
         self.n_solves_planned = 0

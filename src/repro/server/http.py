@@ -35,6 +35,14 @@ _REASONS = {
 #: Refuse request bodies beyond this size (a batch of ~10k requests).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: The longest request or header line: asyncio's default stream limit.
+MAX_LINE_BYTES = 64 * 1024
+
+_LINE_TOO_LONG = {
+    "error": f"request line or header over {MAX_LINE_BYTES // 1024} KiB",
+    "status": 400,
+}
+
 
 class HTTPServer:
     """One listening socket serving a :class:`ServerApp`."""
@@ -49,7 +57,7 @@ class HTTPServer:
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` becomes the bound port."""
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -122,8 +130,16 @@ class HTTPServer:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one request; None on EOF, an error body on bad syntax."""
-        request_line = await reader.readline()
+        """Parse one request; None on EOF, an error body on bad syntax.
+
+        A request or header line over ``MAX_LINE_BYTES`` is a 400 too; the
+        stream position is lost with it, and an error body always closes
+        the connection.
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            return "GET", "/", {}, _LINE_TOO_LONG, None
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split()
@@ -131,14 +147,17 @@ class HTTPServer:
             return "GET", "/", {}, {"error": "malformed request line",
                                     "status": 400}, None
         method, target, _version = parts
+        path = target.split("?", 1)[0]
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return method, path, headers, _LINE_TOO_LONG, None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        path = target.split("?", 1)[0]
         try:
             length = int(headers.get("content-length", "0"))
             if length < 0:

@@ -1,8 +1,9 @@
 """The solver cache: one LRU-with-flights store in front of a list of tiers.
 
 The cache is deliberately dumb: a bounded, thread-safe mapping from
-canonical session keys (:mod:`repro.service.keys`) to one value type, the
-``(probability, solver_name)`` pair of a session solve.  All the
+canonical keys (:mod:`repro.service.keys`) to one value type, the
+``(probability, solver_name)`` pair of a session solve (or of a top-k
+upper bound, whose solver is ``"upper_bound"``).  All the
 intelligence lives in the keys — semantically identical requests collide
 there, so one :class:`SolverCache` shared across queries turns the
 paper's within-query identical-request grouping (Section 6.4) into
@@ -34,7 +35,12 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.service.persist import Value, encode_key, persistable
+from repro.service.persist import (
+    BOUND_SOLVER,
+    Value,
+    encode_key,
+    persistable,
+)
 
 #: Seconds a waiter blocks on another solver's in-flight key before it
 #: solves locally: a hung flight costs a duplicate solve, never a wedge.
@@ -98,6 +104,11 @@ class LRUStore:
     claim follows a ``get`` miss that was already counted).  A flight
     resolves when its key is stored (``put_many``), released, or the
     store is cleared; each wakes the flight's waiters.
+
+    A stored top-k upper bound (solver ``BOUND_SOLVER``) enters at the
+    cold end, not the recent one: it costs a fraction of a solve, so it
+    never pushes a solve out.  It stays while the store has room, and a
+    lookup that reads it makes it recent like any entry.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -150,7 +161,7 @@ class LRUStore:
         with self._lock:
             for key, value in items:
                 self._data[key] = value
-                self._data.move_to_end(key)
+                self._data.move_to_end(key, last=value[1] != BOUND_SOLVER)
                 flight = self._flights.pop(key, None)
                 if flight is not None:
                     flights.append(flight)
@@ -262,8 +273,9 @@ class SolverCache:
 
     Every tier holds one value type: the ``(probability, solver_name)``
     pair of a session solve, stored by the plan executor under
-    :func:`~repro.service.keys.session_cache_key` keys.  :meth:`stats`
-    counts the front (a tier-served ``get`` is a front miss),
+    :func:`~repro.service.keys.session_cache_key` keys, or of a top-k
+    upper bound, under :func:`~repro.service.keys.bound_cache_key` keys.
+    :meth:`stats` counts the front (a tier-served ``get`` is a front miss),
     :meth:`tier_depth` the tiers; ``__contains__`` and ``__len__`` are
     side-effect-free front peeks.
 

@@ -28,7 +28,12 @@ three backends (and the cache) interchange freely.
 Every backend calls :func:`repro.query.engine.solve_session` through the
 engine module at call time, and each outcome carries the measured solve
 wall time, which the executor attributes back to the requests that
-consumed the solve.  See DESIGN.md, "Executors, persistence, planning".
+consumed the solve.  :func:`solve_node` also computes a top-k
+:class:`~repro.plan.nodes.BoundNode`'s upper bound, through
+:func:`repro.plan.execute.session_upper_bound` looked up at call time; the
+executor runs bound nodes on a :class:`SerialBackend` only, since a bound
+is a small DP that a pool would cost more than it saves.  See DESIGN.md,
+"Executors, persistence, planning".
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
 from repro.rim.mixture import MallowsMixture
 from repro.rim.model import RIM
+from repro.service.persist import BOUND_SOLVER
 
 if TYPE_CHECKING:
-    from repro.plan.nodes import SolveNode
+    from repro.plan.nodes import BoundNode, SolveNode
 
 #: Names accepted by :func:`resolve_backend` (and the ``--backend`` flag).
 BACKENDS = ("serial", "thread", "process")
@@ -245,8 +251,21 @@ def _timed_solve(
     )
 
 
-def solve_node(node: "SolveNode") -> TaskOutcome:
-    """Solve one live, method-resolved solve node in this process."""
+def solve_node(node: "SolveNode | BoundNode") -> TaskOutcome:
+    """Solve one live, method-resolved solve node in this process, or
+    compute one bound node's upper bound."""
+    if node.kind == "upper_bound":
+        # Deferred (the executor imports this module) and looked up at
+        # call time, so a patched session_upper_bound sees every bound.
+        from repro.plan import execute
+
+        started = time.perf_counter()
+        bound = execute.session_upper_bound(
+            node.model, node.labeling, node.union, node.n_edges
+        )
+        return TaskOutcome(
+            bound, BOUND_SOLVER, time.perf_counter() - started
+        )
     return _timed_solve(
         time.perf_counter(),
         node.model, node.labeling, node.union, node.method, node.options,
@@ -315,7 +334,9 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run(self, nodes: "Sequence[SolveNode]") -> list[TaskOutcome]:
+    def run(
+        self, nodes: "Sequence[SolveNode | BoundNode]"
+    ) -> list[TaskOutcome]:
         return [solve_node(node) for node in nodes]
 
 

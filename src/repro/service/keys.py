@@ -19,11 +19,14 @@ canonical form — :meth:`~repro.rim.model.RIM.freeze`,
 :meth:`~repro.patterns.labels.Labeling.freeze` (with label projection), and
 :meth:`~repro.patterns.union.PatternUnion.freeze` (built on
 :meth:`~repro.patterns.pattern.LabelPattern.canonical_form`).  This module
-composes them into full request keys.  Keys are *sound*: equal keys imply
-equal solve results.  They are best-effort *complete*: some semantically
-identical requests may still produce different keys (e.g. pathological
-``repr`` collisions or very symmetric patterns), which costs a cache miss,
-never a wrong answer.  See DESIGN.md, "The service layer".
+composes them into full request keys: a session solve's
+(:func:`session_cache_key`) and a top-k upper bound's
+(:func:`bound_cache_key`), which keeps the union's node names.  Keys are
+*sound*: equal keys imply equal solve results.  They are best-effort
+*complete*: some semantically identical requests may still produce
+different keys (e.g. pathological ``repr`` collisions or very symmetric
+patterns), which costs a cache miss, never a wrong answer.  See
+DESIGN.md, "The service layer".
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.patterns.labels import Labeling
+from repro.patterns.union import PatternUnion
 from repro.solvers.base import as_union
 
 
@@ -109,3 +113,34 @@ def session_cache_key(
             labeling, union_or_pattern, method, solver_options
         )
     return ("session", freeze_model(model)) + fingerprint
+
+
+def named_union_form(union: PatternUnion) -> tuple:
+    """The union's patterns with their node names, in union order.
+
+    :meth:`PatternUnion.freeze` forgets names and order, which is sound
+    for a solve but not for an upper bound: its edge selection breaks ease
+    ties by node name (:func:`repro.solvers.upper_bound.upper_bound_union`),
+    so a renamed copy of a union can keep another edge and give another
+    bound.
+    """
+    return (
+        "named_union",
+        tuple(pattern.named_form() for pattern in union.patterns),
+    )
+
+
+def bound_cache_key(
+    solve_key: tuple, named_union: tuple, n_edges: int
+) -> tuple:
+    """The key of one session's top-k upper bound.
+
+    Four parts: the model's ``freeze()`` and the labeling projected onto
+    the union's labels, both taken from the session's ``solve_key``
+    (:func:`session_cache_key`); the union with its node names
+    (:func:`named_union_form`); and ``n_edges``.  The cached value is a
+    ``(bound, "upper_bound")`` pair.  The solve key plus
+    ``n_edges`` would not be sound: it cannot tell renamed unions apart.
+    """
+    _, model_form, labeling_form = solve_key[:3]
+    return ("upper_bound", model_form, labeling_form, named_union, n_edges)

@@ -29,6 +29,11 @@ KEY_SCHEMA_VERSION = 1
 #: value form :attr:`repro.service.executors.TaskOutcome.value` ships.
 Value = tuple[float, str]
 
+#: The solver name of a top-k upper bound's pair, ``(bound, BOUND_SOLVER)``
+#: (:class:`~repro.plan.nodes.BoundNode`): a value a memory tier keeps only
+#: while it has room (:class:`~repro.service.cache.LRUStore`).
+BOUND_SOLVER = "upper_bound"
+
 
 def default_version() -> str:
     """The version stamp new cache files record (and old ones must match)."""

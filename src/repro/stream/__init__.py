@@ -22,7 +22,7 @@ from repro.stream.standing import (
     StandingQuery,
     StandingQueryEngine,
     answers_equal,
-    terminal_solve_keys,
+    terminal_cache_keys,
 )
 
 __all__ = [
@@ -33,5 +33,5 @@ __all__ = [
     "StandingQueryEngine",
     "TrafficReplayer",
     "answers_equal",
-    "terminal_solve_keys",
+    "terminal_cache_keys",
 ]

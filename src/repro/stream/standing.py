@@ -14,10 +14,12 @@ parallel incremental engine:
   simply: re-run the normal build -> optimize -> execute pipeline against
   the **shared warm cache** — unchanged sessions hit the cache, only the
   delta's solves run fresh, and the lazy top-k frontier re-ranks with
-  cached confirmations (a delta re-enters the frontier in bound order).
+  cached bounds and confirmations (a delta's sessions are bounded fresh
+  and re-enter the frontier in bound order).
 * **Delta -> solve-identity mapping.**  Each refresh records the plan's
-  ``session -> cache_key`` map from its terminals.  When a delta updates
-  or expires a session, the session's *previous* key is retired from the
+  ``session -> cache keys`` map from its terminals: the session's solve
+  key and the keys of its top-k upper bounds.  When a delta updates or
+  expires a session, the session's *previous* keys are retired from the
   cache via the targeted :meth:`~repro.service.cache.SolverCache
   .invalidate` — exactly those entries, counted, and only once no other
   registered standing query still references the key.  This keeps the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 from repro.api.answer import Answer
 from repro.api.evaluate import answer_with_plan
@@ -55,9 +57,12 @@ class StandingQuery:
 
     ``generation`` is the database generation the materialized answer is
     *valid as of* — it advances without recomputation when deltas touch
-    only sessions outside this query's p-relation.  ``solve_keys`` is the
-    last refresh's ``session -> canonical cache key`` map, the index a
-    delta-targeted invalidation consults.
+    only sessions outside this query's p-relation.  ``cache_keys`` is the
+    last refresh's ``session -> cache keys`` map (its solve key, then its
+    bound keys), the index a delta-targeted invalidation consults;
+    ``referenced`` holds the same keys as one set, hashed once per refresh,
+    so another registration's retirement checks its few candidates against
+    it without rehashing every key.
     """
 
     query_id: int
@@ -67,7 +72,10 @@ class StandingQuery:
     p_relation: str
     answer: "Answer | None" = None
     generation: int = 0
-    solve_keys: dict[SessionKey, Hashable] = field(default_factory=dict)
+    cache_keys: dict[SessionKey, tuple[Hashable, ...]] = field(
+        default_factory=dict
+    )
+    referenced: frozenset[Hashable] = frozenset()
     #: Sessions touched since the last refresh (key -> last delta kind).
     pending: dict[SessionKey, str] = field(default_factory=dict)
     n_refreshes: int = 0
@@ -113,21 +121,36 @@ def answers_equal(left: "Answer | None", right: "Answer | None") -> bool:
     return left_sessions == right_sessions
 
 
-def terminal_solve_keys(plan: QueryPlan) -> dict[SessionKey, Hashable]:
-    """The executed plan's ``session -> canonical cache key`` map.
+def terminal_cache_keys(
+    plan: QueryPlan,
+) -> dict[SessionKey, tuple[Hashable, ...]]:
+    """The executed plan's ``session -> cache keys`` map: the session's
+    solve key, then the keys of the bound nodes over that solve.
 
-    Read off the terminals' item lists: unsatisfiable sessions (no solve
-    node) and non-canonical plans (no cache keys) contribute nothing.
+    Read off the terminals' item lists and ``plan.bounds``: unsatisfiable
+    sessions (no solve node) and non-canonical plans (no cache keys)
+    contribute nothing.
     """
-    keys: dict[SessionKey, Hashable] = {}
+    node_ids: dict[int, list[int]] = {}
+    for (solve_id, _), bound_id in plan.bounds.items():
+        node_ids.setdefault(solve_id, [solve_id]).append(bound_id)
+    keys: dict[SessionKey, tuple[Hashable, ...]] = {}
     for terminal in plan.aggregate_nodes():
         for session_key, solve_id in terminal.items:
             if solve_id is None:
                 continue
-            cache_key = getattr(plan.nodes[solve_id], "cache_key", None)
-            if cache_key is not None:
-                keys[session_key] = cache_key
+            node_keys = (
+                getattr(plan.nodes[node_id], "cache_key", None)
+                for node_id in node_ids.get(solve_id, [solve_id])
+            )
+            found = tuple(key for key in node_keys if key is not None)
+            if found:
+                keys[session_key] = found
     return keys
+
+
+def _flatten(groups: Iterable[tuple[Hashable, ...]]) -> frozenset[Hashable]:
+    return frozenset(key for group in groups for key in group)
 
 
 class StandingQueryEngine:
@@ -218,9 +241,9 @@ class StandingQueryEngine:
             standing = self._queries.pop(query_id, None)
             if standing is None:
                 raise KeyError(f"no standing query {query_id}")
-            mine = set(standing.solve_keys.values())
+            mine = set(standing.referenced)
             for other in self._queries.values():
-                mine.difference_update(other.solve_keys.values())
+                mine -= other.referenced
         dropped = (
             self.cache.invalidate(sorted(mine, key=repr)) if mine else 0
         )
@@ -293,7 +316,7 @@ class StandingQueryEngine:
         with self._lock:
             pending = dict(standing.pending)
             standing.pending.clear()
-            previous_keys = dict(standing.solve_keys)
+            previous_keys = dict(standing.cache_keys)
         generation = self.db.generation
         result, plan, execution = answer_with_plan(
             standing.request,
@@ -303,12 +326,14 @@ class StandingQueryEngine:
             cache=self.cache,
             **standing.options,
         )
-        solve_keys = terminal_solve_keys(plan)
-        retired = self._retire(standing, pending, previous_keys, solve_keys)
+        cache_keys = terminal_cache_keys(plan)
+        referenced = _flatten(cache_keys.values())
+        retired = self._retire(standing, pending, previous_keys, referenced)
         with self._lock:
             standing.answer = result
             standing.generation = generation
-            standing.solve_keys = solve_keys
+            standing.cache_keys = cache_keys
+            standing.referenced = referenced
             standing.n_refreshes += 1
             standing.n_fresh_solves += execution.n_executed
             standing.n_invalidations += retired
@@ -321,29 +346,31 @@ class StandingQueryEngine:
         self,
         standing: StandingQuery,
         pending: dict[SessionKey, str],
-        previous_keys: dict[SessionKey, Hashable],
-        new_keys: dict[SessionKey, Hashable],
+        previous_keys: dict[SessionKey, tuple[Hashable, ...]],
+        referenced: frozenset[Hashable],
     ) -> int:
         """Invalidate exactly the delta's now-unreferenced cache entries.
 
-        Candidates are the previous keys of the refreshed query's updated
-        or expired sessions (an ``add`` has no previous key).  A
-        candidate survives if any registration — this one's new map, or
-        any other standing query — still maps some session to it (shared
-        component models make that common).
+        Candidates are the previous keys — solve and bound — of the
+        refreshed query's updated or expired sessions (an ``add`` has no
+        previous key).  A candidate survives if any registration — this
+        one's new keys (``referenced``), or any other standing query — still
+        maps some session to it (shared component models make that common).
         """
-        candidates = {
-            previous_keys[key]
-            for key, kind in pending.items()
-            if kind != "add" and key in previous_keys
-        }
+        candidates = set(
+            _flatten(
+                previous_keys[key]
+                for key, kind in pending.items()
+                if kind != "add" and key in previous_keys
+            )
+        )
         if not candidates:
             return 0
         with self._lock:
-            candidates.difference_update(new_keys.values())
+            candidates -= referenced
             for other in self._queries.values():
                 if other.query_id != standing.query_id:
-                    candidates.difference_update(other.solve_keys.values())
+                    candidates -= other.referenced
         if not candidates:
             return 0
         return self.cache.invalidate(sorted(candidates, key=repr))

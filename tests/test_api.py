@@ -24,6 +24,7 @@ from repro.query.classify import analyze
 from repro.query.compile import labeling_for_patterns
 from repro.query.engine import compile_session_work, solve_session
 from repro.query.parser import QuerySyntaxError, parse_query
+from repro.service.cache import SolverCache
 from repro.service.service import PreferenceService
 
 POLLS_Q = "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
@@ -135,6 +136,12 @@ class TestParseRequest:
             Aggregate(POLLS_Q, relation="V", column="age", statistic="median")
         with pytest.raises(ValueError, match="relation"):
             Aggregate(POLLS_Q)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            TopK(POLLS_Q, k=1.5)
+        with pytest.raises(ValueError, match="n_edges must be an integer"):
+            TopK(POLLS_Q, n_edges=0)
+        with pytest.raises(ValueError, match="n_worlds must be an integer"):
+            Aggregate(POLLS_Q, relation="V", column="age", n_worlds=True)
 
     def test_describe_round_trips_the_prefix(self):
         assert parse_request(f"COUNT {POLLS_Q}").describe().startswith("COUNT ")
@@ -463,6 +470,35 @@ class TestOracles:
         assert one.stats["probability_any"] == probability_any
         assert one.stats["weighted_average"] == weighted_average
 
+    def test_warm_topk_computes_no_bound(self, crowd_db, monkeypatch):
+        """A repeated TOPK reads every bound from the shared cache."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return session_upper_bound(*args)
+
+        monkeypatch.setattr(
+            "repro.plan.execute.session_upper_bound", counting
+        )
+        cache = SolverCache()
+        answer(f"COUNT {CROWD_Q}", crowd_db, cache=cache)  # warm the solves
+        first = answer(f"TOPK 2 {CROWD_Q}", crowd_db, cache=cache)
+        n_first = len(calls)
+        second = answer(f"TOPK 2 {CROWD_Q}", crowd_db, cache=cache)
+        assert n_first > 0 and len(calls) == n_first
+        assert second.value == first.value
+        assert second.per_session == first.per_session
+        timings = ("upper_bound_seconds", "exact_seconds")
+        assert {
+            name: value for name, value in second.stats.items()
+            if name not in timings
+        } == {
+            name: value for name, value in first.stats.items()
+            if name not in timings
+        }
+        assert second.stats["upper_bound_seconds"] == 0.0
+
     def test_topk_prunes_lazy_solves(self, crowd_db):
         pruned = answer(
             TopK(parse_query(CROWD_Q), k=1, strategy="upper_bound"), crowd_db
@@ -648,6 +684,25 @@ class TestAggregateExplain:
         text = plan.explain(execution)
         assert "[exact=" in text
         assert "[pruned]" in text  # lazy solves the bound pruning skipped
+        assert "[pruned] bound=" in text
+        assert "bounds: 0 cached," in text
+
+    def test_executed_naive_topk_reports_no_bounds(self, crowd_db):
+        """A naive top-k reads no bounds, even when an upper-bound one in
+        the same batch bounds the same solves."""
+        plan = build_plan(
+            [
+                TopK(parse_query(CROWD_Q), k=1, strategy="naive"),
+                TopK(parse_query(CROWD_Q), k=1),
+            ],
+            crowd_db,
+        )
+        optimize_plan(plan, canonical=True)
+        text = plan.explain(execute_plan(plan))
+        lines = [line for line in text.splitlines() if "TopKSessions" in line]
+        assert len(lines) == 2
+        assert "strategy=naive" in lines[0] and "bounds:" not in lines[0]
+        assert "strategy=upper_bound" in lines[1] and "bounds:" in lines[1]
 
 
 # ----------------------------------------------------------------------

@@ -375,8 +375,12 @@ class TestHTTPEndToEnd:
             b"Content-Length: 8\r\n\r\nnot json",
             b"Content-Length: -5\r\n\r\n",
             b"Content-Length: abc\r\n\r\n",
+            b"X-Long: " + b"a" * 70_000 + b"\r\n\r\n",
         ],
-        ids=["body-not-json", "negative-length", "non-numeric-length"],
+        ids=[
+            "body-not-json", "negative-length", "non-numeric-length",
+            "header-over-64KiB",
+        ],
     )
     def test_malformed_json_body_is_400(self, framing):
         config = ServerConfig(dataset="polls", backend="serial", port=0)

@@ -240,6 +240,16 @@ class TestDecodeRequest:
             {"kind": "count"},
             {"request": 42},
             {"kind": "top_k", "query": "P(_; 'a'; 'b')", "k": 0},
+            {"kind": "top_k", "query": "P(_; 'a'; 'b')", "k": 1.5},
+            {"kind": "top_k", "query": "P(_; 'a'; 'b')", "k": True},
+            {"kind": "top_k", "query": "P(_; 'a'; 'b')", "n_edges": 0},
+            {"kind": "top_k", "query": "P(_; 'a'; 'b')", "n_edges": "2"},
+            {"kind": "aggregate", "query": "P(v; 'a'; 'b')",
+             "relation": "V", "column": "age", "n_worlds": 0},
+            {"kind": "aggregate", "query": "P(v; 'a'; 'b')",
+             "relation": "V", "column": "age", "n_worlds": -1},
+            {"kind": "aggregate", "query": "P(v; 'a'; 'b')",
+             "relation": "V", "column": "age", "n_worlds": 2.5},
         ],
     )
     def test_malformed_bodies(self, body):

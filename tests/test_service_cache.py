@@ -37,7 +37,7 @@ from repro.service import (
     session_cache_key,
 )
 from repro.service.cache import FLIGHT_TIMEOUT
-from repro.service.persist import encode_key
+from repro.service.persist import BOUND_SOLVER, encode_key
 from repro.service.service import PreferenceService
 
 EXACT_METHODS = ("auto", "two_label", "bipartite", "general", "lifted", "brute")
@@ -350,6 +350,28 @@ class TestTierConformance:
         cache.put("c", pair(0.3))
         assert "a" in cache
         assert "b" not in cache
+
+    def test_bound_enters_at_the_cold_end(self, tiers):
+        # A top-k bound never pushes a solve out of the front: it stays
+        # while there is room, and a read makes it recent like any entry.
+        cache = tiers.cache(capacity=2)
+        bound = (0.9, BOUND_SOLVER)
+        cache.put("a", pair(0.1))
+        cache.put("u", bound)
+        assert "a" in cache and "u" in cache
+        cache.put("b", pair(0.2))
+        assert "u" not in cache
+        assert "a" in cache and "b" in cache
+        cache.put("v", bound)
+        assert "v" not in cache and len(cache) == 2
+        assert cache.stats().evictions == 2
+
+        cache = tiers.cache(capacity=2)
+        cache.put("u", bound)
+        cache.put("a", pair(0.1))
+        assert cache.get("u") == bound
+        cache.put("b", pair(0.2))
+        assert "u" in cache and "a" not in cache
 
     def test_cold_solve_looks_up_once(self, tiers):
         # The executor looks an eager node up once; the miss goes on to

@@ -18,6 +18,7 @@ from repro.api import answer, answer_many
 from repro.db.database import PPDatabase
 from repro.db.mutable import MutablePPDatabase, SessionDelta
 from repro.db.schema import ORelation, PRelation
+from repro.plan.execute import session_upper_bound
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
 from repro.server.app import ServerApp
@@ -289,6 +290,46 @@ class TestStandingEngine:
         assert standing.n_invalidations >= 1
         assert cache.stats().invalidations >= 1
         assert engine.stats()["invalidations_applied"] >= 1
+        engine.close()
+
+    def test_refresh_bounds_only_the_delta_sessions(self, monkeypatch):
+        """A TOPK refresh computes the bounds of added or updated sessions
+        only, and retires the bound keys no session references anymore."""
+        replayer = TrafficReplayer(n_active=8, n_pool=3, n_movies=6, seed=11)
+        cache = SolverCache()
+        engine = StandingQueryEngine(
+            replayer.db, cache=cache, auto_refresh=False
+        )
+        standing = engine.register(replayer.standing_requests(3)[2])
+        assert standing.answer.kind == "top_k"
+        before = dict(standing.cache_keys)
+        bounded = []
+
+        def counting(model, *args):
+            bounded.append(model.freeze())
+            return session_upper_bound(model, *args)
+
+        monkeypatch.setattr(
+            "repro.plan.execute.session_upper_bound", counting
+        )
+        deltas = replayer.step()
+        engine.refresh()
+        changed = [delta for delta in deltas if delta.kind != "expire"]
+        assert changed and len(bounded) <= len(changed)
+        assert set(bounded) <= {delta.model.freeze() for delta in changed}
+        referenced = {
+            key for keys in standing.cache_keys.values() for key in keys
+        }
+        retired = [
+            key
+            for delta in deltas
+            if delta.kind != "add"
+            for key in before[delta.key]
+            if key[0] == "upper_bound"
+        ]
+        assert retired
+        for key in retired:
+            assert (key in cache) == (key in referenced)
         engine.close()
 
     def test_deregister_drops_only_exclusive_keys(self):
