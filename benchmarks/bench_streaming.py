@@ -37,7 +37,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.api.evaluate import answer_with_plan
+from repro.api import answer
 from repro.evaluation.experiments import ExperimentResult
 from repro.service.cache import SolverCache
 from repro.stream.replay import TrafficReplayer
@@ -91,14 +91,14 @@ def test_streaming(record_result):
         started = time.perf_counter()
         references = []
         for standing in registered:
-            reference, _, execution = answer_with_plan(
+            reference = answer(
                 standing.request,
                 replayer.db,
                 method=standing.method,
                 cache=scratch,
             )
             references.append(reference)
-            step_full += execution.n_executed
+            step_full += reference.stats["n_solver_calls"]
         full_seconds += time.perf_counter() - started
 
         for standing, reference in zip(registered, references):

@@ -12,8 +12,11 @@ top-k, possible-world attribute draws) on top.
 :func:`answer` is the single-request entry point; :func:`answer_many` is
 the batch entry point (behind
 :meth:`repro.service.service.PreferenceService.answer_many`) for
-mixed-kind request lists.  :func:`assemble_answers` turns an executed
-plan's terminals into :class:`Answer` envelopes.
+mixed-kind request lists.  Both run one build -> optimize -> execute step
+(:func:`_run_plan`), which a standing-query refresh
+(:mod:`repro.stream.standing`) also runs over its stale registrations;
+:func:`assemble_answers` turns an executed plan's terminals into
+:class:`Answer` envelopes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from repro.service.cache import SolverCache
 from repro.service.executors import (
     ExecutionBackend,
     ProcessBackend,
-    SerialBackend,
     resolve_backend,
 )
 
@@ -100,40 +102,6 @@ def answer(
         Forwarded to the chosen solver (e.g. ``n_proposals=10`` for
         MIS-AMP-lite, ``time_budget=60`` for exact solvers).
     """
-    result, _, _ = answer_with_plan(
-        request,
-        db,
-        method=method,
-        rng=rng,
-        group_sessions=group_sessions,
-        session_limit=session_limit,
-        cache=cache,
-        optimize=optimize,
-        **solver_options,
-    )
-    return result
-
-
-def answer_with_plan(
-    request: "QueryRequest | Any",
-    db: Any,
-    method: str = "auto",
-    rng: "np.random.Generator | None" = None,
-    group_sessions: bool = True,
-    session_limit: int | None = None,
-    cache: SolverCache | None = None,
-    optimize: bool = True,
-    **solver_options: Any,
-) -> "tuple[Answer, QueryPlan, PlanExecution]":
-    """:func:`answer`, also returning the executed plan and its execution.
-
-    The streaming layer (:mod:`repro.stream.standing`) needs the plan the
-    answer came from — its terminals carry the canonical cache key per
-    session, the map a delta-targeted invalidation is keyed by — and the
-    execution's fresh-solve counters.  Sharing one implementation keeps
-    the standing-query refresh bit-identical to :func:`answer` by
-    construction.
-    """
     started = time.perf_counter()
     check_required_options(method, solver_options)
     request = as_request(request)
@@ -161,7 +129,7 @@ def answer_with_plan(
     )[0]
     result.seconds = time.perf_counter() - started
     result.generation = db_generation(db)
-    return result, plan, execution
+    return result
 
 
 def answer_many(
@@ -171,7 +139,6 @@ def answer_many(
     rng: "np.random.Generator | None" = None,
     cache: SolverCache | None = None,
     backend: "str | ExecutionBackend | None" = None,
-    default_backend: "str | ExecutionBackend" = "serial",
     max_workers: int | None = None,
     session_limit: int | None = None,
     **solver_options,
@@ -190,10 +157,10 @@ def answer_many(
     started = time.perf_counter()
     check_required_options(method, solver_options)
     parsed = [as_request(item) for item in requests]
-    effective_backend = backend if backend is not None else default_backend
+    backend = backend if backend is not None else "serial"
 
     if method in APPROXIMATE_METHODS:
-        if _parallelism_requested(backend, effective_backend, max_workers):
+        if _parallelism_requested(backend, max_workers):
             warnings.warn(
                 f"approximate method {method!r} is rng-driven and runs "
                 "sequentially; the requested parallelism "
@@ -226,7 +193,7 @@ def answer_many(
             generation=db_generation(db),
         )
 
-    execution_backend = resolve_backend(effective_backend, max_workers)
+    execution_backend = resolve_backend(backend, max_workers)
     plan, execution = _run_plan(
         parsed, db, method, solver_options, True, session_limit,
         optimize=True, canonical=True, rng=rng, cache=cache,
@@ -267,9 +234,10 @@ def _run_plan(
 ) -> "tuple[QueryPlan, PlanExecution]":
     """Build -> optimize -> execute, recording the plan on ``cache``.
 
-    The one step behind :func:`answer_with_plan` and the exact branch of
-    :func:`answer_many`; they differ only in backend, grouping mode
-    (``canonical``) and how they wrap the answers.
+    The one step behind :func:`answer`, the exact branch of
+    :func:`answer_many` and a standing-query refresh
+    (:mod:`repro.stream.standing`); they differ only in backend, grouping
+    mode (``canonical``) and how they wrap the answers.
     """
     plan = build_plan(
         requests,
@@ -292,23 +260,17 @@ def _run_plan(
 
 
 def _parallelism_requested(
-    explicit_backend, effective_backend, max_workers: int | None
+    backend: "str | ExecutionBackend", max_workers: int | None
 ) -> bool:
     """Did the caller ask for parallelism an rng-driven batch must ignore?
 
-    An explicitly passed non-serial backend, a process-configured default,
-    or a >1 worker pool all count; a defaulted thread backend alone does
-    not (thread parallelism over sequential solves is a performance
+    A process backend or a >1 worker pool counts; a thread backend alone
+    does not (thread parallelism over sequential solves is a performance
     no-op).
     """
-
-    def _is_serial(spec) -> bool:
-        return spec == "serial" or isinstance(spec, SerialBackend)
-
     return (
-        (explicit_backend is not None and not _is_serial(explicit_backend))
-        or effective_backend == "process"
-        or isinstance(effective_backend, ProcessBackend)
+        backend == "process"
+        or isinstance(backend, ProcessBackend)
         or (max_workers is not None and max_workers > 1)
     )
 

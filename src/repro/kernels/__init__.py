@@ -17,7 +17,6 @@ from repro.kernels.density import (
 from repro.kernels.dp import (
     bipartite_basic_engine,
     bipartite_pruned_engine,
-    jit_enabled,
     lifted_engine,
     merge_states,
     scalar_gap_segments,
@@ -61,7 +60,6 @@ __all__ = [
     "bipartite_basic_engine",
     "bipartite_pruned_engine",
     "clear_caches",
-    "jit_enabled",
     "kendall_tau_many",
     "lifted_engine",
     "merge_states",

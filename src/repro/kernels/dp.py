@@ -63,10 +63,6 @@ carried absorbed mass or expansion count); the step-1 start is just the
 initial generation handed over at once.  Because the bit-identity
 contract holds at *every* generation — the engine's first-occurrence
 order is the dict's insertion order — a handoff at any step is exact.
-
-The optional numba layer (:mod:`repro.kernels.jit`, ``REPRO_JIT=1`` plus
-the ``[jit]`` extra) compiles the one inherently sequential kernel — the
-order-preserving segment fold — and falls back to NumPy silently.
 """
 
 from __future__ import annotations
@@ -75,8 +71,6 @@ import time
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-from repro.kernels.jit import jit_enabled, maybe_segment_fold
 
 __all__ = [
     "scalar_gap_segments",
@@ -88,7 +82,6 @@ __all__ = [
     "bipartite_basic_engine",
     "bipartite_pruned_engine",
     "lifted_engine",
-    "jit_enabled",
 ]
 
 #: Candidate cells (state-rows x insertion-points x tracked-columns) per
@@ -198,12 +191,8 @@ def _segment_fold(values, starts, lengths):
     scalar dict accumulation.  The NumPy implementation loops over the
     *multiplicity* axis (iteration ``t`` adds element ``t`` of every
     still-active segment at once), so the Python-level loop count is the
-    largest segment length, not the segment count.  The numba layer
-    (when enabled) compiles the direct nested loop instead.
+    largest segment length, not the segment count.
     """
-    compiled = maybe_segment_fold(values, starts, lengths)
-    if compiled is not None:
-        return compiled
     acc = values[starts].copy()
     max_length = int(lengths.max())
     if max_length == 1:

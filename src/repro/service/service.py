@@ -236,10 +236,9 @@ class PreferenceService:
             method=method or self.method,
             rng=rng,
             cache=self.cache,
-            # Explicit and configured backends stay distinct so the
-            # ignored-parallelism warning can tell them apart.
-            backend=backend,
-            default_backend=self.backend,
+            # A per-call backend overrides the configured one; the
+            # rng-driven route warns when either asks for processes.
+            backend=backend if backend is not None else self.backend,
             max_workers=(
                 max_workers if max_workers is not None else self.max_workers
             ),

@@ -6,12 +6,13 @@ data.  Sessions arrive, update, and expire through a
 :class:`~repro.db.mutable.SessionDelta` events, monotonic generation
 counter); a :class:`~repro.stream.standing.StandingQueryEngine` keeps
 one materialized :class:`~repro.api.answer.Answer` per registered
-request fresh by re-executing only the affected per-session terminal
-work through the normal build -> optimize -> execute pipeline and the
-shared warm cache, retiring obsolete entries with the targeted
-``invalidate(keys)``; a :class:`~repro.stream.replay.TrafficReplayer`
-generates seeded synthetic arrival/update/expiry schedules for the
-``python -m repro replay`` CLI and ``benchmarks/bench_streaming.py``.
+request fresh by running its stale registrations as one batch plan
+through the normal build -> optimize -> execute pipeline and the shared
+warm cache, so only the affected solves execute, and retiring obsolete
+entries with the targeted ``invalidate(keys)``; a
+:class:`~repro.stream.replay.TrafficReplayer` generates seeded synthetic
+arrival/update/expiry schedules for the ``python -m repro replay`` CLI
+and ``benchmarks/bench_streaming.py``.
 
 See DESIGN.md Section 15.
 """

@@ -16,39 +16,53 @@ parallel incremental engine:
   delta's solves run fresh, and the lazy top-k frontier re-ranks with
   cached bounds and confirmations (a delta's sessions are bounded fresh
   and re-enter the frontier in bound order).
-* **Delta -> solve-identity mapping.**  Each refresh records the plan's
-  ``session -> cache keys`` map from its terminals: the session's solve
-  key and the keys of its top-k upper bounds.  When a delta updates or
-  expires a session, the session's *previous* keys are retired from the
-  cache via the targeted :meth:`~repro.service.cache.SolverCache
-  .invalidate` — exactly those entries, counted, and only once no other
-  registered standing query still references the key.  This keeps the
-  warm tier's occupancy proportional to the live session population
-  (invalidation is reclamation + bookkeeping; correctness never depends
-  on it, which is what makes the scheme race-free).
+* **One plan per refresh.**  A refresh plans every stale registration as
+  one request list — the step behind :func:`~repro.api.evaluate
+  .answer_many`'s exact branch — so the batch is built and optimized
+  once, with common-solve elimination across the queries, and each
+  answer takes the batch envelope.  A registration is materialized as a
+  batch of one.
+* **Delta -> solve-identity mapping.**  Each refresh splits the plan's
+  ``session -> cache keys`` map by terminal: the session's solve key and
+  the keys of the top-k upper bounds its terminal reads.  When a delta
+  updates or expires a session, the session's *previous* keys are
+  retired from the cache via the targeted :meth:`~repro.service.cache
+  .SolverCache.invalidate` — exactly those entries, counted, and only
+  once no registered standing query still references the key.  This
+  keeps the warm tier's occupancy proportional to the live session
+  population (invalidation is reclamation + bookkeeping; correctness
+  never depends on it, which is what makes the scheme race-free).
+* **Failures stay stale.**  A refresh that raises leaves every query of
+  its batch flagged stale (a plan that raised leaves its last good
+  answer and generation in place) and counts the failure; an explicit
+  :meth:`StandingQueryEngine.refresh` re-raises, a refresh triggered by
+  the delta feed does not escape into the writer.
 * **Generations.**  Answers carry the database generation they were
   computed against (:attr:`~repro.api.answer.Answer.generation`);
   :meth:`StandingQueryEngine.stats` exports count / max staleness /
-  invalidations for the server's ``/stats`` gauge.
+  invalidations / refresh failures for the server's ``/stats`` gauge.
 
 See DESIGN.md Section 15.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.api.answer import Answer
-from repro.api.evaluate import answer_with_plan
+from repro.api.evaluate import _run_plan, assemble_answers, db_generation
 from repro.api.requests import QueryRequest, as_request
 from repro.db.mutable import MutablePPDatabase, SessionDelta
 from repro.db.schema import SessionKey
 from repro.plan.methods import APPROXIMATE_METHODS
-from repro.plan.nodes import QueryPlan
+from repro.plan.nodes import QueryPlan, TopKSessionsNode
 from repro.query.classify import analyze
 from repro.service.cache import SolverCache
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -61,14 +75,13 @@ class StandingQuery:
     last refresh's ``session -> cache keys`` map (its solve key, then its
     bound keys), the index a delta-targeted invalidation consults;
     ``referenced`` holds the same keys as one set, hashed once per refresh,
-    so another registration's retirement checks its few candidates against
-    it without rehashing every key.
+    so a retirement checks its few candidates against it without
+    rehashing every key.
     """
 
     query_id: int
     request: QueryRequest
     method: str
-    options: dict[str, Any]
     p_relation: str
     answer: "Answer | None" = None
     generation: int = 0
@@ -79,8 +92,6 @@ class StandingQuery:
     #: Sessions touched since the last refresh (key -> last delta kind).
     pending: dict[SessionKey, str] = field(default_factory=dict)
     n_refreshes: int = 0
-    n_fresh_solves: int = 0
-    n_invalidations: int = 0
 
     @property
     def stale(self) -> bool:
@@ -123,34 +134,41 @@ def answers_equal(left: "Answer | None", right: "Answer | None") -> bool:
 
 def terminal_cache_keys(
     plan: QueryPlan,
-) -> dict[SessionKey, tuple[Hashable, ...]]:
-    """The executed plan's ``session -> cache keys`` map: the session's
-    solve key, then the keys of the bound nodes over that solve.
+) -> list[dict[SessionKey, tuple[Hashable, ...]]]:
+    """The executed plan's ``session -> cache keys`` map per terminal, in
+    request order: the session's solve key, then the key of the bound
+    node over that solve if the terminal is an upper-bound top-k.
 
     Read off the terminals' item lists and ``plan.bounds``: unsatisfiable
     sessions (no solve node) and non-canonical plans (no cache keys)
     contribute nothing.
     """
-    node_ids: dict[int, list[int]] = {}
-    for (solve_id, _), bound_id in plan.bounds.items():
-        node_ids.setdefault(solve_id, [solve_id]).append(bound_id)
-    keys: dict[SessionKey, tuple[Hashable, ...]] = {}
+    per_terminal: list[dict[SessionKey, tuple[Hashable, ...]]] = []
     for terminal in plan.aggregate_nodes():
+        n_edges = (
+            terminal.n_edges
+            if isinstance(terminal, TopKSessionsNode) and terminal.lazy
+            else None
+        )
+        bound_of = {
+            solve_id: bound_id
+            for (solve_id, edges), bound_id in plan.bounds.items()
+            if edges == n_edges
+        }
+        keys: dict[SessionKey, tuple[Hashable, ...]] = {}
         for session_key, solve_id in terminal.items:
             if solve_id is None:
                 continue
             node_keys = (
                 getattr(plan.nodes[node_id], "cache_key", None)
-                for node_id in node_ids.get(solve_id, [solve_id])
+                for node_id in (solve_id, bound_of.get(solve_id))
+                if node_id is not None
             )
             found = tuple(key for key in node_keys if key is not None)
             if found:
                 keys[session_key] = found
-    return keys
-
-
-def _flatten(groups: Iterable[tuple[Hashable, ...]]) -> frozenset[Hashable]:
-    return frozenset(key for group in groups for key in group)
+        per_terminal.append(keys)
+    return per_terminal
 
 
 class StandingQueryEngine:
@@ -163,10 +181,10 @@ class StandingQueryEngine:
     applies a whole arrival/update/expiry step, then refreshes once.
 
     All registered queries share one :class:`SolverCache` (any tier —
-    plain, persistent, or sharded), which is the entire incremental
-    machinery: a refresh's unchanged sessions are cache hits, and
-    overlapping standing queries share each other's warm solves exactly
-    like a batch shares them at plan time.
+    plain, persistent, or sharded) and one ``method``, and a refresh runs
+    them as one plan: its unchanged sessions are cache hits, and
+    overlapping standing queries share each other's solves exactly like a
+    batch shares them at plan time.
     """
 
     def __init__(
@@ -175,8 +193,6 @@ class StandingQueryEngine:
         cache: "SolverCache | None" = None,
         method: str = "auto",
         auto_refresh: bool = True,
-        session_limit: "int | None" = None,
-        **solver_options: Any,
     ) -> None:
         if method in APPROXIMATE_METHODS:
             raise ValueError(
@@ -188,12 +204,11 @@ class StandingQueryEngine:
         self.cache = cache if cache is not None else SolverCache()
         self.method = method
         self.auto_refresh = auto_refresh
-        self._session_limit = session_limit
-        self._options = dict(solver_options)
         self._queries: dict[int, StandingQuery] = {}
         self._next_id = 0
         self._lock = threading.RLock()
         self._n_refreshes = 0
+        self._n_refresh_failures = 0
         self._n_fresh_solves = 0
         self._n_invalidations = 0
         self._unsubscribe = db.subscribe(self._on_delta)
@@ -202,20 +217,10 @@ class StandingQueryEngine:
     # Registration
     # ------------------------------------------------------------------
 
-    def register(
-        self,
-        request: "QueryRequest | Any",
-        method: "str | None" = None,
-        **options: Any,
-    ) -> StandingQuery:
-        """Register a request (typed or text) and materialize its answer."""
+    def register(self, request: "QueryRequest | Any") -> StandingQuery:
+        """Register a request (typed or text) and materialize its answer
+        as a batch of one; if that raises, the registration is dropped."""
         parsed = as_request(request)
-        resolved_method = method if method is not None else self.method
-        if resolved_method in APPROXIMATE_METHODS:
-            raise ValueError(
-                f"standing queries need a cacheable method, not the "
-                f"rng-driven {resolved_method!r}"
-            )
         analysis = analyze(parsed.query, self.db)
         with self._lock:
             query_id = self._next_id
@@ -223,12 +228,17 @@ class StandingQueryEngine:
             standing = StandingQuery(
                 query_id=query_id,
                 request=parsed,
-                method=resolved_method,
-                options={**self._options, **options},
+                method=self.method,
                 p_relation=analysis.p_relation,
             )
             self._queries[query_id] = standing
-        self._refresh_one(standing)
+            generation = self.db.generation
+        try:
+            self._materialize([standing], [{}], generation)
+        except BaseException:
+            with self._lock:
+                self._queries.pop(query_id, None)
+            raise
         return standing
 
     def deregister(self, query_id: int) -> int:
@@ -239,17 +249,9 @@ class StandingQueryEngine:
         """
         with self._lock:
             standing = self._queries.pop(query_id, None)
-            if standing is None:
-                raise KeyError(f"no standing query {query_id}")
-            mine = set(standing.referenced)
-            for other in self._queries.values():
-                mine -= other.referenced
-        dropped = (
-            self.cache.invalidate(sorted(mine, key=repr)) if mine else 0
-        )
-        with self._lock:
-            self._n_invalidations += dropped
-        return dropped
+        if standing is None:
+            raise KeyError(f"no standing query {query_id}")
+        return self._retire(set(standing.referenced))
 
     def standing_queries(self) -> list[StandingQuery]:
         """Current registrations, in registration order."""
@@ -278,15 +280,28 @@ class StandingQueryEngine:
                 if standing.p_relation == delta.relation:
                     standing.pending[delta.key] = delta.kind
         if self.auto_refresh:
-            self.refresh()
+            try:
+                self.refresh()
+            except Exception:
+                # The writer's mutation is applied and later subscribers
+                # still need the delta: the batch stays flagged stale, and
+                # refresh() counted the failure.
+                _log.exception(
+                    "standing-query refresh at generation %d failed; "
+                    "its queries stay stale", delta.generation,
+                )
 
     def refresh(self) -> list[StandingQuery]:
         """Bring every standing query up to the current generation.
 
         Stale queries (touched by a delta since their last refresh) are
-        re-materialized through the shared cache; untouched queries just
-        advance their valid-as-of generation.  Returns the queries that
-        were re-materialized.
+        re-materialized as one plan through the shared cache; untouched
+        queries just advance their valid-as-of generation.  Returns the
+        queries that were re-materialized.  If the refresh raises, every
+        stale query stays stale (its touched sessions merge back, newer
+        deltas winning; a plan that raised leaves its last answer and
+        generation in place), the failure is counted in :meth:`stats`,
+        and the error propagates.
         """
         with self._lock:
             generation = self.db.generation
@@ -295,85 +310,78 @@ class StandingQueryEngine:
                 for query_id in sorted(self._queries)
                 if self._queries[query_id].pending
             ]
+            touched = [standing.pending for standing in stale]
             for standing in self._queries.values():
-                if not standing.pending:
+                if standing.pending:
+                    standing.pending = {}
+                else:
                     standing.generation = max(
                         standing.generation, generation
                     )
-        for standing in stale:
-            self._refresh_one(standing)
+        if not stale:
+            return stale
+        try:
+            self._materialize(stale, touched, generation)
+        except BaseException:
+            with self._lock:
+                self._n_refresh_failures += 1
+                for standing, sessions in zip(stale, touched):
+                    standing.pending = {**sessions, **standing.pending}
+            raise
         return stale
 
-    def _refresh_one(self, standing: StandingQuery) -> Answer:
-        """Re-materialize one answer through the normal plan pipeline.
-
-        The shared warm cache makes this incremental: only solves whose
-        canonical key is new (the delta's sessions) run fresh, including
-        the exclusive solves the lazy top-k frontier demands in bound
-        order.  Afterwards, retire the previous keys of updated/expired
-        sessions that no registration references anymore.
-        """
-        with self._lock:
-            pending = dict(standing.pending)
-            standing.pending.clear()
-            previous_keys = dict(standing.cache_keys)
-        generation = self.db.generation
-        result, plan, execution = answer_with_plan(
-            standing.request,
-            self.db,
-            method=standing.method,
-            session_limit=self._session_limit,
-            cache=self.cache,
-            **standing.options,
-        )
-        cache_keys = terminal_cache_keys(plan)
-        referenced = _flatten(cache_keys.values())
-        retired = self._retire(standing, pending, previous_keys, referenced)
-        with self._lock:
-            standing.answer = result
-            standing.generation = generation
-            standing.cache_keys = cache_keys
-            standing.referenced = referenced
-            standing.n_refreshes += 1
-            standing.n_fresh_solves += execution.n_executed
-            standing.n_invalidations += retired
-            self._n_refreshes += 1
-            self._n_fresh_solves += execution.n_executed
-            self._n_invalidations += retired
-        return result
-
-    def _retire(
+    def _materialize(
         self,
-        standing: StandingQuery,
-        pending: dict[SessionKey, str],
-        previous_keys: dict[SessionKey, tuple[Hashable, ...]],
-        referenced: frozenset[Hashable],
-    ) -> int:
-        """Invalidate exactly the delta's now-unreferenced cache entries.
-
-        Candidates are the previous keys — solve and bound — of the
-        refreshed query's updated or expired sessions (an ``add`` has no
-        previous key).  A candidate survives if any registration — this
-        one's new keys (``referenced``), or any other standing query — still
-        maps some session to it (shared component models make that common).
-        """
-        candidates = set(
-            _flatten(
-                previous_keys[key]
-                for key, kind in pending.items()
-                if kind != "add" and key in previous_keys
-            )
+        batch: list[StandingQuery],
+        touched: list[dict[SessionKey, str]],
+        generation: int,
+    ) -> None:
+        """Answer ``batch`` as one plan, then retire the previous keys of
+        its updated or expired (``touched``) sessions that no registration
+        references any more."""
+        plan, execution = _run_plan(
+            [standing.request for standing in batch], self.db, self.method,
+            {}, True, None, optimize=True, canonical=True, rng=None,
+            cache=self.cache, backend=None,
         )
-        if not candidates:
-            return 0
+        answers = assemble_answers(plan, execution, batched=True)
+        stamp = db_generation(self.db)
+        keys = terminal_cache_keys(plan)
+        candidates: set[Hashable] = set()
         with self._lock:
-            candidates -= referenced
-            for other in self._queries.values():
-                if other.query_id != standing.query_id:
-                    candidates -= other.referenced
+            for standing, result, session_keys, sessions in zip(
+                batch, answers, keys, touched
+            ):
+                candidates.update(
+                    key
+                    for session, kind in sessions.items()
+                    if kind != "add"
+                    for key in standing.cache_keys.get(session, ())
+                )
+                result.generation = stamp
+                standing.answer = result
+                standing.generation = generation
+                standing.cache_keys = session_keys
+                standing.referenced = frozenset(
+                    key for group in session_keys.values() for key in group
+                )
+                standing.n_refreshes += 1
+            self._n_refreshes += len(batch)
+            self._n_fresh_solves += execution.n_executed
+        self._retire(candidates)
+
+    def _retire(self, candidates: set[Hashable]) -> int:
+        """Invalidate the candidates no registration references, checking
+        every registration once; returns how many entries were dropped."""
+        with self._lock:
+            for standing in self._queries.values():
+                candidates -= standing.referenced
         if not candidates:
             return 0
-        return self.cache.invalidate(sorted(candidates, key=repr))
+        dropped = self.cache.invalidate(sorted(candidates, key=repr))
+        with self._lock:
+            self._n_invalidations += dropped
+        return dropped
 
     # ------------------------------------------------------------------
     # Observability
@@ -392,6 +400,7 @@ class StandingQueryEngine:
                 "generation": generation,
                 "max_staleness": max(staleness, default=0),
                 "refreshes": self._n_refreshes,
+                "refresh_failures": self._n_refresh_failures,
                 "fresh_solves": self._n_fresh_solves,
                 "invalidations_applied": self._n_invalidations,
             }

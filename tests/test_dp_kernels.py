@@ -15,8 +15,7 @@ Three layers of coverage:
   and the adaptive default agree bit for bit on the probability and on
   every state-count stat;
 * regression tests for the per-chunk time-budget checks (an oversized
-  instance must time out within ~2x the budget, not per-generation) and
-  for the opt-in jit layer's silent NumPy fallback.
+  instance must time out within ~2x the budget, not per-generation).
 """
 
 import time
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.benchmarks import benchmark_a, benchmark_c, benchmark_d
-from repro.kernels import dp, jit as jit_module
+from repro.kernels import dp
 from repro.kernels.dp import merge_states, scalar_gap_segments, sequential_sum
 from repro.patterns.labels import Labeling
 from repro.patterns.pattern import LabelPattern, PatternNode
@@ -345,35 +344,3 @@ def test_oversized_instance_times_out_within_twice_budget(make_solve):
     elapsed = time.perf_counter() - started
     assert elapsed <= 2.0 * BUDGET
 
-
-# ---------------------------------------------------------------------------
-# JIT layer: opt-in, silent fallback
-# ---------------------------------------------------------------------------
-
-
-def test_jit_disabled_by_default(monkeypatch):
-    monkeypatch.delenv(jit_module.JIT_ENV, raising=False)
-    assert not jit_module.jit_requested()
-    assert not jit_module.jit_enabled()
-    assert jit_module.maybe_segment_fold(
-        np.ones(3), np.array([0]), np.array([3])
-    ) is None
-
-
-def test_jit_request_without_numba_falls_back_silently(monkeypatch):
-    """REPRO_JIT=1 on a numba-less interpreter must not change results."""
-    monkeypatch.setenv(jit_module.JIT_ENV, "1")
-    assert jit_module.jit_requested()
-    enabled = jit_module.jit_enabled()
-    assert enabled == jit_module.jit_available()
-    # Whether or not numba is importable, the solver path stays correct.
-    model = Mallows(list(range(6)), 0.5)
-    labeling = Labeling({i: {"A"} if i % 2 else {"B"} for i in range(6)})
-    left = PatternNode("l", frozenset({"A"}))
-    right = PatternNode("r", frozenset({"B"}))
-    union = PatternUnion([LabelPattern([(left, right)])])
-    scalar = two_label_probability(
-        model, labeling, union, vectorized=False
-    )
-    vector = two_label_probability(model, labeling, union, vectorized=True)
-    assert vector.probability == scalar.probability

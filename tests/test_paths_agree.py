@@ -5,9 +5,9 @@ the Polls example and on small CrowdRank instances — is answered through
 every configuration that reaches the plan executor: ``answer()`` with and
 without a cache, ``answer_many`` on each backend, a disk-tiered
 ``PreferenceService`` cold and after a restart, and a standing-query
-registration.  Each must return the same value and per-session ``(key,
-probability)`` breakdown as ``answer()`` without a cache
-(:func:`repro.stream.standing.answers_equal`).
+registration and refresh.  Each must return the same value and
+per-session ``(key, probability)`` breakdown as ``answer()`` without a
+cache (:func:`repro.stream.standing.answers_equal`).
 
 A concurrency case runs a frontier whose nodes share model, labeling and
 union objects on an 8-thread backend, switching threads as often as the
@@ -23,6 +23,7 @@ from repro.datasets.crowdrank import crowdrank_database
 from repro.db.examples import polling_example
 from repro.db.mutable import MutablePPDatabase
 from repro.plan import build_plan, optimize_plan
+from repro.rim.mallows import Mallows
 from repro.service import PreferenceService, SolverCache
 from repro.service.executors import SerialBackend, ThreadBackend
 from repro.stream.standing import StandingQueryEngine, answers_equal
@@ -115,11 +116,22 @@ def test_disk_tiered_service_cold_and_restarted(case, tmp_path):
 
 
 def test_standing_query_registration(case):
+    """Each registration is a batch of one; after one update, a single
+    refresh answers the whole corpus as one batch, so a TOPK shares its
+    lazy solves with the eager kinds of its template."""
     make_db, requests, reference = case
     db = MutablePPDatabase.from_database(make_db())
-    with StandingQueryEngine(db) as engine:
+    with StandingQueryEngine(db, auto_refresh=False) as engine:
         standing = [engine.register(text) for text in requests]
         assert_agree([query.answer for query in standing], reference)
+        key = next(iter(db.prelation("P").session_keys()))
+        model = db.prelation("P").model_of(key)
+        db.update_session("P", key, Mallows(model.sigma, model.phi / 2))
+        assert engine.refresh() == standing
+        assert_agree(
+            [query.answer for query in standing],
+            [answer(text, db) for text in requests],
+        )
 
 
 def frontier(seed):

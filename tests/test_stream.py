@@ -6,6 +6,8 @@ adds/updates/expirations, every materialized standing answer must equal
 a from-scratch ``answer()`` on the mutated database exactly — same kind,
 same principal value, same per-session probabilities — for all four
 request kinds, with and without a sharded cache tier beneath the engine.
+A refresh that raises must leave its whole batch at its last good answer,
+flagged stale and counted, and never raise into the writer.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import asyncio
 
 import pytest
 
-from repro.api import answer, answer_many
+from repro.api import answer, answer_many, evaluate
 from repro.db.database import PPDatabase
+from repro.db.examples import polling_example
 from repro.db.mutable import MutablePPDatabase, SessionDelta
 from repro.db.schema import ORelation, PRelation
 from repro.plan.execute import session_upper_bound
@@ -287,7 +290,6 @@ class TestStandingEngine:
         standing = engine.register(QUERY)
         db.update_session("P", ("w0",), model(0.95))
         engine.refresh()
-        assert standing.n_invalidations >= 1
         assert cache.stats().invalidations >= 1
         assert engine.stats()["invalidations_applied"] >= 1
         engine.close()
@@ -350,10 +352,6 @@ class TestStandingEngine:
         db = make_db()
         with pytest.raises(ValueError, match="cacheable"):
             StandingQueryEngine(db, method="rejection")
-        engine = StandingQueryEngine(db, auto_refresh=False)
-        with pytest.raises(ValueError, match="cacheable"):
-            engine.register(QUERY, method="mis_amp_lite")
-        engine.close()
 
     def test_closed_engine_ignores_deltas(self):
         db = make_db()
@@ -362,6 +360,132 @@ class TestStandingEngine:
         engine.close()
         db.update_session("P", ("w0",), model(0.95))
         assert standing.generation == 0 and not standing.stale
+
+
+# ----------------------------------------------------------------------
+# A refresh that raises: stale but flagged, never a silent wrong answer
+# ----------------------------------------------------------------------
+
+POLLS = [
+    "P(v, _; l; r), C(l, p, 'M', _, _, _), C(r, p, 'F', _, _, _)",
+    "TOPK 2 P(v, _; l; r), C(l, 'D', _, _, _, _), C(r, 'R', _, _, _, _)",
+]
+AGG_POLLS = "AGG mean(V.age) " + POLLS[0]
+
+
+def polls_db() -> MutablePPDatabase:
+    return MutablePPDatabase.from_database(polling_example())
+
+
+def poll(phi: float) -> Mallows:
+    return Mallows(["Trump", "Rubio", "Sanders", "Clinton"], phi)
+
+
+def crash_next_execution(monkeypatch, before_raise=None) -> None:
+    """Make the next plan execution raise once (after ``before_raise``)."""
+    original = evaluate.execute_plan
+    crashed: list[bool] = []
+
+    def crashing(*args, **kwargs):
+        if not crashed:
+            crashed.append(True)
+            if before_raise is not None:
+                before_raise()
+            raise RuntimeError("solver crashed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "execute_plan", crashing)
+
+
+class TestRefreshFailure:
+    def test_failed_refresh_keeps_the_batch_stale(self, monkeypatch):
+        """The failed batch keeps its answers and generations, stays
+        flagged stale, and the next refresh catches up bit-identically."""
+        db = polls_db()
+        engine = StandingQueryEngine(db, auto_refresh=False)
+        standing = [engine.register(text) for text in POLLS]
+        before = [(one.answer, one.generation) for one in standing]
+        db.add_session("P", ("Ann", "6/5"), poll(0.2))
+        crash_next_execution(monkeypatch)
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            engine.refresh()
+        assert [(one.answer, one.generation) for one in standing] == before
+        assert all(one.stale for one in standing)
+        stats = engine.stats()
+        assert stats["refresh_failures"] == 1
+        assert stats["max_staleness"] == 1
+        assert engine.refresh() == standing
+        for one in standing:
+            assert not one.stale and one.generation == 1
+            assert answers_equal(one.answer, answer(one.request, db))
+        assert engine.stats()["max_staleness"] == 0
+        engine.close()
+
+    def test_deltas_during_a_failed_refresh_win(self, monkeypatch):
+        db = polls_db()
+        engine = StandingQueryEngine(db, auto_refresh=False)
+        standing = engine.register(POLLS[1])
+        db.add_session("P", ("Ann", "6/5"), poll(0.2))
+        db.expire_session("P", ("Dave", "6/5"))
+        crash_next_execution(
+            monkeypatch,
+            lambda: db.update_session("P", ("Ann", "6/5"), poll(0.7)),
+        )
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            engine.refresh()
+        assert standing.pending == {
+            ("Ann", "6/5"): "update", ("Dave", "6/5"): "expire",
+        }
+        engine.refresh()
+        assert standing.generation == 3
+        assert answers_equal(standing.answer, answer(POLLS[1], db))
+        engine.close()
+
+    def test_auto_refresh_failure_stays_out_of_the_writer(
+        self, monkeypatch, caplog
+    ):
+        db = polls_db()
+        engine = StandingQueryEngine(db)
+        standing = engine.register(POLLS[0])
+        seen: list[SessionDelta] = []
+        db.subscribe(seen.append)
+        crash_next_execution(monkeypatch)
+        delta = db.add_session("P", ("Ann", "6/5"), poll(0.2))
+        assert db.generation == 1 and seen == [delta]
+        assert standing.stale and standing.generation == 0
+        assert engine.stats()["refresh_failures"] == 1
+        assert "solver crashed" in caplog.text
+        db.update_session("P", ("Bob", "5/5"), poll(0.9))
+        assert not standing.stale and standing.generation == 2
+        assert answers_equal(standing.answer, answer(POLLS[0], db))
+        engine.close()
+
+    def test_failing_registration_holds_back_its_batch(self):
+        """A registration that cannot be answered (an AGG over a session
+        with no attribute row) holds back every query of its batch until
+        it is deregistered."""
+        db = polls_db()
+        engine = StandingQueryEngine(db, auto_refresh=False)
+        first = engine.register(POLLS[0])
+        aggregate = engine.register(AGG_POLLS)
+        db.add_session("P", ("Eve", "5/5"), poll(0.2))
+        with pytest.raises(KeyError, match="no row in V"):
+            engine.refresh()
+        assert first.stale and aggregate.stale and first.generation == 0
+        engine.deregister(aggregate.query_id)
+        assert engine.refresh() == [first]
+        assert answers_equal(first.answer, answer(POLLS[0], db))
+        assert engine.stats()["refresh_failures"] == 1
+        engine.close()
+
+    def test_failed_registration_is_dropped(self, monkeypatch):
+        engine = StandingQueryEngine(polls_db(), auto_refresh=False)
+        crash_next_execution(monkeypatch)
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            engine.register(POLLS[0])
+        assert engine.standing_queries() == []
+        assert engine.register(POLLS[0]).query_id == 1
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +555,7 @@ class TestObservability:
             assert gauge["generation"] == 1
             assert gauge["max_staleness"] == 1
             assert gauge["refreshes"] == 1
+            assert gauge["refresh_failures"] == 0
             assert "invalidations_applied" in gauge
         finally:
             asyncio.run(app.shutdown())
