@@ -17,7 +17,7 @@ and the executor read it exactly like a snapshot — plus three mutators
   (:attr:`repro.api.answer.Answer.generation`);
 * emits one typed :class:`SessionDelta` to every subscriber — the feed
   the standing-query engine (:mod:`repro.stream.standing`) maps onto
-  canonical solve identities.
+  canonical solve identities; one that raises is logged, not re-raised.
 
 O-relations stay immutable: the streaming axis of this scenario is the
 *session* population (who is ranking right now), not the item catalog.
@@ -29,12 +29,15 @@ common-solve elimination) exploits.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Literal, cast
 
 from repro.db.database import PPDatabase
 from repro.db.schema import ORelation, PRelation, SessionKey
+
+_log = logging.getLogger(__name__)
 
 DeltaKind = Literal["add", "update", "expire"]
 
@@ -210,10 +213,14 @@ class MutablePPDatabase(PPDatabase):
 
         Notification happens after the lock is released so a subscriber
         may re-enter the database (e.g. to refresh a standing query
-        against the new generation).
+        against the new generation).  The mutation is applied by then, so
+        a subscriber that raises is logged with the delta, not re-raised.
         """
         for callback in subscribers:
-            callback(delta)
+            try:
+                callback(delta)
+            except Exception:
+                _log.exception("delta subscriber %r failed on %r", callback, delta)
         return delta
 
     def add_session(

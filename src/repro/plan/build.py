@@ -30,6 +30,7 @@ from typing import Any, Sequence
 
 from repro.patterns.labels import Labeling
 from repro.patterns.union import PatternUnion
+from repro.plan.methods import MODEL_AGNOSTIC_METHODS
 from repro.plan.nodes import (
     AggregateSessionsNode,
     AttributeAggregateNode,
@@ -47,6 +48,8 @@ from repro.query.ast import ConjunctiveQuery
 from repro.query.classify import analyze
 from repro.query.compile import labeling_for_patterns
 from repro.query.engine import compile_session_work
+from repro.rim.mixture import MallowsMixture
+from repro.rim.model import RIM
 
 
 def _normalize_requests(queries) -> list:
@@ -183,6 +186,7 @@ def _build_request(plan: QueryPlan, query_index: int, request) -> None:
         if work.union is None:
             terminal_items.append((work.key, None))
             continue
+        _check_model(plan, request, work.key, work.model)
         compile_node = union_node_of(work.union)
         compile_node.n_sessions += 1
         solve = plan.add(
@@ -210,6 +214,23 @@ def _build_request(plan: QueryPlan, query_index: int, request) -> None:
         _join_attribute_values(plan, terminal)
     plan.add(terminal)
     plan.aggregates.append(terminal.node_id)
+
+
+def _check_model(plan: QueryPlan, request, key, model) -> None:
+    """Raise ``ValueError`` for a session model the request cannot solve:
+    every method but :data:`MODEL_AGNOSTIC_METHODS`, and the upper-bound
+    top-k strategy, need a RIM (or a mixture of Mallows)."""
+    if plan.method not in MODEL_AGNOSTIC_METHODS:
+        needs, fix = f"method {plan.method!r}", "method 'rejection' or 'brute'"
+    elif getattr(request, "strategy", None) == "upper_bound":
+        needs, fix = "upper-bound top-k", "strategy 'naive'"
+    else:
+        return
+    if not isinstance(model, (RIM, MallowsMixture)):
+        raise ValueError(
+            f"{needs} needs RIM sessions, but session {key!r} has a "
+            f"{type(model).__name__} model; use {fix}"
+        )
 
 
 def _join_attribute_values(

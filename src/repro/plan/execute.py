@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Hashable, cast
+from typing import cast
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from repro.query.engine import solve_session
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
 from repro.service.executors import ExecutionBackend, SerialBackend
-from repro.service.keys import bound_cache_key, named_union_form
+from repro.service.keys import bound_cache_key, named_union_fingerprint
 from repro.solvers.upper_bound import upper_bound_probability
 
 
@@ -273,7 +273,7 @@ def _solve_and_publish(
                 if node.cacheable:
                     cache.release_flight(node.cache_key)
         raise
-    fresh: list[tuple[Hashable, tuple[float, str]]] = []
+    fresh: list[tuple[str, tuple[float, str]]] = []
     for node, outcome in zip(nodes, outcomes):
         execution.resolved[node.node_id] = outcome.value
         execution.seconds_by_solve[node.node_id] = outcome.seconds
@@ -337,8 +337,8 @@ def _run_terminals(
 def _bound_nodes(plan: QueryPlan) -> list[BoundNode]:
     """The bound nodes the plan's upper-bound top-k terminals read, in
     first-use order; a missing one is added to the plan."""
-    memo: dict[int, tuple] = {}
-    by_key: dict[Hashable, int] = {}
+    memo: dict[int, str] = {}
+    by_key: dict[str, int] = {}
     wanted: dict[int, None] = {}
     for terminal in plan.aggregate_nodes():
         if not (isinstance(terminal, TopKSessionsNode) and terminal.lazy):
@@ -357,19 +357,19 @@ def _add_bound_node(
     plan: QueryPlan,
     solve_id: int,
     n_edges: int,
-    memo: dict[int, tuple],
-    by_key: dict[Hashable, int],
+    memo: dict[int, str],
+    by_key: dict[str, int],
 ) -> int:
     """The id of a new bound node over ``solve_id``, or of the node that
     already holds its cache key: one node per key, so the runner never
-    claims a key twice in one call.  ``memo`` keeps the named union form
-    per union object, as elimination memoizes fingerprints."""
+    claims a key twice in one call.  ``memo`` keeps the named union's
+    fingerprint per union object, as elimination memoizes fingerprints."""
     solve = cast(SolveNode, plan.nodes[solve_id])
-    named = memo.get(id(solve.union))
-    if named is None:
-        named = memo[id(solve.union)] = named_union_form(solve.union)
     key = None
     if solve.cache_key is not None:
+        named = memo.get(id(solve.union))
+        if named is None:
+            named = memo[id(solve.union)] = named_union_fingerprint(solve.union)
         key = bound_cache_key(solve.cache_key, named, n_edges)
         if key in by_key:
             return by_key[key]

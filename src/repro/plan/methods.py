@@ -35,6 +35,10 @@ from repro.plan.cost import estimate_solve_states
 #: Methods whose solves draw from an rng.
 APPROXIMATE_METHODS = ("mis_amp_lite", "mis_amp_adaptive", "rejection")
 
+#: Methods that only sample or enumerate the session model, so they also
+#: answer sessions whose model is not a RIM (e.g. Plackett-Luce).
+MODEL_AGNOSTIC_METHODS = ("rejection", "brute")
+
 #: Method names the planner resolves itself (everything else is explicit).
 AUTO_METHODS = ("auto", "auto-approx")
 

@@ -122,9 +122,11 @@ class SolveNode(PlanNode):
     read its probability).  ``method`` starts as the *requested* method and
     is rewritten to a concrete solver name by the method-resolution pass;
     ``cost`` is the planner's DP state-count estimate; ``cache_key`` is the
-    canonical key used both for elimination and for the shared
+    canonical key string (:func:`repro.service.keys.session_cache_key`)
+    used both for elimination and for the shared
     :class:`~repro.service.cache.SolverCache` (None when the plan groups by
-    object identity, matching the engine's cacheless behavior).
+    object identity, matching the engine's cacheless behavior, or when the
+    model has no ``freeze()`` hook).
     """
 
     model: Any = None
@@ -136,10 +138,7 @@ class SolveNode(PlanNode):
     #: (query_index, session_key) pairs consuming this solve, in plan order.
     sessions: list[tuple[int, SessionKey]] = field(default_factory=list)
     cost: float | None = None
-    cache_key: Hashable | None = None
-    #: (labeling_form, union_form, method, options) — memoized canonical
-    #: request fingerprint, shared with cache keys and process-backend transport.
-    fingerprint: tuple[Any, ...] | None = None
+    cache_key: str | None = None
 
     kind: ClassVar[str] = "solve"
 
@@ -180,7 +179,7 @@ class BoundNode(PlanNode):
     labeling: Labeling | None = None
     union: PatternUnion | None = None
     n_edges: int = 1
-    cache_key: Hashable | None = None
+    cache_key: str | None = None
 
     kind: ClassVar[str] = "upper_bound"
 

@@ -155,7 +155,7 @@ def eliminate_common_solves(
     if canonical:
         # The model-independent fingerprint is the expensive half of the
         # key; memoize it per (union object, resolved method).
-        fingerprints: dict[tuple[int, str | None], tuple] = {}
+        fingerprints: dict[tuple[int, str | None], str] = {}
         for node in plan.solves():
             memo_key = (id(node.union), node.method)
             fingerprint = fingerprints.get(memo_key)
@@ -167,7 +167,6 @@ def eliminate_common_solves(
                     node.options,
                 )
                 fingerprints[memo_key] = fingerprint
-            node.fingerprint = fingerprint
             node.cache_key = session_cache_key(
                 node.model,
                 node.labeling,

@@ -75,8 +75,9 @@ class MallowsMixture:
         summing their weights, zero-weight components are dropped, and the
         result is sorted — so mixtures that differ only in component
         bookkeeping collide in the cross-query solver cache
-        (:mod:`repro.service.keys`).  A mixture that reduces to a single
-        full-weight component freezes as that component.
+        (:mod:`repro.service.keys`, which memoizes its digest on the
+        instance).  A mixture that reduces to a single full-weight
+        component freezes as that component.
         """
         merged: dict[tuple, float] = {}
         for component, weight in zip(self._components, self._weights):

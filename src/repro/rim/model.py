@@ -131,13 +131,14 @@ class RIM:
         return f"RIM(m={self.m}, sigma={list(self._sigma.items)!r})"
 
     def freeze(self) -> tuple:
-        """A hashable canonical form of the model for cross-query caching.
+        """A canonical form of the model for cross-query caching.
 
         Two RIM instances freeze identically exactly when they share the
         reference ranking and the insertion matrix — i.e. they are the same
         distribution by construction (``sigma`` order is a parameter, not
-        an artifact, so it is *not* normalized away).  See
-        :mod:`repro.service.keys`.
+        an artifact, so it is *not* normalized away).  Its digest is
+        memoized on the instance (:mod:`repro.service.keys`), which the
+        read-only matrix keeps valid.
         """
         return ("rim", self._sigma.items, self._pi.tobytes())
 

@@ -32,9 +32,12 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.query.classify import UnsupportedQueryError
 from repro.server.admission import AdmissionController, AdmissionRejected
-from repro.server.coalescer import CoalescerClosed, RequestCoalescer
+from repro.server.coalescer import (
+    REQUEST_ERRORS,
+    CoalescerClosed,
+    RequestCoalescer,
+)
 from repro.server.config import ServerConfig
 from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import (
@@ -134,7 +137,7 @@ class ServerApp:
             return error.status, error_body(str(error), error.status), {}
         except CoalescerClosed as error:
             return 503, error_body(str(error), 503), {}
-        except (UnsupportedQueryError, ValueError, KeyError) as error:
+        except REQUEST_ERRORS as error:
             # KeyError: e.g. an AGG request over a missing relation/column
             # fails at plan-build time (the attribute join).
             self.metrics.observe_failure()

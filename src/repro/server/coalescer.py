@@ -20,6 +20,9 @@ Semantics (the contract DESIGN.md Section 11 documents):
   *inside* a batch), so the loop keeps accepting and queueing while a
   batch runs; pre-assembled :meth:`execute_many` batches take their turn
   in the same queue;
+* a coalesced batch that raises a :data:`REQUEST_ERRORS` error is
+  answered again one request at a time, on the same worker, so a request
+  error fails only its request; any other error fails the whole batch;
 * when a batch ends, answered or raised, the oldest queued key goes out,
   up to ``max_batch`` requests; the rest of that key moves to the back of
   the order, so one hot key cannot starve another;
@@ -37,11 +40,15 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any
 
 from repro.api.answer import Answer
 from repro.plan.methods import APPROXIMATE_METHODS
+
+#: The errors a request makes itself, answered 400 over HTTP: a bad query
+#: (:class:`~repro.query.classify.UnsupportedQueryError` is a
+#: ``ValueError``) or a missing relation, column or attribute row.
+REQUEST_ERRORS = (ValueError, KeyError)
 
 
 class CoalescerClosed(RuntimeError):
@@ -166,40 +173,55 @@ class RequestCoalescer:
         options = dict(options)
         session_limit = options.pop("session_limit", None)
         requests = live[0][0] if whole else [request for request, _ in live]
-        call = partial(
-            self._service.answer_many,
-            requests,
-            self._db,
-            method=method,
-            rng=self._batch_rng(method, options),
-            session_limit=session_limit,
-            **options,
-        )
+
+        def call(batch_requests):
+            return self._service.answer_many(
+                batch_requests, self._db, method=method,
+                rng=self._batch_rng(method, options),
+                session_limit=session_limit, **options,
+            )
+
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
-            batch = await loop.run_in_executor(self._executor, call)
+            batch = await loop.run_in_executor(self._executor, call, requests)
         except Exception as error:  # delivered per-waiter, not raised here
-            for _, future in live:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        if whole:
-            results = [batch]
-        else:
-            results = batch.answers
-            self.n_batches += 1
-            if self._metrics is not None:
-                self._metrics.observe_batch(
-                    n_requests=len(live),
-                    n_distinct_solves=batch.n_distinct_solves,
-                    n_solves_planned=batch.n_solves_planned,
-                    n_solves_eliminated=batch.n_solves_eliminated,
-                    seconds=loop.time() - started,
+            outcomes = [error] * len(live)
+            retry = not whole and len(live) > 1
+            if retry and isinstance(error, REQUEST_ERRORS):
+                # A request error fails only its request: the worker
+                # answers each request of the batch alone, in turn.  Any
+                # other fault (a lost shard, a broken pool) is the
+                # service's, and every waiter gets it at once.
+                singles = await asyncio.gather(
+                    *(loop.run_in_executor(self._executor, call, [request])
+                      for request in requests),
+                    return_exceptions=True,
                 )
-        for (_, future), result in zip(live, results):
-            if not future.done():
-                future.set_result(result)
+                outcomes = [
+                    one if isinstance(one, BaseException) else one.answers[0]
+                    for one in singles
+                ]
+        else:
+            outcomes = [batch]
+            if not whole:
+                outcomes = batch.answers
+                self.n_batches += 1
+                if self._metrics is not None:
+                    self._metrics.observe_batch(
+                        n_requests=len(live),
+                        n_distinct_solves=batch.n_distinct_solves,
+                        n_solves_planned=batch.n_solves_planned,
+                        n_solves_eliminated=batch.n_solves_eliminated,
+                        seconds=loop.time() - started,
+                    )
+        for (_, future), outcome in zip(live, outcomes):
+            if future.done():
+                continue
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     # ------------------------------------------------------------------
     # Shutdown

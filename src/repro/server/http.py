@@ -102,7 +102,7 @@ class HTTPServer:
                 method, path, headers, parse_error, body = request
                 client_id = headers.get("x-client-id", peer_id)
                 if parse_error is not None:
-                    status, payload, extra = 400, parse_error, {}
+                    status, payload, extra = parse_error["status"], parse_error, {}
                 else:
                     status, payload, extra = await self.app.handle(
                         method, path, body, client_id

@@ -4,8 +4,9 @@ Six pieces (see DESIGN.md, "The service layer" and "Executors,
 persistence, planning"):
 
 * :mod:`repro.service.keys` — canonical cache keys for (model, labeling,
-  pattern-union) session solves, built on the ``freeze()`` hooks of the
-  model and pattern classes;
+  pattern-union) session solves: one digest string per solve, built on
+  the ``freeze()`` hooks of the model and pattern classes and stored
+  unchanged by every tier;
 * :mod:`repro.service.cache` — :class:`SolverCache`, the one cache class:
   an LRU-with-flights front (:class:`~repro.service.cache.LRUStore`) over
   an ordered list of lower tiers, holding ``(probability, solver)`` pairs
@@ -50,7 +51,7 @@ from repro.service.executors import (
     run_solve_task,
     task_model_form,
 )
-from repro.service.keys import freeze_model, session_cache_key
+from repro.service.keys import session_cache_key
 from repro.service.persist import PersistentCache
 from repro.service.shard import (
     ShardCacheServer,
@@ -74,7 +75,6 @@ __all__ = [
     "TaskOutcome",
     "ThreadBackend",
     "shard_of",
-    "freeze_model",
     "resolve_backend",
     "run_solve_task",
     "task_model_form",

@@ -1,7 +1,7 @@
 """The solver cache: one LRU-with-flights store in front of a list of tiers.
 
 The cache is deliberately dumb: a bounded, thread-safe mapping from
-canonical keys (:mod:`repro.service.keys`) to one value type, the
+canonical key strings (:mod:`repro.service.keys`) to one value type, the
 ``(probability, solver_name)`` pair of a session solve (or of a top-k
 upper bound, whose solver is ``"upper_bound"``).  All the
 intelligence lives in the keys — semantically identical requests collide
@@ -16,9 +16,9 @@ claims it, and publishes what it solved in one ``put_many``.
 cache configuration is a :class:`SolverCache` — an ``LRUStore`` front over
 an ordered list of lower tiers: ``[lru]``, ``[lru, disk]``
 (:mod:`repro.service.persist`), ``[lru, shard-group]`` or ``[lru,
-shard-client]`` (:mod:`repro.service.shard`).  Lower tiers speak
-:func:`~repro.service.persist.encode_key` TEXT keys; every configuration
-accepts the same values.  See DESIGN.md, "The service layer".
+shard-client]`` (:mod:`repro.service.shard`).  Every tier stores the
+same key string, passed through unchanged; every configuration accepts
+the same values.  See DESIGN.md, "The service layer".
 """
 
 from __future__ import annotations
@@ -26,21 +26,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Hashable,
-    Iterable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.service.persist import (
-    BOUND_SOLVER,
-    Value,
-    encode_key,
-    persistable,
-)
+from repro.service.persist import BOUND_SOLVER, Value, persistable
 
 #: Seconds a waiter blocks on another solver's in-flight key before it
 #: solves locally: a hung flight costs a duplicate solve, never a wedge.
@@ -116,8 +104,8 @@ class LRUStore:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._flights: dict[Hashable, threading.Event] = {}
+        self._data: OrderedDict[str, Any] = OrderedDict()
+        self._flights: dict[str, threading.Event] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -130,10 +118,10 @@ class LRUStore:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self._data
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(self, key: str, default: Any = None) -> Any:
         """The stored value (marking it most recently used), or ``default``."""
         with self._lock:
             value = self._data.get(key, _MISSING)
@@ -144,7 +132,7 @@ class LRUStore:
             self._hits += 1
             return value
 
-    def peek(self, key: Hashable) -> Any:
+    def peek(self, key: str) -> Any:
         """The stored value (marking it most recently used) or ``None``,
         counting neither a hit nor a miss."""
         with self._lock:
@@ -153,7 +141,7 @@ class LRUStore:
                 self._data.move_to_end(key)
             return value
 
-    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+    def put_many(self, items: Iterable[tuple[str, Any]]) -> None:
         """Store a batch and resolve its keys' flights under ONE lock
         acquisition, evicting the least recently used beyond capacity."""
         items = list(items)
@@ -173,7 +161,7 @@ class LRUStore:
         for flight in flights:
             flight.set()
 
-    def claim(self, key: Hashable) -> tuple[str, Any]:
+    def claim(self, key: str) -> tuple[str, Any]:
         """Atomically: ``("value", v)``, or ``("claimed", None)`` — the
         caller owns the flight and must ``put_many`` or ``release`` it — or
         ``("wait", None)`` when another caller owns it."""
@@ -187,7 +175,7 @@ class LRUStore:
             self._flights[key] = threading.Event()
             return ("claimed", None)
 
-    def wait(self, key: Hashable, timeout: float) -> Any:
+    def wait(self, key: str, timeout: float) -> Any:
         """Block until the key's flight resolves (or ``timeout`` passes);
         the stored value, or ``None`` when none arrived."""
         with self._lock:
@@ -196,14 +184,14 @@ class LRUStore:
             return None
         return self.peek(key)
 
-    def release(self, key: Hashable) -> None:
+    def release(self, key: str) -> None:
         """Resolve the key's flight without a value, waking its waiters."""
         with self._lock:
             flight = self._flights.pop(key, None)
         if flight is not None:
             flight.set()
 
-    def invalidate(self, keys: Iterable[Hashable]) -> int:
+    def invalidate(self, keys: Iterable[str]) -> int:
         """Drop exactly ``keys``; returns how many were present.  Flights
         are left alone: content-addressed keys cannot go stale."""
         with self._lock:
@@ -238,14 +226,14 @@ class LRUStore:
 
 @runtime_checkable
 class Tier(Protocol):
-    """A lower tier beneath the front, in ``encode_key`` TEXT currency;
-    ``stats()`` is its entry in :meth:`SolverCache.tier_depth`."""
+    """A lower tier beneath the front, keyed by the front's own key
+    strings; ``stats()`` is its entry in :meth:`SolverCache.tier_depth`."""
 
-    def get(self, encoded_key: str) -> Value | None:
+    def get(self, key: str) -> Value | None:
         ...
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
         ...
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
+    def invalidate(self, keys: Iterable[str]) -> int:
         ...
     def clear(self) -> None:
         ...
@@ -260,11 +248,11 @@ class SharedTier(Tier, Protocol):
     """A lower tier that also carries flights: single-flight across every
     cache attached to it (the shard tier)."""
 
-    def claim(self, encoded_key: str) -> tuple[str, Value | None]:
+    def claim(self, key: str) -> tuple[str, Value | None]:
         ...
-    def wait(self, encoded_key: str, timeout: float) -> Value | None:
+    def wait(self, key: str, timeout: float) -> Value | None:
         ...
-    def release(self, encoded_key: str) -> None:
+    def release(self, key: str) -> None:
         ...
 
 
@@ -274,10 +262,11 @@ class SolverCache:
     Every tier holds one value type: the ``(probability, solver_name)``
     pair of a session solve, stored by the plan executor under
     :func:`~repro.service.keys.session_cache_key` keys, or of a top-k
-    upper bound, under :func:`~repro.service.keys.bound_cache_key` keys.
-    :meth:`stats` counts the front (a tier-served ``get`` is a front miss),
-    :meth:`tier_depth` the tiers; ``__contains__`` and ``__len__`` are
-    side-effect-free front peeks.
+    upper bound, under :func:`~repro.service.keys.bound_cache_key` keys;
+    every tier stores the same key string.  :meth:`stats` counts the
+    front (a tier-served ``get`` is a front miss), :meth:`tier_depth` the
+    tiers; ``__contains__`` and ``__len__`` are side-effect-free front
+    peeks.
 
     ``tiers`` holds at most one private tier (a disk file) and one
     :class:`SharedTier`, in lookup order — e.g. ``[disk, shard-client]``
@@ -310,7 +299,7 @@ class SolverCache:
     def __len__(self) -> int:
         return len(self._front)
 
-    def __contains__(self, key: Hashable) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self._front
 
     def __repr__(self) -> str:
@@ -322,36 +311,34 @@ class SolverCache:
 
     # -- lookups and writes ---------------------------------------------
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(self, key: str, default: Any = None) -> Any:
         """The value from the nearest tier holding ``key``, or ``default``;
         a lower-tier hit is promoted into the front and every tier above
         the one that held it."""
         value = self._front.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        if self._tiers:
-            encoded = encode_key(key)
-            for index, tier in enumerate(self._tiers):
-                found = tier.get(encoded)
-                if found is not None:
-                    self._front.put_many([(key, found)])
-                    for upper in self._tiers[:index]:
-                        upper.put_many([(encoded, found)])
-                    return found
+        for index, tier in enumerate(self._tiers):
+            found = tier.get(key)
+            if found is not None:
+                self._front.put_many([(key, found)])
+                for upper in self._tiers[:index]:
+                    upper.put_many([(key, found)])
+                return found
         return default
 
-    def put(self, key: Hashable, value: Value) -> None:
+    def put(self, key: str, value: Value) -> None:
         """Insert/refresh one entry in every tier (see :meth:`put_many`)."""
         self._write([(key, value)])
 
-    def put_many(self, items: Iterable[tuple[Hashable, Value]]) -> None:
+    def put_many(self, items: Iterable[tuple[str, Value]]) -> None:
         """Write a batch through every tier: one front lock acquisition,
         one flush per lower tier (one transaction per file).  Every value
         is checked first: one that is not a ``(probability, solver)``
         pair raises ``TypeError`` and nothing is stored."""
         self._write(list(items))
 
-    def _write(self, items: list[tuple[Hashable, Value]]) -> None:
+    def _write(self, items: list[tuple[str, Value]]) -> None:
         for _, value in items:
             if not persistable(value):
                 raise TypeError(
@@ -361,13 +348,12 @@ class SolverCache:
         self._front.put_many(items)
         if self._tiers:
             pairs = [
-                (encode_key(key), (float(value[0]), value[1]))
-                for key, value in items
+                (key, (float(value[0]), value[1])) for key, value in items
             ]
             for tier in self._tiers:
                 tier.put_many(pairs)
 
-    def invalidate(self, keys: Iterable[Hashable]) -> int:
+    def invalidate(self, keys: Iterable[str]) -> int:
         """Drop exactly ``keys`` from every tier; returns the front's count.
 
         The streaming layer retires entries of updated or expired
@@ -377,10 +363,8 @@ class SolverCache:
         """
         keys = list(keys)
         dropped = self._front.invalidate(keys)
-        if self._tiers:
-            encoded = [encode_key(key) for key in keys]
-            for tier in self._tiers:
-                tier.invalidate(encoded)
+        for tier in self._tiers:
+            tier.invalidate(keys)
         return dropped
 
     def clear(self) -> None:
@@ -391,7 +375,7 @@ class SolverCache:
 
     # -- single-flight ---------------------------------------------------
 
-    def claim(self, key: Hashable) -> tuple[str, Any]:
+    def claim(self, key: str) -> tuple[str, Any]:
         """After a :meth:`get` miss: ``("value", v)`` published meanwhile,
         ``("claimed", None)`` — the caller must publish (``put`` /
         ``put_many``) or :meth:`release_flight` — or ``("wait", None)``:
@@ -400,31 +384,30 @@ class SolverCache:
         """
         if self._shared is None:
             return self._front.claim(key)
-        encoded = encode_key(key)
-        status, value = self._shared.claim(encoded)
+        status, value = self._shared.claim(key)
         if value is not None:
             self._front.put_many([(key, value)])
         return (status, value)
 
     def wait_flight(
-        self, key: Hashable, timeout: float = FLIGHT_TIMEOUT
+        self, key: str, timeout: float = FLIGHT_TIMEOUT
     ) -> Any:
         """Block on another solver's in-flight ``key``; ``None`` (timeout,
         or an abandoned flight) means the caller should solve itself."""
         if self._shared is None:
             return self._front.wait(key, timeout)
-        value = self._shared.wait(encode_key(key), timeout)
+        value = self._shared.wait(key, timeout)
         if value is not None:
             self._front.put_many([(key, value)])
         return value
 
-    def release_flight(self, key: Hashable) -> None:
+    def release_flight(self, key: str) -> None:
         """Abandon a claimed flight without publishing; waiters wake and
         solve themselves."""
         if self._shared is None:
             self._front.release(key)
         else:
-            self._shared.release(encode_key(key))
+            self._shared.release(key)
 
     # -- stats / lifecycle -----------------------------------------------
 

@@ -18,8 +18,8 @@ backends share that contract:
 The process backend cannot ship live model/labeling/union objects, so it
 alone freezes each node into a :class:`SolveTask`, a small picklable
 record built from the *same* canonical ``freeze()`` forms the cache keys
-are made of (:mod:`repro.service.keys`), reusing the labeling and union
-forms memoized in the node's fingerprint.  ``thaw_model`` /
+digest (:mod:`repro.service.keys`), freezing each (labeling, union)
+pair once per run.  ``thaw_model`` /
 ``thaw_labeling`` / ``thaw_union`` reconstruct semantically identical
 objects in the worker; the test suite pins that a thawed solve is
 bit-identical to solving the original objects, which is what lets the
@@ -191,34 +191,6 @@ class SolveTask:
     options: dict[str, Any] = field(default_factory=dict)
 
 
-def make_solve_task(
-    model,
-    labeling: Labeling,
-    union: PatternUnion,
-    method: str,
-    options: dict[str, Any] | None = None,
-    labeling_form: tuple | None = None,
-    union_form: tuple | None = None,
-) -> SolveTask:
-    """Freeze a live (model, labeling, union) solve request into a task.
-
-    Canonicalizing the union/labeling is the expensive half; callers that
-    already computed those forms for the cache key (a solve node's
-    fingerprint) pass them in via ``labeling_form``/``union_form`` instead
-    of re-freezing.
-    """
-    return SolveTask(
-        model_form=task_model_form(model),
-        labeling_form=(
-            labeling_form if labeling_form is not None
-            else labeling.freeze(union.all_labels)
-        ),
-        union_form=union_form if union_form is not None else union.freeze(),
-        method=method,
-        options=dict(options or {}),
-    )
-
-
 @dataclass(frozen=True)
 class TaskOutcome:
     """The result of one solve on a backend.
@@ -367,28 +339,41 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def run(self, nodes: "Sequence[SolveNode]") -> list[TaskOutcome]:
-        # One worker or one node cannot parallelize: solve the live
-        # objects here, with no pool startup or pickling (outcomes are
-        # bit-identical either way).
-        if self.workers() <= 1 or len(nodes) <= 1:
+        # A model with no freeze() form (a non-RIM session, which only
+        # rejection and brute take) cannot travel: it solves here.
+        stays = [not hasattr(node.model, "freeze") for node in nodes]
+        # One worker or one shippable node cannot parallelize: solve the
+        # live objects here, with no pool startup or pickling (outcomes
+        # are bit-identical either way).
+        if self.workers() <= 1 or len(nodes) - sum(stays) <= 1:
             return [solve_node(node) for node in nodes]
-        tasks = [
-            make_solve_task(
-                node.model,
-                node.labeling,
-                node.union,
-                node.method,
-                node.options,
-                # The memoized fingerprint already holds the canonical
-                # labeling and union forms; don't re-freeze them.
-                labeling_form=node.fingerprint[0] if node.fingerprint else None,
-                union_form=node.fingerprint[1] if node.fingerprint else None,
+        # The sessions of one union share its labeling and union objects:
+        # canonicalizing them is the expensive half, so do it once a pair.
+        forms: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        tasks = []
+        for node, stay in zip(nodes, stays):
+            if stay:
+                continue
+            pair = (id(node.labeling), id(node.union))
+            if pair not in forms:
+                forms[pair] = (
+                    node.labeling.freeze(node.union.all_labels),
+                    node.union.freeze(),
+                )
+            tasks.append(
+                SolveTask(
+                    task_model_form(node.model), *forms[pair],
+                    node.method, dict(node.options),
+                )
             )
-            for node in nodes
-        ]
         workers = min(self.workers(), len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_solve_task, tasks, chunksize=1))
+            shipped = pool.map(run_solve_task, tasks, chunksize=1)
+            # The pool has every task by now: solve the rest meanwhile.
+            here = iter([
+                solve_node(node) for node, stay in zip(nodes, stays) if stay
+            ])
+            return [next(here if stay else shipped) for stay in stays]
 
 
 def resolve_backend(

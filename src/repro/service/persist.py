@@ -4,10 +4,11 @@ A :class:`PersistentCache` is one entry in a
 :class:`~repro.service.cache.SolverCache`'s list of lower tiers
 (``[lru, disk]``, built by ``PreferenceService(cache_db=...)``), so a
 restarted service over the same file serves a previously-seen batch with
-zero solves.  The file maps :func:`encode_key` TEXT keys — the key
-currency of every lower tier — to ``(probability, solver_name)`` session
-outcomes, the one value type every tier holds.  Entries are *versioned*: a file stamped by another
-freeze()/solver generation is cleared on open, so stale keys cost a
+zero solves.  The file maps the digest string keys of
+:mod:`repro.service.keys` — the key every tier stores — to
+``(probability, solver_name)`` session outcomes, the one value type every
+tier holds.  Entries are *versioned*: a file stamped by another
+freeze()/key/solver generation is cleared on open, so stale keys cost a
 rebuild, never a wrong answer.  See DESIGN.md, "Executors, persistence,
 planning".
 """
@@ -17,13 +18,13 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Any, Hashable, Iterable
+from typing import Any, Iterable
 
 import repro
 
 #: Bump when the canonical key or value format changes incompatibly;
 #: combined with ``repro.__version__`` into the stored version stamp.
-KEY_SCHEMA_VERSION = 1
+KEY_SCHEMA_VERSION = 2
 
 #: The ``(probability, solver)`` pair every lower tier stores — the same
 #: value form :attr:`repro.service.executors.TaskOutcome.value` ships.
@@ -40,46 +41,6 @@ def default_version() -> str:
     return f"{repro.__version__}/k{KEY_SCHEMA_VERSION}"
 
 
-def _typed(value: Any) -> Any:
-    """Recursively tag non-builtin leaves with their type.
-
-    ``repr`` alone can collide across types (``np.int64(1)`` reprs as
-    ``1`` on older NumPy), and the in-memory cache would keep such keys
-    apart while a bare-repr TEXT key would merge them — a wrong answer,
-    not a miss.  Builtin scalars have injective reprs within and across
-    their types; everything else is wrapped in its module-qualified type
-    name, matching the identity convention of
-    :func:`repro.patterns.pattern.canonical_sort_key`.
-    """
-    if isinstance(value, tuple):
-        return tuple(_typed(element) for element in value)
-    if isinstance(value, frozenset):
-        return (
-            "frozenset{",
-            tuple(sorted((_typed(element) for element in value), key=repr)),
-            "}",
-        )
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    return (
-        "typed<", type(value).__module__, type(value).__qualname__,
-        repr(value), ">",
-    )
-
-
-def encode_key(key: Hashable) -> str:
-    """Canonical request key -> stable TEXT key.
-
-    The canonical keys are nested tuples of strings, numbers, bytes, and
-    label objects; leaves are type-tagged (:func:`_typed`) before taking
-    ``repr``, so the encoding is deterministic across processes and runs
-    and two keys only merge when they share both structure and per-leaf
-    type.  Residual assumption (shared with the canonicalization layer):
-    distinct *same-type* values must not share a ``repr``.
-    """
-    return repr(_typed(key))
-
-
 def persistable(value: Any) -> bool:
     """True for a ``(probability, solver_name)`` pair: the one value
     type every cache tier stores."""
@@ -92,12 +53,12 @@ def persistable(value: Any) -> bool:
 
 
 class PersistentCache:
-    """A write-through ``encoded key -> (probability, solver)`` SQLite file.
+    """A write-through ``key -> (probability, solver)`` SQLite file.
 
     Thread-safe (one connection guarded by a lock; SQLite REAL columns are
-    IEEE doubles, so probabilities round-trip exactly).  Keys are
-    :func:`encode_key` TEXT forms; the surface is the lower-tier one of
-    :class:`repro.service.cache.Tier`.
+    IEEE doubles, so probabilities round-trip exactly).  Keys are the
+    digest strings of :mod:`repro.service.keys`, stored as TEXT; the
+    surface is the lower-tier one of :class:`repro.service.cache.Tier`.
     """
 
     def __init__(
@@ -145,12 +106,12 @@ class PersistentCache:
                 self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
             )
 
-    def get(self, encoded_key: str) -> Value | None:
-        """The stored pair of one encoded key, or ``None``."""
+    def get(self, key: str) -> Value | None:
+        """The stored pair of one key, or ``None``."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT probability, solver FROM entries WHERE key = ?",
-                (encoded_key,),
+                (key,),
             ).fetchone()
             if row is None:
                 self._misses += 1
@@ -167,13 +128,13 @@ class PersistentCache:
         staged: a non-pair raises ``TypeError`` and nothing lands.
         """
         rows = []
-        for encoded_key, value in pairs:
+        for key, value in pairs:
             if not persistable(value):
                 raise TypeError(
                     "persistent cache stores (probability, solver) pairs, "
                     f"got {value!r}"
                 )
-            rows.append((encoded_key, float(value[0]), value[1]))
+            rows.append((key, float(value[0]), value[1]))
         if not rows:
             return
         with self._lock:
@@ -184,17 +145,17 @@ class PersistentCache:
             )
             self._conn.commit()
 
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
-        """Drop exactly ``encoded_keys`` in one transaction; returns how
-        many existed."""
-        encoded_keys = list(encoded_keys)
-        if not encoded_keys:
+    def invalidate(self, keys: Iterable[str]) -> int:
+        """Drop exactly ``keys`` in one transaction; returns how many
+        existed."""
+        keys = list(keys)
+        if not keys:
             return 0
         with self._lock:
             dropped = 0
-            for encoded_key in encoded_keys:
+            for key in keys:
                 cursor = self._conn.execute(
-                    "DELETE FROM entries WHERE key = ?", (encoded_key,)
+                    "DELETE FROM entries WHERE key = ?", (key,)
                 )
                 dropped += cursor.rowcount
             self._conn.commit()

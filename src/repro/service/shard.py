@@ -53,18 +53,16 @@ MAX_WAIT_SECONDS = 300.0
 MAX_FRAME_BYTES = 1 << 26
 
 
-def shard_of(encoded_key: str, n_shards: int) -> int:
-    """The shard index of a canonical key's ``encode_key`` TEXT form.
+def shard_of(key: str, n_shards: int) -> int:
+    """The shard index of a cache key string (:mod:`repro.service.keys`).
 
     Stable across processes, runs, and hosts (``blake2b``, not the
     per-process salted ``hash``), so every member of a fleet — and every
-    restart — routes a canonical key to the same shard.
+    restart — routes a key to the same shard.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    digest = hashlib.blake2b(
-        encoded_key.encode("utf-8"), digest_size=8
-    ).digest()
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % n_shards
 
 
@@ -123,27 +121,23 @@ class ShardGroup:
     def __len__(self) -> int:
         return sum(len(store) for store in self._stores)
 
-    def _shard(self, encoded_key: str) -> int:
-        return shard_of(encoded_key, len(self._stores))
+    def _shard(self, key: str) -> int:
+        return shard_of(key, len(self._stores))
 
-    def _by_shard(
-        self, encoded_keys: Iterable[str]
-    ) -> dict[int, list[str]]:
+    def _by_shard(self, keys: Iterable[str]) -> dict[int, list[str]]:
         grouped: dict[int, list[str]] = {}
-        for encoded_key in encoded_keys:
-            grouped.setdefault(self._shard(encoded_key), []).append(
-                encoded_key
-            )
+        for key in keys:
+            grouped.setdefault(self._shard(key), []).append(key)
         return grouped
 
-    def get(self, encoded_key: str) -> Value | None:
+    def get(self, key: str) -> Value | None:
         """Memory first, then the shard's file (promoting a disk hit)."""
-        index = self._shard(encoded_key)
-        value: Value | None = self._stores[index].get(encoded_key)
+        index = self._shard(key)
+        value: Value | None = self._stores[index].get(key)
         if value is None and self._disks:
-            value = self._disks[index].get(encoded_key)
+            value = self._disks[index].get(key)
             if value is not None:
-                self._stores[index].put_many([(encoded_key, value)])
+                self._stores[index].put_many([(key, value)])
         return value
 
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
@@ -156,26 +150,24 @@ class ShardGroup:
             if self._disks:
                 self._disks[index].put_many(batch)
 
-    def claim(self, encoded_key: str) -> tuple[str, Value | None]:
-        return self._stores[self._shard(encoded_key)].claim(encoded_key)
+    def claim(self, key: str) -> tuple[str, Value | None]:
+        return self._stores[self._shard(key)].claim(key)
 
-    def wait(self, encoded_key: str, timeout: float) -> Value | None:
-        value: Value | None = self._stores[self._shard(encoded_key)].wait(
-            encoded_key, timeout
-        )
+    def wait(self, key: str, timeout: float) -> Value | None:
+        value: Value | None = self._stores[self._shard(key)].wait(key, timeout)
         return value
 
-    def release(self, encoded_key: str) -> None:
-        self._stores[self._shard(encoded_key)].release(encoded_key)
+    def release(self, key: str) -> None:
+        self._stores[self._shard(key)].release(key)
 
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
-        """Drop exactly ``encoded_keys`` from memory and the write-back
-        files; returns the in-memory drop count."""
+    def invalidate(self, keys: Iterable[str]) -> int:
+        """Drop exactly ``keys`` from memory and the write-back files;
+        returns the in-memory drop count."""
         dropped = 0
-        for index, keys in self._by_shard(encoded_keys).items():
-            dropped += self._stores[index].invalidate(keys)
+        for index, shard_keys in self._by_shard(keys).items():
+            dropped += self._stores[index].invalidate(shard_keys)
             if self._disks:
-                self._disks[index].invalidate(keys)
+                self._disks[index].invalidate(shard_keys)
         return dropped
 
     def clear(self) -> None:
@@ -290,7 +282,7 @@ _SIGNATURES: dict[str, tuple[tuple[Callable[[object], bool], str], ...]] = {
     "hello": ((_is_text, "a version stamp"),),
     "get": (_KEY,),
     "put_many": (
-        (_is_pairs, "a list of [encoded_key, [probability, solver]] pairs"),
+        (_is_pairs, "a list of [key, [probability, solver]] pairs"),
     ),
     "claim": (_KEY,),
     "wait": (_KEY, (_is_seconds, "a timeout in seconds")),
@@ -406,8 +398,8 @@ class ShardCacheServer:
                     if not _try_send(connection, response):
                         return
         finally:
-            for encoded_key in claims:
-                self.group.release(encoded_key)
+            for key in claims:
+                self.group.release(key)
             with self._lock:
                 self._handlers.pop(connection, None)
 
@@ -574,32 +566,30 @@ class ShardClient:
             ) from error
         return _reply_payload(reply)
 
-    def get(self, encoded_key: str) -> Value | None:
-        return _as_value(self._call("get", encoded_key))
+    def get(self, key: str) -> Value | None:
+        return _as_value(self._call("get", key))
 
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
         self._call_split("put_many", list(pairs))
 
-    def claim(self, encoded_key: str) -> tuple[str, Value | None]:
-        status, value = self._call("claim", encoded_key)
+    def claim(self, key: str) -> tuple[str, Value | None]:
+        status, value = self._call("claim", key)
         return (str(status), _as_value(value))
 
-    def wait(self, encoded_key: str, timeout: float) -> Value | None:
+    def wait(self, key: str, timeout: float) -> Value | None:
         # The server blocks up to `timeout`; give the socket read slack
         # beyond it so a slow publish is not misread as a dead server.
         return _as_value(
-            self._call(
-                "wait", encoded_key, timeout, read_timeout=timeout + 10.0
-            )
+            self._call("wait", key, timeout, read_timeout=timeout + 10.0)
         )
 
-    def release(self, encoded_key: str) -> None:
-        self._call("release", encoded_key)
+    def release(self, key: str) -> None:
+        self._call("release", key)
 
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
+    def invalidate(self, keys: Iterable[str]) -> int:
         return sum(
             int(dropped)
-            for dropped in self._call_split("invalidate", list(encoded_keys))
+            for dropped in self._call_split("invalidate", list(keys))
         )
 
     def stats(self) -> dict[str, Any]:

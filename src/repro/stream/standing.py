@@ -34,9 +34,9 @@ parallel incremental engine:
   never depends on it, which is what makes the scheme race-free).
 * **Failures stay stale.**  A refresh that raises leaves every query of
   its batch flagged stale (a plan that raised leaves its last good
-  answer and generation in place) and counts the failure; an explicit
-  :meth:`StandingQueryEngine.refresh` re-raises, a refresh triggered by
-  the delta feed does not escape into the writer.
+  answer and generation in place), counts the failure and re-raises; a
+  refresh triggered by the delta feed raises into the database's
+  notification loop, which logs it and keeps it from the writer.
 * **Generations.**  Answers carry the database generation they were
   computed against (:attr:`~repro.api.answer.Answer.generation`);
   :meth:`StandingQueryEngine.stats` exports count / max staleness /
@@ -47,10 +47,9 @@ See DESIGN.md Section 15.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any
 
 from repro.api.answer import Answer
 from repro.api.evaluate import _run_plan, assemble_answers, db_generation
@@ -61,8 +60,6 @@ from repro.plan.methods import APPROXIMATE_METHODS
 from repro.plan.nodes import QueryPlan, TopKSessionsNode
 from repro.query.classify import analyze
 from repro.service.cache import SolverCache
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -85,10 +82,10 @@ class StandingQuery:
     p_relation: str
     answer: "Answer | None" = None
     generation: int = 0
-    cache_keys: dict[SessionKey, tuple[Hashable, ...]] = field(
+    cache_keys: dict[SessionKey, tuple[str, ...]] = field(
         default_factory=dict
     )
-    referenced: frozenset[Hashable] = frozenset()
+    referenced: frozenset[str] = frozenset()
     #: Sessions touched since the last refresh (key -> last delta kind).
     pending: dict[SessionKey, str] = field(default_factory=dict)
     n_refreshes: int = 0
@@ -134,7 +131,7 @@ def answers_equal(left: "Answer | None", right: "Answer | None") -> bool:
 
 def terminal_cache_keys(
     plan: QueryPlan,
-) -> list[dict[SessionKey, tuple[Hashable, ...]]]:
+) -> list[dict[SessionKey, tuple[str, ...]]]:
     """The executed plan's ``session -> cache keys`` map per terminal, in
     request order: the session's solve key, then the key of the bound
     node over that solve if the terminal is an upper-bound top-k.
@@ -143,7 +140,7 @@ def terminal_cache_keys(
     sessions (no solve node) and non-canonical plans (no cache keys)
     contribute nothing.
     """
-    per_terminal: list[dict[SessionKey, tuple[Hashable, ...]]] = []
+    per_terminal: list[dict[SessionKey, tuple[str, ...]]] = []
     for terminal in plan.aggregate_nodes():
         n_edges = (
             terminal.n_edges
@@ -155,7 +152,7 @@ def terminal_cache_keys(
             for (solve_id, edges), bound_id in plan.bounds.items()
             if edges == n_edges
         }
-        keys: dict[SessionKey, tuple[Hashable, ...]] = {}
+        keys: dict[SessionKey, tuple[str, ...]] = {}
         for session_key, solve_id in terminal.items:
             if solve_id is None:
                 continue
@@ -280,16 +277,9 @@ class StandingQueryEngine:
                 if standing.p_relation == delta.relation:
                     standing.pending[delta.key] = delta.kind
         if self.auto_refresh:
-            try:
-                self.refresh()
-            except Exception:
-                # The writer's mutation is applied and later subscribers
-                # still need the delta: the batch stays flagged stale, and
-                # refresh() counted the failure.
-                _log.exception(
-                    "standing-query refresh at generation %d failed; "
-                    "its queries stay stale", delta.generation,
-                )
+            # A failure stays stale and counted (refresh); the database's
+            # _notify logs it and delivers on to later subscribers.
+            self.refresh()
 
     def refresh(self) -> list[StandingQuery]:
         """Bring every standing query up to the current generation.
@@ -347,7 +337,7 @@ class StandingQueryEngine:
         answers = assemble_answers(plan, execution, batched=True)
         stamp = db_generation(self.db)
         keys = terminal_cache_keys(plan)
-        candidates: set[Hashable] = set()
+        candidates: set[str] = set()
         with self._lock:
             for standing, result, session_keys, sessions in zip(
                 batch, answers, keys, touched
@@ -370,7 +360,7 @@ class StandingQueryEngine:
             self._n_fresh_solves += execution.n_executed
         self._retire(candidates)
 
-    def _retire(self, candidates: set[Hashable]) -> int:
+    def _retire(self, candidates: set[str]) -> int:
         """Invalidate the candidates no registration references, checking
         every registration once; returns how many entries were dropped."""
         with self._lock:
@@ -378,7 +368,7 @@ class StandingQueryEngine:
                 candidates -= standing.referenced
         if not candidates:
             return 0
-        dropped = self.cache.invalidate(sorted(candidates, key=repr))
+        dropped = self.cache.invalidate(sorted(candidates))
         with self._lock:
             self._n_invalidations += dropped
         return dropped

@@ -1,6 +1,8 @@
 """Tests for the unified query API (repro.api): grammar, routing, answers,
 exact-equality oracles for every kind, mixed-kind batch dedup, and explain."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,16 @@ from repro.api import (
     parse_request,
 )
 from repro.datasets.crowdrank import crowdrank_database
+from repro.db.database import PPDatabase
 from repro.db.examples import polling_example
+from repro.db.schema import PRelation
 from repro.plan import build_plan, optimize_plan
 from repro.plan.execute import execute_plan, session_upper_bound
 from repro.query.classify import analyze
 from repro.query.compile import labeling_for_patterns
 from repro.query.engine import compile_session_work, solve_session
 from repro.query.parser import QuerySyntaxError, parse_query
+from repro.rim.plackett_luce import PlackettLuce
 from repro.service.cache import SolverCache
 from repro.service.service import PreferenceService
 
@@ -315,6 +320,76 @@ class TestAnswer:
     def test_aggregate_missing_row_raises_key_error(self, polls_db):
         with pytest.raises(KeyError):
             answer(f"AGG mean(C.age) {POLLS_Q}", polls_db)
+
+
+def plackett_luce_polls(keep_rim: bool = False) -> PPDatabase:
+    """The Figure 1 database with ``P``'s ``('Ann', '5/5')`` session a
+    Plackett-Luce model, alone or (``keep_rim``) beside the RIM ones."""
+    polls = polling_example()
+    p_relation = polls.prelation("P")
+    sessions = {
+        key: p_relation.model_of(key)
+        for key in (p_relation.session_keys() if keep_rim else [])
+    }
+    skills = {"Trump": 1.0, "Clinton": 2.0, "Sanders": 1.5, "Rubio": 0.5}
+    sessions[("Ann", "5/5")] = PlackettLuce(skills)
+    return PPDatabase(
+        orelations=[polls.orelation("C"), polls.orelation("V")],
+        prelations=[PRelation("P", ["voter", "date"], sessions)],
+    )
+
+
+class TestNonRimSessions:
+    """A session model that is not a RIM is a request error (a 400 over
+    HTTP) for every method that needs one, and answers under the
+    model-agnostic methods, cache or not."""
+
+    @pytest.mark.parametrize(
+        "method",
+        ["auto", "auto-approx", "two_label", "lifted", "mis_amp_lite",
+         "mis_amp_adaptive"],
+    )
+    def test_rim_methods_refuse_at_plan_build(self, method):
+        options = {"n_proposals": 5} if method == "mis_amp_lite" else {}
+        expected = re.escape(f"method {method!r}") + r".*\('Ann', '5/5'\)"
+        with pytest.raises(ValueError, match=expected + ".*PlackettLuce"):
+            answer(
+                POLLS_Q, plackett_luce_polls(), method=method,
+                rng=np.random.default_rng(0), **options,
+            )
+
+    def test_the_service_refuses_with_a_value_error(self):
+        service = PreferenceService(backend="serial")
+        with pytest.raises(ValueError, match="PlackettLuce"):
+            service.answer(POLLS_Q, plackett_luce_polls(), method="auto")
+
+    @pytest.mark.parametrize("method", ["rejection", "brute"])
+    def test_model_agnostic_methods_answer_through_a_cache(self, method):
+        db = plackett_luce_polls()
+        plain = answer(POLLS_Q, db, method=method, rng=np.random.default_rng(0))
+        cached = answer(
+            POLLS_Q, db, method=method, rng=np.random.default_rng(0),
+            cache=SolverCache(),
+        )
+        assert 0.0 < plain.value < 1.0
+        assert cached.value == plain.value
+
+    def test_the_process_backend_solves_them_in_process(self):
+        # A non-RIM model has no freeze() form to ship to a worker; the
+        # RIM sessions beside it still go to the pool.
+        db = plackett_luce_polls(keep_rim=True)
+        service = PreferenceService(backend="process", max_workers=2)
+        batch = service.answer_many([f"COUNT {POLLS_Q}"], db, method="brute")
+        want = answer(f"COUNT {POLLS_Q}", db, method="brute")
+        assert batch.n_distinct_solves == db.prelation("P").n_sessions > 2
+        assert batch.answers[0].value == want.value
+
+    def test_upper_bound_top_k_refuses_and_naive_answers(self):
+        db = plackett_luce_polls()
+        with pytest.raises(ValueError, match="strategy 'naive'"):
+            answer(TopK(POLLS_Q, k=1), db, method="brute")
+        naive = answer(TopK(POLLS_Q, k=1, strategy="naive"), db, method="brute")
+        assert [key for key, _ in naive.ranking] == [("Ann", "5/5")]
 
 
 # ----------------------------------------------------------------------

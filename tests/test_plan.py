@@ -233,8 +233,8 @@ class TestUnifiedMethodResolution:
         for _ in range(25):
             _, labeling, union = random_instance(pyrng)
             # The cache key resolves "auto" exactly as the plan pass does.
-            assert request_fingerprint(labeling, union)[2] == classic_choice(
-                union
+            assert request_fingerprint(labeling, union) == request_fingerprint(
+                labeling, union, classic_choice(union)
             )
             assert (
                 resolve_solve_method(union, "auto")

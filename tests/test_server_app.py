@@ -15,7 +15,7 @@ import pytest
 from repro.api.evaluate import answer
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
-from repro.server.http import run_server
+from repro.server.http import MAX_BODY_BYTES, run_server
 from tests.conftest import GatedService
 
 pytestmark = pytest.mark.timeout(120)
@@ -383,23 +383,34 @@ class TestHTTPEndToEnd:
         ],
     )
     def test_malformed_json_body_is_400(self, framing):
-        config = ServerConfig(dataset="polls", backend="serial", port=0)
-        app = ServerApp(config)
+        assert raw_post_status(framing) == 400
 
-        async def scenario():
-            bound = asyncio.get_running_loop().create_future()
-            server_task = asyncio.ensure_future(
-                run_server(config, ready=lambda s: bound.set_result(s.port),
-                           app=app)
-            )
-            port = await bound
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b"POST /answer HTTP/1.1\r\nHost: t\r\n" + framing)
-            await writer.drain()
-            status = int((await reader.readline()).split()[1])
-            writer.close()
-            await http_call(port, "POST", "/shutdown")
-            await asyncio.wait_for(server_task, timeout=30)
-            return status
+    def test_body_over_the_limit_is_413(self):
+        # Refused from the header alone: the body is never sent.
+        framing = f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+        assert raw_post_status(framing) == 413
 
-        assert run(scenario()) == 400
+
+def raw_post_status(framing: bytes) -> int:
+    """The status a fresh server answers to a POST with raw ``framing``
+    (headers after the request line, then any body)."""
+    config = ServerConfig(dataset="polls", backend="serial", port=0)
+    app = ServerApp(config)
+
+    async def scenario():
+        bound = asyncio.get_running_loop().create_future()
+        server_task = asyncio.ensure_future(
+            run_server(config, ready=lambda s: bound.set_result(s.port),
+                       app=app)
+        )
+        port = await bound
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"POST /answer HTTP/1.1\r\nHost: t\r\n" + framing)
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        writer.close()
+        await http_call(port, "POST", "/shutdown")
+        await asyncio.wait_for(server_task, timeout=30)
+        return status
+
+    return run(scenario())

@@ -173,9 +173,9 @@ class TestBatching:
     """Natural batching: dispatch when idle, merge what queued behind."""
 
     @staticmethod
-    def scenario(db, body, **kwargs):
+    def scenario(db, body, service=None, **kwargs):
         """Run ``body(coalescer, service)`` against a gated worker."""
-        service = GatedService()
+        service = service or GatedService()
 
         async def wrapped():
             coalescer, metrics = make_coalescer(db, service, **kwargs)
@@ -225,6 +225,57 @@ class TestBatching:
         assert metrics.coalesce_ratio == 2.0
         for got, text in zip(results, CORPUS[:4]):
             assert got.value == expected[text].value
+
+    def test_a_failing_request_fails_only_itself(self, db, expected):
+        # C has no row per voter: the AGG raises at plan build, and only
+        # its own waiter may see that.
+        failing = f"AGG mean(C.age) {BASE}"
+
+        async def body(coalescer, service):
+            first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            rest = [
+                asyncio.ensure_future(coalescer.submit(text))
+                for text in (CORPUS[1], failing)
+            ]
+            await asyncio.sleep(0)
+            service.gate.set()
+            return await asyncio.gather(first, *rest, return_exceptions=True)
+
+        results, service, _, _ = self.scenario(db, body)
+        assert results[0].value == expected[CORPUS[0]].value
+        assert results[1].value == expected[CORPUS[1]].value
+        assert isinstance(results[2], KeyError)
+        # The coalesced batch raised, so each of its requests ran alone.
+        assert [requests for requests, _ in service.batches] == [
+            [CORPUS[0]], [CORPUS[1], failing], [CORPUS[1]], [failing],
+        ]
+
+    def test_a_service_fault_fails_the_batch_once(self, db):
+        # A fault that is no request's own (a lost shard server) fails
+        # every waiter of the batch from its one call, with no rerun.
+        class BrokenService(GatedService):
+            def answer_many(self, requests, db, session_limit=None, **kwargs):
+                self.batches.append((list(requests), session_limit))
+                self.gate.wait(timeout=60)
+                raise RuntimeError("shard server lost")
+
+        async def body(coalescer, service):
+            first = asyncio.ensure_future(coalescer.submit(CORPUS[0]))
+            await asyncio.sleep(0)
+            rest = [
+                asyncio.ensure_future(coalescer.submit(text))
+                for text in CORPUS[1:3]
+            ]
+            await asyncio.sleep(0)
+            service.gate.set()
+            return await asyncio.gather(first, *rest, return_exceptions=True)
+
+        results, service, _, _ = self.scenario(db, body, BrokenService())
+        assert all(isinstance(result, RuntimeError) for result in results)
+        assert [requests for requests, _ in service.batches] == [
+            [CORPUS[0]], CORPUS[1:3],
+        ]
 
     def test_max_batch_splits_and_keys_take_turns(self, db):
         async def body(coalescer, service):

@@ -8,7 +8,11 @@ backends solve the plan's live nodes, the process backend ships canonical
 exactly.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,16 +36,18 @@ from repro.service.cache import SolverCache
 from repro.service.executors import (
     ProcessBackend,
     SerialBackend,
+    SolveTask,
     ThreadBackend,
-    make_solve_task,
     resolve_backend,
     run_solve_task,
+    task_model_form,
     thaw_labeling,
     thaw_model,
     thaw_pattern,
     thaw_union,
 )
-from repro.service.persist import PersistentCache, default_version, encode_key
+from repro.service.keys import freeze_digest, model_fingerprint
+from repro.service.persist import PersistentCache, default_version
 
 QUERIES = [
     "P(v; m1; m2), M(m1, 'Thriller', _, _, _), M(m2, _, _, _, 'short')",
@@ -49,6 +55,15 @@ QUERIES = [
     "P(v; m1; m2), P(v; m2; m3), M(m1, 'Thriller', _, _, _), "
     "M(m2, _, 'F', _, _), M(m3, _, _, _, 'short')",
 ]
+
+
+#: All four request kinds over the Figure 1 database.
+POLLS_REQUESTS = [
+    f"{kind}P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
+    for kind in ("", "COUNT ", "TOPK 2 ", "AGG mean(V.age) ")
+]
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +178,10 @@ class TestThaw:
 class TestSolveTask:
     def test_pickle_round_trip_and_execution(self):
         model, labeling, union = _solve_request()
-        task = make_solve_task(model, labeling, union, "two_label")
+        task = SolveTask(
+            task_model_form(model), labeling.freeze(union.all_labels),
+            union.freeze(), "two_label",
+        )
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task
         outcome = run_solve_task(clone)
@@ -267,43 +285,50 @@ class TestBackendEquivalence:
 class TestPersistentCache:
     def test_put_get_round_trip(self, tmp_path):
         with PersistentCache(tmp_path / "c.sqlite") as cache:
-            key = encode_key(("session", ("mallows", ("a", "b"), 0.5), "rest"))
+            key = "session/mallows/rest"
             assert cache.get(key) is None
             cache.put_many([(key, (0.123456789012345, "two_label"))])
             assert cache.get(key) == (0.123456789012345, "two_label")
             assert len(cache) == 1
 
-    def test_encode_key_discriminates_leaf_types(self, tmp_path):
-        assert encode_key((1,)) != encode_key((np.int64(1),))
-        assert encode_key((1,)) != encode_key((1.0,))
-        assert encode_key(("1",)) != encode_key((1,))
-        assert encode_key((b"x",)) != encode_key(("x",))
+    def test_digest_keys_discriminate_leaf_types(self, tmp_path):
+        leaves = [1, np.int64(1), 1.0, "1", b"x", "x"]
+        keys = {freeze_digest((leaf,)) for leaf in leaves}
+        assert len(keys) == len(leaves)
+        # Models over such items get distinct keys in every tier, the
+        # front included (equal tuples, 1 == 1.0, once merged there).
+        models = [
+            Mallows(items, 0.5)
+            for items in ([1, 2], [np.int64(1), np.int64(2)], [1.0, 2.0])
+        ]
+        assert models[0].freeze() == models[2].freeze()
+        assert len({model_fingerprint(model) for model in models}) == 3
         # ...and a disk-tiered cache keeps such keys apart end to end.
         disk = PersistentCache(tmp_path / "c.sqlite")
         cache = SolverCache(4, [disk])
-        cache.put((np.int64(1),), (0.25, "general"))
-        assert disk.get(encode_key((1,))) is None
-        assert disk.get(encode_key((np.int64(1),))) == (0.25, "general")
+        cache.put(freeze_digest((np.int64(1),)), (0.25, "general"))
+        assert disk.get(freeze_digest((1,))) is None
+        assert disk.get(freeze_digest((np.int64(1),))) == (0.25, "general")
         cache.close()
 
     def test_rejects_non_outcome_values(self, tmp_path):
         with PersistentCache(tmp_path / "c.sqlite") as cache:
             with pytest.raises(TypeError, match="persistent cache stores"):
-                cache.put_many([(encode_key(("k",)), {"not": "a pair"})])
+                cache.put_many([("k", {"not": "a pair"})])
 
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "c.sqlite"
         with PersistentCache(path) as cache:
-            cache.put_many([(encode_key(("k",)), (0.5, "general"))])
+            cache.put_many([("k", (0.5, "general"))])
         with PersistentCache(path) as cache:
-            assert cache.get(encode_key(("k",))) == (0.5, "general")
+            assert cache.get("k") == (0.5, "general")
 
     def test_version_mismatch_clears(self, tmp_path):
         path = tmp_path / "c.sqlite"
         with PersistentCache(path, version="v1") as cache:
-            cache.put_many([(encode_key(("k",)), (0.5, "general"))])
+            cache.put_many([("k", (0.5, "general"))])
         with PersistentCache(path, version="v2") as cache:
-            assert cache.get(encode_key(("k",))) is None
+            assert cache.get("k") is None
             assert len(cache) == 0
         assert default_version()  # the stamp the service tier uses
 
@@ -337,6 +362,32 @@ class TestPersistentService:
         for result, expected in zip(warm, reference):
             assert result.probability == expected.probability
         assert warm_service.stats()["disk_hits"] == cold.n_distinct_solves
+
+    def test_keys_agree_across_interpreters(self, tmp_path):
+        # Two interpreters with different string-hash salts share one file:
+        # a salted hash() slipping into a key would make the second solve.
+        path = tmp_path / "seeded.sqlite"
+        script = (
+            "import sys\n"
+            "from repro.db.examples import polling_example\n"
+            "from repro.service import PreferenceService\n"
+            "service = PreferenceService(backend='serial', cache_db=sys.argv[1])\n"
+            f"batch = service.answer_many({POLLS_REQUESTS!r}, polling_example())\n"
+            "print(batch.n_distinct_solves, [answer.value for answer in batch])\n"
+        )
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": str(SRC),
+                     "PYTHONHASHSEED": seed},
+            ).stdout.split(" ", 1)
+            for seed in ("1", "2")
+        ]
+        (cold_solves, cold_values), (warm_solves, warm_values) = runs
+        assert int(cold_solves) > 0
+        assert int(warm_solves) == 0
+        assert warm_values == cold_values
 
     def test_cache_and_cache_db_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):

@@ -37,7 +37,7 @@ from repro.service import (
     session_cache_key,
 )
 from repro.service.cache import FLIGHT_TIMEOUT
-from repro.service.persist import BOUND_SOLVER, encode_key
+from repro.service.persist import BOUND_SOLVER
 from repro.service.service import PreferenceService
 
 EXACT_METHODS = ("auto", "two_label", "bipartite", "general", "lifted", "brute")
@@ -292,17 +292,17 @@ class TestSolverCache:
         disk = PersistentCache(tmp_path / "private.sqlite")
         group = ShardGroup(2, 8)
         cache = SolverCache(4, [disk, group])
-        key = ("session", "a")
-        group.put_many([(encode_key(key), pair(0.5))])
+        key = "a"
+        group.put_many([(key, pair(0.5))])
         assert cache.get(key) == pair(0.5)
         assert key in cache
-        assert disk.get(encode_key(key)) == pair(0.5)
+        assert disk.get(key) == pair(0.5)
         cache.put("b", pair(0.25))
-        assert disk.get(encode_key("b")) == group.get(encode_key("b"))
+        assert disk.get("b") == group.get("b")
         assert cache.invalidate([key, "b"]) == 2
         for tier in (disk, group):
-            assert tier.get(encode_key(key)) is None
-            assert tier.get(encode_key("b")) is None
+            assert tier.get(key) is None
+            assert tier.get("b") is None
         depth = cache.tier_depth()
         assert set(depth) == {"disk", "n_shards", "version", "shards", "totals"}
         assert depth["disk"]["disk_invalidations"] == 2
@@ -400,11 +400,11 @@ class TestTierConformance:
 
     def test_clear_drops_every_tier(self, tiers):
         cache = tiers.cache(capacity=16)
-        cache.put_many([(("session", i), pair(i / 9)) for i in range(9)])
+        cache.put_many([(f"session/{i}", pair(i / 9)) for i in range(9)])
         cache.clear()
         assert len(cache) == 0
-        assert all(cache.get(("session", i)) is None for i in range(9))
-        assert tiers.cache().get(("session", 0)) is None
+        assert all(cache.get(f"session/{i}") is None for i in range(9))
+        assert tiers.cache().get("session/0") is None
 
     def test_claim_wait_release_cycle(self, tiers):
         cache = tiers.cache()
@@ -544,13 +544,13 @@ class TestTierConformance:
 @pytest.mark.parametrize("tiers", CONFIGS[1:], indirect=True)
 class TestLowerTierConformance:
     def test_get_promotes_a_lower_tier_hit(self, tiers):
-        tiers.cache().put(("session", "a"), pair(0.5))
+        tiers.cache().put("session/a", pair(0.5))
         peer = tiers.cache()
-        assert ("session", "a") not in peer
-        assert peer.get(("session", "a")) == pair(0.5)
-        assert ("session", "a") in peer  # promoted into the front
+        assert "session/a" not in peer
+        assert peer.get("session/a") == pair(0.5)
+        assert "session/a" in peer  # promoted into the front
         depth = peer.tier_depth()
-        assert peer.get(("session", "a")) == pair(0.5)
+        assert peer.get("session/a") == pair(0.5)
         assert peer.tier_depth() == depth  # a front hit reads no tier
         assert (peer.stats().hits, peer.stats().misses) == (1, 1)
 
@@ -603,8 +603,8 @@ def test_service_stats_keys_per_configuration(db, tmp_path):
     for options, flat_keys, depth_keys in configurations:
         service = PreferenceService(backend="serial", **options)
         service.answer_many(["P('Ann', '5/5'; 'Trump'; 'Clinton')"], db)
-        service.cache.put(("probe",), (0.5, "lifted"))
-        service.cache.invalidate([("probe",)])
+        service.cache.put("probe", (0.5, "lifted"))
+        service.cache.invalidate(["probe"])
         flat = service.stats()
         assert set(flat) == flat_keys
         depth = service.tier_depth()

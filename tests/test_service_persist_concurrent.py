@@ -15,7 +15,7 @@ import pytest
 
 from repro.db.examples import polling_example
 from repro.service.cache import SolverCache
-from repro.service.persist import PersistentCache, encode_key
+from repro.service.persist import PersistentCache
 from repro.service.service import PreferenceService
 
 pytestmark = pytest.mark.timeout(120)
@@ -41,15 +41,13 @@ class TestConcurrentWriters:
                     # Overlapping keys (shared across workers) exercise
                     # INSERT OR REPLACE races; distinct keys grow the file.
                     items = [
-                        (encode_key(("shared", round_no, j)),
-                         (j / 7.0, f"w{worker}"))
+                        (f"shared/{round_no}/{j}", (j / 7.0, f"w{worker}"))
                         for j in range(chunk)
                     ] + [
-                        (encode_key(("own", worker, round_no)),
-                         (float(round_no), "lp"))
+                        (f"own/{worker}/{round_no}", (float(round_no), "lp"))
                     ]
                     cache.put_many(items)
-                    got = cache.get(encode_key(("shared", round_no, 0)))
+                    got = cache.get(f"shared/{round_no}/0")
                     assert got is not None and got[0] == 0.0
                 cache.close()
             except Exception as error:  # pragma: no cover - failure path
@@ -72,7 +70,7 @@ class TestConcurrentWriters:
         assert len(survivor) == n_rounds * chunk + n_writers * n_rounds
         for round_no in range(n_rounds):
             for j in range(chunk):
-                value = survivor.get(encode_key(("shared", round_no, j)))
+                value = survivor.get(f"shared/{round_no}/{j}")
                 assert value[0] == j / 7.0
                 assert value[1] in {f"w{w}" for w in range(n_writers)}
         survivor.close()
@@ -100,7 +98,7 @@ class TestConcurrentWriters:
 class TestVersioning:
     def test_version_mismatch_clears_the_store(self, tmp_path):
         path = tmp_path / "versioned.sqlite"
-        key = encode_key(("k",))
+        key = "k"
         old = PersistentCache(path, version="gen-1")
         old.put_many([(key, (0.5, "lp"))])
         old.close()
@@ -123,10 +121,10 @@ class TestVersioning:
     def test_solver_cache_version_clear_via_tier(self, tmp_path):
         path = str(tmp_path / "tiered.sqlite")
         tiered = SolverCache(8, [PersistentCache(path, version="gen-1")])
-        tiered.put(("k",), (0.25, "lp"))
+        tiered.put("k", (0.25, "lp"))
         tiered.close()
         fresh = SolverCache(8, [PersistentCache(path, version="gen-2")])
-        assert fresh.get(("k",)) is None
+        assert fresh.get("k") is None
         fresh.close()
 
 
@@ -136,7 +134,7 @@ class TestTransactions:
         statements = []
         cache._conn.set_trace_callback(statements.append)
         cache.put_many(
-            [(encode_key(("k", i)), (i / 3.0, "lp")) for i in range(50)]
+            [(f"k{i}", (i / 3.0, "lp")) for i in range(50)]
         )
         cache._conn.set_trace_callback(None)
         commits = [s for s in statements if s.strip().upper() == "COMMIT"]

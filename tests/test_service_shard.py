@@ -30,7 +30,7 @@ from repro.datasets.crowdrank import crowdrank_database
 from repro.query import engine
 from repro.service import shard
 from repro.service.cache import SolverCache
-from repro.service.persist import default_version, encode_key
+from repro.service.persist import default_version
 from repro.service.service import PreferenceService
 from repro.service.shard import (
     MAX_FRAME_BYTES,
@@ -65,7 +65,7 @@ MIXED_REQUESTS = (
 
 class TestShardOf:
     def test_stable_and_in_range(self):
-        keys = [encode_key(("session", "k", i)) for i in range(200)]
+        keys = [f"session/k/{i}" for i in range(200)]
         for n_shards in (1, 2, 7):
             first = [shard_of(key, n_shards) for key in keys]
             second = [shard_of(key, n_shards) for key in keys]
@@ -73,7 +73,7 @@ class TestShardOf:
             assert all(0 <= index < n_shards for index in first)
 
     def test_spreads_across_shards(self):
-        keys = [encode_key(("session", "k", i)) for i in range(400)]
+        keys = [f"session/k/{i}" for i in range(400)]
         counts = [0] * 4
         for key in keys:
             counts[shard_of(key, 4)] += 1
@@ -104,7 +104,7 @@ class TestShardGroup:
         # write lands, in memory and in the per-shard files.
         stem = tmp_path / "interleaved.sqlite"
         group = ShardGroup(n_shards=3, capacity=4096, cache_db=stem)
-        keys = [encode_key(("session", "w", i)) for i in range(120)]
+        keys = [f"session/w/{i}" for i in range(120)]
 
         def write(offset):
             group.put_many(
@@ -132,16 +132,15 @@ class TestShardGroup:
     def test_version_mismatch_clears_shards(self, tmp_path):
         stem = tmp_path / "versioned.sqlite"
         group = ShardGroup(n_shards=2, capacity=64, cache_db=stem)
-        group.put_many([(encode_key(("session", i)), (0.5, "s"))
-                        for i in range(10)])
+        group.put_many([(f"session/{i}", (0.5, "s")) for i in range(10)])
         group.close()
         same = ShardGroup(n_shards=2, capacity=64, cache_db=stem)
-        assert same.get(encode_key(("session", 3))) == (0.5, "s")
+        assert same.get("session/3") == (0.5, "s")
         same.close()
         bumped = ShardGroup(
             n_shards=2, capacity=64, cache_db=stem, version="next-format/k2"
         )
-        assert bumped.get(encode_key(("session", 3))) is None
+        assert bumped.get("session/3") is None
         assert bumped.stats()["totals"]["disk_size"] == 0
         bumped.close()
 
@@ -301,7 +300,7 @@ class TestShardServer:
         # A worker holding a claim is SIGKILLed mid-solve: the server
         # releases the claim when the connection drops, so a waiting peer
         # gets None (and solves itself) at once, not after its timeout.
-        key = encode_key(("session", "hot"))
+        key = "session/hot"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(repro.__file__).resolve().parents[1])]
@@ -372,7 +371,7 @@ class TestShardServer:
         # spreads put_many and invalidate over as many frames as needed.
         monkeypatch.setattr(shard, "MAX_FRAME_BYTES", 4096)
         pairs = [
-            (encode_key(("session", "x" * 40, index)), (index / 300, "lifted"))
+            (f"session/{'x' * 40}/{index}", (index / 300, "lifted"))
             for index in range(300)
         ]
         assert len(json.dumps(["put_many", pairs])) > 4 * 4096

@@ -27,7 +27,6 @@ from repro.rim.mallows import Mallows
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
 from repro.service.cache import SolverCache
-from repro.service.persist import encode_key
 from repro.service.shard import (
     ShardCacheServer,
     ShardClient,
@@ -107,6 +106,20 @@ class TestMutableDatabase:
         db.add_session("P", ("w9",), model(0.5))
         assert len(seen) == 2
 
+    def test_a_raising_subscriber_fails_only_itself(self, caplog):
+        db = make_db()
+        seen: list[SessionDelta] = []
+
+        def crash(delta: SessionDelta) -> None:
+            raise RuntimeError("subscriber crashed")
+
+        db.subscribe(crash)
+        db.subscribe(seen.append)
+        delta = db.add_session("P", ("w9",), model(0.5))
+        assert db.generation == 1 and seen == [delta]
+        assert "subscriber crashed" in caplog.text
+        assert repr(delta) in caplog.text
+
     def test_from_database_wraps_static_instance(self):
         static = make_db(2).snapshot()
         assert isinstance(static, PPDatabase)
@@ -170,7 +183,7 @@ class TestInvalidate:
     def test_shard_protocol_invalidate(self):
         with ShardCacheServer(ShardGroup(n_shards=2, capacity=8)) as server:
             client = ShardClient(server.address)
-            keys = [encode_key(("k", index)) for index in range(3)]
+            keys = [f"k{index}" for index in range(3)]
             client.put_many([(key, (0.5, "s")) for key in keys])
             assert client.invalidate(keys[:2]) == 2
             assert client.get(keys[0]) is None
@@ -326,8 +339,7 @@ class TestStandingEngine:
             key
             for delta in deltas
             if delta.kind != "add"
-            for key in before[delta.key]
-            if key[0] == "upper_bound"
+            for key in before[delta.key][1:]  # the bound keys
         ]
         assert retired
         for key in retired:
