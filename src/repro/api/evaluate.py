@@ -17,6 +17,14 @@ mixed-kind request lists.  Both run one build -> optimize -> execute step
 (:mod:`repro.stream.standing`) also runs over its stale registrations;
 :func:`assemble_answers` turns an executed plan's terminals into
 :class:`Answer` envelopes.
+
+Every optimized plan comes from one function, :func:`_optimized_plan`.
+Given a store (only a :class:`~repro.service.service.PreferenceService`
+passes its own), it memoizes the plan under the requests by value, the
+method, the solver options, ``session_limit``, the database object and
+its generation, so a repeated request skips build and optimize.  That is
+sound because an optimized plan is never written again: each execution
+keeps its own state (:class:`~repro.plan.execute.PlanExecution`).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.plan.methods import APPROXIMATE_METHODS, check_required_options
 from repro.plan.nodes import QueryPlan, TerminalNode
 from repro.plan.passes import optimize_plan
 from repro.query.engine import SessionEvaluation, aggregate_sessions
-from repro.service.cache import SolverCache
+from repro.service.cache import LRUStore, SolverCache
 from repro.service.executors import (
     ExecutionBackend,
     ProcessBackend,
@@ -102,6 +110,28 @@ def answer(
         Forwarded to the chosen solver (e.g. ``n_proposals=10`` for
         MIS-AMP-lite, ``time_budget=60`` for exact solvers).
     """
+    return _answer(
+        request, db, method, rng, group_sessions, session_limit, cache,
+        optimize, **solver_options,
+    )
+
+
+def _answer(
+    request: "QueryRequest | Any",
+    db,
+    method: str = "auto",
+    rng: "np.random.Generator | None" = None,
+    group_sessions: bool = True,
+    session_limit: int | None = None,
+    cache: SolverCache | None = None,
+    optimize: bool = True,
+    *,
+    plans: LRUStore | None = None,
+    **solver_options,
+) -> Answer:
+    """:func:`answer`, reading and filling the plan memo ``plans`` (a
+    :class:`~repro.service.service.PreferenceService`'s) when the plan
+    is canonical."""
     started = time.perf_counter()
     check_required_options(method, solver_options)
     request = as_request(request)
@@ -120,13 +150,16 @@ def answer(
         and optimize
     )
     plan, execution = _run_plan(
-        request, db, method, solver_options, group_sessions, session_limit,
-        optimize=optimize, canonical=use_cache, rng=rng,
+        [request], db, method, solver_options, group_sessions,
+        session_limit, optimize=optimize, canonical=use_cache, rng=rng,
         cache=cache if use_cache else None, backend=None,
+        plans=plans if use_cache else None,
     )
     result = assemble_answers(
         plan, execution, batched=False, with_cache=use_cache
     )[0]
+    # A memoized plan holds the equal request of the call that built it.
+    result.request = request
     result.seconds = time.perf_counter() - started
     result.generation = db_generation(db)
     return result
@@ -154,6 +187,28 @@ def answer_many(
     fall back to sequential per-request evaluation (a parallelism request
     is then warned about, not silently ignored).
     """
+    return _answer_many(
+        requests, db, method, rng, cache, backend, max_workers,
+        session_limit, **solver_options,
+    )
+
+
+def _answer_many(
+    requests: Sequence["QueryRequest | Any"],
+    db,
+    method: str = "auto",
+    rng: "np.random.Generator | None" = None,
+    cache: SolverCache | None = None,
+    backend: "str | ExecutionBackend | None" = None,
+    max_workers: int | None = None,
+    session_limit: int | None = None,
+    *,
+    plans: LRUStore | None = None,
+    **solver_options,
+) -> BatchAnswer:
+    """:func:`answer_many`, reading and filling the plan memo ``plans`` (a
+    :class:`~repro.service.service.PreferenceService`'s) in the exact
+    branch; the rng-driven branch never reaches it."""
     started = time.perf_counter()
     check_required_options(method, solver_options)
     parsed = [as_request(item) for item in requests]
@@ -166,7 +221,7 @@ def answer_many(
                 "sequentially; the requested parallelism "
                 "(max_workers/backend) is ignored",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past answer_many or the service method
             )
         answers = [
             answer(
@@ -197,11 +252,12 @@ def answer_many(
     plan, execution = _run_plan(
         parsed, db, method, solver_options, True, session_limit,
         optimize=True, canonical=True, rng=rng, cache=cache,
-        backend=execution_backend,
+        backend=execution_backend, plans=plans,
     )
     answers = assemble_answers(plan, execution, batched=True)
     generation = db_generation(db)
-    for one in answers:
+    for one, request in zip(answers, parsed):
+        one.request = request  # the caller's, not the memoized plan's
         one.generation = generation
     return BatchAnswer(
         answers=answers,
@@ -219,7 +275,7 @@ def answer_many(
 
 
 def _run_plan(
-    requests: Any,
+    requests: list[QueryRequest],
     db: Any,
     method: str,
     solver_options: dict[str, Any],
@@ -231,24 +287,27 @@ def _run_plan(
     rng: "np.random.Generator | None",
     cache: SolverCache | None,
     backend: "ExecutionBackend | None",
+    plans: LRUStore | None = None,
 ) -> "tuple[QueryPlan, PlanExecution]":
-    """Build -> optimize -> execute, recording the plan on ``cache``.
+    """(Memoized) build -> optimize, then execute, recording the plan on
+    ``cache``.
 
     The one step behind :func:`answer`, the exact branch of
     :func:`answer_many` and a standing-query refresh
     (:mod:`repro.stream.standing`); they differ only in backend, grouping
-    mode (``canonical``) and how they wrap the answers.
+    mode (``canonical``), plan memo and how they wrap the answers.  An
+    unoptimized plan (``optimize=False``) is built fresh every time.
     """
-    plan = build_plan(
-        requests,
-        db,
-        method=method,
-        options=solver_options,
-        group_sessions=group_sessions,
-        session_limit=session_limit,
-    )
     if optimize:
-        optimize_plan(plan, canonical=canonical)
+        plan = _optimized_plan(
+            requests, db, method, solver_options, group_sessions,
+            session_limit, canonical=canonical, plans=plans,
+        )
+    else:
+        plan = build_plan(
+            requests, db, method=method, options=solver_options,
+            group_sessions=group_sessions, session_limit=session_limit,
+        )
     execution = execute_plan(plan, cache=cache, rng=rng, backend=backend)
     if cache is not None:
         cache.record_plan(
@@ -257,6 +316,45 @@ def _run_plan(
             len(plan.passes_applied),
         )
     return plan, execution
+
+
+def _optimized_plan(
+    requests: list[QueryRequest],
+    db: Any,
+    method: str,
+    solver_options: dict[str, Any],
+    group_sessions: bool,
+    session_limit: int | None,
+    *,
+    canonical: bool,
+    plans: LRUStore | None,
+) -> QueryPlan:
+    """Every optimized plan: build -> optimize, or the memo's plan.
+
+    With a ``plans`` store the plan is memoized under the requests by
+    value, the method, the solver options, ``session_limit``, the
+    database object and its generation, read before building, so a plan
+    is never served for another database state than the one it was built
+    from (a plan built while a writer moved the generation on is filed
+    under the older one, which no later lookup asks for).  Callers pass a
+    store only for canonical, grouped plans, the ones a service runs.
+    """
+    if plans is not None:
+        key = (
+            tuple(requests), method, tuple(sorted(solver_options.items())),
+            session_limit, db, db_generation(db),
+        )
+        memoized: "QueryPlan | None" = plans.get(key)
+        if memoized is not None:
+            return memoized
+    plan = build_plan(
+        requests, db, method=method, options=solver_options,
+        group_sessions=group_sessions, session_limit=session_limit,
+    )
+    optimize_plan(plan, canonical=canonical)
+    if plans is not None:
+        plans.put_many([(key, plan)])
+    return plan
 
 
 def _parallelism_requested(

@@ -28,6 +28,11 @@ parseable because a prefix keyword must be followed by whitespace, never
 directly by ``(``.  Every request evaluates through the same plan pipeline
 (build -> optimize -> execute; see :mod:`repro.api.evaluate`), so mixed
 kinds share solver work and caching.
+
+Requests are frozen values: two parses of the same text compare and hash
+equal, and no field can be assigned after construction, so a
+:class:`~repro.service.service.PreferenceService` can key its memo of
+optimized plans by the requests themselves.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def _as_query(query: "ConjunctiveQuery | str") -> ConjunctiveQuery:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryRequest:
     """Base of every typed request: the Boolean CQ all kinds build on."""
 
@@ -80,21 +85,22 @@ class QueryRequest:
     kind: ClassVar[str] = "?"
 
     def __post_init__(self) -> None:
-        self.query = _as_query(self.query)
+        # Frozen: query text is parsed once, here, and never reassigned.
+        object.__setattr__(self, "query", _as_query(self.query))
 
     def describe(self) -> str:
         """The request in the extended string grammar (modulo ``Q() <-``)."""
         return str(self.query)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Probability(QueryRequest):
     """``Pr(Q | D)``: the Boolean CQ probability of Section 3.1."""
 
     kind: ClassVar[str] = "probability"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Count(QueryRequest):
     """``E[count(Q)]``: the expected number of satisfying sessions."""
 
@@ -104,7 +110,7 @@ class Count(QueryRequest):
         return f"COUNT {self.query}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopK(QueryRequest):
     """``top(Q, k)``: the k sessions most likely to satisfy ``Q``.
 
@@ -132,7 +138,7 @@ class TopK(QueryRequest):
         return f"TOPK {self.k} {self.query}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Aggregate(QueryRequest):
     """A statistic of a session attribute over the satisfying sessions.
 

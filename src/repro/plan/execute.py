@@ -36,11 +36,12 @@ order, so rng consumption is deterministic.  A lazy solve shared with any
 eager terminal (a Count and a TopK of the same query in one batch) stays
 eager and the top-k loop reads its probability for free.
 
-The bounds are plan nodes too.  Before the terminals run, the executor adds
-one :class:`~repro.plan.nodes.BoundNode` per (solve node, ``n_edges``) an
-upper-bound terminal reads, shared by every terminal that reads it, and
-the runner resolves them all in one call: each cacheable bound is looked
-up and claimed under its exact key
+The bounds are nodes too, but of the execution, not the plan.  Before the
+terminals run, the executor makes one :class:`~repro.plan.nodes.BoundNode`
+per (solve node, ``n_edges``) an upper-bound terminal reads, shared by
+every terminal that reads it, numbered past the plan's last id and kept in
+:attr:`PlanExecution.bounds`, and the runner resolves them all in one
+call: each cacheable bound is looked up and claimed under its exact key
 (:func:`~repro.service.keys.bound_cache_key`), the misses are computed in
 one run of a :class:`~repro.service.executors.SerialBackend` through
 :func:`session_upper_bound` (a bound is a small DP: a worker pool would
@@ -49,13 +50,18 @@ cost more than it saves), and published in one ``put_many`` of
 bound, and a standing query's refresh bounds only the sessions its delta
 added or updated.  Bounds are not solves: the solve counters
 (``n_executed``, ``n_cache_hits``) leave them out.
+
+Execution never writes to the plan (an unoptimized plan's lazy method
+resolution aside): every outcome lands in the :class:`PlanExecution`, so
+one optimized plan can run any number of times, concurrently too.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import cast
+from typing import Iterator, cast
 
 import numpy as np
 
@@ -110,8 +116,10 @@ class PlanExecution:
     fresh: set[int] = field(default_factory=set)
     #: node ids served by the shared SolverCache
     cache_served: set[int] = field(default_factory=set)
-    #: the bound node ids among them: upper bounds, which are not solves
-    bounds: set[int] = field(default_factory=set)
+    #: (solve node id, n_edges) -> the bound node this execution made for
+    #: the upper-bound top-k terminals (pairs with one cache key share a
+    #: node); upper bounds, which are not solves
+    bounds: dict[tuple[int, int], BoundNode] = field(default_factory=dict)
     #: solve node ids excluded from the eager frontier (top-k demand pool)
     lazy: set[int] = field(default_factory=set)
     #: top-k terminal node id -> its adaptive-frontier outcome
@@ -122,13 +130,16 @@ class PlanExecution:
     backend: str = ""
     seconds: float = 0.0
 
+    def bound_ids(self) -> set[int]:
+        return {node.node_id for node in self.bounds.values()}
+
     @property
     def n_executed(self) -> int:
-        return len(self.fresh - self.bounds)
+        return len(self.fresh - self.bound_ids())
 
     @property
     def n_cache_hits(self) -> int:
-        return len(self.cache_served - self.bounds)
+        return len(self.cache_served - self.bound_ids())
 
 
 def _lazy_solve_ids(plan: QueryPlan) -> set[int]:
@@ -318,10 +329,9 @@ def _run_terminals(
     cache: SolverCache | None,
     rng,
 ) -> None:
-    """Resolve the plan's bound nodes, then run the adaptive and
+    """Resolve the execution's bound nodes, then run the adaptive and
     rng-consuming terminals in request order."""
-    bounds = _bound_nodes(plan)
-    execution.bounds.update(node.node_id for node in bounds)
+    bounds = _bound_nodes(plan, execution)
     _run_frontier(plan, bounds, execution, SerialBackend(), cache, rng)
     for terminal in plan.aggregate_nodes():
         if isinstance(terminal, TopKSessionsNode):
@@ -334,36 +344,39 @@ def _run_terminals(
             )
 
 
-def _bound_nodes(plan: QueryPlan) -> list[BoundNode]:
+def _bound_nodes(plan: QueryPlan, execution: PlanExecution) -> list[BoundNode]:
     """The bound nodes the plan's upper-bound top-k terminals read, in
-    first-use order; a missing one is added to the plan."""
+    first-use order, made now and recorded in ``execution.bounds``."""
+    ids = itertools.count(plan.n_ids)
     memo: dict[int, str] = {}
-    by_key: dict[str, int] = {}
-    wanted: dict[int, None] = {}
+    by_key: dict[str, BoundNode] = {}
+    wanted: dict[int, BoundNode] = {}
     for terminal in plan.aggregate_nodes():
         if not (isinstance(terminal, TopKSessionsNode) and terminal.lazy):
             continue
         for solve_id in terminal.solve_ids():
             pair = (solve_id, terminal.n_edges)
-            if pair not in plan.bounds:
-                plan.bounds[pair] = _add_bound_node(
-                    plan, solve_id, terminal.n_edges, memo, by_key
+            node = execution.bounds.get(pair)
+            if node is None:
+                node = execution.bounds[pair] = _bound_node(
+                    plan, solve_id, terminal.n_edges, ids, memo, by_key
                 )
-            wanted[plan.bounds[pair]] = None
-    return [cast(BoundNode, plan.nodes[bound_id]) for bound_id in wanted]
+            wanted[node.node_id] = node
+    return list(wanted.values())
 
 
-def _add_bound_node(
+def _bound_node(
     plan: QueryPlan,
     solve_id: int,
     n_edges: int,
+    ids: Iterator[int],
     memo: dict[int, str],
-    by_key: dict[str, int],
-) -> int:
-    """The id of a new bound node over ``solve_id``, or of the node that
-    already holds its cache key: one node per key, so the runner never
-    claims a key twice in one call.  ``memo`` keeps the named union's
-    fingerprint per union object, as elimination memoizes fingerprints."""
+    by_key: dict[str, BoundNode],
+) -> BoundNode:
+    """A new bound node over ``solve_id``, or the node that already holds
+    its cache key: one node per key, so the runner never claims a key
+    twice in one call.  ``memo`` keeps the named union's fingerprint per
+    union object, as elimination memoizes fingerprints."""
     solve = cast(SolveNode, plan.nodes[solve_id])
     key = None
     if solve.cache_key is not None:
@@ -373,20 +386,18 @@ def _add_bound_node(
         key = bound_cache_key(solve.cache_key, named, n_edges)
         if key in by_key:
             return by_key[key]
-    node = plan.add(
-        BoundNode(
-            node_id=plan.new_id(),
-            inputs=(solve_id,),
-            model=solve.model,
-            labeling=solve.labeling,
-            union=solve.union,
-            n_edges=n_edges,
-            cache_key=key,
-        )
+    node = BoundNode(
+        node_id=next(ids),
+        inputs=(solve_id,),
+        model=solve.model,
+        labeling=solve.labeling,
+        union=solve.union,
+        n_edges=n_edges,
+        cache_key=key,
     )
     if key is not None:
-        by_key[key] = node.node_id
-    return node.node_id
+        by_key[key] = node
+    return node
 
 
 def _run_topk(
@@ -421,7 +432,7 @@ def _run_topk(
     # --- upper-bound strategy: the paper's top-k pruning ---------------
     # _run_terminals resolved the bounds; only those computed now cost time.
     bound_ids = {
-        solve_id: plan.bounds[(solve_id, terminal.n_edges)]
+        solve_id: execution.bounds[(solve_id, terminal.n_edges)].node_id
         for solve_id in terminal.solve_ids()
     }
     bounded: list[tuple[float, tuple, "int | None"]] = [

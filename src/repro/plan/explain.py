@@ -113,16 +113,17 @@ def explain_plan(plan: QueryPlan, execution=None) -> str:
     return "\n".join(lines)
 
 
-def _bound_ids(plan: QueryPlan, terminal: TerminalNode) -> dict[int, int]:
-    """Solve id -> bound node id, for the bounds ``terminal`` reads: only
-    an upper-bound top-k terminal reads any."""
-    if not terminal.lazy:
+def _bound_ids(execution, terminal: TerminalNode) -> dict[int, int]:
+    """Solve id -> bound node id, for the bounds ``terminal`` read in
+    ``execution``: only an upper-bound top-k terminal reads any, and only
+    an execution holds bound nodes."""
+    if execution is None or not terminal.lazy:
         return {}
     n_edges = getattr(terminal, "n_edges", None)
     return {
-        solve_id: plan.bounds[(solve_id, n_edges)]
+        solve_id: execution.bounds[(solve_id, n_edges)].node_id
         for solve_id in terminal.solve_ids()
-        if (solve_id, n_edges) in plan.bounds
+        if (solve_id, n_edges) in execution.bounds
     }
 
 
@@ -150,7 +151,7 @@ def _terminal_line(plan: QueryPlan, terminal: TerminalNode, execution) -> str:
                 f" pruned={n_sessions - outcome.n_exact}]"
             )
         if outcome is not None and terminal.lazy:
-            bound_ids = set(_bound_ids(plan, terminal).values())
+            bound_ids = set(_bound_ids(execution, terminal).values())
             line += (
                 f"  bounds: {len(bound_ids & execution.cache_served)} cached,"
                 f" {len(bound_ids & execution.fresh)} computed"
@@ -175,7 +176,7 @@ def _solve_lines(
     execution,
 ) -> list[str]:
     lines: list[str] = []
-    bound_ids = _bound_ids(plan, aggregate)
+    bound_ids = _bound_ids(execution, aggregate)
     for solve_id in aggregate.solve_ids():
         node = plan.nodes[solve_id]
         assert isinstance(node, SolveNode)

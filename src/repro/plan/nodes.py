@@ -22,8 +22,11 @@ The nodes split into two layers:
   *planned* solve per satisfiable session; the optimizer passes
   (:mod:`repro.plan.passes`) resolve its method, annotate its cost, and
   merge identical nodes, so the executor (:mod:`repro.plan.execute`) only
-  ever runs the surviving frontier.  The executor adds a ``BoundNode`` per
-  surviving solve an upper-bound top-k terminal reads.
+  ever runs the surviving frontier.  Each execution makes its own
+  ``BoundNode`` per surviving solve an upper-bound top-k terminal reads
+  and keeps it in its :class:`~repro.plan.execute.PlanExecution`: nothing
+  writes to a plan after the optimizer, so one plan can run any number of
+  times.
 
 Since the unified query API (:mod:`repro.api`), every request kind ends in
 its own *terminal* node over the shared solve frontier:
@@ -165,14 +168,15 @@ class SolveNode(PlanNode):
 class BoundNode(PlanNode):
     """One session's top-k upper bound (Section 4.3.2), ``Pr(G') >= Pr(G)``.
 
-    The executor adds one per (surviving solve node, ``n_edges``) that an
-    upper-bound :class:`TopKSessionsNode` reads, shared by every terminal
-    that reads it, and resolves them on the one frontier runner like
-    solves: cache lookup, claim, one serial backend run, one publish of
-    ``(bound, "upper_bound")`` pairs.  A bound is not a solve, so the
-    solve counters never count it.  ``cache_key`` keeps the union's node
-    names (:func:`repro.service.keys.bound_cache_key`): the edge selection
-    breaks ease ties by name.
+    Each execution makes one per (surviving solve node, ``n_edges``) that
+    an upper-bound :class:`TopKSessionsNode` reads, shared by every
+    terminal that reads it, numbered past the plan's own ids and kept in
+    the execution, not the plan; it resolves them on the one frontier
+    runner like solves: cache lookup, claim, one serial backend run, one
+    publish of ``(bound, "upper_bound")`` pairs.  A bound is not a solve,
+    so the solve counters never count it.  ``cache_key`` keeps the union's
+    node names (:func:`repro.service.keys.bound_cache_key`): the edge
+    selection breaks ease ties by name.
     """
 
     model: Any = None
@@ -245,9 +249,10 @@ class TopKSessionsNode(TerminalNode):
     frontier) and demanded in descending upper-bound order until the k-th
     best confirmed probability dominates every remaining bound — solves
     past that point never run.  The bounds are :class:`BoundNode` values
-    (``plan.bounds``).  A solve shared with any non-lazy terminal
-    (e.g. a Count of the same query in the batch) stays eager, and the
-    top-k loop consumes its already-resolved probability for free.
+    of the execution (``PlanExecution.bounds``).  A solve shared with any
+    non-lazy terminal (e.g. a Count of the same query in the batch) stays
+    eager, and the top-k loop consumes its already-resolved probability
+    for free.
     """
 
     k: int = 1
@@ -307,6 +312,12 @@ class QueryPlan:
     ``requests`` holds the typed request objects the plan was built from
     (:mod:`repro.api.requests`); ``queries`` their underlying Boolean CQs,
     in request order.
+
+    The builder and the optimizer passes write a plan; nothing does after
+    :func:`~repro.plan.passes.optimize_plan` returns.  Execution keeps its
+    state (resolved values, bound nodes, terminal outcomes) in its own
+    :class:`~repro.plan.execute.PlanExecution`, so an optimized plan can
+    run twice, or on two threads at once.
     """
 
     def __init__(
@@ -345,9 +356,6 @@ class QueryPlan:
         #: AggregateSessionsNode; kept as the stable attribute name.)
         self.aggregates: list[int] = []
         self.combine: int | None = None
-        #: (solve node id, n_edges) -> the id of its BoundNode, added by
-        #: the executor for upper-bound top-k terminals.
-        self.bounds: dict[tuple[int, int], int] = {}
 
         self.passes_applied: list[str] = []
         self.n_solves_planned = 0
@@ -367,6 +375,13 @@ class QueryPlan:
         node_id = self._next_id
         self._next_id += 1
         return node_id
+
+    @property
+    def n_ids(self) -> int:
+        """How many node ids the plan has handed out: an execution numbers
+        its own bound nodes from here, so they never collide with a plan
+        node."""
+        return self._next_id
 
     # ------------------------------------------------------------------
     # Views

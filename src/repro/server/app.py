@@ -15,9 +15,10 @@ Routes:
 * ``POST /answer_many`` — a pre-assembled batch; planned as-is, off the
   event loop, taking its turn on the same worker and cache as coalesced
   traffic;
-* ``POST /explain`` — the cost-annotated optimized plan, not executed;
-* ``GET /stats`` — latency percentiles, coalescing effect, admission and
-  cache counters;
+* ``POST /explain`` — the cost-annotated optimized plan ``/answer`` would
+  run, from the service's plan memo, not executed;
+* ``GET /stats`` — latency percentiles, coalescing effect, admission,
+  cache and plan-memo counters;
 * ``GET /healthz`` — liveness;
 * ``POST /shutdown`` — begin graceful shutdown (drain, then exit).
 
@@ -47,7 +48,6 @@ from repro.server.protocol import (
     encode_answer,
     encode_batch,
     error_body,
-    validate_options,
 )
 
 #: (status, payload, extra headers) — what every handler returns.
@@ -192,26 +192,23 @@ class ServerApp:
             self.admission.release(client_id)
 
     async def handle_explain(self, body) -> Response:
-        """The cost-annotated optimized plan, rendered but not executed."""
+        """The cost-annotated optimized plan ``/answer`` would run for the
+        body, rendered but not executed.  The options split as a coalesced
+        batch splits them, and the plan comes through the service's plan
+        memo, so it is the very plan a matching ``/answer`` runs."""
         if isinstance(body, dict) and isinstance(body.get("requests"), list):
             requests, options = decode_batch(body)
         else:
             request, options = decode_request(body)
             requests = [request]
         method = options.pop("method", None)
-        validate_options({"method": method} if method else {})
+        session_limit = options.pop("session_limit", None)
 
         def build():
-            from repro.plan import build_plan, optimize_plan
-
-            plan = build_plan(
-                requests,
-                self.db,
-                method=method if method is not None else self.service.method,
-                options=dict(options),
-            )
-            optimize_plan(plan, canonical=True)
-            return plan.explain()
+            return self.service.plan(
+                requests, self.db, method=method,
+                session_limit=session_limit, **options,
+            ).explain()
 
         loop = asyncio.get_running_loop()
         text = await loop.run_in_executor(None, build)
@@ -232,6 +229,11 @@ class ServerApp:
         payload["cache"] = {
             name: float(value)
             for name, value in self.service.stats().items()
+        }
+        plans = self.service.plans.stats()
+        payload["plans"] = {
+            name: plans[name]
+            for name in ("hits", "misses", "evictions", "size", "capacity")
         }
         payload["server"] = {
             "uptime_seconds": time.monotonic() - self._started_monotonic,

@@ -26,9 +26,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
-from repro.service.persist import BOUND_SOLVER, Value, persistable
+from repro.service.persist import Value, is_bound, persistable
 
 #: Seconds a waiter blocks on another solver's in-flight key before it
 #: solves locally: a hung flight costs a duplicate solve, never a wedge.
@@ -93,19 +101,26 @@ class LRUStore:
     resolves when its key is stored (``put_many``), released, or the
     store is cleared; each wakes the flight's waiters.
 
-    A stored top-k upper bound (solver ``BOUND_SOLVER``) enters at the
-    cold end, not the recent one: it costs a fraction of a solve, so it
-    never pushes a solve out.  It stays while the store has room, and a
-    lookup that reads it makes it recent like any entry.
+    A value the ``cold`` predicate accepts enters at the cold end, not
+    the recent one.  The solver cache's stores pass :func:`~repro.service
+    .persist.is_bound`: a top-k upper bound costs a fraction of a solve,
+    so it never pushes a solve out.  It stays while the store has room,
+    and a lookup that reads it makes it recent like any entry.  Keys are
+    the digest strings of :mod:`repro.service.keys` in every cache tier;
+    a :class:`~repro.service.service.PreferenceService`'s plan memo keys
+    by any hashable value.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(
+        self, capacity: int, cold: Callable[[Any], bool] | None = None
+    ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
+        self._cold = cold
         self._lock = threading.Lock()
-        self._data: OrderedDict[str, Any] = OrderedDict()
-        self._flights: dict[str, threading.Event] = {}
+        self._data: OrderedDict[Hashable, Any] = OrderedDict()
+        self._flights: dict[Hashable, threading.Event] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -118,10 +133,10 @@ class LRUStore:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get(self, key: str, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None) -> Any:
         """The stored value (marking it most recently used), or ``default``."""
         with self._lock:
             value = self._data.get(key, _MISSING)
@@ -132,7 +147,7 @@ class LRUStore:
             self._hits += 1
             return value
 
-    def peek(self, key: str) -> Any:
+    def peek(self, key: Hashable) -> Any:
         """The stored value (marking it most recently used) or ``None``,
         counting neither a hit nor a miss."""
         with self._lock:
@@ -141,15 +156,18 @@ class LRUStore:
                 self._data.move_to_end(key)
             return value
 
-    def put_many(self, items: Iterable[tuple[str, Any]]) -> None:
+    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
         """Store a batch and resolve its keys' flights under ONE lock
         acquisition, evicting the least recently used beyond capacity."""
         items = list(items)
         flights: list[threading.Event] = []
+        cold = self._cold
         with self._lock:
             for key, value in items:
                 self._data[key] = value
-                self._data.move_to_end(key, last=value[1] != BOUND_SOLVER)
+                self._data.move_to_end(
+                    key, last=cold is None or not cold(value)
+                )
                 flight = self._flights.pop(key, None)
                 if flight is not None:
                     flights.append(flight)
@@ -161,7 +179,7 @@ class LRUStore:
         for flight in flights:
             flight.set()
 
-    def claim(self, key: str) -> tuple[str, Any]:
+    def claim(self, key: Hashable) -> tuple[str, Any]:
         """Atomically: ``("value", v)``, or ``("claimed", None)`` — the
         caller owns the flight and must ``put_many`` or ``release`` it — or
         ``("wait", None)`` when another caller owns it."""
@@ -175,7 +193,7 @@ class LRUStore:
             self._flights[key] = threading.Event()
             return ("claimed", None)
 
-    def wait(self, key: str, timeout: float) -> Any:
+    def wait(self, key: Hashable, timeout: float) -> Any:
         """Block until the key's flight resolves (or ``timeout`` passes);
         the stored value, or ``None`` when none arrived."""
         with self._lock:
@@ -184,14 +202,14 @@ class LRUStore:
             return None
         return self.peek(key)
 
-    def release(self, key: str) -> None:
+    def release(self, key: Hashable) -> None:
         """Resolve the key's flight without a value, waking its waiters."""
         with self._lock:
             flight = self._flights.pop(key, None)
         if flight is not None:
             flight.set()
 
-    def invalidate(self, keys: Iterable[str]) -> int:
+    def invalidate(self, keys: Iterable[Hashable]) -> int:
         """Drop exactly ``keys``; returns how many were present.  Flights
         are left alone: content-addressed keys cannot go stale."""
         with self._lock:
@@ -276,7 +294,7 @@ class SolverCache:
     def __init__(
         self, capacity: int = 4096, tiers: Sequence[Tier] = ()
     ) -> None:
-        self._front = LRUStore(capacity)
+        self._front = LRUStore(capacity, cold=is_bound)
         self._tiers = tuple(tiers)
         shared = [tier for tier in self._tiers if isinstance(tier, SharedTier)]
         if len(shared) > 1 or len(self._tiers) - len(shared) > 1:

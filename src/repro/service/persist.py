@@ -36,6 +36,12 @@ Value = tuple[float, str]
 BOUND_SOLVER = "upper_bound"
 
 
+def is_bound(value: Value) -> bool:
+    """True for a top-k upper bound's pair, which a memory tier stores at
+    its cold end."""
+    return value[1] == BOUND_SOLVER
+
+
 def default_version() -> str:
     """The version stamp new cache files record (and old ones must match)."""
     return f"{repro.__version__}/k{KEY_SCHEMA_VERSION}"

@@ -36,8 +36,15 @@ the frontier largest-first, and a pluggable execution backend
 across cores.  With ``cache_db=`` the cache's tier list gains the SQLite
 disk tier (:mod:`repro.service.persist`), so warm state survives restarts.
 Sampling-method requests run through the batched kernels of
-:mod:`repro.kernels` (DESIGN.md Section 7) by default.  See
-DESIGN.md, "The service layer" and "Executors, persistence, planning".
+:mod:`repro.kernels` (DESIGN.md Section 7) by default.
+
+The service also keeps its optimized plans (``plans``, an
+:class:`~repro.service.cache.LRUStore` of :data:`PLAN_MEMO_CAPACITY`
+plans), keyed by the batch's requests, the method, the options,
+``session_limit``, the database object and its generation: a repeated
+request skips plan build and optimize and goes straight to its cache
+lookups and terminals.  See DESIGN.md, "The service layer" and
+"Executors, persistence, planning".
 """
 
 from __future__ import annotations
@@ -47,15 +54,19 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.api.answer import Answer, BatchAnswer
-from repro.api.evaluate import answer as api_answer
-from repro.api.evaluate import answer_many as api_answer_many
+from repro.api.evaluate import _answer, _answer_many, _optimized_plan
 from repro.api.requests import QueryRequest, as_request
 from repro.db.database import PPDatabase
+from repro.plan.nodes import QueryPlan
 from repro.query.ast import ConjunctiveQuery
-from repro.service.cache import SolverCache, Tier
+from repro.service.cache import LRUStore, SolverCache, Tier
 from repro.service.executors import ExecutionBackend
 from repro.service.persist import PersistentCache
 from repro.service.shard import ShardClient, ShardGroup
+
+#: Optimized plans a service keeps: the serve corpus, the largest
+#: repeated working set measured, has 32 distinct requests.
+PLAN_MEMO_CAPACITY = 64
 
 
 class PreferenceService:
@@ -124,8 +135,8 @@ class PreferenceService:
         cache_db: "str | None" = None,
         cache_shards: "int | None" = None,
         shard_address: "str | None" = None,
-        **solver_options,
-    ):
+        **solver_options: Any,
+    ) -> None:
         sharded = cache_shards is not None or shard_address is not None
         if cache is not None and (cache_db is not None or sharded):
             raise ValueError(
@@ -151,6 +162,9 @@ class PreferenceService:
                 tiers.append(PersistentCache(cache_db))
             cache = SolverCache(cache_capacity, tiers)
         self.cache = cache
+        #: The optimized plans of this service's requests (module
+        #: docstring); ``/stats`` reports its counters under ``plans``.
+        self.plans = LRUStore(PLAN_MEMO_CAPACITY)
         self.method = method
         self.max_workers = max_workers
         self.backend = backend
@@ -181,11 +195,11 @@ class PreferenceService:
 
     def answer(
         self,
-        request,
+        request: "QueryRequest | ConjunctiveQuery | str",
         db: PPDatabase,
         method: str | None = None,
         rng: np.random.Generator | None = None,
-        **overrides,
+        **overrides: Any,
     ) -> Answer:
         """One typed request of any kind through the shared cache.
 
@@ -194,12 +208,13 @@ class PreferenceService:
         ``TOPK k ...``, ``AGG stat(R.col) ...``).
         """
         options = {**self.solver_options, **overrides}
-        return api_answer(
+        return _answer(
             request,
             db,
             method=method or self.method,
             rng=rng,
             cache=self.cache,
+            plans=self.plans,
             **options,
         )
 
@@ -216,7 +231,7 @@ class PreferenceService:
         backend: "str | ExecutionBackend | None" = None,
         rng: np.random.Generator | None = None,
         session_limit: int | None = None,
-        **overrides,
+        **overrides: Any,
     ) -> BatchAnswer:
         """A mixed-kind batch through the shared cache and backend.
 
@@ -230,7 +245,7 @@ class PreferenceService:
         :class:`~repro.api.answer.BatchAnswer`.
         """
         options = {**self.solver_options, **overrides}
-        batch = api_answer_many(
+        batch = _answer_many(
             [as_request(request) for request in requests],
             db,
             method=method or self.method,
@@ -243,11 +258,34 @@ class PreferenceService:
                 max_workers if max_workers is not None else self.max_workers
             ),
             session_limit=session_limit,
+            plans=self.plans,
             **options,
         )
         # Merge the persistent-tier counters the way stats() does.
         batch.cache_stats = self.stats()
         return batch
+
+    def plan(
+        self,
+        requests: Sequence["QueryRequest | ConjunctiveQuery | str"],
+        db: PPDatabase,
+        method: str | None = None,
+        session_limit: int | None = None,
+        **overrides: Any,
+    ) -> QueryPlan:
+        """The optimized plan :meth:`answer_many` runs for this batch,
+        from (and into) the plan memo, not executed: what ``/explain``
+        renders."""
+        return _optimized_plan(
+            [as_request(request) for request in requests],
+            db,
+            method or self.method,
+            {**self.solver_options, **overrides},
+            True,
+            session_limit,
+            canonical=True,
+            plans=self.plans,
+        )
 
 
 def _flat_tier_stats(depth: dict[str, Any]) -> dict[str, float]:

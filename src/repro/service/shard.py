@@ -37,6 +37,7 @@ from repro.service.persist import (
     PersistentCache,
     Value,
     default_version,
+    is_bound,
     persistable,
 )
 
@@ -100,7 +101,9 @@ class ShardGroup:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self._version = version if version is not None else default_version()
         per_shard = max(1, -(-capacity // n_shards))  # ceil division
-        self._stores = [LRUStore(per_shard) for _ in range(n_shards)]
+        self._stores = [
+            LRUStore(per_shard, cold=is_bound) for _ in range(n_shards)
+        ]
         self._disks = (
             [
                 PersistentCache(shard_db_path(cache_db, index), self._version)

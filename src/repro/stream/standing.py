@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, cast
 
 from repro.api.answer import Answer
 from repro.api.evaluate import _run_plan, assemble_answers, db_generation
@@ -57,7 +57,8 @@ from repro.api.requests import QueryRequest, as_request
 from repro.db.mutable import MutablePPDatabase, SessionDelta
 from repro.db.schema import SessionKey
 from repro.plan.methods import APPROXIMATE_METHODS
-from repro.plan.nodes import QueryPlan, TopKSessionsNode
+from repro.plan.execute import PlanExecution
+from repro.plan.nodes import QueryPlan, SolveNode, TopKSessionsNode
 from repro.query.classify import analyze
 from repro.service.cache import SolverCache
 
@@ -130,15 +131,15 @@ def answers_equal(left: "Answer | None", right: "Answer | None") -> bool:
 
 
 def terminal_cache_keys(
-    plan: QueryPlan,
+    plan: QueryPlan, execution: PlanExecution
 ) -> list[dict[SessionKey, tuple[str, ...]]]:
     """The executed plan's ``session -> cache keys`` map per terminal, in
     request order: the session's solve key, then the key of the bound
     node over that solve if the terminal is an upper-bound top-k.
 
-    Read off the terminals' item lists and ``plan.bounds``: unsatisfiable
-    sessions (no solve node) and non-canonical plans (no cache keys)
-    contribute nothing.
+    Read off the terminals' item lists and the execution's bound nodes:
+    unsatisfiable sessions (no solve node) and non-canonical plans (no
+    cache keys) contribute nothing.
     """
     per_terminal: list[dict[SessionKey, tuple[str, ...]]] = []
     for terminal in plan.aggregate_nodes():
@@ -147,19 +148,18 @@ def terminal_cache_keys(
             if isinstance(terminal, TopKSessionsNode) and terminal.lazy
             else None
         )
-        bound_of = {
-            solve_id: bound_id
-            for (solve_id, edges), bound_id in plan.bounds.items()
-            if edges == n_edges
-        }
         keys: dict[SessionKey, tuple[str, ...]] = {}
         for session_key, solve_id in terminal.items:
             if solve_id is None:
                 continue
+            bound = (
+                execution.bounds.get((solve_id, n_edges))
+                if n_edges is not None
+                else None
+            )
             node_keys = (
-                getattr(plan.nodes[node_id], "cache_key", None)
-                for node_id in (solve_id, bound_of.get(solve_id))
-                if node_id is not None
+                cast(SolveNode, plan.nodes[solve_id]).cache_key,
+                bound.cache_key if bound is not None else None,
             )
             found = tuple(key for key in node_keys if key is not None)
             if found:
@@ -336,7 +336,7 @@ class StandingQueryEngine:
         )
         answers = assemble_answers(plan, execution, batched=True)
         stamp = db_generation(self.db)
-        keys = terminal_cache_keys(plan)
+        keys = terminal_cache_keys(plan, execution)
         candidates: set[str] = set()
         with self._lock:
             for standing, result, session_keys, sessions in zip(

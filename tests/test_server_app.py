@@ -16,11 +16,16 @@ from repro.api.evaluate import answer
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
 from repro.server.http import MAX_BODY_BYTES, run_server
+from repro.service.service import PLAN_MEMO_CAPACITY
 from tests.conftest import GatedService
 
 pytestmark = pytest.mark.timeout(120)
 
 BASE = "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
+CROWDRANK = {"dataset": "crowdrank", "seed": 7, "sessions": 20, "movies": 6}
+CROWDRANK_QUERY = (
+    "P(v; m1; m2), M(m1, 'Drama', _, _, _), M(m2, _, _, _, 'long')"
+)
 
 
 def make_app(service=None, **overrides) -> ServerApp:
@@ -89,6 +94,50 @@ class TestRoutes:
         assert status == 200
         assert "solve" in payload["explain"]
         assert len(payload["requests"]) == 2
+
+    def test_explain_keeps_the_approx_budget(self):
+        app = make_app(**CROWDRANK)
+        body = {"request": CROWDRANK_QUERY, "method": "auto-approx",
+                "approx_budget": 1e6}
+
+        async def scenario():
+            return (
+                await app.handle("POST", "/answer", body, "c1"),
+                await app.handle("POST", "/explain", body, "c1"),
+            )
+
+        answered, explained = run(closing(app, scenario()))
+        assert answered[0] == 200
+        assert explained[0] == 200
+        assert "method=auto-approx" in explained[1]["explain"]
+
+    def test_explain_honors_the_session_limit(self):
+        app = make_app(**CROWDRANK)
+        body = {"request": CROWDRANK_QUERY, "session_limit": 3}
+
+        async def scenario():
+            return (
+                await app.handle("POST", "/answer", body, "c1"),
+                await app.handle("POST", "/explain", body, "c1"),
+            )
+
+        answered, explained = run(closing(app, scenario()))
+        assert answered[1]["n_sessions"] == 3
+        assert "sessions 20 -> 3" in explained[1]["explain"]
+        # /explain read the plan the /answer left in the memo.
+        assert app.handle_stats()["plans"]["hits"] == 1
+
+    def test_stats_report_the_plan_memo(self):
+        app = make_app()
+
+        async def scenario():
+            for _ in range(2):
+                await app.handle("POST", "/answer", BASE, "c1")
+            return app.handle_stats()
+
+        plans = run(closing(app, scenario()))["plans"]
+        assert (plans["misses"], plans["hits"], plans["size"]) == (1, 1, 1)
+        assert plans["capacity"] == PLAN_MEMO_CAPACITY
 
     def test_stats_after_traffic(self):
         app = make_app()
