@@ -39,6 +39,7 @@ from repro.api.answer import Answer, BatchAnswer
 from repro.api.requests import QueryRequest, as_request
 from repro.plan.build import build_plan
 from repro.plan.execute import PlanExecution, execute_plan
+from repro.plan.grounding import Grounding
 from repro.plan.methods import APPROXIMATE_METHODS, check_required_options
 from repro.plan.nodes import QueryPlan, TerminalNode
 from repro.plan.passes import optimize_plan
@@ -288,6 +289,7 @@ def _run_plan(
     cache: SolverCache | None,
     backend: "ExecutionBackend | None",
     plans: LRUStore | None = None,
+    grounding: Grounding | None = None,
 ) -> "tuple[QueryPlan, PlanExecution]":
     """(Memoized) build -> optimize, then execute, recording the plan on
     ``cache``.
@@ -295,13 +297,15 @@ def _run_plan(
     The one step behind :func:`answer`, the exact branch of
     :func:`answer_many` and a standing-query refresh
     (:mod:`repro.stream.standing`); they differ only in backend, grouping
-    mode (``canonical``), plan memo and how they wrap the answers.  An
-    unoptimized plan (``optimize=False``) is built fresh every time.
+    mode (``canonical``), plan memo, grounding (only a refresh keeps one)
+    and how they wrap the answers.  An unoptimized plan
+    (``optimize=False``) is built fresh every time.
     """
     if optimize:
         plan = _optimized_plan(
             requests, db, method, solver_options, group_sessions,
             session_limit, canonical=canonical, plans=plans,
+            grounding=grounding,
         )
     else:
         plan = build_plan(
@@ -328,6 +332,7 @@ def _optimized_plan(
     *,
     canonical: bool,
     plans: LRUStore | None,
+    grounding: Grounding | None = None,
 ) -> QueryPlan:
     """Every optimized plan: build -> optimize, or the memo's plan.
 
@@ -338,6 +343,10 @@ def _optimized_plan(
     from (a plan built while a writer moved the generation on is filed
     under the older one, which no later lookup asks for).  Callers pass a
     store only for canonical, grouped plans, the ones a service runs.
+
+    Build and optimize read through one grounding
+    (:class:`~repro.plan.grounding.Grounding`), the caller's or a fresh
+    one, and hold its lock between them.
     """
     if plans is not None:
         key = (
@@ -347,11 +356,14 @@ def _optimized_plan(
         memoized: "QueryPlan | None" = plans.get(key)
         if memoized is not None:
             return memoized
-    plan = build_plan(
-        requests, db, method=method, options=solver_options,
-        group_sessions=group_sessions, session_limit=session_limit,
-    )
-    optimize_plan(plan, canonical=canonical)
+    grounding = grounding if grounding is not None else Grounding()
+    with grounding.lock:
+        plan = build_plan(
+            requests, db, method=method, options=solver_options,
+            group_sessions=group_sessions, session_limit=session_limit,
+            grounding=grounding,
+        )
+        optimize_plan(plan, canonical=canonical, grounding=grounding)
     if plans is not None:
         plans.put_many([(key, plan)])
     return plan

@@ -10,6 +10,10 @@ consensus answers both rewrite plans, not evaluators:
   (``SelectSessions -> GroundSessions -> CompileUnion -> Solve ->
   AggregateSessions``, plus ``CombineQueries`` for batches);
 * :mod:`repro.plan.build` — the logical builder, (queries, db) -> plan;
+* :mod:`repro.plan.grounding` — what build and optimize derive without
+  reading a model (each session's compiled union, each union's labeling,
+  fingerprints, costs and named digest), kept across builds by a
+  standing-query engine;
 * :mod:`repro.plan.methods` — the single method-resolution path (structural
   ``"auto"``, budgeted ``"auto-approx"``) and the method-name constants;
 * :mod:`repro.plan.cost` — the DP state-count cost model and the

@@ -19,17 +19,18 @@ probability, :class:`~repro.plan.nodes.CountSessionsNode` for
 Section-7 attribute aggregates (whose attribute values are joined here, at
 build time, so a missing row fails before any solve runs).
 
-Labelings are computed once per distinct union object and shared by every
-session (and every solve node) that references the union, exactly as the
-pre-plan engine memoized them.
+Everything the builder derives without reading a model comes from a
+:class:`~repro.plan.grounding.Grounding`: per query, each session's
+compiled union; per union, its labeling, shared by every solve node over
+it.  A caller may pass one that outlives the build (a standing-query
+engine does); by default each build gets a fresh one.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.patterns.labels import Labeling
-from repro.patterns.union import PatternUnion
+from repro.plan.grounding import Grounding
 from repro.plan.methods import MODEL_AGNOSTIC_METHODS
 from repro.plan.nodes import (
     AggregateSessionsNode,
@@ -45,8 +46,6 @@ from repro.plan.nodes import (
     TopKSessionsNode,
 )
 from repro.query.ast import ConjunctiveQuery
-from repro.query.classify import analyze
-from repro.query.compile import labeling_for_patterns
 from repro.query.engine import compile_session_work
 from repro.rim.mixture import MallowsMixture
 from repro.rim.model import RIM
@@ -69,6 +68,7 @@ def build_plan(
     options: "dict[str, Any] | None" = None,
     group_sessions: bool = True,
     session_limit: int | None = None,
+    grounding: Grounding | None = None,
 ) -> QueryPlan:
     """Build the logical plan of one request or a batch.
 
@@ -78,8 +78,12 @@ def build_plan(
     request object.  The other parameters mirror
     :func:`repro.api.answer`; ``group_sessions=False`` marks the
     plan as non-groupable (the optimizer then skips common-solve
-    elimination, reproducing the naive baseline).
+    elimination, reproducing the naive baseline).  ``grounding`` supplies
+    and keeps what the build derives without reading a model (a fresh
+    one by default); pass the same one to
+    :func:`~repro.plan.passes.optimize_plan`.
     """
+    grounding = grounding if grounding is not None else Grounding()
     plan = QueryPlan(
         db,
         _normalize_requests(queries),
@@ -88,8 +92,10 @@ def build_plan(
         group_sessions=group_sessions,
         session_limit=session_limit,
     )
-    for query_index, request in enumerate(plan.requests):
-        _build_request(plan, query_index, request)
+    with grounding.lock:
+        grounding.check(db)
+        for query_index, request in enumerate(plan.requests):
+            _build_request(plan, query_index, request, grounding)
     if plan.n_queries > 1:
         combine = CombineQueriesNode(
             node_id=plan.new_id(),
@@ -130,20 +136,22 @@ def _terminal_for(plan: QueryPlan, request, query_index: int) -> TerminalNode:
     raise ValueError(f"unknown request kind {request.kind!r}")
 
 
-def _build_request(plan: QueryPlan, query_index: int, request) -> None:
-    query = request.query
-    analysis = analyze(query, plan.db)
-    prelation = plan.db.prelation(analysis.p_relation)
+def _build_request(
+    plan: QueryPlan, query_index: int, request, grounding: Grounding
+) -> None:
+    grounded = grounding.query(request.query, plan.db)
+    prelation = plan.db.prelation(grounded.analysis.p_relation)
     works = compile_session_work(
-        query, plan.db, analysis=analysis, session_limit=plan.session_limit
+        request.query, plan.db, session_limit=plan.session_limit,
+        grounded=grounded,
     )
 
     select = plan.add(
         SelectSessionsNode(
             node_id=plan.new_id(),
             query_index=query_index,
-            p_relation=analysis.p_relation,
-            n_candidates=len(list(prelation.session_keys())),
+            p_relation=grounded.analysis.p_relation,
+            n_candidates=len(prelation),
             n_selected=len(works),
         )
     )
@@ -157,29 +165,11 @@ def _build_request(plan: QueryPlan, query_index: int, request) -> None:
         )
     )
 
-    # One CompileUnion node per distinct union object (compile_session_work
-    # already shares union objects across sessions with equal bindings) and
-    # one labeling per union, shared by all of its solve nodes.
+    # One CompileUnion node per distinct union object (the grounding
+    # shares union objects across sessions with equal bindings), each
+    # union labeled once by the grounding.
     union_nodes: dict[int, CompileUnionNode] = {}
-    labelings: dict[int, Labeling] = {}
     items = prelation.items
-
-    def union_node_of(union: PatternUnion) -> CompileUnionNode:
-        found = union_nodes.get(id(union))
-        if found is None:
-            found = plan.add(
-                CompileUnionNode(
-                    node_id=plan.new_id(),
-                    inputs=(ground.node_id,),
-                    query_index=query_index,
-                    union=union,
-                )
-            )
-            union_nodes[id(union)] = found
-            labelings[id(union)] = labeling_for_patterns(
-                union.patterns, items, plan.db
-            )
-        return found
 
     terminal_items: list[tuple] = []
     for work in works:
@@ -187,14 +177,25 @@ def _build_request(plan: QueryPlan, query_index: int, request) -> None:
             terminal_items.append((work.key, None))
             continue
         _check_model(plan, request, work.key, work.model)
-        compile_node = union_node_of(work.union)
+        compile_node = union_nodes.get(id(work.union))
+        if compile_node is None:
+            compile_node = union_nodes[id(work.union)] = plan.add(
+                CompileUnionNode(
+                    node_id=plan.new_id(),
+                    inputs=(ground.node_id,),
+                    query_index=query_index,
+                    union=work.union,
+                )
+            )
         compile_node.n_sessions += 1
         solve = plan.add(
             SolveNode(
                 node_id=plan.new_id(),
                 inputs=(compile_node.node_id,),
                 model=work.model,
-                labeling=labelings[id(work.union)],
+                labeling=grounding.compiled(
+                    work.union, items, plan.db
+                ).labeling,
                 union=work.union,
                 requested_method=plan.method,
                 options=plan.options,

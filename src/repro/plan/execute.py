@@ -41,11 +41,12 @@ terminals run, the executor makes one :class:`~repro.plan.nodes.BoundNode`
 per (solve node, ``n_edges``) an upper-bound terminal reads, shared by
 every terminal that reads it, numbered past the plan's last id and kept in
 :attr:`PlanExecution.bounds`, and the runner resolves them all in one
-call: each cacheable bound is looked up and claimed under its exact key
-(:func:`~repro.service.keys.bound_cache_key`), the misses are computed in
-one run of a :class:`~repro.service.executors.SerialBackend` through
-:func:`session_upper_bound` (a bound is a small DP: a worker pool would
-cost more than it saves), and published in one ``put_many`` of
+call: each cacheable bound is looked up and claimed under the key the
+optimizer stored on its terminal
+(:attr:`~repro.plan.nodes.TopKSessionsNode.bound_keys`), the misses are
+computed in one run of a :class:`~repro.service.executors.SerialBackend`
+through :func:`session_upper_bound` (a bound is a small DP: a worker pool
+would cost more than it saves), and published in one ``put_many`` of
 ``(bound, "upper_bound")`` pairs.  So a warm top-k answer computes no
 bound, and a standing query's refresh bounds only the sessions its delta
 added or updated.  Bounds are not solves: the solve counters
@@ -61,7 +62,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, cast
+from typing import cast
 
 import numpy as np
 
@@ -77,7 +78,6 @@ from repro.query.engine import solve_session
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
 from repro.service.executors import ExecutionBackend, SerialBackend
-from repro.service.keys import bound_cache_key, named_union_fingerprint
 from repro.solvers.upper_bound import upper_bound_probability
 
 
@@ -346,9 +346,10 @@ def _run_terminals(
 
 def _bound_nodes(plan: QueryPlan, execution: PlanExecution) -> list[BoundNode]:
     """The bound nodes the plan's upper-bound top-k terminals read, in
-    first-use order, made now and recorded in ``execution.bounds``."""
+    first-use order, made now and recorded in ``execution.bounds``: one
+    node per key the optimizer stored, so the runner never claims a key
+    twice in one call."""
     ids = itertools.count(plan.n_ids)
-    memo: dict[int, str] = {}
     by_key: dict[str, BoundNode] = {}
     wanted: dict[int, BoundNode] = {}
     for terminal in plan.aggregate_nodes():
@@ -358,46 +359,24 @@ def _bound_nodes(plan: QueryPlan, execution: PlanExecution) -> list[BoundNode]:
             pair = (solve_id, terminal.n_edges)
             node = execution.bounds.get(pair)
             if node is None:
-                node = execution.bounds[pair] = _bound_node(
-                    plan, solve_id, terminal.n_edges, ids, memo, by_key
-                )
+                key = terminal.bound_keys.get(solve_id)
+                node = by_key.get(key) if key is not None else None
+                if node is None:
+                    solve = cast(SolveNode, plan.nodes[solve_id])
+                    node = BoundNode(
+                        node_id=next(ids),
+                        inputs=(solve_id,),
+                        model=solve.model,
+                        labeling=solve.labeling,
+                        union=solve.union,
+                        n_edges=terminal.n_edges,
+                        cache_key=key,
+                    )
+                    if key is not None:
+                        by_key[key] = node
+                execution.bounds[pair] = node
             wanted[node.node_id] = node
     return list(wanted.values())
-
-
-def _bound_node(
-    plan: QueryPlan,
-    solve_id: int,
-    n_edges: int,
-    ids: Iterator[int],
-    memo: dict[int, str],
-    by_key: dict[str, BoundNode],
-) -> BoundNode:
-    """A new bound node over ``solve_id``, or the node that already holds
-    its cache key: one node per key, so the runner never claims a key
-    twice in one call.  ``memo`` keeps the named union's fingerprint per
-    union object, as elimination memoizes fingerprints."""
-    solve = cast(SolveNode, plan.nodes[solve_id])
-    key = None
-    if solve.cache_key is not None:
-        named = memo.get(id(solve.union))
-        if named is None:
-            named = memo[id(solve.union)] = named_union_fingerprint(solve.union)
-        key = bound_cache_key(solve.cache_key, named, n_edges)
-        if key in by_key:
-            return by_key[key]
-    node = BoundNode(
-        node_id=next(ids),
-        inputs=(solve_id,),
-        model=solve.model,
-        labeling=solve.labeling,
-        union=solve.union,
-        n_edges=n_edges,
-        cache_key=key,
-    )
-    if key is not None:
-        by_key[key] = node
-    return node
 
 
 def _run_topk(

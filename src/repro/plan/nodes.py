@@ -23,10 +23,10 @@ The nodes split into two layers:
   (:mod:`repro.plan.passes`) resolve its method, annotate its cost, and
   merge identical nodes, so the executor (:mod:`repro.plan.execute`) only
   ever runs the surviving frontier.  Each execution makes its own
-  ``BoundNode`` per surviving solve an upper-bound top-k terminal reads
-  and keeps it in its :class:`~repro.plan.execute.PlanExecution`: nothing
-  writes to a plan after the optimizer, so one plan can run any number of
-  times.
+  ``BoundNode`` per surviving solve an upper-bound top-k terminal reads,
+  under the key the optimizer stored on the terminal, and keeps it in its
+  :class:`~repro.plan.execute.PlanExecution`: nothing writes to a plan
+  after the optimizer, so one plan can run any number of times.
 
 Since the unified query API (:mod:`repro.api`), every request kind ends in
 its own *terminal* node over the shared solve frontier:
@@ -174,8 +174,9 @@ class BoundNode(PlanNode):
     the execution, not the plan; it resolves them on the one frontier
     runner like solves: cache lookup, claim, one serial backend run, one
     publish of ``(bound, "upper_bound")`` pairs.  A bound is not a solve,
-    so the solve counters never count it.  ``cache_key`` keeps the union's
-    node names (:func:`repro.service.keys.bound_cache_key`): the edge
+    so the solve counters never count it.  ``cache_key`` is the key the
+    optimizer stored in the terminal's ``bound_keys``; it keeps the union's
+    node names (:func:`repro.service.keys.bound_cache_key`), since the edge
     selection breaks ease ties by name.
     """
 
@@ -249,15 +250,20 @@ class TopKSessionsNode(TerminalNode):
     frontier) and demanded in descending upper-bound order until the k-th
     best confirmed probability dominates every remaining bound — solves
     past that point never run.  The bounds are :class:`BoundNode` values
-    of the execution (``PlanExecution.bounds``).  A solve shared with any
-    non-lazy terminal (e.g. a Count of the same query in the batch) stays
-    eager, and the top-k loop consumes its already-resolved probability
-    for free.
+    of the execution (``PlanExecution.bounds``), cached under the keys the
+    optimizer put in ``bound_keys``.  A solve shared with any non-lazy
+    terminal (e.g. a Count of the same query in the batch) stays eager,
+    and the top-k loop consumes its already-resolved probability for
+    free.
     """
 
     k: int = 1
     strategy: str = "upper_bound"
     n_edges: int = 1
+    #: solve node id -> the cache key of its bound
+    #: (:func:`repro.service.keys.bound_cache_key`); filled by canonical
+    #: elimination, empty when the plan has no cache keys
+    bound_keys: dict[int, str] = field(default_factory=dict)
 
     kind: ClassVar[str] = "top_k_sessions"
 

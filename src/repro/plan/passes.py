@@ -22,7 +22,10 @@ Five passes, applied in order by :func:`optimize_plan`:
    The repoint sweep is terminal-kind agnostic: a Count and a Probability
    (or TopK, or attribute Aggregate) of the same query share one merged
    solve, which is what makes mixed-kind batches of the unified API
-   (:mod:`repro.api`) no more expensive than their hardest member.
+   (:mod:`repro.api`) no more expensive than their hardest member.  With
+   canonical keys the pass also keys every bound an upper-bound top-k
+   terminal will read (:attr:`~repro.plan.nodes.TopKSessionsNode
+   .bound_keys`), so no execution recomputes one.
 4. :func:`annotate_costs` — annotate every surviving solve node with the
    planner's DP state-count estimate (:func:`repro.plan.cost
    .estimate_solve_states`); consumed by the ordering pass, ``explain()``,
@@ -37,20 +40,26 @@ Five passes, applied in order by :func:`optimize_plan`:
    bit-identical to the sequential engine.
 
 Every pass records itself in ``plan.passes_applied``; the elimination pass
-also maintains ``plan.n_solves_eliminated``.  Optimized and unoptimized
-plans produce bit-identical probabilities — the per-pass equivalence tests
-pin exactly that.
+also maintains ``plan.n_solves_eliminated``.  What the passes derive from
+a union alone (its simplification, resolved method, fingerprints, cost
+estimates and named digest) they read through a
+:class:`~repro.plan.grounding.Grounding`: the caller's, or a fresh one per
+:func:`optimize_plan` call.  Optimized and unoptimized plans produce
+bit-identical probabilities — the per-pass equivalence tests pin exactly
+that.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.patterns.union import PatternUnion
-from repro.plan.cost import estimate_solve_states, largest_first_order
+from repro.plan.cost import largest_first_order
+from repro.plan.grounding import Grounding
 from repro.plan.methods import APPROXIMATE_METHODS, resolve_solve_method
-from repro.plan.nodes import CompileUnionNode, QueryPlan
-from repro.service.keys import request_fingerprint, session_cache_key
+from repro.plan.nodes import CompileUnionNode, QueryPlan, TopKSessionsNode
+from repro.service.keys import bound_cache_key, session_cache_key
 
 PlanPass = Callable[[QueryPlan], QueryPlan]
 
@@ -58,8 +67,8 @@ PlanPass = Callable[[QueryPlan], QueryPlan]
 def simplify_union(union: PatternUnion) -> PatternUnion:
     """``union`` with canonically duplicate disjuncts dropped.
 
-    Returns the same object when nothing changes, so downstream id-keyed
-    memos (labelings, fingerprints) stay valid.
+    Returns the same object when nothing changes, so the grounding's
+    facts of the union stay valid.
     """
     if union.z < 2:
         return union  # a single disjunct cannot hide a duplicate
@@ -76,15 +85,16 @@ def simplify_union(union: PatternUnion) -> PatternUnion:
     return PatternUnion(kept)
 
 
-def simplify_unions(plan: QueryPlan) -> QueryPlan:
+def simplify_unions(
+    plan: QueryPlan, grounding: Grounding | None = None
+) -> QueryPlan:
     """Pass 1: flatten + dedup identical disjuncts of every solve's union."""
+    grounding = grounding if grounding is not None else Grounding()
     simplified: dict[int, PatternUnion] = {}
     n_dropped = 0
     for node in plan.solves():
-        result = simplified.get(id(node.union))
-        if result is None:
-            result = simplify_union(node.union)
-            simplified[id(node.union)] = result
+        result = grounding.facts(node).simplified()
+        simplified[id(node.union)] = result
         if result is not node.union:
             dropped = node.union.z - result.z
             node.annotations["n_disjuncts_dropped"] = dropped
@@ -103,8 +113,11 @@ def simplify_unions(plan: QueryPlan) -> QueryPlan:
     return plan
 
 
-def resolve_methods(plan: QueryPlan) -> QueryPlan:
+def resolve_methods(
+    plan: QueryPlan, grounding: Grounding | None = None
+) -> QueryPlan:
     """Pass 2: every solve's method through the single resolution path."""
+    grounding = grounding if grounding is not None else Grounding()
     for node in plan.solves():
         requested = node.requested_method
         if requested == "auto-approx":
@@ -118,29 +131,28 @@ def resolve_methods(plan: QueryPlan) -> QueryPlan:
             )
             node.annotations["approx_budget"] = plan.approx_budget
         else:
-            node.method = resolve_solve_method(node.union, requested)
+            node.method = grounding.facts(node).method(requested)
     plan.passes_applied.append("resolve_methods")
     return plan
 
 
-def annotate_costs(plan: QueryPlan) -> QueryPlan:
+def annotate_costs(
+    plan: QueryPlan, grounding: Grounding | None = None
+) -> QueryPlan:
     """Pass 4: annotate every solve node with its DP state-count estimate."""
+    grounding = grounding if grounding is not None else Grounding()
     for node in plan.solves():
-        estimate = estimate_solve_states(
-            node.model,
-            node.labeling,
-            node.union,
-            node.method or node.requested_method,
-            node.options,
+        node.cost = node.annotations["cost"] = grounding.facts(node).cost(
+            node.model, node.method or node.requested_method, node.options
         )
-        node.cost = estimate.states
-        node.annotations["cost"] = estimate.states
     plan.passes_applied.append("annotate_costs")
     return plan
 
 
 def eliminate_common_solves(
-    plan: QueryPlan, canonical: bool = True
+    plan: QueryPlan,
+    canonical: bool = True,
+    grounding: Grounding | None = None,
 ) -> QueryPlan:
     """Pass 3: merge solve nodes that are the same request.
 
@@ -152,28 +164,21 @@ def eliminate_common_solves(
     identity grouping never conflates a plain model with its canonically
     equal single-component mixture).
     """
+    grounding = grounding if grounding is not None else Grounding()
     if canonical:
         # The model-independent fingerprint is the expensive half of the
-        # key; memoize it per (union object, resolved method).
-        fingerprints: dict[tuple[int, str | None], str] = {}
+        # key; the grounding keeps it per union.
         for node in plan.solves():
-            memo_key = (id(node.union), node.method)
-            fingerprint = fingerprints.get(memo_key)
-            if fingerprint is None:
-                fingerprint = request_fingerprint(
-                    node.labeling,
-                    node.union,
-                    node.method or node.requested_method,
-                    node.options,
-                )
-                fingerprints[memo_key] = fingerprint
+            method = node.method or node.requested_method
             node.cache_key = session_cache_key(
                 node.model,
                 node.labeling,
                 node.union,
-                node.method or node.requested_method,
+                method,
                 node.options,
-                fingerprint=fingerprint,
+                fingerprint=grounding.facts(node).fingerprint(
+                    method, node.options
+                ),
             )
 
     representatives: dict = {}
@@ -205,8 +210,32 @@ def eliminate_common_solves(
             )
     plan.solve_order = surviving
     plan.n_solves_eliminated += len(remap)
+    if canonical:
+        _key_bounds(plan, grounding)
     plan.passes_applied.append("eliminate_common_solves")
     return plan
+
+
+def _key_bounds(plan: QueryPlan, grounding: Grounding) -> None:
+    """Fill each upper-bound top-k terminal's ``bound_keys`` from its
+    surviving solves' keys and named unions."""
+    keys: dict[tuple[int, int], str] = {}
+    for terminal in plan.aggregate_nodes():
+        if not (isinstance(terminal, TopKSessionsNode) and terminal.lazy):
+            continue
+        for solve_id in terminal.solve_ids():
+            pair = (solve_id, terminal.n_edges)
+            key = keys.get(pair)
+            if key is None:
+                solve = plan.nodes[solve_id]
+                if solve.cache_key is None:
+                    continue
+                key = keys[pair] = bound_cache_key(
+                    solve.cache_key,
+                    grounding.facts(solve).named,
+                    terminal.n_edges,
+                )
+            terminal.bound_keys[solve_id] = key
 
 
 def order_solves(plan: QueryPlan) -> QueryPlan:
@@ -233,17 +262,25 @@ def order_solves(plan: QueryPlan) -> QueryPlan:
 
 
 def default_passes(
-    plan: QueryPlan, canonical: bool = False
+    plan: QueryPlan,
+    canonical: bool = False,
+    grounding: Grounding | None = None,
 ) -> list[PlanPass]:
-    """The default pipeline for this plan's configuration."""
-    passes: list[PlanPass] = [simplify_unions, resolve_methods]
+    """The default pipeline for this plan's configuration, reading through
+    ``grounding`` (one fresh one for the whole pipeline by default)."""
+    grounding = grounding if grounding is not None else Grounding()
+    passes: list[PlanPass] = [
+        partial(simplify_unions, grounding=grounding),
+        partial(resolve_methods, grounding=grounding),
+    ]
     if plan.group_sessions:
         passes.append(
-            lambda p, _canonical=canonical: eliminate_common_solves(
-                p, canonical=_canonical
+            partial(
+                eliminate_common_solves, canonical=canonical,
+                grounding=grounding,
             )
         )
-    passes += [annotate_costs, order_solves]
+    passes += [partial(annotate_costs, grounding=grounding), order_solves]
     return passes
 
 
@@ -251,15 +288,22 @@ def optimize_plan(
     plan: QueryPlan,
     passes: "Iterable[PlanPass] | None" = None,
     canonical: bool | None = None,
+    grounding: Grounding | None = None,
 ) -> QueryPlan:
     """Apply the default (or an explicit) pass pipeline to ``plan``.
 
     ``canonical`` selects the grouping mode of common-solve elimination
     (see :func:`eliminate_common_solves`); it defaults to ``False``, the
     engine's cacheless behavior — the serving layer passes ``True``.
+    ``grounding`` is the one the plan was built through, if the caller
+    kept it; the default pipeline reads through it.
     """
-    if passes is None:
-        passes = default_passes(plan, canonical=bool(canonical))
-    for plan_pass in passes:
-        plan = plan_pass(plan)
+    grounding = grounding if grounding is not None else Grounding()
+    with grounding.lock:
+        if passes is None:
+            passes = default_passes(
+                plan, canonical=bool(canonical), grounding=grounding
+            )
+        for plan_pass in passes:
+            plan = plan_pass(plan)
     return plan

@@ -22,13 +22,14 @@ by :func:`repro.api.answer`): build the plan DAG, run the optimizer passes
 (which perform the grouping above and its cross-query generalization over
 canonical cache keys), execute the surviving solve frontier.  This module
 holds the per-session primitives that plan is made of —
-:func:`compile_session_work`, :func:`solve_session`, and
-:func:`aggregate_sessions`.
+:func:`compile_session_work` (whose :class:`QueryGrounding` a plan's
+:class:`~repro.plan.grounding.Grounding` keeps across builds),
+:func:`solve_session`, and :func:`aggregate_sessions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 import numpy as np
@@ -74,45 +75,91 @@ class SessionEvaluation:
 # ----------------------------------------------------------------------
 
 
+#: Grounding markers: a session the query does not select (its key fails
+#: the session terms), and one not grounded yet.
+_NOT_SELECTED = object()
+_UNSEEN = object()
+
+
+@dataclass
+class QueryGrounding:
+    """What grounding one query found, kept for as long as its owner keeps
+    it (one :func:`compile_session_work` call, or a
+    :class:`~repro.plan.grounding.Grounding` across plan builds).
+
+    None of it reads a session's model: selection reads the session key,
+    and the union reads the O-relations through the session atoms.
+    """
+
+    analysis: QueryAnalysis
+    #: session key -> its compiled union, None where the query is false
+    #: on the session, or a marker where the query does not select it
+    sessions: dict[SessionKey, Any] = field(default_factory=dict)
+    #: binding signature -> its compiled union (None: the query is false)
+    unions: dict[frozenset, PatternUnion | None] = field(default_factory=dict)
+
+
 def compile_session_work(
     query: ConjunctiveQuery,
     db: PPDatabase,
     analysis: QueryAnalysis | None = None,
     session_limit: int | None = None,
+    grounded: QueryGrounding | None = None,
 ) -> list[SessionWork]:
-    """Select sessions and compile the pattern union of each."""
-    if analysis is None:
-        analysis = analyze(query, db)
+    """Select sessions and compile the pattern union of each.
+
+    Each session is grounded once per ``grounded`` (a fresh one by
+    default), and sessions with equal bindings share one union object;
+    the models are read from the p-relation on every call.
+    """
+    if grounded is None:
+        grounded = QueryGrounding(
+            analysis if analysis is not None else analyze(query, db)
+        )
+    analysis = grounded.analysis
     prelation = db.prelation(analysis.p_relation)
     works: list[SessionWork] = []
-    union_cache: dict[tuple, PatternUnion | None] = {}
-
     for key in prelation.session_keys():
         if session_limit is not None and len(works) >= session_limit:
             break
-        binding = _bind_session_terms(analysis, key)
-        if binding is None:
-            continue
-        bindings = _session_atom_bindings(analysis, db, binding)
-        # One signature per assignment: a failed join ([], the query is
-        # false here) must not collide with a successful binding-free join
-        # ([{}]), and the disjunct structure matters ([{x:1}, {y:2}] is a
-        # different query than [{x:1, y:2}]).
-        cache_key = frozenset(
-            tuple(
-                sorted((variable.name, value) for variable, value in assignment.items())
+        union = grounded.sessions.get(key, _UNSEEN)
+        if union is _UNSEEN:
+            union = grounded.sessions[key] = _ground_session(
+                analysis, db, key, grounded.unions
             )
-            for assignment in bindings
-        )
-        if cache_key in union_cache:
-            union = union_cache[cache_key]
-        else:
-            union = _compile_union(analysis, db, bindings)
-            union_cache[cache_key] = union
+        if union is _NOT_SELECTED:
+            continue
         works.append(
             SessionWork(key=key, model=prelation.model_of(key), union=union)
         )
     return works
+
+
+def _ground_session(
+    analysis: QueryAnalysis,
+    db: PPDatabase,
+    key: SessionKey,
+    unions: dict[frozenset, PatternUnion | None],
+) -> Any:
+    """One session's compiled union (None: the query is false on it), or
+    ``_NOT_SELECTED``; ``unions`` shares a union by binding signature."""
+    binding = _bind_session_terms(analysis, key)
+    if binding is None:
+        return _NOT_SELECTED
+    bindings = _session_atom_bindings(analysis, db, binding)
+    # One signature per assignment: a failed join ([], the query is false
+    # here) must not collide with a successful binding-free join ([{}]),
+    # and the disjunct structure matters ([{x:1}, {y:2}] is a different
+    # query than [{x:1, y:2}]).
+    signature = frozenset(
+        tuple(
+            sorted((variable.name, value) for variable, value in assignment.items())
+        )
+        for assignment in bindings
+    )
+    if signature not in unions:
+        unions[signature] = _compile_union(analysis, db, bindings)
+    return unions[signature]
 
 
 def _bind_session_terms(

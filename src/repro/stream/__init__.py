@@ -8,8 +8,10 @@ counter); a :class:`~repro.stream.standing.StandingQueryEngine` keeps
 one materialized :class:`~repro.api.answer.Answer` per registered
 request fresh by running its stale registrations as one batch plan
 through the normal build -> optimize -> execute pipeline and the shared
-warm cache, so only the affected solves execute, and retiring obsolete
-entries with the targeted ``invalidate(keys)``; a
+warm cache, so only the affected solves execute, building each plan
+through one :class:`~repro.plan.grounding.Grounding` that grounds only
+arriving sessions, and retiring obsolete entries with the targeted
+``invalidate(keys)``; a
 :class:`~repro.stream.replay.TrafficReplayer` generates seeded synthetic
 arrival/update/expiry schedules for the ``python -m repro replay`` CLI
 and ``benchmarks/bench_streaming.py``.

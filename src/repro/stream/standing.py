@@ -10,12 +10,27 @@ parallel incremental engine:
   named by its canonical ``session_cache_key`` — a function of the
   session's *model* (``freeze()``), labeling, and union, never of the
   session's identity.  A mutated session therefore freezes to a *new*
-  key; cached entries can never go stale.  Incremental maintenance is
-  simply: re-run the normal build -> optimize -> execute pipeline against
-  the **shared warm cache** — unchanged sessions hit the cache, only the
-  delta's solves run fresh, and the lazy top-k frontier re-ranks with
-  cached bounds and confirmations (a delta's sessions are bounded fresh
-  and re-enter the frontier in bound order).
+  key; cached entries can never go stale.  So a refresh executes a fresh
+  plan against the **shared warm cache**: unchanged sessions hit the
+  cache, only the delta's solves run fresh, and the lazy top-k frontier
+  re-ranks with cached bounds and confirmations (a delta's sessions are
+  bounded fresh and re-enter the frontier in bound order).
+* **One grounding across refreshes.**  What a plan derives without
+  reading a model — each session's compiled union per registered query,
+  and per union its labeling, fingerprints, cost estimates and named
+  digest — lives in the engine's :class:`~repro.plan.grounding
+  .Grounding`.  A refresh builds and optimizes a new plan through it, so
+  it grounds only the sessions it has not seen and reads every model
+  from the p-relation: an updated session gets its new key through its
+  model's memoized digest.  The plan equals a from-scratch build, down to
+  its elimination representatives and LPT order.  It is not the last
+  plan patched: elimination points merged sessions at one
+  representative, whose union names the top-k bound keys, and after an
+  expiry a fresh build may pick another representative.  An expiry
+  drops the session from the grounding, a deregistration drops the
+  query unless another registration asks it, and a build that finds
+  other relation objects than the grounding was filled from starts
+  from an empty one.
 * **One plan per refresh.**  A refresh plans every stale registration as
   one request list — the step behind :func:`~repro.api.evaluate
   .answer_many`'s exact branch — so the batch is built and optimized
@@ -56,8 +71,9 @@ from repro.api.evaluate import _run_plan, assemble_answers, db_generation
 from repro.api.requests import QueryRequest, as_request
 from repro.db.mutable import MutablePPDatabase, SessionDelta
 from repro.db.schema import SessionKey
-from repro.plan.methods import APPROXIMATE_METHODS
 from repro.plan.execute import PlanExecution
+from repro.plan.grounding import Grounding
+from repro.plan.methods import APPROXIMATE_METHODS
 from repro.plan.nodes import QueryPlan, SolveNode, TopKSessionsNode
 from repro.query.classify import analyze
 from repro.service.cache import SolverCache
@@ -181,7 +197,9 @@ class StandingQueryEngine:
     plain, persistent, or sharded) and one ``method``, and a refresh runs
     them as one plan: its unchanged sessions are cache hits, and
     overlapping standing queries share each other's solves exactly like a
-    batch shares them at plan time.
+    batch shares them at plan time.  Every refresh plans through one
+    :attr:`grounding`, which holds only the live sessions of the
+    registered queries.
     """
 
     def __init__(
@@ -208,6 +226,8 @@ class StandingQueryEngine:
         self._n_refresh_failures = 0
         self._n_fresh_solves = 0
         self._n_invalidations = 0
+        #: What every refresh's plan derives without reading a model.
+        self.grounding = Grounding()
         self._unsubscribe = db.subscribe(self._on_delta)
 
     # ------------------------------------------------------------------
@@ -235,6 +255,7 @@ class StandingQueryEngine:
         except BaseException:
             with self._lock:
                 self._queries.pop(query_id, None)
+            self._forget_unless_registered(parsed)
             raise
         return standing
 
@@ -248,7 +269,20 @@ class StandingQueryEngine:
             standing = self._queries.pop(query_id, None)
         if standing is None:
             raise KeyError(f"no standing query {query_id}")
+        self._forget_unless_registered(standing.request)
         return self._retire(set(standing.referenced))
+
+    def _forget_unless_registered(self, request: QueryRequest) -> None:
+        """Drop the request's query from the grounding unless a
+        registration still asks it (a COUNT and a TOPK of one query share
+        its grounding)."""
+        with self._lock:
+            if any(
+                other.request.query == request.query
+                for other in self._queries.values()
+            ):
+                return
+        self.grounding.forget_query(request.query)
 
     def standing_queries(self) -> list[StandingQuery]:
         """Current registrations, in registration order."""
@@ -276,6 +310,8 @@ class StandingQueryEngine:
             for standing in self._queries.values():
                 if standing.p_relation == delta.relation:
                     standing.pending[delta.key] = delta.kind
+        if delta.kind == "expire":
+            self.grounding.forget_session(delta.relation, delta.key)
         if self.auto_refresh:
             # A failure stays stale and counted (refresh); the database's
             # _notify logs it and delivers on to later subscribers.
@@ -332,7 +368,7 @@ class StandingQueryEngine:
         plan, execution = _run_plan(
             [standing.request for standing in batch], self.db, self.method,
             {}, True, None, optimize=True, canonical=True, rng=None,
-            cache=self.cache, backend=None,
+            cache=self.cache, backend=None, grounding=self.grounding,
         )
         answers = assemble_answers(plan, execution, batched=True)
         stamp = db_generation(self.db)

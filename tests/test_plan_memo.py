@@ -29,6 +29,7 @@ from repro.plan import build_plan, execute_plan, optimize_plan
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
 from repro.service.cache import SolverCache
+from repro.service.keys import named_union_fingerprint
 from repro.service.service import PreferenceService
 from repro.stream import answers_equal
 
@@ -260,6 +261,41 @@ class TestImmutability:
         assert len(plan.nodes) == n_nodes
         again = execute_plan(plan, cache=SolverCache())
         assert again.bound_ids() == bound_ids
+
+    def test_bound_keys_are_computed_once_per_plan(self, db, monkeypatch):
+        """The optimizer keys every bound; an execution of a memoized plan
+        names no union again and reads the same keys."""
+        service = PreferenceService(backend="serial")
+        requests = [f"TOPK 3 {QUERIES[0]}", f"TOPK 2 {QUERIES[2]}"]
+        first = service.answer_many(requests, db)
+        plan = service.plan(requests, db)
+        stored = [dict(terminal.bound_keys) for terminal in plan.aggregate_nodes()]
+        assert all(stored)
+        named: list = []
+
+        def counting(union):
+            named.append(union)
+            return named_union_fingerprint(union)
+
+        monkeypatch.setattr(
+            "repro.service.keys.named_union_fingerprint", counting
+        )
+        monkeypatch.setattr(
+            "repro.plan.grounding.named_union_fingerprint", counting
+        )
+        second = service.answer_many(requests, db)
+        assert service.plans.stats()["hits"] >= 1
+        execution = execute_plan(plan, cache=SolverCache())
+        assert named == []
+        for terminal, keys in zip(plan.aggregate_nodes(), stored):
+            assert {
+                solve_id: execution.bounds[(solve_id, terminal.n_edges)]
+                .cache_key
+                for solve_id in terminal.solve_ids()
+            } == keys
+        assert [one.value for one in second.answers] == [
+            one.value for one in first.answers
+        ]
 
     def test_concurrent_executions_answer_as_a_fresh_plan(self, db):
         requests = [f"TOPK 3 {QUERIES[0]}", f"AGG mean(V.age) {QUERIES[1]}",

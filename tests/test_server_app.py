@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -438,6 +439,72 @@ class TestHTTPEndToEnd:
         # Refused from the header alone: the body is never sent.
         framing = f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
         assert raw_post_status(framing) == 413
+
+    def test_truncated_body_closes_only_its_connection(self):
+        """A client that sends 10 of its 40 declared body bytes and then
+        half-closes gets its connection closed with no response; nothing
+        counts as a failed request, and the next connection is answered."""
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                b"POST /answer HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 40\r\n\r\n" + b'{"request"'
+            )
+            writer.write_eof()
+            unanswered = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            answered = await http_call(port, "POST", "/answer", BASE)
+            stats = await http_call(port, "GET", "/stats")
+            return unanswered, answered, stats
+
+        unanswered, answered, stats = run(serving(scenario))
+        assert unanswered == b""
+        assert answered[0] == 200
+        assert stats[1]["requests"]["failed"] == 0
+        assert stats[1]["requests"]["answered"] == 1
+
+    def test_partial_body_delays_shutdown_by_at_most_the_drain(self):
+        """A client holding a partial body open is cut off by the 1 s
+        drain of ``HTTPServer.stop``, unanswered."""
+        finished: dict = {}
+
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                b"POST /answer HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 40\r\n\r\n" + b'{"request"'
+            )
+            await writer.drain()
+            await http_call(port, "GET", "/healthz")  # the body is pending
+            finished["asked"] = time.monotonic()
+            down = await http_call(port, "POST", "/shutdown")
+            unanswered = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            return down, unanswered
+
+        down, unanswered = run(serving(scenario))
+        elapsed = time.monotonic() - finished["asked"]
+        assert down[1] == {"draining": True}
+        assert unanswered == b""
+        assert elapsed < 3.0, elapsed  # about 1.0 s: the drain, then stop
+
+
+async def serving(scenario):
+    """Run ``scenario(port)`` against a fresh polls server, then shut the
+    server down (if the scenario did not) and wait for it to stop."""
+    config = ServerConfig(dataset="polls", backend="serial", port=0)
+    app = ServerApp(config)
+    bound = asyncio.get_running_loop().create_future()
+    server_task = asyncio.ensure_future(
+        run_server(config, ready=lambda s: bound.set_result(s.port), app=app)
+    )
+    port = await bound
+    try:
+        return await scenario(port)
+    finally:
+        app.shutdown_requested.set()
+        await asyncio.wait_for(server_task, timeout=30)
 
 
 def raw_post_status(framing: bytes) -> int:
