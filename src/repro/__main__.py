@@ -30,6 +30,7 @@ solver cache warming up pass over pass.
 from __future__ import annotations
 
 import argparse
+import sqlite3
 import sys
 
 from repro.evaluation import experiments
@@ -175,6 +176,9 @@ def run_batch(args) -> int:
         )
     except ValueError as error:
         print(f"cannot build service: {error}", file=sys.stderr)
+        return 2
+    except sqlite3.DatabaseError as error:
+        print(f"cannot open --cache-db {args.cache_db}: {error}", file=sys.stderr)
         return 2
     # Sampling methods need an rng (and bypass the cache — the passes then
     # report their per-query solve counts instead of cache hits), and so

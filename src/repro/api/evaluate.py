@@ -40,7 +40,11 @@ from repro.api.requests import QueryRequest, as_request
 from repro.plan.build import build_plan
 from repro.plan.execute import PlanExecution, execute_plan
 from repro.plan.grounding import Grounding
-from repro.plan.methods import APPROXIMATE_METHODS, check_required_options
+from repro.plan.methods import (
+    APPROXIMATE_METHODS,
+    check_option_names,
+    check_required_options,
+)
 from repro.plan.nodes import QueryPlan, TerminalNode
 from repro.plan.passes import optimize_plan
 from repro.query.engine import SessionEvaluation, aggregate_sessions
@@ -134,6 +138,7 @@ def _answer(
     :class:`~repro.service.service.PreferenceService`'s) when the plan
     is canonical."""
     started = time.perf_counter()
+    check_option_names(solver_options)
     check_required_options(method, solver_options)
     request = as_request(request)
     if request.kind == "top_k" and method in APPROXIMATE_METHODS:
@@ -211,6 +216,7 @@ def _answer_many(
     :class:`~repro.service.service.PreferenceService`'s) in the exact
     branch; the rng-driven branch never reaches it."""
     started = time.perf_counter()
+    check_option_names(solver_options)
     check_required_options(method, solver_options)
     parsed = [as_request(item) for item in requests]
     backend = backend if backend is not None else "serial"

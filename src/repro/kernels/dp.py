@@ -14,7 +14,7 @@ same DPs as whole-generation array passes:
   against the generation, applies the min/max/shift update rules as
   masked arithmetic, evaluates the satisfaction / violation predicates
   vectorized, and **deduplicates** the merged candidates with a stable
-  sort plus a segment fold over equal-key runs;
+  sort plus one ``np.bincount`` fold over the equal-key groups;
 * a **gap-merge step** (non-serving item) derives each state's boundary
   segments from a row-wise sort of its tracked positions and gathers the
   per-segment insertion mass from the memoized prefix-sum tables
@@ -39,8 +39,9 @@ replicating the scalar accumulation order exactly:
 * dedup keeps merged states in **first-occurrence order** (the scalar
   dict's insertion order) and folds each merged state's masses left to
   right in candidate order (the scalar ``d[k] = d.get(k, 0.0) + mass``
-  order) via the segment fold — NumPy's pairwise ``sum``/``reduceat``
-  round differently and are never used on probability masses;
+  order) with ``np.bincount``, which adds its weights one at a time in
+  index order — NumPy's pairwise ``sum``/``reduceat`` round differently
+  and are never used on probability masses;
 * absorbed mass and final totals fold sequentially in state order
   (:func:`sequential_sum`).
 
@@ -183,31 +184,6 @@ def sequential_sum(values, start: float = 0.0) -> float:
     return float(sum(values, start))
 
 
-def _segment_fold(values, starts, lengths):
-    """Per-segment left-to-right fold of pre-sorted ``values``.
-
-    Segment ``s`` spans ``values[starts[s] : starts[s] + lengths[s]]``;
-    the fold adds its elements strictly left to right, matching the
-    scalar dict accumulation.  The NumPy implementation loops over the
-    *multiplicity* axis (iteration ``t`` adds element ``t`` of every
-    still-active segment at once), so the Python-level loop count is the
-    largest segment length, not the segment count.
-    """
-    acc = values[starts].copy()
-    max_length = int(lengths.max())
-    if max_length == 1:
-        return acc
-    order = np.argsort(-lengths, kind="stable")
-    starts_sorted = starts[order]
-    neg_lengths = -lengths[order]  # ascending
-    acc_sorted = acc[order]
-    for t in range(1, max_length):
-        n_active = int(np.searchsorted(neg_lengths, -t, side="left"))
-        acc_sorted[:n_active] += values[starts_sorted[:n_active] + t]
-    acc[order] = acc_sorted
-    return acc
-
-
 def _group_and_fold(order, keys_sorted_equal, masses):
     """Shared tail of dedup: group equal sorted keys, fold, reorder.
 
@@ -217,18 +193,23 @@ def _group_and_fold(order, keys_sorted_equal, masses):
     Returns ``(starts, probs_in_first_occurrence_order, emit)`` where
     ``order[starts][emit]`` enumerates each group's first occurrence in
     original candidate (dict-insertion) order.
+
+    The fold is one ``np.bincount`` over each candidate's group number:
+    it adds the weights to their bins one at a time in index order, that
+    is, left to right in candidate order from 0.0 — exactly the scalar
+    ``d[k] = d.get(k, 0.0) + mass`` chain.
     """
     n = order.size
     is_start = np.empty(n, bool)
     is_start[0] = True
     is_start[1:] = keys_sorted_equal
     starts = np.flatnonzero(is_start)
-    lengths = np.diff(np.append(starts, n))
-    sums = _segment_fold(masses[order], starts, lengths)
+    group = np.empty(n, np.int64)
+    group[order] = np.cumsum(is_start) - 1
+    sums = np.bincount(group, weights=masses)
     # order is ascending within each group, so order[starts] is each
     # group's first occurrence; emit groups in that order.
-    first_seen = order[starts]
-    emit = np.argsort(first_seen, kind="stable")
+    emit = np.argsort(order[starts], kind="stable")
     return starts, sums[emit], emit
 
 
@@ -452,8 +433,79 @@ def _insertion_updates(X, js, min_cols, max_cols):
 
 
 # ----------------------------------------------------------------------
-# Two-label engine (Algorithm 3)
+# Alpha/beta engines: two-label (Algorithm 3) and basic bipartite
 # ----------------------------------------------------------------------
+
+
+def _alpha_beta_generations(
+    solver: str,
+    tables,
+    m: int,
+    serves_left: Sequence[tuple[int, ...]],
+    serves_right: Sequence[tuple[int, ...]],
+    n_left: int,
+    n_right: int,
+    X: np.ndarray,
+    probs: np.ndarray,
+    drop_pairs: "Sequence[tuple[int, int]] | None",
+    *,
+    first_step: int,
+    peak: int,
+    merge_gaps: bool,
+    time_budget,
+    started: float,
+):
+    """Steps ``first_step..m`` of the alpha/beta DP from the generation
+    ``(X, probs)`` (:func:`alpha_beta_table`): ``(X, probs, peak)``.
+
+    With ``drop_pairs`` an inserted candidate satisfying any
+    ``(left, right)`` pair is dropped, as Algorithm 3 drops the states
+    that satisfy the union; without, every state is tracked to the end.
+    """
+    width = n_left + n_right
+    if drop_pairs is not None:
+        left_cols = np.array([li for li, _ in drop_pairs], np.int64)
+        right_cols = np.array([n_left + ri for _, ri in drop_pairs], np.int64)
+    col_bounds = [m + 3] * width
+
+    for i in range(first_step, m + 1):
+        _check_budget(solver, time_budget, started)
+        n_states = X.shape[0]
+        sl = serves_left[i - 1]
+        sr = serves_right[i - 1]
+        merger = _Merger(col_bounds)
+
+        if not sl and not sr and merge_gaps:
+            prefix = tables.cumulative[i - 1]
+            step = _chunk_rows(width + 1, width)
+            for lo in range(0, n_states, step):
+                _check_budget(solver, time_budget, started)
+                new_X, weight, valid = _gap_candidates(X[lo : lo + step], i, prefix)
+                mass = probs[lo : lo + step, None] * weight
+                merger.add(new_X, valid, mass)
+        else:
+            js = np.arange(1, i + 1, dtype=np.int64)
+            row = tables.pi[i - 1][:i]
+            weight_mask = row > 0.0
+            min_cols = np.asarray(sl, np.int64)
+            max_cols = np.array([n_left + k for k in sr], np.int64)
+            step = _chunk_rows(i, width)
+            for lo in range(0, n_states, step):
+                _check_budget(solver, time_budget, started)
+                cand = _insertion_updates(X[lo : lo + step], js, min_cols, max_cols)
+                if drop_pairs is None:
+                    keep = np.broadcast_to(weight_mask[None, :], cand.shape[:2])
+                else:
+                    a = cand[:, :, left_cols]
+                    b = cand[:, :, right_cols]
+                    satisfied = ((a != -1) & (b != -1) & (a < b)).any(axis=2)
+                    keep = weight_mask[None, :] & ~satisfied
+                mass = probs[lo : lo + step, None] * row[None, :]
+                merger.add(cand, keep, mass)
+
+        _, X, probs = merger.merge()
+        peak = max(peak, X.shape[0])
+    return X, probs, peak
 
 
 def two_label_engine(
@@ -466,67 +518,18 @@ def two_label_engine(
     pattern_pairs: Sequence[tuple[int, int]],
     X: np.ndarray,
     probs: np.ndarray,
-    *,
-    first_step: int,
-    peak: int,
-    merge_gaps: bool,
-    time_budget,
-    started: float,
+    **steps,
 ):
     """Vectorized Algorithm 3: returns ``(violation_mass, peak, final)``.
 
-    Runs steps ``first_step..m`` from the generation ``(X, probs)``
-    (:func:`alpha_beta_table`) with ``peak`` states seen so far.
+    Runs steps ``first_step..m`` (``steps``: the keywords of
+    :func:`_alpha_beta_generations`) with ``peak`` states seen so far.
     """
-    width = n_left + n_right
-    peak_states = peak
-    left_cols = np.array([li for li, _ in pattern_pairs], np.int64)
-    right_cols = np.array([n_left + ri for _, ri in pattern_pairs], np.int64)
-    col_bounds = [m + 3] * width
-
-    for i in range(first_step, m + 1):
-        _check_budget("two_label", time_budget, started)
-        n_states = X.shape[0]
-        sl = serves_left[i - 1]
-        sr = serves_right[i - 1]
-        merger = _Merger(col_bounds)
-
-        if not sl and not sr and merge_gaps:
-            prefix = tables.cumulative[i - 1]
-            step = _chunk_rows(width + 1, width)
-            for lo in range(0, n_states, step):
-                _check_budget("two_label", time_budget, started)
-                new_X, weight, valid = _gap_candidates(X[lo : lo + step], i, prefix)
-                mass = probs[lo : lo + step, None] * weight
-                merger.add(new_X, valid, mass)
-        else:
-            js = np.arange(1, i + 1, dtype=np.int64)
-            row = tables.pi[i - 1][:i]
-            weight_mask = row > 0.0
-            min_cols = np.asarray(sl, np.int64)
-            max_cols = np.array([n_left + k for k in sr], np.int64)
-            step = _chunk_rows(i, width)
-            for lo in range(0, n_states, step):
-                _check_budget("two_label", time_budget, started)
-                cand = _insertion_updates(X[lo : lo + step], js, min_cols, max_cols)
-                a = cand[:, :, left_cols]
-                b = cand[:, :, right_cols]
-                satisfied = ((a != -1) & (b != -1) & (a < b)).any(axis=2)
-                keep = weight_mask[None, :] & ~satisfied
-                mass = probs[lo : lo + step, None] * row[None, :]
-                merger.add(cand, keep, mass)
-
-        _, X, probs = merger.merge()
-        if X.shape[0] > peak_states:
-            peak_states = X.shape[0]
-
-    violation_mass = sequential_sum(probs.tolist())
-    return violation_mass, peak_states, X.shape[0]
-
-
-# ----------------------------------------------------------------------
-# Bipartite basic engine (full tracking, evaluation at the end)
-# ----------------------------------------------------------------------
+    X, probs, peak = _alpha_beta_generations(
+        "two_label", tables, m, serves_left, serves_right, n_left, n_right,
+        X, probs, pattern_pairs, **steps,
+    )
+    return sequential_sum(probs.tolist()), peak, X.shape[0]
 
 
 def bipartite_basic_engine(
@@ -539,54 +542,18 @@ def bipartite_basic_engine(
     pattern_edges: Sequence[Sequence[tuple[int, int]]],
     X: np.ndarray,
     probs: np.ndarray,
-    *,
-    first_step: int,
-    peak: int,
-    merge_gaps: bool,
-    time_budget,
-    started: float,
+    **steps,
 ):
     """Vectorized basic Algorithm 4: returns ``(total, peak, final)``.
 
-    Runs steps ``first_step..m`` from the generation ``(X, probs)``
-    (:func:`alpha_beta_table`) with ``peak`` states seen so far.
+    Tracks every label to step ``m`` (``steps``: the keywords of
+    :func:`_alpha_beta_generations`), then sums the states that satisfy
+    every edge of some pattern.
     """
-    width = n_left + n_right
-    peak_states = peak
-    col_bounds = [m + 3] * width
-
-    for i in range(first_step, m + 1):
-        _check_budget("bipartite[basic]", time_budget, started)
-        n_states = X.shape[0]
-        sl = serves_left[i - 1]
-        sr = serves_right[i - 1]
-        merger = _Merger(col_bounds)
-
-        if not sl and not sr and merge_gaps:
-            prefix = tables.cumulative[i - 1]
-            step = _chunk_rows(width + 1, width)
-            for lo in range(0, n_states, step):
-                _check_budget("bipartite[basic]", time_budget, started)
-                new_X, weight, valid = _gap_candidates(X[lo : lo + step], i, prefix)
-                mass = probs[lo : lo + step, None] * weight
-                merger.add(new_X, valid, mass)
-        else:
-            js = np.arange(1, i + 1, dtype=np.int64)
-            row = tables.pi[i - 1][:i]
-            weight_mask = row > 0.0
-            min_cols = np.asarray(sl, np.int64)
-            max_cols = np.array([n_left + k for k in sr], np.int64)
-            step = _chunk_rows(i, width)
-            for lo in range(0, n_states, step):
-                _check_budget("bipartite[basic]", time_budget, started)
-                cand = _insertion_updates(X[lo : lo + step], js, min_cols, max_cols)
-                keep = np.broadcast_to(weight_mask[None, :], cand.shape[:2])
-                mass = probs[lo : lo + step, None] * row[None, :]
-                merger.add(cand, keep, mass)
-
-        _, X, probs = merger.merge()
-        peak_states = max(peak_states, X.shape[0])
-
+    X, probs, peak = _alpha_beta_generations(
+        "bipartite[basic]", tables, m, serves_left, serves_right, n_left,
+        n_right, X, probs, None, **steps,
+    )
     satisfying = np.zeros(X.shape[0], bool)
     for edges in pattern_edges:
         l_cols = np.array([l for l, _ in edges], np.int64)
@@ -595,7 +562,7 @@ def bipartite_basic_engine(
         b = X[:, r_cols]
         satisfying |= ((a != -1) & (b != -1) & (a < b)).all(axis=1)
     total = sequential_sum(probs[satisfying].tolist())
-    return total, peak_states, X.shape[0]
+    return total, peak, X.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -696,29 +663,21 @@ def bipartite_pruned_engine(
             return "dead"
         return tuple(new_status)
 
-    transition_cache: dict[tuple, int] = {}
     _SATISFIED, _DEAD = -1, -2
-    #: Outcome tables are enumerated densely over all 2^E satisfaction
-    #: vectors when the status has at most this many uncertain edges;
-    #: outcome lookup is then one gather, no per-candidate sort.
+    #: A status with at most this many uncertain edges gets a dense
+    #: outcome table over all 2^E satisfaction codes, filled only for the
+    #: codes its candidates hold; outcome lookup is then one gather, no
+    #: per-candidate sort.
     _DENSE_SAT_BITS = 10
 
     def resolve_code(sid: int, step: int, code: int, n_edges: int) -> int:
-        cache_key = (sid, step, code)
-        out = transition_cache.get(cache_key)
-        if out is None:
-            sat_row = tuple(bool((code >> e) & 1) for e in range(n_edges))
-            result = advance_status(sid, sat_row, step)
-            if result == "satisfied":
-                out = _SATISFIED
-            elif result == "dead":
-                out = _DEAD
-            else:
-                out = intern_status(result)
-            transition_cache[cache_key] = out
-        return out
-
-    dense_tables: dict[tuple[int, int], np.ndarray] = {}
+        sat_row = tuple(bool((code >> e) & 1) for e in range(n_edges))
+        result = advance_status(sid, sat_row, step)
+        if result == "satisfied":
+            return _SATISFIED
+        if result == "dead":
+            return _DEAD
+        return intern_status(result)
 
     for status in start_statuses:  # interned in order: ids = indices
         intern_status(status)
@@ -784,21 +743,16 @@ def bipartite_pruned_engine(
                     sat = (a != -1) & (b != -1) & (a < b)
                     # Bit-pack each satisfaction vector into one int code;
                     # the status transition depends only on (sid, i, code).
-                    code = np.zeros(rows.size, np.int64)
-                    for e in range(n_edges):
-                        code |= sat[:, e].astype(np.int64) << e
+                    code = sat @ (1 << np.arange(n_edges, dtype=np.int64))
                     if n_edges <= _DENSE_SAT_BITS:
-                        table = dense_tables.get((sid, i))
-                        if table is None:
-                            table = np.fromiter(
-                                (
-                                    resolve_code(sid, i, c, n_edges)
-                                    for c in range(1 << n_edges)
-                                ),
-                                np.int64,
-                                1 << n_edges,
-                            )
-                            dense_tables[(sid, i)] = table
+                        held = np.flatnonzero(
+                            np.bincount(code, minlength=1 << n_edges)
+                        )
+                        table = np.empty(1 << n_edges, np.int64)
+                        table[held] = [
+                            resolve_code(sid, i, c, n_edges)
+                            for c in held.tolist()
+                        ]
                         outcome[rows] = table[code]
                     else:
                         uniq, inverse = np.unique(code, return_inverse=True)

@@ -22,8 +22,10 @@ build time, so a missing row fails before any solve runs).
 Everything the builder derives without reading a model comes from a
 :class:`~repro.plan.grounding.Grounding`: per query, each session's
 compiled union; per union, its labeling, shared by every solve node over
-it.  A caller may pass one that outlives the build (a standing-query
-engine does); by default each build gets a fresh one.
+it, and whether its top-k upper bound is its exact probability, which
+fills an upper-bound top-k terminal's ``exact_bounds``.  A caller may pass
+one that outlives the build (a standing-query engine does); by default
+each build gets a fresh one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.plan.grounding import Grounding
-from repro.plan.methods import MODEL_AGNOSTIC_METHODS
+from repro.plan.methods import APPROXIMATE_METHODS, MODEL_AGNOSTIC_METHODS
 from repro.plan.nodes import (
     AggregateSessionsNode,
     AttributeAggregateNode,
@@ -170,6 +172,15 @@ def _build_request(
     # union labeled once by the grounding.
     union_nodes: dict[int, CompileUnionNode] = {}
     items = prelation.items
+    # An exact bound is exact only next to an exact solve: a sampled
+    # probability bounds nothing.
+    exact_bounds: set[int] = set()
+    n_edges = (
+        request.n_edges
+        if getattr(request, "strategy", None) == "upper_bound"
+        and plan.method not in (*APPROXIMATE_METHODS, "auto-approx")
+        else None
+    )
 
     terminal_items: list[tuple] = []
     for work in works:
@@ -188,14 +199,13 @@ def _build_request(
                 )
             )
         compile_node.n_sessions += 1
+        facts = grounding.compiled(work.union, items, plan.db)
         solve = plan.add(
             SolveNode(
                 node_id=plan.new_id(),
                 inputs=(compile_node.node_id,),
                 model=work.model,
-                labeling=grounding.compiled(
-                    work.union, items, plan.db
-                ).labeling,
+                labeling=facts.labeling,
                 union=work.union,
                 requested_method=plan.method,
                 options=plan.options,
@@ -205,6 +215,8 @@ def _build_request(
         plan.solve_order.append(solve.node_id)
         plan.n_solves_planned += 1
         terminal_items.append((work.key, solve.node_id))
+        if n_edges is not None and facts.exact_bound(n_edges):
+            exact_bounds.add(solve.node_id)
 
     terminal = _terminal_for(plan, request, query_index)
     terminal.inputs = tuple(
@@ -213,6 +225,8 @@ def _build_request(
     terminal.items = terminal_items
     if isinstance(terminal, AttributeAggregateNode):
         _join_attribute_values(plan, terminal)
+    if isinstance(terminal, TopKSessionsNode):
+        terminal.exact_bounds = exact_bounds
     plan.add(terminal)
     plan.aggregates.append(terminal.node_id)
 

@@ -34,11 +34,15 @@ pruning) — and :class:`~repro.plan.nodes.AttributeAggregateNode` terminals
 draw their Bernoulli possible-world sample.  Terminals run in request
 order, so rng consumption is deterministic.  A lazy solve shared with any
 eager terminal (a Count and a TopK of the same query in one batch) stays
-eager and the top-k loop reads its probability for free.
+eager and the top-k loop reads its probability for free.  So does a solve
+whose bound would be its exact probability
+(:attr:`~repro.plan.nodes.TopKSessionsNode.exact_bounds`): it is never
+lazy and has no bound.
 
 The bounds are nodes too, but of the execution, not the plan.  Before the
 terminals run, the executor makes one :class:`~repro.plan.nodes.BoundNode`
-per (solve node, ``n_edges``) an upper-bound terminal reads, shared by
+per (solve node, ``n_edges``) an upper-bound terminal ranks by a relaxed
+bound (:meth:`~repro.plan.nodes.TopKSessionsNode.bounded_ids`), shared by
 every terminal that reads it, numbered past the plan's last id and kept in
 :attr:`PlanExecution.bounds`, and the runner resolves them all in one
 call: each cacheable bound is looked up and claimed under the key the
@@ -143,12 +147,14 @@ class PlanExecution:
 
 
 def _lazy_solve_ids(plan: QueryPlan) -> set[int]:
-    """Solve ids demanded only by lazy (upper-bound top-k) terminals."""
+    """Solve ids demanded only by upper-bound top-k terminals that rank
+    them by a relaxed bound."""
     lazy: set[int] = set()
     eager: set[int] = set()
     for terminal in plan.aggregate_nodes():
-        target = lazy if terminal.lazy else eager
-        target.update(terminal.solve_ids())
+        bounded = terminal.bounded_ids()
+        lazy.update(bounded)
+        eager.update(set(terminal.solve_ids()).difference(bounded))
     return lazy - eager
 
 
@@ -345,7 +351,7 @@ def _run_terminals(
 
 
 def _bound_nodes(plan: QueryPlan, execution: PlanExecution) -> list[BoundNode]:
-    """The bound nodes the plan's upper-bound top-k terminals read, in
+    """The bound nodes the plan's upper-bound top-k terminals rank by, in
     first-use order, made now and recorded in ``execution.bounds``: one
     node per key the optimizer stored, so the runner never claims a key
     twice in one call."""
@@ -353,9 +359,9 @@ def _bound_nodes(plan: QueryPlan, execution: PlanExecution) -> list[BoundNode]:
     by_key: dict[str, BoundNode] = {}
     wanted: dict[int, BoundNode] = {}
     for terminal in plan.aggregate_nodes():
-        if not (isinstance(terminal, TopKSessionsNode) and terminal.lazy):
+        if not isinstance(terminal, TopKSessionsNode):
             continue
-        for solve_id in terminal.solve_ids():
+        for solve_id in terminal.bounded_ids():
             pair = (solve_id, terminal.n_edges)
             node = execution.bounds.get(pair)
             if node is None:
@@ -410,23 +416,24 @@ def _run_topk(
 
     # --- upper-bound strategy: the paper's top-k pruning ---------------
     # _run_terminals resolved the bounds; only those computed now cost time.
+    # An exact-bound solve ran eagerly: its probability is its bound.
     bound_ids = {
         solve_id: execution.bounds[(solve_id, terminal.n_edges)].node_id
-        for solve_id in terminal.solve_ids()
+        for solve_id in terminal.bounded_ids()
     }
     bounded: list[tuple[float, tuple, "int | None"]] = [
         (
             0.0 if solve_id is None
-            else execution.resolved[bound_ids[solve_id]][0],
+            else execution.resolved[bound_ids.get(solve_id, solve_id)][0],
             key,
             solve_id,
         )
         for key, solve_id in terminal.items
     ]
-    outcome.upper_bound_seconds = sum(
+    outcome.upper_bound_seconds = float(sum(
         execution.seconds_by_solve.get(bound_id, 0.0)
         for bound_id in set(bound_ids.values())
-    )
+    ))
     outcome.n_upper_bound = len(bounded)
     bounded.sort(key=lambda triple: (-triple[0], repr(triple[1])))
 

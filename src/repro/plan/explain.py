@@ -8,7 +8,10 @@ eliminated / frontier counters.  Costs print in engineering notation
 (``~1.2e+03``) so the output is deterministic across platforms.  With an
 execution, each solve line shows its outcome (a pruned top-k solve with
 the bound that pruned it) and each top-k line how many of its bounds the
-cache served.
+cache served.  An executed top-k solve whose bound is its exact
+probability (:attr:`~repro.plan.nodes.TopKSessionsNode.exact_bounds`)
+shows ``bound=exact``: it has no bound node and ran with the eager
+frontier.
 """
 
 from __future__ import annotations
@@ -117,12 +120,12 @@ def _bound_ids(execution, terminal: TerminalNode) -> dict[int, int]:
     """Solve id -> bound node id, for the bounds ``terminal`` read in
     ``execution``: only an upper-bound top-k terminal reads any, and only
     an execution holds bound nodes."""
-    if execution is None or not terminal.lazy:
+    if execution is None:
         return {}
     n_edges = getattr(terminal, "n_edges", None)
     return {
         solve_id: execution.bounds[(solve_id, n_edges)].node_id
-        for solve_id in terminal.solve_ids()
+        for solve_id in terminal.bounded_ids()
         if (solve_id, n_edges) in execution.bounds
     }
 
@@ -154,7 +157,8 @@ def _terminal_line(plan: QueryPlan, terminal: TerminalNode, execution) -> str:
             bound_ids = set(_bound_ids(execution, terminal).values())
             line += (
                 f"  bounds: {len(bound_ids & execution.cache_served)} cached,"
-                f" {len(bound_ids & execution.fresh)} computed"
+                f" {len(bound_ids & execution.fresh)} computed,"
+                f" {len(terminal.exact_bounds)} exact"
             )
         return line
     if isinstance(terminal, AttributeAggregateNode):
@@ -177,11 +181,17 @@ def _solve_lines(
 ) -> list[str]:
     lines: list[str] = []
     bound_ids = _bound_ids(execution, aggregate)
+    exact_bounds = (
+        getattr(aggregate, "exact_bounds", set())
+        if execution is not None
+        else set()
+    )
     for solve_id in aggregate.solve_ids():
         node = plan.nodes[solve_id]
         assert isinstance(node, SolveNode)
+        exact = " bound=exact" if solve_id in exact_bounds else ""
         if solve_id in described:
-            lines.append(f"  Solve #{solve_id}  (shared; see above)")
+            lines.append(f"  Solve #{solve_id}  (shared; see above){exact}")
             continue
         described.add(solve_id)
         method = node.method or node.requested_method
@@ -208,7 +218,7 @@ def _solve_lines(
         lines.append(
             f"  Solve #{solve_id}  method={method}"
             f" cost{_cost(node.cost)} sessions={len(node.sessions)}"
-            f"{shared}{outcome}{hint}"
+            f"{shared}{outcome}{exact}{hint}"
         )
     return lines
 

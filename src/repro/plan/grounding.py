@@ -12,7 +12,8 @@ session's model, so a :class:`Grounding` keeps it:
 * per distinct union, a :class:`UnionFacts`: its labeling, its
   simplification, its resolved method per requested one, its request
   fingerprint per (method, options), its cost estimate per (method,
-  options, model item count, mixture size) and its named-union digest.
+  options, model item count, mixture size), its named-union digest and,
+  per ``n_edges``, whether its top-k upper bound is exact.
 
 :func:`~repro.plan.build.build_plan` and
 :func:`~repro.plan.passes.optimize_plan` read through one on every build.
@@ -52,6 +53,7 @@ from repro.query.compile import labeling_for_patterns
 from repro.query.engine import QueryGrounding, SessionKey
 from repro.rim.mixture import MallowsMixture
 from repro.service.keys import named_union_fingerprint, request_fingerprint
+from repro.solvers.upper_bound import relaxation_is_exact
 
 
 def _options_key(options: dict[str, Any]) -> tuple:
@@ -68,7 +70,7 @@ class UnionFacts:
 
     __slots__ = (
         "union", "labeling", "_simplified", "_methods", "_fingerprints",
-        "_costs", "_named",
+        "_costs", "_named", "_exact_bounds",
     )
 
     def __init__(self, union: PatternUnion, labeling: Labeling) -> None:
@@ -79,6 +81,7 @@ class UnionFacts:
         self._fingerprints: dict[tuple, str] = {}
         self._costs: dict[tuple, float] = {}
         self._named: str | None = None
+        self._exact_bounds: dict[int, bool] = {}
 
     def simplified(self) -> PatternUnion:
         """:func:`repro.plan.passes.simplify_union` of the union: the same
@@ -123,6 +126,16 @@ class UnionFacts:
             found = self._costs[memo_key] = estimate_solve_states(
                 model, self.labeling, self.union, method, options
             ).states
+        return found
+
+    def exact_bound(self, n_edges: int) -> bool:
+        """:func:`~repro.solvers.upper_bound.relaxation_is_exact`: is the
+        union's ``n_edges`` upper bound its exact probability?"""
+        found = self._exact_bounds.get(n_edges)
+        if found is None:
+            found = self._exact_bounds[n_edges] = relaxation_is_exact(
+                self.union, n_edges
+            )
         return found
 
     @property

@@ -61,6 +61,30 @@ AUTO_APPROX_FALLBACK = "mis_amp_adaptive"
 APPROX_BUDGET_OPTION = "approx_budget"
 
 
+def check_option_names(options: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` naming each option no method accepts.
+
+    The accepted names are the plan-level ``approx_budget`` and every
+    keyword of a solver or estimator
+    (:func:`repro.query.engine.solver_option_names`), so a misspelt
+    keyword fails when it is passed, not as a ``TypeError`` at the first
+    solve.
+    """
+    if not options:
+        return  # the common case, checked on every request
+    # Deferred: the query engine imports this module at call time.
+    from repro.query.engine import solver_option_names
+
+    accepted = solver_option_names() | {APPROX_BUDGET_OPTION}
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise ValueError(
+            "unknown solver option "
+            + ", ".join(repr(name) for name in unknown)
+            + f"; accepted: {', '.join(sorted(accepted))}"
+        )
+
+
 def check_required_options(method: str, options: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` naming each option ``method`` needs but lacks.
 

@@ -23,8 +23,9 @@ The nodes split into two layers:
   (:mod:`repro.plan.passes`) resolve its method, annotate its cost, and
   merge identical nodes, so the executor (:mod:`repro.plan.execute`) only
   ever runs the surviving frontier.  Each execution makes its own
-  ``BoundNode`` per surviving solve an upper-bound top-k terminal reads,
-  under the key the optimizer stored on the terminal, and keeps it in its
+  ``BoundNode`` per surviving solve an upper-bound top-k terminal ranks by
+  a relaxed bound, under the key the optimizer stored on the terminal,
+  and keeps it in its
   :class:`~repro.plan.execute.PlanExecution`: nothing writes to a plan
   after the optimizer, so one plan can run any number of times.
 
@@ -169,7 +170,8 @@ class BoundNode(PlanNode):
     """One session's top-k upper bound (Section 4.3.2), ``Pr(G') >= Pr(G)``.
 
     Each execution makes one per (surviving solve node, ``n_edges``) that
-    an upper-bound :class:`TopKSessionsNode` reads, shared by every
+    an upper-bound :class:`TopKSessionsNode` ranks by a relaxed bound
+    (:meth:`~TopKSessionsNode.bounded_ids`), shared by every
     terminal that reads it, numbered past the plan's own ids and kept in
     the execution, not the plan; it resolves them on the one frontier
     runner like solves: cache lookup, claim, one serial backend run, one
@@ -225,6 +227,11 @@ class TerminalNode(PlanNode):
         """True when this terminal demand-solves instead of running eagerly."""
         return False
 
+    def bounded_ids(self) -> list[int]:
+        """Solve ids this terminal ranks by a :class:`BoundNode`, first-use
+        order: only an upper-bound top-k terminal has any."""
+        return []
+
 
 @dataclass
 class AggregateSessionsNode(TerminalNode):
@@ -254,12 +261,19 @@ class TopKSessionsNode(TerminalNode):
     optimizer put in ``bound_keys``.  A solve shared with any non-lazy
     terminal (e.g. a Count of the same query in the batch) stays eager,
     and the top-k loop consumes its already-resolved probability for
-    free.
+    free.  A solve in ``exact_bounds`` has no bound node: its union's
+    relaxation is the union itself, so its bound would be its exact
+    probability at the cost of its exact solve.  It runs eagerly, and the
+    top-k loop reads its probability as its bound.
     """
 
     k: int = 1
     strategy: str = "upper_bound"
     n_edges: int = 1
+    #: solve ids whose bound is their own probability
+    #: (:meth:`repro.plan.grounding.UnionFacts.exact_bound`); filled by
+    #: the builder for an exact method
+    exact_bounds: set[int] = field(default_factory=set)
     #: solve node id -> the cache key of its bound
     #: (:func:`repro.service.keys.bound_cache_key`); filled by canonical
     #: elimination, empty when the plan has no cache keys
@@ -270,6 +284,14 @@ class TopKSessionsNode(TerminalNode):
     @property
     def lazy(self) -> bool:
         return self.strategy == "upper_bound"
+
+    def bounded_ids(self) -> list[int]:
+        if not self.lazy:
+            return []
+        return [
+            solve_id for solve_id in self.solve_ids()
+            if solve_id not in self.exact_bounds
+        ]
 
 
 @dataclass

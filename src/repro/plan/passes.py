@@ -203,6 +203,11 @@ def eliminate_common_solves(
                 (key, remap.get(solve_id, solve_id))
                 for key, solve_id in aggregate.items
             ]
+            if isinstance(aggregate, TopKSessionsNode):
+                aggregate.exact_bounds = {
+                    remap.get(solve_id, solve_id)
+                    for solve_id in aggregate.exact_bounds
+                }
             aggregate.inputs = tuple(
                 dict.fromkeys(
                     remap.get(node_id, node_id) for node_id in aggregate.inputs
@@ -217,13 +222,13 @@ def eliminate_common_solves(
 
 
 def _key_bounds(plan: QueryPlan, grounding: Grounding) -> None:
-    """Fill each upper-bound top-k terminal's ``bound_keys`` from its
-    surviving solves' keys and named unions."""
+    """Fill each upper-bound top-k terminal's ``bound_keys`` from the
+    keys and named unions of the surviving solves it bounds."""
     keys: dict[tuple[int, int], str] = {}
     for terminal in plan.aggregate_nodes():
-        if not (isinstance(terminal, TopKSessionsNode) and terminal.lazy):
+        if not isinstance(terminal, TopKSessionsNode):
             continue
-        for solve_id in terminal.solve_ids():
+        for solve_id in terminal.bounded_ids():
             pair = (solve_id, terminal.n_edges)
             key = keys.get(pair)
             if key is None:

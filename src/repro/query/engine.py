@@ -29,6 +29,8 @@ holds the per-session primitives that plan is made of —
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
@@ -46,6 +48,7 @@ from repro.query.compile import compile_itemwise
 from repro.query.ground import decompose_query
 from repro.rim.mixture import MallowsMixture
 from repro.rim.sampling import empirical_probability
+from repro.solvers.dispatch import _SOLVERS
 from repro.solvers.dispatch import solve as exact_solve
 
 SessionKey = tuple[Hashable, ...]
@@ -278,6 +281,21 @@ def _compile_union(
 # ----------------------------------------------------------------------
 # Solving
 # ----------------------------------------------------------------------
+
+
+@functools.cache
+def solver_option_names() -> frozenset[str]:
+    """The keywords some solver option may name: the parameters of every
+    exact solver and of the estimators :func:`_solve_single_model`
+    forwards options to, less the inputs a solve itself supplies."""
+    estimators = (mis_amp_lite, mis_amp_adaptive, empirical_probability)
+    names = {
+        name
+        for function in (*_SOLVERS.values(), *estimators)
+        for name in inspect.signature(function).parameters
+    }
+    inputs = {"model", "labeling", "union_or_pattern", "predicate", "rng"}
+    return frozenset(names - inputs)
 
 
 def _solve_single_model(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
+import sqlite3
 import sys
 
 
@@ -132,6 +133,9 @@ def run_serve(args) -> int:
         app = ServerApp(config)
     except ValueError as error:
         print(f"cannot start server: {error}", file=sys.stderr)
+        return 2
+    except sqlite3.DatabaseError as error:
+        print(f"cannot open --cache-db {args.cache_db}: {error}", file=sys.stderr)
         return 2
 
     def ready(server):

@@ -57,6 +57,7 @@ from repro.api.answer import Answer, BatchAnswer
 from repro.api.evaluate import _answer, _answer_many, _optimized_plan
 from repro.api.requests import QueryRequest, as_request
 from repro.db.database import PPDatabase
+from repro.plan.methods import check_option_names
 from repro.plan.nodes import QueryPlan
 from repro.query.ast import ConjunctiveQuery
 from repro.service.cache import LRUStore, SolverCache, Tier
@@ -137,6 +138,7 @@ class PreferenceService:
         shard_address: "str | None" = None,
         **solver_options: Any,
     ) -> None:
+        check_option_names(solver_options)
         sharded = cache_shards is not None or shard_address is not None
         if cache is not None and (cache_db is not None or sharded):
             raise ValueError(

@@ -74,16 +74,39 @@ def upper_bound_union(
                 edge[1].name,
             ),
         )
-        selected = ranked[: min(n_edges, len(ranked))]
-        bipartite_edges = [
-            (
-                PatternNode(f"{u.name}^L", u.labels),
-                PatternNode(f"{v.name}^R", v.labels),
-            )
-            for u, v in selected
-        ]
-        relaxed.append(LabelPattern(bipartite_edges))
+        relaxed.append(_relaxed(ranked[: min(n_edges, len(ranked))]))
     return PatternUnion(relaxed)
+
+
+def _relaxed(edges) -> LabelPattern:
+    """The bipartite pattern of the closure ``edges``: one edge from a
+    fresh L-copy of each source to a fresh R-copy of its target."""
+    return LabelPattern(
+        (
+            PatternNode(f"{u.name}^L", u.labels),
+            PatternNode(f"{v.name}^R", v.labels),
+        )
+        for u, v in edges
+    )
+
+
+def relaxation_is_exact(union_or_pattern, n_edges: int) -> bool:
+    """Is :func:`upper_bound_union` the union itself, whatever the model?
+
+    True when every pattern's transitive closure has at most ``n_edges``
+    edges, so the relaxation keeps them all, and the pattern of fresh
+    L/R copies is canonically equal to the union (as for every two-label
+    union).  The bound is then the exact probability, at the cost of an
+    exact solve.
+    """
+    union = as_union(union_or_pattern)
+    relaxed: list[LabelPattern] = []
+    for pattern in union:
+        closure = pattern.transitive_closure()
+        if len(closure.edges) > n_edges:
+            return False
+        relaxed.append(_relaxed(closure.edges) if closure.edges else pattern)
+    return PatternUnion(relaxed).freeze() == union.freeze()
 
 
 def upper_bound_probability(

@@ -34,6 +34,13 @@ from repro.service.service import PreferenceService
 
 POLLS_Q = "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
 CROWD_Q = "P(v; m1; m2), M(m1, _, 'F', _, _), M(m2, 'Thriller', _, _, _)"
+#: A chain over two P atoms: its closure has three edges, so a top-k's
+#: one-edge upper bound is a real relaxation.  CROWD_Q is two-label, so
+#: its bound would be its exact probability, and a top-k computes none.
+CROWD_CHAIN_Q = (
+    "P(v; m1; m2), P(v; m2; m3), M(m1, 'Drama', _, _, _), "
+    "M(m2, _, 'F', _, _), M(m3, _, _, _, 'short')"
+)
 
 
 @pytest.fixture
@@ -317,6 +324,45 @@ class TestAnswer:
                 rng=np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            answer,
+            lambda request, db, **kw: answer_many([request], db, **kw),
+            lambda request, db, **kw: PreferenceService().answer(
+                request, db, **kw
+            ),
+            lambda request, db, **kw: PreferenceService().answer_many(
+                [request], db, **kw
+            ),
+        ],
+        ids=["answer", "answer_many", "service.answer", "service.answer_many"],
+    )
+    def test_unknown_solver_option_is_rejected_before_planning(
+        self, polls_db, entry, monkeypatch
+    ):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a request failing validation was planned")
+
+        monkeypatch.setattr("repro.api.evaluate.build_plan", no_plan)
+        with pytest.raises(ValueError, match="unknown solver option 'capacity'"):
+            entry(POLLS_Q, polls_db, capacity=16)
+
+    def test_service_rejects_an_unknown_solver_option(self):
+        # meant: cache_capacity
+        with pytest.raises(ValueError, match="unknown solver option 'capacity'"):
+            PreferenceService(capacity=16)
+
+    def test_solver_options_of_every_method_are_accepted(self):
+        """Names come from the solvers' and estimators' signatures, plus
+        the plan-level approx_budget."""
+        options = dict(
+            time_budget=60.0, pruned=True, prune_dead=False, max_items=8,
+            n_proposals=5, max_proposals=10, n_samples=100,
+            approx_budget=1e6,
+        )
+        assert PreferenceService(**options).solver_options == options
+
     def test_aggregate_missing_row_raises_key_error(self, polls_db):
         with pytest.raises(KeyError):
             answer(f"AGG mean(C.age) {POLLS_Q}", polls_db)
@@ -557,10 +603,11 @@ class TestOracles:
             "repro.plan.execute.session_upper_bound", counting
         )
         cache = SolverCache()
-        answer(f"COUNT {CROWD_Q}", crowd_db, cache=cache)  # warm the solves
-        first = answer(f"TOPK 2 {CROWD_Q}", crowd_db, cache=cache)
+        # warm the solves
+        answer(f"COUNT {CROWD_CHAIN_Q}", crowd_db, cache=cache)
+        first = answer(f"TOPK 2 {CROWD_CHAIN_Q}", crowd_db, cache=cache)
         n_first = len(calls)
-        second = answer(f"TOPK 2 {CROWD_Q}", crowd_db, cache=cache)
+        second = answer(f"TOPK 2 {CROWD_CHAIN_Q}", crowd_db, cache=cache)
         assert n_first > 0 and len(calls) == n_first
         assert second.value == first.value
         assert second.per_session == first.per_session
@@ -573,6 +620,28 @@ class TestOracles:
             if name not in timings
         }
         assert second.stats["upper_bound_seconds"] == 0.0
+
+    def test_exact_bound_topk_computes_no_bound(self, crowd_db, monkeypatch):
+        """A two-label union's bound would be its exact probability: the
+        top-k reads the eagerly solved probability instead, and answers
+        as the naive strategy does."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return session_upper_bound(*args)
+
+        monkeypatch.setattr(
+            "repro.plan.execute.session_upper_bound", counting
+        )
+        bounded = answer(TopK(parse_query(CROWD_Q), k=2), crowd_db)
+        assert calls == []
+        assert bounded.stats["upper_bound_seconds"] == 0.0
+        assert bounded.stats["n_upper_bound_evaluations"] == bounded.n_sessions
+        naive = answer(
+            TopK(parse_query(CROWD_Q), k=2, strategy="naive"), crowd_db
+        )
+        assert bounded.value == naive.value
 
     def test_topk_prunes_lazy_solves(self, crowd_db):
         pruned = answer(
@@ -753,7 +822,7 @@ class TestAggregateExplain:
         assert "n_worlds=10000" in text
 
     def test_executed_topk_reports_pruning(self, crowd_db):
-        plan = build_plan(f"TOPK 1 {CROWD_Q}", crowd_db)
+        plan = build_plan(f"TOPK 1 {CROWD_CHAIN_Q}", crowd_db)
         optimize_plan(plan, canonical=True)
         execution = execute_plan(plan)
         text = plan.explain(execution)
@@ -761,6 +830,19 @@ class TestAggregateExplain:
         assert "[pruned]" in text  # lazy solves the bound pruning skipped
         assert "[pruned] bound=" in text
         assert "bounds: 0 cached," in text
+        assert " 0 exact" in text
+
+    def test_executed_topk_reports_exact_bounds(self, crowd_db):
+        """Solves whose bound is their exact probability show as exact:
+        solved with the eager frontier, never pruned, no bound node."""
+        plan = build_plan(f"TOPK 1 {CROWD_Q}", crowd_db)
+        optimize_plan(plan, canonical=True)
+        text = plan.explain(execute_plan(plan))
+        (terminal,) = plan.aggregate_nodes()
+        n_solves = len(terminal.solve_ids())
+        assert f"0 computed, {n_solves} exact" in text
+        assert text.count("bound=exact") == n_solves
+        assert "[pruned]" not in text
 
     def test_executed_naive_topk_reports_no_bounds(self, crowd_db):
         """A naive top-k reads no bounds, even when an upper-bound one in

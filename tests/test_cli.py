@@ -38,6 +38,22 @@ class TestFigure:
 
 
 class TestBatch:
+    def test_batch_corrupt_cache_db_exits_2_with_one_line(
+        self, capsys, tmp_path
+    ):
+        junk = tmp_path / "junk.sqlite"
+        junk.write_bytes(b"not a database" * 64)
+        args = [
+            "batch", "--queries", "2", "--sessions", "5", "--movies", "6",
+            "--cache-db", str(junk),
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"cannot open --cache-db {junk}: file is not a database"
+        ]
+        assert captured.out == ""
+
     def test_batch_process_backend_with_cache_db(self, capsys, tmp_path):
         cache_db = str(tmp_path / "cache.sqlite")
         args = [

@@ -76,6 +76,15 @@ def test_merge_states_first_occurrence_order_and_fold():
     unique, probs = merge_states(keys, masses)
     assert unique.tolist() == [[3, 1], [0, 2], [5, 5]]
     assert probs.tolist() == [0.1 + 0.3, 0.2 + 0.4, 0.5]
+    # A group whose left-to-right fold differs from a pairwise sum: the
+    # fold reads 1.0, a pairwise (or reordered) sum reads 0.0.
+    cancelling = [1e16, 1.0, -1e16, 1.0]
+    keys = np.array([[7, 7], [3, 1], [7, 7], [7, 7], [3, 1], [7, 7]])
+    masses = np.array([cancelling[0], 0.1, *cancelling[1:3], 0.3, cancelling[3]])
+    unique, probs = merge_states(keys, masses)
+    assert unique.tolist() == [[7, 7], [3, 1]]
+    assert probs.tolist() == [sequential_sum(cancelling), 0.1 + 0.3]
+    assert sequential_sum(cancelling) == 1.0
 
 
 def test_merge_states_zero_width_collapses_to_one_state():

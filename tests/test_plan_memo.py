@@ -252,7 +252,8 @@ class TestImmutability:
         ]
 
     def test_bound_nodes_belong_to_the_execution(self, db):
-        plan = fresh_plan([f"TOPK 3 {QUERIES[0]}"], db)
+        # QUERIES[2] chains two P atoms, so its bounds are real relaxations.
+        plan = fresh_plan([f"TOPK 3 {QUERIES[2]}"], db)
         n_nodes = len(plan.nodes)
         execution = execute_plan(plan, cache=SolverCache())
         assert execution.bounds
@@ -266,7 +267,9 @@ class TestImmutability:
         """The optimizer keys every bound; an execution of a memoized plan
         names no union again and reads the same keys."""
         service = PreferenceService(backend="serial")
-        requests = [f"TOPK 3 {QUERIES[0]}", f"TOPK 2 {QUERIES[2]}"]
+        requests = [
+            f"TOPK 3 {QUERIES[2]}", TopK(QUERIES[2], k=2, n_edges=2)
+        ]
         first = service.answer_many(requests, db)
         plan = service.plan(requests, db)
         stored = [dict(terminal.bound_keys) for terminal in plan.aggregate_nodes()]

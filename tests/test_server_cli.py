@@ -98,6 +98,17 @@ class TestServeSmoke:
         assert "approx_budget" in stderr
         assert "serving on" not in stdout
 
+    def test_corrupt_cache_db_exits_2_with_one_line(self, tmp_path):
+        junk = tmp_path / "junk.sqlite"
+        junk.write_bytes(b"not a database" * 64)
+        process = spawn("--cache-db", str(junk))
+        stdout, stderr = process.communicate(timeout=120)
+        assert process.returncode == 2
+        assert stderr.splitlines() == [
+            f"cannot open --cache-db {junk}: file is not a database"
+        ]
+        assert "serving on" not in stdout
+
 
 class TestConfigFromArgs:
     def test_flags_map_onto_the_config(self):

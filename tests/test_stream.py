@@ -315,7 +315,12 @@ class TestStandingEngine:
         engine = StandingQueryEngine(
             replayer.db, cache=cache, auto_refresh=False
         )
-        standing = engine.register(replayer.standing_requests(3)[2])
+        # A chain over two P atoms: its bounds are real relaxations (a
+        # two-label union's bound would be its exact probability).
+        standing = engine.register(
+            "TOPK 3 P(v; m1; m2), P(v; m2; m3), M(m1, 'Drama', _, _, _), "
+            "M(m2, _, 'F', _, _), M(m3, _, _, _, 'short')"
+        )
         assert standing.answer.kind == "top_k"
         before = dict(standing.cache_keys)
         bounded = []
