@@ -146,6 +146,7 @@ def run_batch(args) -> int:
     """Serve a repeated query batch through a PreferenceService."""
     from repro.datasets.crowdrank import crowdrank_database
     from repro.plan.methods import APPROXIMATE_METHODS
+    from repro.service.executors import resolve_backend
     from repro.service.service import PreferenceService
 
     if not _check_method(args.method):
@@ -209,7 +210,7 @@ def run_batch(args) -> int:
         tier += f", shard_address={args.shard_address}"
     print(
         f"== batch serving: {args.queries} queries x {args.repeat} passes "
-        f"(backend={args.backend}{tier}) =="
+        f"(backend={resolve_backend(args.backend).name}{tier}) =="
     )
     print(
         format_table(
@@ -405,13 +406,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     batch_parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker-pool size for distinct solves "
-        "(default: min(8, cpu_count); 1 = serial)",
+        help="worker-pool size of a thread or process backend "
+        "(default: min(8, cpu_count); 1 solves in-process)",
     )
     batch_parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="thread",
-        help="execution backend for distinct solves (process scales the "
-        "exact DP solvers across cores)",
+        "--backend", choices=("serial", "thread", "process"), default=None,
+        help="execution backend for distinct solves (default: serial; "
+        "process scales the exact DP solvers across cores)",
     )
     batch_parser.add_argument(
         "--cache-db", default=None, metavar="PATH",

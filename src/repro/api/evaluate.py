@@ -187,11 +187,11 @@ def answer_many(
     The whole batch is planned as one DAG: the optimizer's canonical
     common-solve elimination merges identical solves across sessions,
     queries, *and kinds* (a ``Count`` and a ``Probability`` of the same
-    query cost one solve, not two), the surviving frontier runs on the
-    configured backend, and each request's terminal assembles its own
-    answer.  Sampling methods are rng-driven and non-cacheable, so they
-    fall back to sequential per-request evaluation (a parallelism request
-    is then warned about, not silently ignored).
+    query cost one solve, not two), the surviving frontier runs on
+    ``backend`` (serial by default), and each request's terminal
+    assembles its own answer.  Sampling methods are rng-driven and
+    non-cacheable, so they fall back to sequential per-request evaluation
+    (a parallelism request is then warned about, not silently ignored).
     """
     return _answer_many(
         requests, db, method, rng, cache, backend, max_workers,
@@ -219,7 +219,6 @@ def _answer_many(
     check_option_names(solver_options)
     check_required_options(method, solver_options)
     parsed = [as_request(item) for item in requests]
-    backend = backend if backend is not None else "serial"
 
     if method in APPROXIMATE_METHODS:
         if _parallelism_requested(backend, max_workers):
@@ -376,7 +375,7 @@ def _optimized_plan(
 
 
 def _parallelism_requested(
-    backend: "str | ExecutionBackend", max_workers: int | None
+    backend: "str | ExecutionBackend | None", max_workers: int | None
 ) -> bool:
     """Did the caller ask for parallelism an rng-driven batch must ignore?
 

@@ -605,29 +605,47 @@ def bipartite_pruned_engine(
     ``peak`` states seen and ``absorbed`` mass carried so far.
     """
     width = n_left + n_right
+    # Every distinct (left, right) column pair a pattern edge compares.
+    pair_ids: dict[tuple[int, int], int] = {}
+    for edges in pattern_edges:
+        for left, r in edges:
+            pair_ids.setdefault((left, n_left + r), len(pair_ids))
+    pair_left = np.array([left for left, _ in pair_ids], np.int64)
+    pair_right = np.array([right for _, right in pair_ids], np.int64)
     statuses: list[tuple] = []
     status_ids: dict[tuple, int] = {}
-    tracked_masks: list[np.ndarray] = []
     edge_lists: list[list[tuple[int, int, int, int]]] = []
+    # Row ``sid`` (capacity doubles as statuses are interned): the bit
+    # each pair's satisfaction sets in the status's satisfaction code
+    # (bit k: its k-th uncertain edge), and the columns it leaves
+    # untracked (canonically -2).
+    code_weights = np.zeros((8, len(pair_ids)), np.int64)
+    untracked = np.ones((8, width), bool)
 
     def intern_status(status: tuple) -> int:
+        nonlocal code_weights, untracked
         sid = status_ids.get(status)
         if sid is not None:
             return sid
         sid = len(statuses)
         status_ids[status] = sid
         statuses.append(status)
-        mask = np.zeros(width, bool)
+        if sid == code_weights.shape[0]:
+            code_weights = np.concatenate(
+                [code_weights, np.zeros_like(code_weights)]
+            )
+            untracked = np.concatenate([untracked, np.ones_like(untracked)])
         edge_list: list[tuple[int, int, int, int]] = []
         for p_index, uncertain in enumerate(status):
             if uncertain is None:
                 continue
             for e in sorted(uncertain):
                 left, r = pattern_edges[p_index][e]
-                mask[left] = True
-                mask[n_left + r] = True
+                code_weights[sid, pair_ids[left, n_left + r]] |= (
+                    1 << len(edge_list)
+                )
+                untracked[sid, [left, n_left + r]] = False
                 edge_list.append((p_index, e, left, r))
-        tracked_masks.append(mask)
         edge_lists.append(edge_list)
         return sid
 
@@ -664,14 +682,11 @@ def bipartite_pruned_engine(
         return tuple(new_status)
 
     _SATISFIED, _DEAD = -1, -2
-    #: A status with at most this many uncertain edges gets a dense
-    #: outcome table over all 2^E satisfaction codes, filled only for the
-    #: codes its candidates hold; outcome lookup is then one gather, no
-    #: per-candidate sort.
-    _DENSE_SAT_BITS = 10
 
-    def resolve_code(sid: int, step: int, code: int, n_edges: int) -> int:
-        sat_row = tuple(bool((code >> e) & 1) for e in range(n_edges))
+    def resolve_code(sid: int, step: int, code: int) -> int:
+        sat_row = tuple(
+            bool((code >> e) & 1) for e in range(len(edge_lists[sid]))
+        )
         result = advance_status(sid, sat_row, step)
         if result == "satisfied":
             return _SATISFIED
@@ -701,14 +716,15 @@ def bipartite_pruned_engine(
                 _check_budget("bipartite", time_budget, started)
                 new_X, weight, valid = _gap_candidates(X[lo : lo + step], i, prefix)
                 mass = probs[lo : lo + step, None] * weight
-                sid_slots = np.broadcast_to(
-                    sids[lo : lo + step, None], valid.shape
-                )
+                # A filled copy: np.broadcast_to costs more than the
+                # copy on generations of tens of states.
+                sid_slots = np.empty(valid.shape, np.int64)
+                sid_slots[:] = sids[lo : lo + step, None]
                 merger.add(new_X, valid, mass, sids=sid_slots)
         else:
             js = np.arange(1, i + 1, dtype=np.int64)
             row = tables.pi[i - 1][:i]
-            weight_mask = row > 0.0
+            live_cols = np.flatnonzero(row > 0.0)
             min_cols = np.array(sorted(sl), np.int64)
             max_cols = np.array([n_left + k for k in sorted(sr)], np.int64)
             step = _chunk_rows(i, width + 1)
@@ -721,49 +737,50 @@ def bipartite_pruned_engine(
                 mass_flat = (
                     probs[lo : lo + step, None] * row[None, :]
                 ).reshape(-1)
-                weighted = np.broadcast_to(
-                    weight_mask[None, :], (n_chunk, i)
-                ).reshape(-1)
-                sid_flat = np.repeat(chunk_sids, i)
-                # -3 = dropped (zero weight); filled per old-status group.
+                # -3 = dropped (zero weight).
                 outcome = np.full(flat.shape[0], -3, np.int64)
-                for sid in np.unique(chunk_sids):
-                    rows = np.flatnonzero((sid_flat == sid) & weighted)
-                    if rows.size == 0:
-                        continue
-                    edge_list = edge_lists[sid]
-                    n_edges = len(edge_list)
-                    l_cols = np.array([l for _, _, l, _ in edge_list], np.int64)
-                    r_cols = np.array(
-                        [n_left + r for _, _, _, r in edge_list], np.int64
+                if live_cols.size:
+                    # The positive-weight candidates in flat order (states,
+                    # then insertion points) and the status each came from.
+                    live = (
+                        slice(None) if live_cols.size == i
+                        else (
+                            np.arange(0, n_chunk * i, i)[:, None] + live_cols
+                        ).reshape(-1)
                     )
-                    group = flat[rows]
-                    a = group[:, l_cols]
-                    b = group[:, r_cols]
+                    old = np.repeat(chunk_sids, live_cols.size)
+                    group = flat[live]
+                    a = group[:, pair_left]
+                    b = group[:, pair_right]
                     sat = (a != -1) & (b != -1) & (a < b)
-                    # Bit-pack each satisfaction vector into one int code;
-                    # the status transition depends only on (sid, i, code).
-                    code = sat @ (1 << np.arange(n_edges, dtype=np.int64))
-                    if n_edges <= _DENSE_SAT_BITS:
-                        held = np.flatnonzero(
-                            np.bincount(code, minlength=1 << n_edges)
-                        )
-                        table = np.empty(1 << n_edges, np.int64)
-                        table[held] = [
-                            resolve_code(sid, i, c, n_edges)
-                            for c in held.tolist()
-                        ]
-                        outcome[rows] = table[code]
-                    else:
-                        uniq, inverse = np.unique(code, return_inverse=True)
-                        mapped = np.array(
-                            [
-                                resolve_code(sid, i, int(c), n_edges)
-                                for c in uniq
-                            ],
-                            np.int64,
-                        )
-                        outcome[rows] = mapped[inverse.reshape(-1)]
+                    # Bit-pack each candidate's satisfaction of its old
+                    # status's uncertain edges into one int code: the
+                    # transition depends only on (old status, i, code).
+                    code = (sat * code_weights[old]).sum(axis=1)
+                    # Resolve each distinct (old status, code) once, in
+                    # ascending order, so statuses intern in that order.
+                    order = np.lexsort((code, old))
+                    old_sorted = old[order]
+                    code_sorted = code[order]
+                    first = np.empty(order.size, bool)
+                    first[0] = True
+                    first[1:] = (old_sorted[1:] != old_sorted[:-1]) | (
+                        code_sorted[1:] != code_sorted[:-1]
+                    )
+                    starts = np.flatnonzero(first)
+                    resolved = np.array(
+                        [
+                            resolve_code(sid, i, c)
+                            for sid, c in zip(
+                                old_sorted[starts].tolist(),
+                                code_sorted[starts].tolist(),
+                            )
+                        ],
+                        np.int64,
+                    )
+                    transition = np.empty(order.size, np.int64)
+                    transition[order] = np.cumsum(first) - 1
+                    outcome[live] = resolved[transition]
                 # Absorb satisfied candidates in flat scan order.
                 absorbed = sequential_sum(
                     mass_flat[outcome == _SATISFIED].tolist(), absorbed
@@ -771,12 +788,8 @@ def bipartite_pruned_engine(
                 keep = outcome >= 0
                 # Canonicalize columns untracked by each new status to -2
                 # before packing, so (sid, row) stays bijective with the
-                # scalar key.
-                for sid in np.unique(outcome[keep]):
-                    drop = np.flatnonzero(~tracked_masks[sid])
-                    if drop.size:
-                        rows = np.flatnonzero(outcome == sid)
-                        flat[np.ix_(rows, drop)] = -2
+                # scalar key (dropped rows get status 0's mask, unread).
+                flat[untracked[np.maximum(outcome, 0)]] = -2
                 merger.add(flat, keep, mass_flat, sids=outcome)
 
         sids, X, probs = merger.merge()

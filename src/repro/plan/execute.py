@@ -81,7 +81,11 @@ from repro.plan.nodes import (
 from repro.query.engine import solve_session
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
-from repro.service.executors import ExecutionBackend, SerialBackend
+from repro.service.executors import (
+    ExecutionBackend,
+    SerialBackend,
+    resolve_backend,
+)
 from repro.solvers.upper_bound import upper_bound_probability
 
 
@@ -164,10 +168,11 @@ def execute_plan(
     rng: "np.random.Generator | None" = None,
     backend: "ExecutionBackend | None" = None,
 ) -> PlanExecution:
-    """Run the plan's solve frontier on ``backend`` (serial by default),
-    then its terminals; see the module docstring."""
+    """Run the plan's solve frontier on ``backend`` (``None``: the
+    library default, serial), then its terminals; see the module
+    docstring."""
     started = time.perf_counter()
-    backend = backend if backend is not None else SerialBackend()
+    backend = resolve_backend(backend)
     execution = PlanExecution(backend=backend.name)
     execution.lazy = _lazy_solve_ids(plan)
     frontier = [

@@ -27,10 +27,13 @@ actually triggers, and fallen-back solves bypass the solver cache.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.patterns.union import PatternUnion
 from repro.plan.cost import estimate_solve_states
+
+if TYPE_CHECKING:
+    from repro.plan.nodes import QueryPlan
 
 #: Methods whose solves draw from an rng.
 APPROXIMATE_METHODS = ("mis_amp_lite", "mis_amp_adaptive", "rejection")
@@ -83,6 +86,33 @@ def check_option_names(options: Mapping[str, Any]) -> None:
             + ", ".join(repr(name) for name in unknown)
             + f"; accepted: {', '.join(sorted(accepted))}"
         )
+
+
+def check_solve_options(plan: "QueryPlan") -> None:
+    """Raise ``ValueError`` naming an option a solve's resolved method
+    does not take.
+
+    :func:`check_option_names` admits an option that *some* method
+    takes; this check runs once methods are resolved (the optimizer's
+    ``resolve_methods`` pass, so once per optimized plan), so
+    ``pruned=False`` on a two-label union fails here, not as a
+    ``TypeError`` at the first solve.
+    """
+    if not plan.options:
+        return  # the common case, checked on every optimized plan
+    # Deferred: the query engine imports this module at call time.
+    from repro.query.engine import solver_option_names
+
+    for method in dict.fromkeys(node.method for node in plan.solves()):
+        accepted = solver_option_names(method)
+        rejected = sorted(set(plan.options) - accepted)
+        if rejected:
+            raise ValueError(
+                "solver option "
+                + ", ".join(repr(name) for name in rejected)
+                + f" is not accepted by the resolved method {method!r}; "
+                f"it accepts: {', '.join(sorted(accepted))}"
+            )
 
 
 def check_required_options(method: str, options: Mapping[str, Any]) -> None:

@@ -12,7 +12,8 @@ Five passes, applied in order by :func:`optimize_plan`:
 2. :func:`resolve_methods` — resolve every solve's method through the one
    shared path (:mod:`repro.plan.methods`): the paper's structural
    dichotomy for ``"auto"``, budgeted MIS-AMP fallback for
-   ``"auto-approx"``.
+   ``"auto-approx"``; then check the solver options against each
+   resolved method (:func:`repro.plan.methods.check_solve_options`).
 3. :func:`eliminate_common_solves` — merge solve nodes that are the same
    request: by canonical cache key (``canonical=True``, subsuming the
    engine's Section 6.4 grouping *and* the service's batch-wide dedup
@@ -57,7 +58,11 @@ from typing import Callable, Iterable
 from repro.patterns.union import PatternUnion
 from repro.plan.cost import largest_first_order
 from repro.plan.grounding import Grounding
-from repro.plan.methods import APPROXIMATE_METHODS, resolve_solve_method
+from repro.plan.methods import (
+    APPROXIMATE_METHODS,
+    check_solve_options,
+    resolve_solve_method,
+)
 from repro.plan.nodes import CompileUnionNode, QueryPlan, TopKSessionsNode
 from repro.service.keys import bound_cache_key, session_cache_key
 
@@ -116,7 +121,8 @@ def simplify_unions(
 def resolve_methods(
     plan: QueryPlan, grounding: Grounding | None = None
 ) -> QueryPlan:
-    """Pass 2: every solve's method through the single resolution path."""
+    """Pass 2: every solve's method through the single resolution path;
+    an option a resolved method does not take raises ``ValueError``."""
     grounding = grounding if grounding is not None else Grounding()
     for node in plan.solves():
         requested = node.requested_method
@@ -132,6 +138,7 @@ def resolve_methods(
             node.annotations["approx_budget"] = plan.approx_budget
         else:
             node.method = grounding.facts(node).method(requested)
+    check_solve_options(plan)
     plan.passes_applied.append("resolve_methods")
     return plan
 

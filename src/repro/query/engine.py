@@ -284,14 +284,24 @@ def _compile_union(
 
 
 @functools.cache
-def solver_option_names() -> frozenset[str]:
-    """The keywords some solver option may name: the parameters of every
-    exact solver and of the estimators :func:`_solve_single_model`
-    forwards options to, less the inputs a solve itself supplies."""
-    estimators = (mis_amp_lite, mis_amp_adaptive, empirical_probability)
+def solver_option_names(method: str | None = None) -> frozenset[str]:
+    """The keywords a solver option may name for ``method``: the
+    parameters of its exact solver or of the estimator
+    :func:`_solve_single_model` forwards options to, less the inputs a
+    solve itself supplies.  ``None`` (or a name no solver has) takes the
+    union over every method."""
+    functions = {
+        **_SOLVERS,
+        "mis_amp_lite": mis_amp_lite,
+        "mis_amp_adaptive": mis_amp_adaptive,
+        "rejection": empirical_probability,
+    }
+    chosen = (
+        (functions[method],) if method in functions else functions.values()
+    )
     names = {
         name
-        for function in (*_SOLVERS.values(), *estimators)
+        for function in chosen
         for name in inspect.signature(function).parameters
     }
     inputs = {"model", "labeling", "union_or_pattern", "predicate", "rng"}

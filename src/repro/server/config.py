@@ -33,6 +33,10 @@ class ServerConfig:
     seed: int = 7
     # --- evaluation ----------------------------------------------------
     method: str = "auto"
+    #: The server alone still defaults to a thread pool (the library
+    #: runs serial): the end-to-end tracer times ThreadBackend.run as its
+    #: backend span.  Moving it to serial waits on in-process stage spans
+    #: (ROADMAP items 2 and 3).
     backend: str = "thread"
     max_workers: "int | None" = None
     cache_capacity: int = 4096

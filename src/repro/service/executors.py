@@ -5,13 +5,14 @@ method-resolved :class:`~repro.plan.nodes.SolveNode` objects whose solves
 it owns and gets one :class:`TaskOutcome` per node back, in order.  Three
 backends share that contract:
 
-* ``serial`` — an in-process loop; the default of
-  :func:`~repro.plan.execute.execute_plan` and the reference every
+* ``serial`` — an in-process loop; the library default
+  (:func:`resolve_backend` of ``None``) and the reference every
   equivalence test compares against;
 * ``thread`` — a ``ThreadPoolExecutor`` over the same live objects; the
-  exact DP solvers release the GIL only inside NumPy calls, so it helps a
-  few large solves and is slower than ``serial`` on many small ones
-  (DESIGN.md Section 8.1 has the measurements);
+  exact DP solvers hold the GIL except inside short NumPy calls, so on
+  many small solves its threads mostly pass the GIL back and forth and it
+  is slower than ``serial`` (DESIGN.md Section 8.1 has the
+  measurements); only the server still defaults to it;
 * ``process`` — a ``ProcessPoolExecutor``; the backend that scales the
   exact DP solves across cores.
 
@@ -382,13 +383,15 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Turn a backend spec (name, instance, or None) into a backend.
 
-    ``None`` defaults to ``thread`` (the :class:`~repro.service.service
-    .PreferenceService` default); an instance passes through untouched, ignoring
-    ``max_workers`` (the instance already owns its pool size).
+    ``None`` is ``serial``, the default of every library entry point
+    (:class:`~repro.service.service.PreferenceService`, ``answer_many``,
+    :func:`~repro.plan.execute.execute_plan`, ``batch``); an instance
+    passes through untouched, ignoring ``max_workers`` (the instance
+    already owns its pool size).
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = backend if backend is not None else "thread"
+    name = backend if backend is not None else "serial"
     if name == "serial":
         return SerialBackend(max_workers)
     if name == "thread":

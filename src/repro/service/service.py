@@ -30,10 +30,10 @@ Distinct solves are an explicit, schedulable plan rather than an accident
 of per-query iteration: the optimizer annotates every solve with the cost
 model's DP state-count estimate (:mod:`repro.plan.cost`) and orders
 the frontier largest-first, and a pluggable execution backend
-(:mod:`repro.service.executors`) runs it — ``serial``, ``thread``, or
-``process``, the last shipping picklable ``SolveTask`` descriptors to a
-``ProcessPoolExecutor`` so the pure-Python exact DP solvers actually scale
-across cores.  With ``cache_db=`` the cache's tier list gains the SQLite
+(:mod:`repro.service.executors`) runs it — ``serial`` (the default),
+``thread``, or ``process``, the last shipping picklable ``SolveTask``
+descriptors to a ``ProcessPoolExecutor`` so the pure-Python exact DP
+solvers actually scale across cores.  With ``cache_db=`` the cache's tier list gains the SQLite
 disk tier (:mod:`repro.service.persist`), so warm state survives restarts.
 Sampling-method requests run through the batched kernels of
 :mod:`repro.kernels` (DESIGN.md Section 7) by default.
@@ -81,14 +81,18 @@ class PreferenceService:
     method:
         Default solver method for :meth:`answer` / :meth:`answer_many`.
     max_workers:
-        Default worker-pool size for :meth:`answer_many`; ``None`` picks
-        ``min(8, cpu_count)``, ``1`` forces serial execution.
+        Default worker-pool size of a ``thread`` or ``process`` backend
+        in :meth:`answer_many`; ``None`` picks ``min(8, cpu_count)``,
+        ``1`` solves in-process.  The serial default ignores it.
     backend:
         Default execution backend for the distinct solves of a batch:
-        ``"serial"``, ``"thread"`` (default), ``"process"``, or an
-        :class:`~repro.service.executors.ExecutionBackend` instance.  The
-        process backend is the one that scales the CPU-bound exact DP
-        solves across cores.
+        ``"serial"``, ``"thread"``, ``"process"``, an
+        :class:`~repro.service.executors.ExecutionBackend` instance, or
+        ``None`` (default) for
+        :func:`~repro.service.executors.resolve_backend`'s default,
+        serial.  The exact DP solvers hold the GIL, so a thread pool
+        only passes it around; the process backend is the one that
+        scales them across cores.
     cache_db:
         Path of a SQLite file: the cache becomes ``[lru, disk]`` with a
         :class:`~repro.service.persist.PersistentCache` beneath the front,
@@ -132,7 +136,7 @@ class PreferenceService:
         method: str = "auto",
         max_workers: int | None = None,
         cache: SolverCache | None = None,
-        backend: "str | ExecutionBackend" = "thread",
+        backend: "str | ExecutionBackend | None" = None,
         cache_db: "str | None" = None,
         cache_shards: "int | None" = None,
         shard_address: "str | None" = None,

@@ -348,6 +348,37 @@ class TestAnswer:
         with pytest.raises(ValueError, match="unknown solver option 'capacity'"):
             entry(POLLS_Q, polls_db, capacity=16)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            answer,
+            lambda request, db, **kw: answer_many([request], db, **kw),
+            lambda request, db, **kw: PreferenceService(**kw).answer_many(
+                [request], db
+            ),
+        ],
+        ids=["answer", "answer_many", "service.answer_many"],
+    )
+    def test_option_the_resolved_solver_does_not_take_fails_before_solving(
+        self, polls_db, entry, monkeypatch
+    ):
+        # 'pruned' is a bipartite option; POLLS_Q resolves to two_label.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a request failing validation was solved")
+
+        monkeypatch.setattr("repro.query.engine.solve_session", no_solve)
+        with pytest.raises(
+            ValueError,
+            match="'pruned' is not accepted by the resolved method 'two_label'",
+        ):
+            entry(POLLS_Q, polls_db, pruned=False)
+
+    def test_explicit_bipartite_still_accepts_pruned(self, polls_db):
+        for pruned, solver in ((True, "bipartite"), (False, "bipartite[basic]")):
+            result = answer(POLLS_Q, polls_db, method="bipartite", pruned=pruned)
+            assert result.methods == (solver,)
+            assert result.value == pytest.approx(answer(POLLS_Q, polls_db).value)
+
     def test_service_rejects_an_unknown_solver_option(self):
         # meant: cache_capacity
         with pytest.raises(ValueError, match="unknown solver option 'capacity'"):

@@ -88,6 +88,8 @@ class TestBatch:
         ) == 0
         out = capsys.readouterr().out
         assert "batch serving" in out
+        # No --backend: the library default, serial.
+        assert "(backend=serial) ==" in out
         assert "cache_hits" in out
         # Pass 2 re-serves the identical batch: all hits, no fresh solves.
         warm_row = [

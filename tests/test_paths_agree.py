@@ -101,6 +101,16 @@ def test_answer_many_on_each_backend(case, backend, workers):
     assert_agree(batch.answers, reference)
 
 
+def test_service_defaults_to_the_serial_backend(case):
+    """A service built with every default runs its batches serially and
+    answers exactly as ``answer_many`` and per-request ``answer()``."""
+    make_db, requests, reference = case
+    batch = PreferenceService().answer_many(requests, make_db())
+    assert batch.backend == "serial"
+    assert_agree(batch.answers, reference)
+    assert_agree(batch.answers, answer_many(requests, make_db()).answers)
+
+
 def test_disk_tiered_service_cold_and_restarted(case, tmp_path):
     make_db, requests, reference = case
     path = tmp_path / "cache.sqlite"

@@ -133,3 +133,17 @@ class TestConfigFromArgs:
         assert config.backend == "serial"
         assert config.solver_options == {"approx_budget": 1e6}
         assert config.cache_db == "cache.sqlite"
+
+    def test_the_server_keeps_the_thread_backend_default(self):
+        # The library defaults to serial; the server stays on threads
+        # until its backend span no longer hangs on ThreadBackend.
+        import argparse
+
+        from repro.server.cli import add_serve_parser, config_from_args
+        from repro.server.config import ServerConfig
+
+        parser = argparse.ArgumentParser()
+        add_serve_parser(parser.add_subparsers(dest="command"))
+        args = parser.parse_args(["serve"])
+        assert ServerConfig().backend == "thread"
+        assert config_from_args(args).backend == "thread"

@@ -8,10 +8,13 @@ backends solve the plan's live nodes, the process backend ships canonical
 exactly.
 """
 
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +217,7 @@ class TestSolveTask:
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("thread"), ThreadBackend)
         assert isinstance(resolve_backend("process"), ProcessBackend)
-        assert isinstance(resolve_backend(None), ThreadBackend)
+        assert isinstance(resolve_backend(None), SerialBackend)
         instance = SerialBackend()
         assert resolve_backend(instance) is instance
         with pytest.raises(ValueError, match="unknown backend"):
@@ -222,6 +225,39 @@ class TestSolveTask:
 
     def test_empty_task_list(self):
         assert ProcessBackend(max_workers=2).run([]) == []
+
+
+def _die_in_worker(task):
+    """A process worker function that kills its worker outright."""
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched worker function reaches the pool only by fork",
+)
+@pytest.mark.timeout(120)
+def test_a_worker_dying_mid_batch_fails_the_batch_and_frees_its_flights(
+    db, reference, monkeypatch
+):
+    service = PreferenceService(backend="process", max_workers=2)
+    monkeypatch.setattr(
+        "repro.service.executors.run_solve_task", _die_in_worker
+    )
+    started = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        service.answer_many(QUERIES, db)
+    assert time.monotonic() - started < 30.0
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    # The failed batch released every flight it claimed: the next batch
+    # on the same cache solves them instead of waiting forever.
+    batch = service.answer_many(QUERIES, db)
+    assert batch.n_distinct_solves > 0
+    assert [one.probability for one in batch] == [
+        one.probability for one in reference
+    ]
+    assert multiprocessing.active_children() == []
 
 
 class TestBackendEquivalence:
