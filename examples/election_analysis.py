@@ -16,8 +16,6 @@ Run:  python examples/election_analysis.py
 
 import time
 
-import numpy as np
-
 from repro.api import Count, TopK, answer
 from repro.datasets.polls import polls_database
 from repro.query import parse_query
@@ -39,9 +37,8 @@ def main() -> None:
     # Exact solvers, specialized to general, plus the adaptive sampler.
     # ------------------------------------------------------------------
     print("Per-method evaluation (whole database):")
-    rng = np.random.default_rng(7)
     for method in ("two_label", "bipartite", "general", "mis_amp_adaptive"):
-        kwargs = {"rng": rng, "n_per_proposal": 150} if method.startswith("mis") else {}
+        kwargs = {"seed": 7, "n_per_proposal": 150} if method.startswith("mis") else {}
         started = time.perf_counter()
         result = answer(query, db, method=method, **kwargs)
         seconds = time.perf_counter() - started

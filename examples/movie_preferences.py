@@ -15,8 +15,6 @@ Run:  python examples/movie_preferences.py
 
 import time
 
-import numpy as np
-
 from repro.api import answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.datasets.movielens import movielens_database
@@ -45,10 +43,9 @@ def movielens_demo() -> None:
         f"  non-itemwise: V+ = {sorted(v.name for v in analysis.groundable)} "
         "(grounded over the genres present in the catalog)"
     )
-    rng = np.random.default_rng(14)
     started = time.perf_counter()
     result = answer(
-        query, db, method="mis_amp_adaptive", rng=rng,
+        query, db, method="mis_amp_adaptive", seed=14,
         n_per_proposal=60, max_proposals=7,
     )
     seconds = time.perf_counter() - started

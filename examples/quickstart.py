@@ -92,7 +92,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     approx = answer(
         q2, db, method="mis_amp_adaptive",
-        rng=np.random.default_rng(1), n_per_proposal=300,
+        seed=1, n_per_proposal=300,
     )
     print(f"Q2 via MIS-AMP-adaptive = {approx.probability:.4f}")
 

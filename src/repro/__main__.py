@@ -145,7 +145,6 @@ def _check_method(method: str) -> bool:
 def run_batch(args) -> int:
     """Serve a repeated query batch through a PreferenceService."""
     from repro.datasets.crowdrank import crowdrank_database
-    from repro.plan.methods import APPROXIMATE_METHODS
     from repro.service.executors import resolve_backend
     from repro.service.service import PreferenceService
 
@@ -181,17 +180,9 @@ def run_batch(args) -> int:
     except sqlite3.DatabaseError as error:
         print(f"cannot open --cache-db {args.cache_db}: {error}", file=sys.stderr)
         return 2
-    # Sampling methods need an rng (and bypass the cache — the passes then
-    # report their per-query solve counts instead of cache hits), and so
-    # does auto-approx whenever its MIS-AMP fallback triggers.
-    rng = None
-    if args.method in APPROXIMATE_METHODS or args.method == "auto-approx":
-        import numpy as np
-
-        rng = np.random.default_rng(args.seed)
     rows = []
     for pass_index in range(1, args.repeat + 1):
-        batch = service.answer_many(queries, db, rng=rng)
+        batch = service.answer_many(queries, db, seed=args.seed)
         rows.append(
             [
                 pass_index,
@@ -294,21 +285,15 @@ def run_explain(args) -> int:
 
 def run_query(args) -> int:
     """One-shot evaluation of any request kind through the unified API."""
-    import numpy as np
-
     from repro.api import answer, parse_request
-    from repro.plan.methods import APPROXIMATE_METHODS
     from repro.query.classify import UnsupportedQueryError
 
     if not _check_method(args.method):
         return 2
     db = _load_dataset(args)
-    rng = None
-    if args.method in APPROXIMATE_METHODS or args.method == "auto-approx":
-        rng = np.random.default_rng(args.seed)
     try:
         request = parse_request(args.query)
-        result = answer(request, db, method=args.method, rng=rng)
+        result = answer(request, db, method=args.method, seed=args.seed)
     except (UnsupportedQueryError, ValueError, KeyError) as error:
         print(f"cannot evaluate query: {error}", file=sys.stderr)
         return 2
@@ -487,8 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     query_parser.add_argument(
         "--method", default="auto",
-        help="solver method (default: auto dispatch; sampling methods and "
-        "'auto-approx' seed an rng from --seed)",
+        help="solver method (default: auto dispatch; sampled solves and "
+        "aggregates draw from --seed)",
     )
     query_parser.add_argument(
         "--sessions", type=int, default=50, help="CrowdRank sessions"

@@ -1,7 +1,7 @@
 """Project-invariant static analysis (``python -m repro lint``).
 
 The repository's correctness story rests on invariants that no unit test
-watches directly: seeded-rng threading (no global random state anywhere
+watches directly: seeded generators (no global random state anywhere
 near a probability), cache-key purity (plan-level options must never
 perturb ``freeze()`` keys), the DESIGN.md Section 7.3 scalar-reference
 policy, the lock discipline of the serving counters, protocol-mediated

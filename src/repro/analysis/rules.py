@@ -3,7 +3,7 @@
 Each rule encodes one convention the reproduction's correctness rests on
 (see DESIGN.md Section 13 for the catalogue with rationale):
 
-* ``rng-discipline`` — no global random state; Generators are threaded.
+* ``rng-discipline`` — no global random state; Generators come from seeds.
 * ``cache-key-purity`` — plan-level options and float dict keys must
   never reach ``freeze()``/fingerprint/cache-key construction.
 * ``scalar-reference`` — ``vectorized=`` parameters must actually route,
@@ -135,7 +135,7 @@ class _ImportMap:
 
 
 class RngDisciplineRule(Rule):
-    """No global-random-state draws; Generators are threaded as parameters.
+    """No global-random-state draws; every Generator is derived from a seed.
 
     Every probability in this reproduction must be reproducible from a
     seed, and the kernel/scalar equivalence suite compares *streams*, not
@@ -145,12 +145,12 @@ class RngDisciplineRule(Rule):
 
     rule_id = "rng-discipline"
     description = (
-        "no np.random global-state calls or bare random.* draws; thread a "
-        "seeded np.random.Generator as a parameter"
+        "no np.random global-state calls or bare random.* draws; draw from "
+        "an np.random.Generator derived from a seed"
     )
     hint = (
-        "create an explicit generator (np.random.default_rng(seed)) at the "
-        "entry point and pass it down as an rng parameter"
+        "derive an explicit generator from a seed (np.random.default_rng("
+        "seed), or a SeedSequence spawned per solve) and draw from it"
     )
 
     def check(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:

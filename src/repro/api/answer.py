@@ -105,7 +105,7 @@ class BatchAnswer:
     #: Per-session solves the plan contained before optimization, and how
     #: many of them the optimizer's common-solve elimination merged away —
     #: the live-traffic payoff the serving layer's coalescer reports per
-    #: batch (``/stats``).  Zero on the sequential approximate route.
+    #: batch (``/stats``).
     n_solves_planned: int = 0
     n_solves_eliminated: int = 0
     #: The database generation the batch was computed against (``None``

@@ -21,19 +21,23 @@ mixed-kind request lists.  Both run one build -> optimize -> execute step
 Every optimized plan comes from one function, :func:`_optimized_plan`.
 Given a store (only a :class:`~repro.service.service.PreferenceService`
 passes its own), it memoizes the plan under the requests by value, the
-method, the solver options, ``session_limit``, the database object and
-its generation, so a repeated request skips build and optimize.  That is
-sound because an optimized plan is never written again: each execution
-keeps its own state (:class:`~repro.plan.execute.PlanExecution`).
+method, the solver options, ``session_limit``, the seed, the database
+object and its generation, so a repeated request skips build and
+optimize.  That is sound because an optimized plan is never written
+again: each execution keeps its own state
+(:class:`~repro.plan.execute.PlanExecution`).
+
+Sampled methods take the same path.  Each sampled solve draws from a
+stream of its own, derived from the caller's ``seed`` and the solve's
+key (:func:`repro.service.keys.solve_stream`), so its value depends on
+the request and the seed alone: not on its batch mates, the backend,
+the order or whether the cache held it.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Hashable, Sequence
-
-import numpy as np
 
 from repro.api.answer import Answer, BatchAnswer
 from repro.api.requests import QueryRequest, as_request
@@ -41,19 +45,15 @@ from repro.plan.build import build_plan
 from repro.plan.execute import PlanExecution, execute_plan
 from repro.plan.grounding import Grounding
 from repro.plan.methods import (
-    APPROXIMATE_METHODS,
     check_option_names,
     check_required_options,
+    check_seed,
 )
 from repro.plan.nodes import QueryPlan, TerminalNode
 from repro.plan.passes import optimize_plan
 from repro.query.engine import SessionEvaluation, aggregate_sessions
 from repro.service.cache import LRUStore, SolverCache
-from repro.service.executors import (
-    ExecutionBackend,
-    ProcessBackend,
-    resolve_backend,
-)
+from repro.service.executors import ExecutionBackend, resolve_backend
 
 
 def db_generation(db) -> "int | None":
@@ -71,7 +71,7 @@ def answer(
     request: "QueryRequest | Any",
     db,
     method: str = "auto",
-    rng: "np.random.Generator | None" = None,
+    seed: int = 0,
     group_sessions: bool = True,
     session_limit: int | None = None,
     cache: SolverCache | None = None,
@@ -90,8 +90,11 @@ def answer(
         (``"mis_amp_lite"``, ``"mis_amp_adaptive"``, ``"rejection"``), or
         ``"auto-approx"`` — auto resolution with an opt-in MIS-AMP fallback
         for solves whose estimated DP state count exceeds the
-        ``approx_budget`` solver option (requires ``rng`` when it
-        triggers); see :mod:`repro.plan.methods`.
+        ``approx_budget`` solver option; see :mod:`repro.plan.methods`.
+    seed:
+        A non-negative int.  Each sampled solve draws from a stream derived
+        from it and the solve's key, and each attribute aggregate from
+        ``default_rng(seed)``; exact probabilities do not read it.
     group_sessions:
         Solve each distinct (model, union) pair once (Section 6.4) — the
         plan's common-solve elimination pass.
@@ -101,8 +104,8 @@ def answer(
     cache:
         An optional :class:`~repro.service.cache.SolverCache` shared across
         calls.  Session solves are then grouped by *canonical* key and
-        consulted/stored in the cache before dispatching.  Ignored for the
-        sampling methods (their results are rng-dependent) and when
+        consulted/stored in the cache before dispatching (a sampled
+        solve's key includes the seed).  Ignored when
         ``group_sessions=False`` or ``optimize=False`` (the naive and
         unoptimized baselines must re-solve every session).  Cross-query
         hits are reported in ``stats["cache_hits"]``.
@@ -116,7 +119,7 @@ def answer(
         MIS-AMP-lite, ``time_budget=60`` for exact solvers).
     """
     return _answer(
-        request, db, method, rng, group_sessions, session_limit, cache,
+        request, db, method, seed, group_sessions, session_limit, cache,
         optimize, **solver_options,
     )
 
@@ -125,7 +128,7 @@ def _answer(
     request: "QueryRequest | Any",
     db,
     method: str = "auto",
-    rng: "np.random.Generator | None" = None,
+    seed: int = 0,
     group_sessions: bool = True,
     session_limit: int | None = None,
     cache: SolverCache | None = None,
@@ -140,24 +143,15 @@ def _answer(
     started = time.perf_counter()
     check_option_names(solver_options)
     check_required_options(method, solver_options)
+    seed = check_seed(seed)
     request = as_request(request)
-    if request.kind == "top_k" and method in APPROXIMATE_METHODS:
-        # Top-k scores every session independently, so rng-driven
-        # solves keep one draw stream per session —
-        # grouping would merge identical sessions and shift the stream.
-        group_sessions = False
     # Canonical cache keys are computed by the optimizer's elimination
     # pass, so the unoptimized reference plan is also cacheless — it is
     # the naive baseline, not a differently-keyed cache client.
-    use_cache = (
-        cache is not None
-        and method not in APPROXIMATE_METHODS
-        and group_sessions
-        and optimize
-    )
+    use_cache = cache is not None and group_sessions and optimize
     plan, execution = _run_plan(
         [request], db, method, solver_options, group_sessions,
-        session_limit, optimize=optimize, canonical=use_cache, rng=rng,
+        session_limit, optimize=optimize, canonical=use_cache, seed=seed,
         cache=cache if use_cache else None, backend=None,
         plans=plans if use_cache else None,
     )
@@ -175,7 +169,7 @@ def answer_many(
     requests: Sequence["QueryRequest | Any"],
     db,
     method: str = "auto",
-    rng: "np.random.Generator | None" = None,
+    seed: int = 0,
     cache: SolverCache | None = None,
     backend: "str | ExecutionBackend | None" = None,
     max_workers: int | None = None,
@@ -189,12 +183,11 @@ def answer_many(
     queries, *and kinds* (a ``Count`` and a ``Probability`` of the same
     query cost one solve, not two), the surviving frontier runs on
     ``backend`` (serial by default), and each request's terminal
-    assembles its own answer.  Sampling methods are rng-driven and
-    non-cacheable, so they fall back to sequential per-request evaluation
-    (a parallelism request is then warned about, not silently ignored).
+    assembles its own answer.  ``seed`` is :func:`answer`'s: a request's
+    answer in a batch equals its answer alone.
     """
     return _answer_many(
-        requests, db, method, rng, cache, backend, max_workers,
+        requests, db, method, seed, cache, backend, max_workers,
         session_limit, **solver_options,
     )
 
@@ -203,7 +196,7 @@ def _answer_many(
     requests: Sequence["QueryRequest | Any"],
     db,
     method: str = "auto",
-    rng: "np.random.Generator | None" = None,
+    seed: int = 0,
     cache: SolverCache | None = None,
     backend: "str | ExecutionBackend | None" = None,
     max_workers: int | None = None,
@@ -213,51 +206,16 @@ def _answer_many(
     **solver_options,
 ) -> BatchAnswer:
     """:func:`answer_many`, reading and filling the plan memo ``plans`` (a
-    :class:`~repro.service.service.PreferenceService`'s) in the exact
-    branch; the rng-driven branch never reaches it."""
+    :class:`~repro.service.service.PreferenceService`'s)."""
     started = time.perf_counter()
     check_option_names(solver_options)
     check_required_options(method, solver_options)
+    seed = check_seed(seed)
     parsed = [as_request(item) for item in requests]
-
-    if method in APPROXIMATE_METHODS:
-        if _parallelism_requested(backend, max_workers):
-            warnings.warn(
-                f"approximate method {method!r} is rng-driven and runs "
-                "sequentially; the requested parallelism "
-                "(max_workers/backend) is ignored",
-                UserWarning,
-                stacklevel=3,  # past answer_many or the service method
-            )
-        answers = [
-            answer(
-                request,
-                db,
-                method=method,
-                rng=rng,
-                session_limit=session_limit,
-                **solver_options,
-            )
-            for request in parsed
-        ]
-        return BatchAnswer(
-            answers=answers,
-            n_requests=len(answers),
-            n_sessions=sum(one.n_sessions for one in answers),
-            n_distinct_solves=sum(
-                one.stats["n_solver_calls"] for one in answers
-            ),
-            n_cache_hits=0,
-            seconds=time.perf_counter() - started,
-            cache_stats=cache.stats().as_dict() if cache is not None else {},
-            backend="serial",
-            generation=db_generation(db),
-        )
-
     execution_backend = resolve_backend(backend, max_workers)
     plan, execution = _run_plan(
         parsed, db, method, solver_options, True, session_limit,
-        optimize=True, canonical=True, rng=rng, cache=cache,
+        optimize=True, canonical=True, seed=seed, cache=cache,
         backend=execution_backend, plans=plans,
     )
     answers = assemble_answers(plan, execution, batched=True)
@@ -290,7 +248,7 @@ def _run_plan(
     *,
     optimize: bool,
     canonical: bool,
-    rng: "np.random.Generator | None",
+    seed: int,
     cache: SolverCache | None,
     backend: "ExecutionBackend | None",
     plans: LRUStore | None = None,
@@ -299,25 +257,25 @@ def _run_plan(
     """(Memoized) build -> optimize, then execute, recording the plan on
     ``cache``.
 
-    The one step behind :func:`answer`, the exact branch of
-    :func:`answer_many` and a standing-query refresh
-    (:mod:`repro.stream.standing`); they differ only in backend, grouping
-    mode (``canonical``), plan memo, grounding (only a refresh keeps one)
-    and how they wrap the answers.  An unoptimized plan
-    (``optimize=False``) is built fresh every time.
+    The one step behind :func:`answer`, :func:`answer_many` and a
+    standing-query refresh (:mod:`repro.stream.standing`); they differ
+    only in backend, grouping mode (``canonical``), plan memo, grounding
+    (only a refresh keeps one) and how they wrap the answers.  An
+    unoptimized plan (``optimize=False``) is built fresh every time.
     """
     if optimize:
         plan = _optimized_plan(
             requests, db, method, solver_options, group_sessions,
-            session_limit, canonical=canonical, plans=plans,
+            session_limit, canonical=canonical, seed=seed, plans=plans,
             grounding=grounding,
         )
     else:
         plan = build_plan(
             requests, db, method=method, options=solver_options,
             group_sessions=group_sessions, session_limit=session_limit,
+            seed=seed,
         )
-    execution = execute_plan(plan, cache=cache, rng=rng, backend=backend)
+    execution = execute_plan(plan, cache=cache, backend=backend)
     if cache is not None:
         cache.record_plan(
             plan.n_solves_planned,
@@ -337,17 +295,19 @@ def _optimized_plan(
     *,
     canonical: bool,
     plans: LRUStore | None,
+    seed: int = 0,
     grounding: Grounding | None = None,
 ) -> QueryPlan:
     """Every optimized plan: build -> optimize, or the memo's plan.
 
     With a ``plans`` store the plan is memoized under the requests by
-    value, the method, the solver options, ``session_limit``, the
-    database object and its generation, read before building, so a plan
-    is never served for another database state than the one it was built
-    from (a plan built while a writer moved the generation on is filed
-    under the older one, which no later lookup asks for).  Callers pass a
-    store only for canonical, grouped plans, the ones a service runs.
+    value, the method, the solver options, ``session_limit``, the seed,
+    the database object and its generation, read before building, so a
+    plan is never served for another database state than the one it was
+    built from (a plan built while a writer moved the generation on is
+    filed under the older one, which no later lookup asks for).  Callers
+    pass a store only for canonical, grouped plans, the ones a service
+    runs.
 
     Build and optimize read through one grounding
     (:class:`~repro.plan.grounding.Grounding`), the caller's or a fresh
@@ -356,7 +316,7 @@ def _optimized_plan(
     if plans is not None:
         key = (
             tuple(requests), method, tuple(sorted(solver_options.items())),
-            session_limit, db, db_generation(db),
+            session_limit, seed, db, db_generation(db),
         )
         memoized: "QueryPlan | None" = plans.get(key)
         if memoized is not None:
@@ -366,28 +326,12 @@ def _optimized_plan(
         plan = build_plan(
             requests, db, method=method, options=solver_options,
             group_sessions=group_sessions, session_limit=session_limit,
-            grounding=grounding,
+            grounding=grounding, seed=seed,
         )
         optimize_plan(plan, canonical=canonical, grounding=grounding)
     if plans is not None:
         plans.put_many([(key, plan)])
     return plan
-
-
-def _parallelism_requested(
-    backend: "str | ExecutionBackend | None", max_workers: int | None
-) -> bool:
-    """Did the caller ask for parallelism an rng-driven batch must ignore?
-
-    A process backend or a >1 worker pool counts; a thread backend alone
-    does not (thread parallelism over sequential solves is a performance
-    no-op).
-    """
-    return (
-        backend == "process"
-        or isinstance(backend, ProcessBackend)
-        or (max_workers is not None and max_workers > 1)
-    )
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,7 @@ def build_plan(
     group_sessions: bool = True,
     session_limit: int | None = None,
     grounding: Grounding | None = None,
+    seed: int = 0,
 ) -> QueryPlan:
     """Build the logical plan of one request or a batch.
 
@@ -93,6 +94,7 @@ def build_plan(
         options=options,
         group_sessions=group_sessions,
         session_limit=session_limit,
+        seed=seed,
     )
     with grounding.lock:
         grounding.check(db)

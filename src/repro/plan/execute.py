@@ -16,9 +16,13 @@ through it:
 4. the fresh outcomes are published in ONE ``put_many``; if the run
    raises, the claims are released instead, so no waiter is stranded;
 5. other owners' flights are waited out one node at a time; an abandoned
-   flight is claimed once more and solved here;
-6. rng-driven solves (the ``auto-approx`` fallback) run in-process, in
-   plan order, so their draws are deterministic given the rng.
+   flight is claimed once more and solved here.
+
+A sampled solve is no different: it draws from its own stream
+(:attr:`~repro.plan.nodes.SolveNode.stream`), so its value does not
+depend on the backend, the order or the cache.  An unoptimized plan's
+methods and streams are resolved once, before the first solve, as the
+optimizer's ``resolve_methods`` pass would.
 
 The eager frontier (every solve not owned by a lazy terminal) calls the
 runner once; :func:`repro.api.evaluate.assemble_answers` then folds the
@@ -31,8 +35,8 @@ the eager frontier, demanded one node at a time through the same runner in
 descending upper-bound order, and skipped entirely once the k-th best
 confirmed probability dominates every remaining bound (the paper's top-k
 pruning) — and :class:`~repro.plan.nodes.AttributeAggregateNode` terminals
-draw their Bernoulli possible-world sample.  Terminals run in request
-order, so rng consumption is deterministic.  A lazy solve shared with any
+draw their Bernoulli possible-world sample, each from a fresh
+``default_rng`` of the plan's seed.  A lazy solve shared with any
 eager terminal (a Count and a TopK of the same query in one batch) stays
 eager and the top-k loop reads its probability for free.  So does a solve
 whose bound would be its exact probability
@@ -56,7 +60,7 @@ bound, and a standing query's refresh bounds only the sessions its delta
 added or updated.  Bounds are not solves: the solve counters
 (``n_executed``, ``n_cache_hits``) leave them out.
 
-Execution never writes to the plan (an unoptimized plan's lazy method
+Execution never writes to the plan (an unoptimized plan's method
 resolution aside): every outcome lands in the :class:`PlanExecution`, so
 one optimized plan can run any number of times, concurrently too.
 """
@@ -70,7 +74,6 @@ from typing import cast
 
 import numpy as np
 
-from repro.plan.methods import APPROXIMATE_METHODS, resolve_solve_method
 from repro.plan.nodes import (
     AttributeAggregateNode,
     BoundNode,
@@ -78,7 +81,7 @@ from repro.plan.nodes import (
     SolveNode,
     TopKSessionsNode,
 )
-from repro.query.engine import solve_session
+from repro.plan.passes import resolve_solves
 from repro.rim.mixture import MallowsMixture
 from repro.service.cache import SolverCache
 from repro.service.executors import (
@@ -165,70 +168,43 @@ def _lazy_solve_ids(plan: QueryPlan) -> set[int]:
 def execute_plan(
     plan: QueryPlan,
     cache: SolverCache | None = None,
-    rng: "np.random.Generator | None" = None,
     backend: "ExecutionBackend | None" = None,
 ) -> PlanExecution:
     """Run the plan's solve frontier on ``backend`` (``None``: the
     library default, serial), then its terminals; see the module
     docstring."""
     started = time.perf_counter()
+    if any(node.method is None for node in plan.solves()):
+        resolve_solves(plan)  # an unoptimized plan, before its first solve
     backend = resolve_backend(backend)
     execution = PlanExecution(backend=backend.name)
     execution.lazy = _lazy_solve_ids(plan)
     frontier = [
         node for node in plan.solves() if node.node_id not in execution.lazy
     ]
-    _run_frontier(plan, frontier, execution, backend, cache, rng)
-    _run_terminals(plan, execution, backend, cache, rng)
+    _run_frontier(frontier, execution, backend, cache)
+    _run_terminals(plan, execution, backend, cache)
     execution.seconds = time.perf_counter() - started
     return execution
 
 
-def _resolve_method(plan: QueryPlan, node: SolveNode) -> str:
-    """The node's concrete method, resolved now on an unoptimized plan.
-
-    Resolution must see the plan-level ``approx_budget`` (the builder pops
-    it out of the solver options), or an unoptimized ``auto-approx`` plan
-    would silently budget against the default instead of the caller's
-    value and diverge from its optimized twin.
-    """
-    if node.method is None:
-        node.method = resolve_solve_method(
-            node.union,
-            node.requested_method,
-            node.labeling,
-            node.model,
-            node.options,
-            approx_budget=plan.approx_budget,
-        )
-    return node.method
-
-
 def _run_frontier(
-    plan: QueryPlan,
     nodes: "list[SolveNode] | list[BoundNode]",
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
-    rng,
 ) -> None:
-    """Resolve ``nodes`` in the six steps of the module docstring.
+    """Resolve ``nodes`` in the five steps of the module docstring.
 
     The cacheable nodes of one call must have distinct keys: a second
     claim of a key this call already holds would wait on itself.
     """
     owned: list = []
     waiting: list = []
-    sampled: list[SolveNode] = []
     for node in nodes:
         if node.node_id in execution.resolved:
             continue
-        if (
-            isinstance(node, SolveNode)
-            and _resolve_method(plan, node) in APPROXIMATE_METHODS
-        ):
-            sampled.append(node)
-        elif cache is None or not node.cacheable:
+        if cache is None or not node.cacheable:
             owned.append(node)
         else:
             value = cache.get(node.cache_key)
@@ -254,15 +230,6 @@ def _run_frontier(
                 [node], execution, backend, cache,
                 claimed=status == "claimed",
             )
-
-    for node in sampled:
-        started = time.perf_counter()
-        execution.resolved[node.node_id] = solve_session(
-            node.model, node.labeling, node.union, method=node.method,
-            rng=rng, **node.options,
-        )
-        execution.seconds_by_solve[node.node_id] = time.perf_counter() - started
-        execution.fresh.add(node.node_id)
 
 
 def _serve_cached(
@@ -338,20 +305,19 @@ def _run_terminals(
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
-    rng,
 ) -> None:
     """Resolve the execution's bound nodes, then run the adaptive and
-    rng-consuming terminals in request order."""
+    sampling terminals in request order."""
     bounds = _bound_nodes(plan, execution)
-    _run_frontier(plan, bounds, execution, SerialBackend(), cache, rng)
+    _run_frontier(bounds, execution, SerialBackend(), cache)
     for terminal in plan.aggregate_nodes():
         if isinstance(terminal, TopKSessionsNode):
             execution.topk[terminal.node_id] = _run_topk(
-                plan, terminal, execution, backend, cache, rng
+                plan, terminal, execution, backend, cache
             )
         elif isinstance(terminal, AttributeAggregateNode):
             execution.attribute[terminal.node_id] = _run_attribute(
-                terminal, execution, rng
+                terminal, execution, plan.seed
             )
 
 
@@ -396,7 +362,6 @@ def _run_topk(
     execution: PlanExecution,
     backend: ExecutionBackend,
     cache: SolverCache | None,
-    rng,
 ) -> TopKOutcome:
     outcome = TopKOutcome()
 
@@ -404,7 +369,7 @@ def _run_topk(
         if solve_id is None:
             return 0.0
         _run_frontier(
-            plan, [plan.nodes[solve_id]], execution, backend, cache, rng
+            [cast(SolveNode, plan.nodes[solve_id])], execution, backend, cache
         )
         return execution.resolved[solve_id][0]
 
@@ -461,7 +426,7 @@ def _run_topk(
 def _run_attribute(
     terminal: AttributeAggregateNode,
     execution: PlanExecution,
-    rng,
+    seed: int,
 ) -> AttributeOutcome:
     """The Section-7 possible-world estimate over resolved probabilities.
 
@@ -471,8 +436,8 @@ def _run_attribute(
     satisfying session is estimated from ``n_worlds`` Bernoulli draws; no
     further ranking inference is needed.  The closed-form ratio estimate
     ``sum p_i v_i / sum p_i`` is reported alongside as ``weighted_average``.
-    Without a caller rng the draws come from a fresh ``default_rng(0)`` per
-    terminal, so repeated answers agree.
+    The draws come from a fresh ``default_rng(seed)`` per terminal, so an
+    answer does not depend on its batch mates.
     """
     probabilities = np.array(
         [
@@ -487,12 +452,13 @@ def _run_attribute(
         weighted_total / probability_mass if probability_mass > 0 else 0.0
     )
 
-    local_rng = rng if rng is not None else np.random.default_rng(0)
     # One n_worlds x n_sessions matrix: the uniforms, overwritten in place
     # by the 0/1 draws, serve any, count, and the matmul (the float values
     # a bool matrix would be cast to anyway), so the cost does not depend
     # on how many large temporaries the allocator happens to recycle.
-    draws = local_rng.random((terminal.n_worlds, len(terminal.items)))
+    draws = np.random.default_rng(seed).random(
+        (terminal.n_worlds, len(terminal.items))
+    )
     np.less(draws, probabilities, out=draws, casting="unsafe")
     any_satisfied = draws.any(axis=1)
     if terminal.statistic == "mean":

@@ -11,7 +11,7 @@ session's model, so a :class:`Grounding` keeps it:
   (:class:`~repro.query.engine.QueryGrounding`);
 * per distinct union, a :class:`UnionFacts`: its labeling, its
   simplification, its resolved method per requested one, its request
-  fingerprint per (method, options), its cost estimate per (method,
+  fingerprint per (method, options, seed), its cost estimate per (method,
   options, model item count, mixture size), its named-union digest and,
   per ``n_edges``, whether its top-k upper bound is exact.
 
@@ -104,13 +104,15 @@ class UnionFacts:
             )
         return found
 
-    def fingerprint(self, method: str, options: dict[str, Any]) -> str:
+    def fingerprint(
+        self, method: str, options: dict[str, Any], seed: int
+    ) -> str:
         """:func:`~repro.service.keys.request_fingerprint` of the union."""
-        memo_key = (method, _options_key(options))
+        memo_key = (method, _options_key(options), seed)
         found = self._fingerprints.get(memo_key)
         if found is None:
             found = self._fingerprints[memo_key] = request_fingerprint(
-                self.labeling, self.union, method, options
+                self.labeling, self.union, method, options, seed
             )
         return found
 

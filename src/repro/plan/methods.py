@@ -20,13 +20,15 @@ undercuts an auto-resolved general solve.  The cost model
 ``"auto-approx"`` is the opt-in escape hatch for solves whose estimated
 state count exceeds a budget (the ``approx_budget`` solver option,
 default :data:`DEFAULT_APPROX_BUDGET`): such solves fall back to the
-MIS-AMP adaptive estimator instead of grinding through an exact DP.  The
-fallback is rng-driven, so auto-approx requires an ``rng`` whenever it
-actually triggers, and fallen-back solves bypass the solver cache.
+MIS-AMP adaptive estimator instead of grinding through an exact DP.  A
+fallen-back solve is a sampled solve like any other: it draws from its
+own stream, derived from the caller's ``seed`` and its key
+(:func:`repro.service.keys.solve_stream`), and is cached under that key.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.patterns.union import PatternUnion
@@ -35,7 +37,7 @@ from repro.plan.cost import estimate_solve_states
 if TYPE_CHECKING:
     from repro.plan.nodes import QueryPlan
 
-#: Methods whose solves draw from an rng.
+#: Methods whose solves sample: each draws from a stream of its own.
 APPROXIMATE_METHODS = ("mis_amp_lite", "mis_amp_adaptive", "rejection")
 
 #: Methods that only sample or enumerate the session model, so they also
@@ -129,6 +131,18 @@ def check_required_options(method: str, options: Mapping[str, Any]) -> None:
             f"method {method!r} requires the solver option "
             + ", ".join(repr(name) for name in missing)
         )
+
+
+def check_seed(seed: Any) -> int:
+    """``seed`` as an ``int``; ``ValueError`` unless it is a non-negative
+    integer (checked when a request is validated, before planning)."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, numbers.Integral)
+        or seed < 0
+    ):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    return int(seed)
 
 
 def classic_choice(union: PatternUnion) -> str:

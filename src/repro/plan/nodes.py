@@ -52,13 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Hashable, Sequence, TYPE_CHECKING, cast
 
+import numpy as np
+
 from repro.patterns.labels import Labeling
 from repro.patterns.union import PatternUnion
-from repro.plan.methods import (
-    APPROXIMATE_METHODS,
-    APPROX_BUDGET_OPTION,
-    DEFAULT_APPROX_BUDGET,
-)
+from repro.plan.methods import APPROX_BUDGET_OPTION, DEFAULT_APPROX_BUDGET
 from repro.query.ast import ConjunctiveQuery
 from repro.query.engine import SessionKey
 
@@ -130,7 +128,9 @@ class SolveNode(PlanNode):
     used both for elimination and for the shared
     :class:`~repro.service.cache.SolverCache` (None when the plan groups by
     object identity, matching the engine's cacheless behavior, or when the
-    model has no ``freeze()`` hook).
+    model has no ``freeze()`` hook).  ``stream`` seeds a sampled solve's
+    generator (:func:`repro.service.keys.solve_stream`, set with the
+    method); an exact solve has none.
     """
 
     model: Any = None
@@ -143,6 +143,7 @@ class SolveNode(PlanNode):
     sessions: list[tuple[int, SessionKey]] = field(default_factory=list)
     cost: float | None = None
     cache_key: str | None = None
+    stream: np.random.SeedSequence | None = None
 
     kind: ClassVar[str] = "solve"
 
@@ -158,11 +159,8 @@ class SolveNode(PlanNode):
 
     @property
     def cacheable(self) -> bool:
-        """True when the resolved solve may consult/populate a SolverCache."""
-        return (
-            self.cache_key is not None
-            and (self.method or self.requested_method) not in APPROXIMATE_METHODS
-        )
+        """True when the solve may consult/populate a SolverCache."""
+        return self.cache_key is not None
 
 
 @dataclass
@@ -298,7 +296,8 @@ class TopKSessionsNode(TerminalNode):
 class AttributeAggregateNode(TerminalNode):
     """Attribute-aggregate terminal (Section 7): a statistic of a session
     attribute over the satisfying sessions, estimated from ``n_worlds``
-    Bernoulli possible-world draws over the per-session probabilities.
+    Bernoulli possible-world draws over the per-session probabilities,
+    taken from a fresh ``default_rng`` of the plan's ``seed``.
 
     ``values`` holds the attribute value of every selected session, joined
     from ``relation.column`` at build time (so a missing attribute row
@@ -339,7 +338,8 @@ class QueryPlan:
 
     ``requests`` holds the typed request objects the plan was built from
     (:mod:`repro.api.requests`); ``queries`` their underlying Boolean CQs,
-    in request order.
+    in request order.  ``seed`` is the caller's seed: every sampled solve's
+    stream and every attribute terminal's draws derive from it.
 
     The builder and the optimizer passes write a plan; nothing does after
     :func:`~repro.plan.passes.optimize_plan` returns.  Execution keeps its
@@ -356,6 +356,7 @@ class QueryPlan:
         options: dict[str, Any] | None = None,
         group_sessions: bool = True,
         session_limit: int | None = None,
+        seed: int = 0,
     ) -> None:
         self.db = db
         self.requests = requests
@@ -366,6 +367,7 @@ class QueryPlan:
         self.options = dict(options or {})
         self.group_sessions = group_sessions
         self.session_limit = session_limit
+        self.seed = seed
         #: The auto-approx state-count budget is plan-level configuration,
         #: not a solver option: it is popped *unconditionally* so it never
         #: reaches a solver signature or perturbs a cache key, whatever

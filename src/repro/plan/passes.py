@@ -12,8 +12,10 @@ Five passes, applied in order by :func:`optimize_plan`:
 2. :func:`resolve_methods` — resolve every solve's method through the one
    shared path (:mod:`repro.plan.methods`): the paper's structural
    dichotomy for ``"auto"``, budgeted MIS-AMP fallback for
-   ``"auto-approx"``; then check the solver options against each
-   resolved method (:func:`repro.plan.methods.check_solve_options`).
+   ``"auto-approx"``; give every sampled solve its stream
+   (:func:`repro.service.keys.solve_stream`); then check the solver
+   options against each resolved method
+   (:func:`repro.plan.methods.check_solve_options`).
 3. :func:`eliminate_common_solves` — merge solve nodes that are the same
    request: by canonical cache key (``canonical=True``, subsuming the
    engine's Section 6.4 grouping *and* the service's batch-wide dedup
@@ -36,9 +38,8 @@ Five passes, applied in order by :func:`optimize_plan`:
    is the same either way.
 5. :func:`order_solves` — reorder the surviving frontier largest-first
    (LPT): big solves start immediately on a worker pool instead of
-   straggling.  Skipped when any solve is rng-driven — sampling results
-   must consume the rng in first-occurrence session order to stay
-   bit-identical to the sequential engine.
+   straggling.  A sampled solve draws from its own stream, so the order
+   changes no value.
 
 Every pass records itself in ``plan.passes_applied``; the elimination pass
 also maintains ``plan.n_solves_eliminated``.  What the passes derive from
@@ -64,7 +65,11 @@ from repro.plan.methods import (
     resolve_solve_method,
 )
 from repro.plan.nodes import CompileUnionNode, QueryPlan, TopKSessionsNode
-from repro.service.keys import bound_cache_key, session_cache_key
+from repro.service.keys import (
+    bound_cache_key,
+    session_cache_key,
+    solve_stream,
+)
 
 PlanPass = Callable[[QueryPlan], QueryPlan]
 
@@ -121,11 +126,26 @@ def simplify_unions(
 def resolve_methods(
     plan: QueryPlan, grounding: Grounding | None = None
 ) -> QueryPlan:
-    """Pass 2: every solve's method through the single resolution path;
-    an option a resolved method does not take raises ``ValueError``."""
+    """Pass 2: :func:`resolve_solves`."""
+    resolve_solves(plan, grounding)
+    plan.passes_applied.append("resolve_methods")
+    return plan
+
+
+def resolve_solves(plan: QueryPlan, grounding: Grounding | None = None) -> None:
+    """Resolve each solve's method through the single resolution path and
+    give each sampled one its stream; an option a resolved method does
+    not take raises ``ValueError``.
+
+    The ``resolve_methods`` pass runs it on an optimized plan, and the
+    executor on an unoptimized one before its first solve.  A stream is
+    a function of the plan's seed and the solve's content (its key), so
+    a sampled value does not depend on how the plan groups sessions.
+    """
     grounding = grounding if grounding is not None else Grounding()
     for node in plan.solves():
         requested = node.requested_method
+        facts = grounding.facts(node)
         if requested == "auto-approx":
             node.method = resolve_solve_method(
                 node.union,
@@ -137,10 +157,15 @@ def resolve_methods(
             )
             node.annotations["approx_budget"] = plan.approx_budget
         else:
-            node.method = grounding.facts(node).method(requested)
+            node.method = facts.method(requested)
+        if node.method in APPROXIMATE_METHODS:
+            node.stream = solve_stream(
+                plan.seed,
+                node.model,
+                facts.fingerprint(node.method, node.options, plan.seed),
+                node.sessions[0][1],
+            )
     check_solve_options(plan)
-    plan.passes_applied.append("resolve_methods")
-    return plan
 
 
 def annotate_costs(
@@ -184,7 +209,7 @@ def eliminate_common_solves(
                 method,
                 node.options,
                 fingerprint=grounding.facts(node).fingerprint(
-                    method, node.options
+                    method, node.options, plan.seed
                 ),
             )
 
@@ -251,20 +276,8 @@ def _key_bounds(plan: QueryPlan, grounding: Grounding) -> None:
 
 
 def order_solves(plan: QueryPlan) -> QueryPlan:
-    """Pass 5: LPT-order the frontier by annotated cost (exact solves only).
-
-    Sampling solves consume the rng in plan order, so any frontier with an
-    rng-driven node keeps first-occurrence order — reordering would change
-    which draws each solve receives and break bit-identical equivalence
-    with the sequential engine.
-    """
+    """Pass 5: LPT-order the frontier by annotated cost."""
     solves = plan.solves()
-    if any(
-        (node.method or node.requested_method) in APPROXIMATE_METHODS
-        for node in solves
-    ):
-        plan.passes_applied.append("order_solves(skipped:rng)")
-        return plan
     costs = [node.cost if node.cost is not None else 0.0 for node in solves]
     plan.solve_order = [
         plan.solve_order[index] for index in largest_first_order(costs)

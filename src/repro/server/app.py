@@ -60,14 +60,6 @@ class ServerApp:
     def __init__(
         self, config: ServerConfig, db=None, service=None, stream=None
     ):
-        if (
-            config.method == "auto-approx"
-            and config.solver_options.get("approx_budget") is None
-        ):
-            raise ValueError(
-                "a server with method 'auto-approx' needs an explicit "
-                "approx_budget in its solver options"
-            )
         self.config = config
         self.db = db if db is not None else config.build_database()
         self.service = (
@@ -83,7 +75,6 @@ class ServerApp:
             self.db,
             max_batch=config.max_batch,
             metrics=self.metrics,
-            seed=config.seed,
         )
         # Cache-tier depth (disk hits/misses, per-shard hit/occupancy)
         # reaches /stats as a registered gauge: the service owns the

@@ -91,7 +91,7 @@ def add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--approx-budget", type=float, default=None, metavar="STATES",
-        help="state-count budget, required when --method auto-approx",
+        help="auto-approx state-count budget (default: the planner's 5e7)",
     )
 
 

@@ -43,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.api.answer import Answer
-from repro.plan.methods import APPROXIMATE_METHODS
 
 #: The errors a request makes itself, answered 400 over HTTP: a bad query
 #: (:class:`~repro.query.classify.UnsupportedQueryError` is a
@@ -59,10 +58,10 @@ class RequestCoalescer:
     """Merge concurrent requests into planned ``answer_many`` batches.
 
     All bookkeeping runs on the event loop (no locks); only the planned
-    batch itself runs on the worker thread.  ``seed`` seeds a fresh rng
-    per batch for rng-driven methods (approximate and budgeted
-    auto-approx), which are legal but never bit-reproducible across
-    different coalescing outcomes — exact methods are.
+    batch itself runs on the worker thread.  Batches run at the library's
+    default seed, and every answer depends on its request alone, so a
+    coalesced answer equals the same request answered by itself — for the
+    sampled methods too.
     """
 
     def __init__(
@@ -71,13 +70,11 @@ class RequestCoalescer:
         db,
         max_batch: int = 64,
         metrics=None,
-        seed: int = 0,
     ):
         self._service = service
         self._db = db
         self.max_batch = max_batch
         self._metrics = metrics
-        self._seed = seed
         #: Waiters per dispatch key; the dict's order is the keys' age.
         self._queued: "dict[tuple, list[tuple[Any, asyncio.Future]]]" = {}
         #: The batch on the worker thread; None while the worker is idle.
@@ -157,15 +154,6 @@ class RequestCoalescer:
         if not task.cancelled():
             self._dispatch()
 
-    def _batch_rng(self, method: "str | None", options: dict):
-        """A fresh per-batch rng for the rng-driven methods, else None."""
-        effective = method if method is not None else self._service.method
-        if effective in APPROXIMATE_METHODS or effective == "auto-approx":
-            import numpy as np
-
-            return np.random.default_rng(self._seed)
-        return None
-
     async def _run_batch(self, key, live) -> None:
         # ``whole`` is execute_many's token: one waiter, whose item is the
         # whole request list and whose result is the whole BatchAnswer.
@@ -177,7 +165,6 @@ class RequestCoalescer:
         def call(batch_requests):
             return self._service.answer_many(
                 batch_requests, self._db, method=method,
-                rng=self._batch_rng(method, options),
                 session_limit=session_limit, **options,
             )
 

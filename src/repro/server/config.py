@@ -30,6 +30,8 @@ class ServerConfig:
     dataset: str = "crowdrank"
     sessions: int = 50
     movies: int = 8
+    #: The CrowdRank dataset's seed; answers use the library's default
+    #: seed, so a served answer equals ``answer(request, db)``.
     seed: int = 7
     # --- evaluation ----------------------------------------------------
     method: str = "auto"
@@ -90,14 +92,9 @@ class ServerConfig:
         )
 
     def build_service(self):
-        """The PreferenceService the coalesced batches evaluate through.
-
-        The server's configured backend/max_workers become the service
-        defaults, so the approximate-route parallelism warning of
-        :func:`repro.api.evaluate.answer_many` fires for
-        server-configured parallelism exactly as it does for directly
-        constructed services.
-        """
+        """The PreferenceService the coalesced batches evaluate through;
+        the server's configured backend/max_workers become its
+        defaults."""
         from repro.service.service import PreferenceService
 
         return PreferenceService(

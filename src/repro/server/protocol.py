@@ -74,13 +74,10 @@ def known_methods() -> tuple[str, ...]:
 def validate_options(options: dict[str, Any]) -> dict[str, Any]:
     """Check the evaluation options of a body; returns them normalized.
 
-    ``method="auto-approx"`` without an explicit ``approx_budget`` is
-    rejected here with a 400: the budgeted fallback is rng-driven and the
-    server has no per-request seed to attribute its draws to, so an
-    unbudgeted auto-approx would either silently behave like ``auto`` or
-    blow up mid-batch with a stack trace.  Clients must state the budget
-    they want.  Likewise a method whose required solver options
+    A method whose required solver options
     (:data:`repro.plan.methods.REQUIRED_OPTIONS`) are absent is a 400.
+    ``method="auto-approx"`` without an ``approx_budget`` budgets against
+    the library's default, as :func:`repro.api.answer` does.
     """
     from repro.plan.methods import check_required_options
 
@@ -90,11 +87,6 @@ def validate_options(options: dict[str, Any]) -> dict[str, Any]:
             raise ProtocolError(
                 f"unknown method {method!r}; "
                 f"available: {', '.join(known_methods())}"
-            )
-        if method == "auto-approx" and options.get("approx_budget") is None:
-            raise ProtocolError(
-                "method 'auto-approx' requires an explicit approx_budget "
-                "(the state-count threshold of the MIS-AMP fallback)"
             )
         try:
             check_required_options(method, options)

@@ -24,7 +24,10 @@ pair once per run.  ``thaw_model`` /
 ``thaw_labeling`` / ``thaw_union`` reconstruct semantically identical
 objects in the worker; the test suite pins that a thawed solve is
 bit-identical to solving the original objects, which is what lets the
-three backends (and the cache) interchange freely.
+three backends (and the cache) interchange freely.  A sampled solve's
+task carries its stream's seed sequence
+(:attr:`~repro.plan.nodes.SolveNode.stream`), so it draws the same
+values in a worker as in-process.
 
 Every backend calls :func:`repro.query.engine.solve_session` through the
 engine module at call time, and each outcome carries the measured solve
@@ -182,7 +185,8 @@ class SolveTask:
     :func:`task_model_form` — so the descriptor is small, process-portable,
     and reproduces the original solve bit-for-bit.  ``options`` must hold
     picklable values (the solver options already have to be ``repr``-stable
-    for the cache key, which in practice means plain scalars).
+    for the cache key, which in practice means plain scalars).  ``stream``
+    is a sampled solve's seed sequence, ``None`` for an exact one.
     """
 
     model_form: tuple
@@ -190,6 +194,7 @@ class SolveTask:
     union_form: tuple
     method: str
     options: dict[str, Any] = field(default_factory=dict)
+    stream: "np.random.SeedSequence | None" = None
 
 
 @dataclass(frozen=True)
@@ -212,10 +217,17 @@ class TaskOutcome:
 
 
 def _timed_solve(
-    started: float, model, labeling, union, method: str, options: dict
+    started: float,
+    model,
+    labeling,
+    union,
+    method: str,
+    options: dict,
+    stream: "np.random.SeedSequence | None",
 ) -> TaskOutcome:
+    rng = np.random.default_rng(stream) if stream is not None else None
     probability, solver_name = engine.solve_session(
-        model, labeling, union, method=method, **options
+        model, labeling, union, method=method, rng=rng, **options
     )
     return TaskOutcome(
         probability=probability,
@@ -242,6 +254,7 @@ def solve_node(node: "SolveNode | BoundNode") -> TaskOutcome:
     return _timed_solve(
         time.perf_counter(),
         node.model, node.labeling, node.union, node.method, node.options,
+        node.stream,
     )
 
 
@@ -256,6 +269,7 @@ def run_solve_task(task: SolveTask) -> TaskOutcome:
         thaw_union(task.union_form),
         task.method,
         task.options,
+        task.stream,
     )
 
 
@@ -364,7 +378,7 @@ class ProcessBackend(ExecutionBackend):
             tasks.append(
                 SolveTask(
                     task_model_form(node.model), *forms[pair],
-                    node.method, dict(node.options),
+                    node.method, dict(node.options), node.stream,
                 )
             )
         workers = min(self.workers(), len(tasks))

@@ -26,6 +26,13 @@ and every cache tier stores that same string.  A session solve's key
 fingerprint's; a top-k upper bound's (:func:`bound_cache_key`) digests the
 solve key, the union's node names and ``n_edges``.
 
+A sampled solve (:data:`repro.plan.methods.APPROXIMATE_METHODS`, and
+the ``auto-approx`` fallback) is a function of a seed too.  Its request
+fingerprint digests the caller's seed, so its key does, and its
+generator is spawned from that key (:func:`solve_stream`): equal keys
+draw equal streams, so a sampled value depends on the request and the
+seed alone, never on its batch, backend or cache state.
+
 Keys are *sound*: equal keys imply equal solve results, except with
 probability about 2^-128 per pair of distinct forms (a digest collision).
 They are best-effort *complete*: some semantically identical requests may
@@ -37,6 +44,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro.patterns.labels import Labeling
 from repro.patterns.union import PatternUnion
@@ -100,26 +109,30 @@ def request_fingerprint(
     union: PatternUnion,
     method: str = "auto",
     solver_options: Mapping[str, Any] | None = None,
+    seed: int = 0,
 ) -> str:
     """The digest of the model-independent part of a request key: the
     labeling projected onto the union's labels, the union's canonical
-    form, the resolved method and the options.  It is the expensive half
-    of a key, and the sessions of a query share their union and labeling,
-    so callers memoize it per union and pass it to
-    :func:`session_cache_key`."""
+    form, the resolved method, the options and, for a sampled method
+    only, the ``seed``.  It is the expensive half of a key, and the
+    sessions of a query share their union and labeling, so callers
+    memoize it per union and pass it to :func:`session_cache_key`."""
+    # Deferred: the plan package imports this module at load time.
+    from repro.plan.methods import APPROXIMATE_METHODS, classic_choice
+
     if method == "auto":
         # Resolved so an auto request collides with its explicit twin.
-        # Deferred: the plan package imports this module at load time.
-        from repro.plan.methods import classic_choice
-
         method = classic_choice(union)
     options = sorted(
         (name, repr(value)) for name, value in (solver_options or {}).items()
     )
-    return freeze_digest((
+    form: tuple = (
         labeling.freeze(union.all_labels), union.freeze(), method,
         tuple(options),
-    ))
+    )
+    if method in APPROXIMATE_METHODS:
+        form += (seed,)
+    return freeze_digest(form)
 
 
 def session_cache_key(
@@ -146,6 +159,27 @@ def session_cache_key(
     if fingerprint is None:
         fingerprint = request_fingerprint(labeling, union, method, solver_options)
     return "s" + model_digest + fingerprint
+
+
+def solve_stream(
+    seed: int, model: Any, fingerprint: str, session: Any
+) -> np.random.SeedSequence:
+    """The seed sequence of one sampled solve's generator:
+    ``SeedSequence(seed, spawn_key=...)`` spawned by the digest of the
+    solve's :func:`session_cache_key` (``model`` and ``fingerprint``,
+    which digests ``seed``) read as 32-bit words.
+
+    A model with no ``freeze()`` hook has no key, so its solve is named
+    by the fingerprint and its ``session`` key instead.
+    """
+    model_digest = model_fingerprint(model)
+    digest = (
+        model_digest + fingerprint
+        if model_digest is not None
+        else freeze_digest((fingerprint, session))
+    )
+    words = np.frombuffer(bytes.fromhex(digest), dtype="<u4")
+    return np.random.SeedSequence(seed, spawn_key=tuple(words.tolist()))
 
 
 def named_union_fingerprint(union: PatternUnion) -> str:

@@ -36,22 +36,21 @@ descriptors to a ``ProcessPoolExecutor`` so the pure-Python exact DP
 solvers actually scale across cores.  With ``cache_db=`` the cache's tier list gains the SQLite
 disk tier (:mod:`repro.service.persist`), so warm state survives restarts.
 Sampling-method requests run through the batched kernels of
-:mod:`repro.kernels` (DESIGN.md Section 7) by default.
+:mod:`repro.kernels` (DESIGN.md Section 7) by default, and their solves
+are cached like exact ones, under keys that include the caller's seed.
 
 The service also keeps its optimized plans (``plans``, an
 :class:`~repro.service.cache.LRUStore` of :data:`PLAN_MEMO_CAPACITY`
 plans), keyed by the batch's requests, the method, the options,
-``session_limit``, the database object and its generation: a repeated
-request skips plan build and optimize and goes straight to its cache
-lookups and terminals.  See DESIGN.md, "The service layer" and
+``session_limit``, the seed, the database object and its generation: a
+repeated request skips plan build and optimize and goes straight to its
+cache lookups and terminals.  See DESIGN.md, "The service layer" and
 "Executors, persistence, planning".
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
-
-import numpy as np
 
 from repro.api.answer import Answer, BatchAnswer
 from repro.api.evaluate import _answer, _answer_many, _optimized_plan
@@ -204,21 +203,22 @@ class PreferenceService:
         request: "QueryRequest | ConjunctiveQuery | str",
         db: PPDatabase,
         method: str | None = None,
-        rng: np.random.Generator | None = None,
+        seed: int = 0,
         **overrides: Any,
     ) -> Answer:
         """One typed request of any kind through the shared cache.
 
         Accepts a :class:`~repro.api.requests.QueryRequest`, a plain
         query, or request text in the extended grammar (``COUNT ...``,
-        ``TOPK k ...``, ``AGG stat(R.col) ...``).
+        ``TOPK k ...``, ``AGG stat(R.col) ...``).  ``seed`` is
+        :func:`repro.api.answer`'s.
         """
         options = {**self.solver_options, **overrides}
         return _answer(
             request,
             db,
             method=method or self.method,
-            rng=rng,
+            seed=seed,
             cache=self.cache,
             plans=self.plans,
             **options,
@@ -235,7 +235,7 @@ class PreferenceService:
         method: str | None = None,
         max_workers: int | None = None,
         backend: "str | ExecutionBackend | None" = None,
-        rng: np.random.Generator | None = None,
+        seed: int = 0,
         session_limit: int | None = None,
         **overrides: Any,
     ) -> BatchAnswer:
@@ -244,10 +244,8 @@ class PreferenceService:
         Any mix of Probability / Count / TopK / Aggregate requests (objects,
         plain queries, or prefixed text) planned as one DAG, with
         common-solve elimination across sessions, queries, and kinds, and
-        the distinct solves on the configured backend.  Sampling methods
-        (``mis_amp_*``, ``rejection``) are rng-driven and non-cacheable, so
-        they run sequentially per request (a parallelism request is then
-        warned about, not silently ignored).  Returns a
+        the distinct solves on the configured backend; sampled solves too
+        (``seed`` is :func:`repro.api.answer_many`'s).  Returns a
         :class:`~repro.api.answer.BatchAnswer`.
         """
         options = {**self.solver_options, **overrides}
@@ -255,10 +253,9 @@ class PreferenceService:
             [as_request(request) for request in requests],
             db,
             method=method or self.method,
-            rng=rng,
+            seed=seed,
             cache=self.cache,
-            # A per-call backend overrides the configured one; the
-            # rng-driven route warns when either asks for processes.
+            # A per-call backend overrides the configured one.
             backend=backend if backend is not None else self.backend,
             max_workers=(
                 max_workers if max_workers is not None else self.max_workers

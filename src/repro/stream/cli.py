@@ -59,8 +59,8 @@ def add_replay_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--method", default="auto",
-        help="solver method (must be cacheable — approximate methods "
-        "cannot maintain standing answers incrementally)",
+        help="solver method (default: auto; sampled methods draw at the "
+        "library's default seed)",
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",

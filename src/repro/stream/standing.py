@@ -33,7 +33,7 @@ parallel incremental engine:
   from an empty one.
 * **One plan per refresh.**  A refresh plans every stale registration as
   one request list — the step behind :func:`~repro.api.evaluate
-  .answer_many`'s exact branch — so the batch is built and optimized
+  .answer_many` — so the batch is built and optimized
   once, with common-solve elimination across the queries, and each
   answer takes the batch envelope.  A registration is materialized as a
   batch of one.
@@ -73,7 +73,6 @@ from repro.db.mutable import MutablePPDatabase, SessionDelta
 from repro.db.schema import SessionKey
 from repro.plan.execute import PlanExecution
 from repro.plan.grounding import Grounding
-from repro.plan.methods import APPROXIMATE_METHODS
 from repro.plan.nodes import QueryPlan, SolveNode, TopKSessionsNode
 from repro.query.classify import analyze
 from repro.service.cache import SolverCache
@@ -197,9 +196,11 @@ class StandingQueryEngine:
     plain, persistent, or sharded) and one ``method``, and a refresh runs
     them as one plan: its unchanged sessions are cache hits, and
     overlapping standing queries share each other's solves exactly like a
-    batch shares them at plan time.  Every refresh plans through one
-    :attr:`grounding`, which holds only the live sessions of the
-    registered queries.
+    batch shares them at plan time.  A sampled method is maintained the
+    same way: a sampled solve is cached under its key at the library's
+    default seed, so a refresh re-draws only the sessions its delta
+    touched.  Every refresh plans through one :attr:`grounding`, which
+    holds only the live sessions of the registered queries.
     """
 
     def __init__(
@@ -209,12 +210,6 @@ class StandingQueryEngine:
         method: str = "auto",
         auto_refresh: bool = True,
     ) -> None:
-        if method in APPROXIMATE_METHODS:
-            raise ValueError(
-                f"standing queries need a cacheable method, not the "
-                f"rng-driven {method!r} — incremental maintenance is "
-                "cache reuse"
-            )
         self.db = db
         self.cache = cache if cache is not None else SolverCache()
         self.method = method
@@ -367,7 +362,7 @@ class StandingQueryEngine:
         references any more."""
         plan, execution = _run_plan(
             [standing.request for standing in batch], self.db, self.method,
-            {}, True, None, optimize=True, canonical=True, rng=None,
+            {}, True, None, optimize=True, canonical=True, seed=0,
             cache=self.cache, backend=None, grounding=self.grounding,
         )
         answers = assemble_answers(plan, execution, batched=True)

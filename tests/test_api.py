@@ -2,6 +2,7 @@
 exact-equality oracles for every kind, mixed-kind batch dedup, and explain."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -253,10 +254,7 @@ class TestAnswer:
         assert one.stats["exact_seconds"] >= 0.0
 
     def test_aggregate_answer(self, polls_db):
-        one = answer(
-            f"AGG mean(V.age) {POLLS_Q}", polls_db,
-            rng=np.random.default_rng(0),
-        )
+        one = answer(f"AGG mean(V.age) {POLLS_Q}", polls_db, seed=0)
         assert one.kind == "aggregate"
         assert one.expectation == one.value
         assert 0.0 <= one.stats["probability_any"] <= 1.0
@@ -317,12 +315,37 @@ class TestAnswer:
 
         monkeypatch.setattr("repro.api.evaluate.build_plan", no_plan)
         with pytest.raises(ValueError, match="n_proposals"):
-            entry(
-                POLLS_Q,
-                polls_db,
-                method="mis_amp_lite",
-                rng=np.random.default_rng(0),
-            )
+            entry(POLLS_Q, polls_db, method="mis_amp_lite", seed=0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            answer,
+            lambda request, db, **kw: answer_many([request], db, **kw),
+            lambda request, db, **kw: PreferenceService().answer(
+                request, db, **kw
+            ),
+            lambda request, db, **kw: PreferenceService().answer_many(
+                [request], db, **kw
+            ),
+        ],
+        ids=["answer", "answer_many", "service.answer", "service.answer_many"],
+    )
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_a_bad_seed_is_rejected_before_planning(
+        self, polls_db, entry, seed, monkeypatch
+    ):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a request failing validation was planned")
+
+        monkeypatch.setattr("repro.api.evaluate.build_plan", no_plan)
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            entry(POLLS_Q, polls_db, method="rejection", seed=seed)
+
+    def test_a_numpy_integer_seed_is_the_same_seed(self, polls_db):
+        plain = answer(POLLS_Q, polls_db, method="rejection", seed=3)
+        numpy = answer(POLLS_Q, polls_db, method="rejection", seed=np.int64(3))
+        assert numpy.value == plain.value
 
     @pytest.mark.parametrize(
         "entry",
@@ -356,8 +379,14 @@ class TestAnswer:
             lambda request, db, **kw: PreferenceService(**kw).answer_many(
                 [request], db
             ),
+            lambda request, db, **kw: answer(
+                request, db, optimize=False, **kw
+            ),
         ],
-        ids=["answer", "answer_many", "service.answer_many"],
+        ids=[
+            "answer", "answer_many", "service.answer_many",
+            "answer(optimize=False)",
+        ],
     )
     def test_option_the_resolved_solver_does_not_take_fails_before_solving(
         self, polls_db, entry, monkeypatch
@@ -431,8 +460,8 @@ class TestNonRimSessions:
         expected = re.escape(f"method {method!r}") + r".*\('Ann', '5/5'\)"
         with pytest.raises(ValueError, match=expected + ".*PlackettLuce"):
             answer(
-                POLLS_Q, plackett_luce_polls(), method=method,
-                rng=np.random.default_rng(0), **options,
+                POLLS_Q, plackett_luce_polls(), method=method, seed=0,
+                **options,
             )
 
     def test_the_service_refuses_with_a_value_error(self):
@@ -443,10 +472,9 @@ class TestNonRimSessions:
     @pytest.mark.parametrize("method", ["rejection", "brute"])
     def test_model_agnostic_methods_answer_through_a_cache(self, method):
         db = plackett_luce_polls()
-        plain = answer(POLLS_Q, db, method=method, rng=np.random.default_rng(0))
+        plain = answer(POLLS_Q, db, method=method, seed=0)
         cached = answer(
-            POLLS_Q, db, method=method, rng=np.random.default_rng(0),
-            cache=SolverCache(),
+            POLLS_Q, db, method=method, seed=0, cache=SolverCache()
         )
         assert 0.0 < plain.value < 1.0
         assert cached.value == plain.value
@@ -684,15 +712,13 @@ class TestOracles:
         )
 
     def test_rng_topk_stream_is_unchanged(self, crowd_db):
-        """Approximate top-k draws one stream per session, reproducibly."""
+        """Approximate top-k draws one stream per solve, reproducibly."""
         request = TopK(parse_query(CROWD_Q), k=2, strategy="upper_bound")
         first = answer(
-            request, crowd_db, method="rejection",
-            rng=np.random.default_rng(5), n_samples=200,
+            request, crowd_db, method="rejection", seed=5, n_samples=200
         )
         second = answer(
-            request, crowd_db, method="rejection",
-            rng=np.random.default_rng(5), n_samples=200,
+            request, crowd_db, method="rejection", seed=5, n_samples=200
         )
         assert first.value == second.value
 
@@ -779,28 +805,37 @@ class TestMixedBatches:
                 for e in sequential.per_session
             ]
 
-    def test_approximate_mixed_batch_runs_sequentially(self, polls_db):
+    def test_approximate_mixed_batch_shares_solves(self, polls_db):
+        alone = answer_many(
+            [POLLS_Q], polls_db, method="rejection", n_samples=200
+        )
         batch = answer_many(
             [POLLS_Q, f"COUNT {POLLS_Q}"],
             polls_db,
             method="rejection",
-            rng=np.random.default_rng(0),
             n_samples=200,
         )
-        assert batch.backend == "serial"
-        assert batch.n_cache_hits == 0
-        assert 0.0 <= batch[0].value <= 1.0
+        assert batch.n_distinct_solves == alone.n_distinct_solves
+        assert batch[0].value == alone[0].value
+        assert batch[1].value == sum(
+            one.probability for one in alone[0].per_session
+        )
 
-    def test_approximate_process_parallelism_warns(self, polls_db):
-        with pytest.warns(UserWarning, match="rng-driven"):
-            answer_many(
+    def test_approximate_batch_runs_on_the_process_backend(self, polls_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = answer_many(
                 [POLLS_Q],
                 polls_db,
                 method="rejection",
-                rng=np.random.default_rng(0),
                 backend="process",
+                max_workers=2,
                 n_samples=100,
             )
+        assert batch.backend == "process"
+        assert batch[0].value == answer(
+            POLLS_Q, polls_db, method="rejection", n_samples=100
+        ).value
 
 
 # ----------------------------------------------------------------------

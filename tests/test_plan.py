@@ -15,7 +15,6 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import answer, assemble_answers
@@ -262,33 +261,30 @@ class TestAutoApprox:
     def test_below_budget_is_bitwise_auto(self, polls_db):
         query = parse_query("P(v, d; x; y), P(v, d; y; z), C(x, 'D', _, _, _, _)")
         exact = answer(query, polls_db, method="auto")
-        budgeted = answer(
-            query,
-            polls_db,
-            method="auto-approx",
-            rng=np.random.default_rng(1),
-        )
+        budgeted = answer(query, polls_db, method="auto-approx", seed=1)
         assert budgeted.probability == exact.probability
         assert _signature(budgeted) == _signature(exact)
 
     def test_above_budget_falls_back_to_mis_amp(self, polls_db):
         query = parse_query("P(v, d; x; y), P(v, d; y; z), C(x, 'D', _, _, _, _)")
         result = answer(
-            query,
-            polls_db,
-            method="auto-approx",
-            rng=np.random.default_rng(1),
-            approx_budget=1,
+            query, polls_db, method="auto-approx", seed=1, approx_budget=1
         )
         exact = answer(query, polls_db, method="auto")
         solvers = {e.solver for e in result.per_session}
         assert any("mis_amp" in name for name in solvers)
         assert result.probability == pytest.approx(exact.probability, abs=0.15)
 
-    def test_fallback_without_rng_raises(self, polls_db):
+    def test_fallback_is_the_explicit_estimator_at_the_default_seed(
+        self, polls_db
+    ):
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
-        with pytest.raises(ValueError, match="rng"):
-            answer(query, polls_db, method="auto-approx", approx_budget=1)
+        fallback = answer(
+            query, polls_db, method="auto-approx", approx_budget=1
+        )
+        explicit = answer(query, polls_db, method="mis_amp_adaptive")
+        assert fallback.per_session[0].solver.startswith("mis_amp")
+        assert fallback.probability == explicit.probability
 
     def test_budget_option_never_reaches_solvers(self, polls_db):
         query = parse_query("P('Ann', '5/5'; 'Trump'; 'Clinton')")
@@ -322,16 +318,15 @@ class TestAutoApprox:
             query,
             polls_db,
             method="auto-approx",
-            rng=np.random.default_rng(2),
+            seed=2,
             approx_budget=1,
             optimize=False,
         )
         assert all("mis_amp" in e.solver for e in raw.per_session)
 
     def test_batch_cli_auto_approx_has_rng(self, capsys):
-        # The batch CLI must seed an rng for auto-approx: with a tiny
-        # budget every solve falls back to MIS-AMP, which raises without
-        # one.
+        # With a tiny budget every solve falls back to MIS-AMP, which
+        # draws at the CLI's --seed.
         from repro.__main__ import main
 
         assert (
@@ -349,10 +344,7 @@ class TestAutoApprox:
     def test_batch_auto_approx_mixes_backends(self, crowd_db):
         service = PreferenceService(method="auto-approx", backend="serial")
         batch = service.answer_many(
-            [CROWD_CORPUS[0]],
-            crowd_db,
-            rng=np.random.default_rng(5),
-            approx_budget=1,
+            [CROWD_CORPUS[0]], crowd_db, seed=5, approx_budget=1
         )
         solvers = {
             evaluation.solver

@@ -1,6 +1,5 @@
 """Tests for the attribute-aggregation extension (the paper's future work)."""
 
-import numpy as np
 import pytest
 
 from repro.api import Aggregate, answer
@@ -18,16 +17,16 @@ REP_OVER_DEM = (
 )
 
 
-def aggregate(query, db, rng=None, **options):
+def aggregate(query, db, seed=0, **options):
     """``answer(Aggregate(...))`` of a session attribute."""
-    return answer(Aggregate(query, **options), db, rng=rng)
+    return answer(Aggregate(query, **options), db, seed=seed)
 
 
 class TestAggregateSessionAttribute:
     def test_weighted_average_formula(self, db):
         q = parse_query(REP_OVER_DEM)
         agg = aggregate(
-            q, db, relation="V", column="age", rng=np.random.default_rng(0)
+            q, db, relation="V", column="age", seed=0
         )
         result = answer(q, db)
         probabilities = [e.probability for e in result.per_session]
@@ -46,7 +45,7 @@ class TestAggregateSessionAttribute:
         q = parse_query(REP_OVER_DEM)
         agg = aggregate(
             q, db, relation="V", column="age",
-            n_worlds=60_000, rng=np.random.default_rng(1),
+            n_worlds=60_000, seed=1,
         )
         result = answer(q, db)
         probabilities = [e.probability for e in result.per_session]
@@ -71,7 +70,7 @@ class TestAggregateSessionAttribute:
         q = parse_query(REP_OVER_DEM)
         agg = aggregate(
             q, db, relation="V", column="age", statistic="sum",
-            n_worlds=40_000, rng=np.random.default_rng(2),
+            n_worlds=40_000, seed=2,
         )
         # E[sum over satisfying | any] >= weighted single-session values.
         assert agg.expectation > 30.0

@@ -134,9 +134,8 @@ class TestEvaluation:
             "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
         )
         exact = answer(q, db).probability
-        rng = np.random.default_rng(11)
         approx = answer(
-            q, db, method="mis_amp_adaptive", rng=rng, n_per_proposal=300
+            q, db, method="mis_amp_adaptive", seed=11, n_per_proposal=300
         ).probability
         assert approx == pytest.approx(exact, rel=0.2)
 

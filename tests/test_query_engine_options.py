@@ -1,6 +1,5 @@
 """Tests for query-engine options: methods, limits, grouping, errors."""
 
-import numpy as np
 import pytest
 
 from repro.api import answer
@@ -19,31 +18,40 @@ SIMPLE = "P(_, _; 'Clinton'; 'Trump')"
 
 
 class TestMethodHandling:
-    def test_approximate_requires_rng(self, db):
-        q = parse_query(SIMPLE)
+    def test_approximate_requires_rng(self):
+        # solve_session, which the figure runners call directly, still
+        # needs a generator; every plan derives one per sampled solve.
+        from repro.patterns.labels import Labeling
+        from repro.patterns.pattern import LabelPattern, node
+        from repro.patterns.union import PatternUnion
+        from repro.rim.mallows import Mallows
+
+        model = Mallows([1, 2, 3], 0.2)
+        labeling = Labeling({1: {"A"}, 3: {"B"}})
+        union = PatternUnion(
+            [LabelPattern([(node("a", "A"), node("b", "B"))])]
+        )
         # Each method gets its required solver options: only the rng lacks.
         for method, options in (
             ("mis_amp_lite", {"n_proposals": 2}),
             ("mis_amp_adaptive", {}),
             ("rejection", {}),
         ):
-            with pytest.raises(ValueError, match="rng"):
-                answer(q, db, method=method, **options)
+            with pytest.raises(ValueError, match="requires an rng"):
+                solve_session(model, labeling, union, method, **options)
 
     def test_rejection_method(self, db):
         q = parse_query(SIMPLE)
         exact = answer(q, db).probability
         approx = answer(
-            q, db, method="rejection",
-            rng=np.random.default_rng(0), n_samples=4000,
+            q, db, method="rejection", seed=0, n_samples=4000
         ).probability
         assert approx == pytest.approx(exact, abs=0.05)
 
     def test_mis_amp_lite_options_forwarded(self, db):
         q = parse_query(SIMPLE)
         result = answer(
-            q, db, method="mis_amp_lite",
-            rng=np.random.default_rng(0),
+            q, db, method="mis_amp_lite", seed=0,
             n_proposals=2, n_per_proposal=100,
         )
         assert 0.0 <= result.probability <= 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+import warnings
 
 import pytest
 
@@ -183,14 +184,16 @@ class TestErrorContract:
         assert status == 400
         assert "^" in payload["error"]
 
-    def test_auto_approx_without_budget_is_400(self):
+    def test_auto_approx_without_budget_uses_the_default_budget(self):
         app = make_app()
         body = {"request": BASE, "method": "auto-approx"}
         status, payload, _ = run(
             closing(app, app.handle("POST", "/answer", body, "c"))
         )
-        assert status == 400
-        assert "approx_budget" in payload["error"]
+        assert status == 200
+        assert payload["value"] == answer(
+            BASE, app.db, method="auto-approx"
+        ).value
 
     def test_auto_approx_with_budget_answers(self):
         app = make_app()
@@ -217,13 +220,13 @@ class TestErrorContract:
         assert status == 400
         assert "n_proposals" in payload["error"]
 
-    def test_server_config_rejects_auto_approx_without_budget(self):
-        with pytest.raises(ValueError, match="approx_budget"):
-            make_app(method="auto-approx")
-        # With a budget the same configuration is legal.
-        app = make_app(method="auto-approx",
-                       solver_options={"approx_budget": 1e6})
-        run(closing(app, app.handle("GET", "/healthz", None, "c")))
+    def test_server_config_takes_auto_approx_without_budget(self):
+        app = make_app(method="auto-approx")
+        status, payload, _ = run(
+            closing(app, app.handle("POST", "/answer", BASE, "c"))
+        )
+        assert status == 200
+        assert payload["requested_method"] == "auto-approx"
 
     def test_evaluation_error_is_400_not_a_stack_trace(self):
         app = make_app()
@@ -237,18 +240,20 @@ class TestErrorContract:
         assert payload["error"].startswith("cannot evaluate request")
         assert "Traceback" not in payload["error"]
 
-    def test_approximate_parallelism_warning_fires_through_config(self):
-        # Satellite fix: the server's configured backend/max_workers feed
-        # the service defaults, so the rng-driven route's parallelism
-        # warning fires for server configs exactly as for direct services.
+    def test_sampled_answer_on_a_thread_pool_equals_the_library(self):
+        # The server's configured backend/max_workers feed the service
+        # defaults; a sampled solve runs on them like an exact one.
         app = make_app(backend="thread", max_workers=4)
         body = {"request": BASE, "method": "rejection"}
-        with pytest.warns(UserWarning, match="parallelism"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             status, payload, _ = run(
                 closing(app, app.handle("POST", "/answer", body, "c"))
             )
         assert status == 200
-        assert 0.0 <= payload["value"] <= 1.0
+        assert payload["value"] == answer(
+            BASE, app.db, method="rejection"
+        ).value
 
 
 class TestBackpressure:

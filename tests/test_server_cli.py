@@ -3,8 +3,8 @@
 The CLI contract the CI smoke and the benchmark rely on: the bound
 address is the first (flushed) stdout line, ``--port 0`` binds an
 ephemeral port, ``POST /shutdown`` drains and the process exits 0, and a
-misconfigured server (auto-approx without a budget) exits 2 before
-binding anything.
+misconfigured server (a batch cap below 1) exits 2 before binding
+anything.
 """
 
 from __future__ import annotations
@@ -91,11 +91,16 @@ class TestServeSmoke:
                 process.kill()
                 process.communicate()
 
-    def test_auto_approx_without_budget_exits_2(self):
-        process = spawn("--method", "auto-approx")
-        stdout, stderr = process.communicate(timeout=120)
+    def test_a_bad_config_exits_2(self):
+        process = spawn("--max-batch", "0")
+        try:
+            stdout, stderr = process.communicate(timeout=120)
+        finally:
+            if process.poll() is None:  # it served instead of exiting
+                process.kill()
+                process.communicate()
         assert process.returncode == 2
-        assert "approx_budget" in stderr
+        assert "max_batch" in stderr
         assert "serving on" not in stdout
 
     def test_corrupt_cache_db_exits_2_with_one_line(self, tmp_path):

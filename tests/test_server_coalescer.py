@@ -89,7 +89,7 @@ class TestSoak:
             assert got.kind == want.kind
             # Bit-identical to the sequential path: exact methods are
             # deterministic and aggregate terminals draw from a fresh
-            # default_rng(0) in both paths when no rng is passed.
+            # default_rng(0) in both paths at the default seed.
             assert got.value == want.value
         # The requests queued behind the first batch were merged.
         assert metrics.coalesce_ratio > 1.0

@@ -4,8 +4,8 @@ Satellite coverage for the serving front-end: property-based
 (`hypothesis`) round-tripping of every request kind through the string
 grammar — ``request.describe()`` must parse back equal — plus anchored
 caret excerpts on mutated invalid inputs, and unit coverage of the JSON
-protocol layer (typed/string decode, options validation including the
-auto-approx 400, JSON-safe encoding).
+protocol layer (typed/string decode, options validation, JSON-safe
+encoding).
 """
 
 from __future__ import annotations
@@ -264,11 +264,11 @@ class TestDecodeRequest:
 
 
 class TestValidateOptions:
-    def test_auto_approx_without_budget_is_rejected(self):
-        with pytest.raises(ProtocolError) as caught:
-            validate_options({"method": "auto-approx"})
-        assert "approx_budget" in str(caught.value)
-        assert caught.value.status == 400
+    def test_auto_approx_without_budget_passes(self):
+        # The library's default budget applies, as in answer().
+        assert validate_options({"method": "auto-approx"}) == {
+            "method": "auto-approx"
+        }
 
     def test_missing_required_solver_option_is_rejected(self):
         with pytest.raises(ProtocolError) as caught:

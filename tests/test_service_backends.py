@@ -494,7 +494,7 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
-# Batch metadata: seconds attribution, approximate-path warning
+# Batch metadata: seconds attribution, sampled solves on every backend
 # ----------------------------------------------------------------------
 
 
@@ -512,35 +512,42 @@ class TestBatchSemantics:
         warm = service.answer_many(duplicated, db)
         assert all(result.seconds == 0.0 for result in warm)
 
-    def test_approximate_path_warns_on_ignored_parallelism(self, db):
-        service = PreferenceService()
-        rng = np.random.default_rng(3)
-        with pytest.warns(UserWarning, match="ignored"):
-            service.answer_many(
-                QUERIES[:1], db, method="rejection", rng=rng,
-                max_workers=4, n_samples=50,
-            )
-        with pytest.warns(UserWarning, match="ignored"):
-            service.answer_many(
-                QUERIES[:1], db, method="rejection", rng=rng,
-                backend="process", n_samples=50,
-            )
-        # A process-*configured* service (e.g. --backend process on the
-        # CLI) must warn too, not only a per-call backend argument.
-        with pytest.warns(UserWarning, match="ignored"):
-            PreferenceService(backend="process").answer_many(
-                QUERIES[:1], db, method="rejection", rng=rng, n_samples=50
-            )
+    def test_approximate_path_uses_the_requested_parallelism(
+        self, db, recwarn
+    ):
+        want = PreferenceService().answer_many(
+            QUERIES[:1], db, method="rejection", seed=3, n_samples=50
+        )
+        runs = [
+            ("thread", PreferenceService().answer_many(
+                QUERIES[:1], db, method="rejection", seed=3,
+                backend="thread", max_workers=4, n_samples=50,
+            )),
+            ("process", PreferenceService().answer_many(
+                QUERIES[:1], db, method="rejection", seed=3,
+                backend="process", max_workers=2, n_samples=50,
+            )),
+            # A process-*configured* service (--backend process on the
+            # CLI) runs its sampled solves there too.
+            ("process", PreferenceService(
+                backend="process", max_workers=2
+            ).answer_many(
+                QUERIES[:1], db, method="rejection", seed=3, n_samples=50
+            )),
+        ]
+        for name, batch in runs:
+            assert batch.backend == name
+            assert batch.n_distinct_solves == want.n_distinct_solves
+            assert batch.values == want.values
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_approximate_path_quiet_when_sequential(self, db, recwarn):
         service = PreferenceService()
-        rng = np.random.default_rng(3)
         service.answer_many(
-            QUERIES[:1], db, method="rejection", rng=rng, n_samples=50
+            QUERIES[:1], db, method="rejection", seed=3, n_samples=50
         )
-        # An explicitly serial request asks for no parallelism: no warning.
         service.answer_many(
-            QUERIES[:1], db, method="rejection", rng=rng,
+            QUERIES[:1], db, method="rejection", seed=3,
             backend="serial", n_samples=50,
         )
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]

@@ -13,7 +13,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.api import answer
@@ -700,15 +699,26 @@ class TestEngineCache:
         assert cold.stats["n_solver_calls"] == 1  # the two mixtures share one key
         assert warm.stats["n_solver_calls"] == 0
 
-    def test_approximate_methods_bypass_cache(self, db):
+    def test_approximate_methods_are_cached_under_their_seed(self, db):
         cache = SolverCache(64)
-        rng = np.random.default_rng(3)
-        first = answer(
-            parse_query(self.QUERY), db, method="mis_amp_adaptive", rng=rng,
-            cache=cache, n_per_proposal=50,
-        )
+
+        def run(seed):
+            return answer(
+                parse_query(self.QUERY), db, method="mis_amp_adaptive",
+                seed=seed, cache=cache, n_per_proposal=50,
+            )
+
+        first = run(3)
         assert first.stats["n_solver_calls"] > 0
-        assert len(cache) == 0
+        cached = len(cache)
+        assert cached == first.stats["n_solver_calls"]
+        warm = run(3)
+        assert warm.stats["n_solver_calls"] == 0
+        assert warm.probability == first.probability
+        # Another seed is another key: its solves run and are kept too.
+        other = run(4)
+        assert other.stats["n_solver_calls"] == first.stats["n_solver_calls"]
+        assert len(cache) == 2 * cached
 
     def test_grouping_disabled_bypasses_cache(self, db):
         # group_sessions=False is the naive ablation baseline (Fig. 15);
@@ -779,14 +789,19 @@ class TestPreferenceService:
         # Matches the engine: numerically zero (inclusion-exclusion noise).
         assert batch.values[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_approximate_method_falls_back_to_sequential(self, db):
+    def test_approximate_method_batch_is_cached(self, db):
         service = PreferenceService(method="mis_amp_adaptive")
-        rng = np.random.default_rng(5)
-        batch = service.answer_many(
-            self.QUERIES[:2], db, rng=rng, n_per_proposal=50
+        cold = service.answer_many(
+            self.QUERIES[:2], db, seed=5, n_per_proposal=50
         )
-        assert batch.n_cache_hits == 0
-        assert all(0.0 <= p <= 1.0 for p in batch.values)
+        warm = service.answer_many(
+            self.QUERIES[:2], db, seed=5, n_per_proposal=50
+        )
+        assert cold.n_distinct_solves > 0
+        assert warm.n_distinct_solves == 0
+        assert warm.n_cache_hits == cold.n_distinct_solves
+        assert warm.values == cold.values
+        assert all(0.0 <= p <= 1.0 for p in cold.values)
 
     def test_accepts_parsed_queries(self, db):
         query = parse_query(self.QUERIES[1])

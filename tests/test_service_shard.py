@@ -21,7 +21,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -449,16 +448,12 @@ class TestShardedService:
     def test_sharded_bit_identical_to_unsharded_mixed_kinds(self, db):
         # The seeded mixed-kind corpus: Probability, Count, TopK, and
         # Aggregate requests must produce bit-identical answers whether
-        # the cache tier is sharded or not (aggregates draw from a seeded
-        # rng, so both runs get an identically seeded generator).
+        # the cache tier is sharded or not (aggregates draw from the
+        # seed, so both runs draw the same worlds).
         plain = PreferenceService(backend="serial")
         sharded = PreferenceService(backend="serial", cache_shards=3)
-        reference = plain.answer_many(
-            MIXED_REQUESTS, db, rng=np.random.default_rng(7)
-        )
-        answered = sharded.answer_many(
-            MIXED_REQUESTS, db, rng=np.random.default_rng(7)
-        )
+        reference = plain.answer_many(MIXED_REQUESTS, db, seed=7)
+        answered = sharded.answer_many(MIXED_REQUESTS, db, seed=7)
         for theirs, ours in zip(reference, answered):
             assert ours.kind == theirs.kind
             assert ours.value == theirs.value

@@ -365,10 +365,48 @@ class TestStandingEngine:
             engine.deregister(first.query_id)
         engine.close()
 
-    def test_rejects_approximate_methods(self):
-        db = make_db()
-        with pytest.raises(ValueError, match="cacheable"):
-            StandingQueryEngine(db, method="rejection")
+    def test_sampled_method_refreshes_only_the_delta_sessions(
+        self, monkeypatch
+    ):
+        """A rejection COUNT and TOPK stay bit-identical to a from-scratch
+        answer through add, update and expire deltas, and each refresh
+        solves only the sessions its delta added or updated."""
+        from repro.query import engine as query_engine
+
+        db = make_db(4)
+        engine = StandingQueryEngine(
+            db, cache=SolverCache(), method="rejection", auto_refresh=False
+        )
+        registered = [
+            engine.register(f"COUNT {QUERY}"),
+            engine.register(f"TOPK 2 {QUERY}"),
+        ]
+        solved = []
+        solve = query_engine.solve_session
+
+        def counting(model, *args, **kwargs):
+            solved.append(model.freeze())
+            return solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(query_engine, "solve_session", counting)
+        for mutate in (
+            lambda: db.add_session("P", ("w9",), model(0.55)),
+            lambda: db.update_session("P", ("w0",), model(0.95)),
+            lambda: db.expire_session("P", ("w1",)),
+        ):
+            solved.clear()
+            delta = mutate()
+            engine.refresh()
+            assert solved == (
+                [] if delta.kind == "expire" else [delta.model.freeze()]
+            )
+            frozen = db.snapshot()
+            for standing in registered:
+                reference = answer(
+                    standing.request, frozen, method="rejection"
+                )
+                assert answers_equal(standing.answer, reference)
+        engine.close()
 
     def test_closed_engine_ignores_deltas(self):
         db = make_db()
@@ -614,7 +652,14 @@ class TestReplayCLI:
         from repro.__main__ import main
 
         assert main(["replay", "--steps", "0"]) == 2
+        assert "--steps" in capsys.readouterr().err
+
+    def test_replay_verifies_a_sampled_method(self, capsys):
+        from repro.__main__ import main
+
         assert main([
-            "replay", "--steps", "1", "--method", "rejection",
-        ]) == 2
-        assert "cacheable" in capsys.readouterr().err
+            "replay", "--steps", "2", "--sessions", "10", "--pool", "3",
+            "--movies", "6", "--queries", "8", "--method", "rejection",
+            "--verify", "--seed", "3",
+        ]) == 0
+        assert "bit-identical" in capsys.readouterr().out
